@@ -34,9 +34,10 @@ from .multiscale import (
     scale_propagator, smooth_sector_propagator,
 )
 from .propagators import (
-    LazyCriticalTable, ModelParams, critical_propagator_direct,
-    critical_propagator_fourier, ghat_matrix, horizontal_momenta,
-    max_block_difference, scaling_propagator, solve_k2_roots,
+    ModelParams, boundary_residual, critical_propagator_direct,
+    critical_propagator_fourier, critical_table, ghat_matrix,
+    horizontal_momenta, max_block_difference, scaling_propagator,
+    solve_k2_roots,
 )
 from .skewlinalg import pfaffian, pfaffian_bruteforce
 
@@ -112,14 +113,8 @@ def check_boundary_and_symmetries(seed=0):
     for (L, M) in GEOMS:
         geom = CylinderGeometry(L, M)
         tf = critical_propagator_fourier(geom, ModelParams.critical(0.5))
-        for z in [(1, 2), (L, 1)]:
-            for x in range(1, L + 1):
-                bd, bu = tf.block((x, 0), z), tf.block((x, M + 1), z)
-                worst = max(worst, abs(bd[0, 0]), abs(bd[0, 1]),
-                            abs(bu[1, 0]), abs(bu[1, 1]))
-                bd, bu = tf.block(z, (x, 0)), tf.block(z, (x, M + 1))
-                worst = max(worst, abs(bd[0, 0]), abs(bd[1, 0]),
-                            abs(bu[0, 1]), abs(bu[1, 1]))
+        worst = max(worst, boundary_residual(tf, [(1, 2), (L, 1)],
+                                             range(1, L + 1)))
     for t1 in T1S:
         p = ModelParams.critical(t1)
         for (L, M) in GEOMS:
@@ -175,9 +170,7 @@ def check_scaling_limit(seed=0):
     target = scaling_propagator(z, zp, 1.0, 1.0, p)
     prop_errs = []
     for n in (16, 32, 64, 128, 256):
-        geom = CylinderGeometry(n, n)
-        table = (critical_propagator_fourier(geom, p) if n <= 32
-                 else LazyCriticalTable(geom, p))
+        table = critical_table(CylinderGeometry(n, n), p)
         blk = table.block((int(z[0] * n), int(z[1] * n)),
                           (int(zp[0] * n), int(zp[1] * n))) * n
         prop_errs.append(float(np.max(np.abs(blk - target))))
@@ -209,14 +202,9 @@ def check_multiscale(seed=0):
     for h in cut.scales:
         acc += scale_propagator(h, geom, p, cut).data
     worst = float(np.max(np.abs(acc - smooth.data)))
-    M = geom.M
     for h in (cut.h_star + 1, -2, 0):
-        tab = scale_propagator(h, geom, p, cut)
-        for z in [(1, 3), (5, 8)]:
-            for x in (1, 7):
-                bd, bu = tab.block((x, 0), z), tab.block((x, M + 1), z)
-                worst = max(worst, abs(bd[0, 0]), abs(bd[0, 1]),
-                            abs(bu[1, 0]), abs(bu[1, 1]))
+        worst = max(worst, boundary_residual(
+            scale_propagator(h, geom, p, cut), [(1, 3), (5, 8)], (1, 7)))
     sp = bulk_edge_split(-2, geom, p, cut)
     worst = max(worst, float(np.max(np.abs(
         sp["bulk"].data + sp["edge"].data - sp["full"].data))))

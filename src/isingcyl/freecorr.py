@@ -29,8 +29,8 @@ import numpy as np
 
 from .lattice import CylinderGeometry, Edge
 from .propagators import (
-    DIRECT_INVERSION_CAP, LazyCriticalTable, ModelParams, build_A_critical,
-    build_A_massive, critical_propagator_direct, critical_propagator_fourier,
+    DIRECT_INVERSION_CAP, ModelParams, NumericalError, build_A_critical,
+    build_A_massive, critical_propagator_direct, critical_table,
     massive_propagator, s_eval, s_weights,
 )
 from .skewlinalg import moments_to_cumulants, pfaffian
@@ -38,9 +38,12 @@ from .skewlinalg import moments_to_cumulants, pfaffian
 ENUMERATION_CAP = 24
 _ENUM_CHUNK = 1 << 16
 
-# above this lattice size the full critical table is replaced by the lazy
-# pointwise evaluator (full-table assembly is O(L M^2 #modes))
-_FULL_TABLE_CAP = 32
+
+def _real(val):
+    """The real part of a Pfaffian-route value that must be real."""
+    if not abs(np.imag(val)) < 1e-9 * max(1.0, abs(val)):
+        raise NumericalError(f"expected a real value, got {val}")
+    return float(np.real(val))
 
 
 @dataclass(frozen=True)
@@ -169,9 +172,7 @@ def partition_function_free(geom, beta, J1=1.0, J2=1.0):
             * np.cosh(beta * J2) ** (L * (M - 1)))
     pf_c = pfaffian(build_A_critical(geom, params))
     pf_m = pfaffian(build_A_massive(geom, params))
-    val = pref * pf_c * pf_m
-    assert abs(np.imag(val)) < 1e-9 * max(1.0, abs(val))
-    return float(np.real(val))
+    return _real(pref * pf_c * pf_m)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +222,7 @@ class FreeCorrelator:
         self.geom = geom
         self.params = params
         if params.is_critical:
-            if max(geom.L, geom.M) <= _FULL_TABLE_CAP:
-                self.gc = critical_propagator_fourier(geom, params)
-            else:
-                self.gc = LazyCriticalTable(geom, params)
+            self.gc = critical_table(geom, params)
         else:
             self.gc = critical_propagator_direct(geom, params)
         self.gm = massive_propagator(geom, params)
@@ -263,9 +261,7 @@ class FreeCorrelator:
             for j in range(i + 1, n):
                 G[i, j] = self._cov(fields[i], fields[j])
                 G[j, i] = -G[i, j]
-        val = pfaffian(G)
-        assert abs(val.imag) < 1e-9 * max(1.0, abs(val))
-        return float(val.real)
+        return _real(pfaffian(G))
 
     def _edge_t(self, edge):
         return self.params.t1 if edge.direction == "h" else self.params.t2
@@ -360,6 +356,4 @@ def scaling_correlation(points, labels, ell1, ell2, params):
             blk = scaling_propagator(points[i], points[j], ell1, ell2, params)
             M[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk
             M[2 * j:2 * j + 2, 2 * i:2 * i + 2] = -blk.T
-    val = pfaffian(M)
-    assert abs(np.imag(val)) < 1e-9 * max(1.0, abs(val))
-    return pref * float(np.real(val))
+    return pref * _real(pfaffian(M))

@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
-    CylinderGeometry, Edge, alpha_sign, edge_tree_distance, per_L,
-    tree_distance,
+    CylinderGeometry, Edge, alpha_sign, antiperiodic_wrap,
+    edge_tree_distance, per_L, tree_distance,
 )
 from .skewlinalg import moments_to_cumulants, pfaffian
 
@@ -133,7 +133,10 @@ class Kernel:
                       self.tag)
 
     def __add__(self, other):
-        assert self.sector == other.sector and self.geom == other.geom
+        if not isinstance(other, Kernel):
+            return NotImplemented
+        if self.sector != other.sector or self.geom != other.geom:
+            raise ValueError("kernels of different sectors or geometries")
         acc = dict(self.coeffs)
         for k, v in other.coeffs.items():
             acc[k] = acc.get(k, 0.0) + v
@@ -335,20 +338,15 @@ def antisymmetrize(kernel):
                   reflection_symmetrized=kernel.reflection_symmetrized)
 
 
-def _wrap_label_x1(x1, L):
-    q, r = divmod(x1 - 1, L)
-    return r + 1, (-1.0 if q % 2 else 1.0)
-
-
 def _reflect_label(label, axis, geom):
     """Image of a field label under the horizontal (axis=1) or vertical
     (axis=2) reflection, with its phase."""
     d1, d2 = label.D
     x1, x2 = label.z
     if axis == 1:
-        nx1, s = _wrap_label_x1(geom.L + 1 - x1 - d1, geom.L)
+        m, s = antiperiodic_wrap(geom.L - x1 - d1, geom.L)
         phase = 1j * label.omega * (-1.0) ** d1 * s
-        return phase, FieldLabel(label.omega, label.D, (nx1, x2))
+        return phase, FieldLabel(label.omega, label.D, (m + 1, x2))
     phase = 1j * (-1.0) ** d2
     return phase, FieldLabel(-label.omega, label.D,
                              (x1, geom.M + 1 - x2 - d2))
@@ -406,9 +404,9 @@ def horizontal_translate(kernel, a):
         sign = 1.0
         new = []
         for l in labels:
-            nx1, s = _wrap_label_x1(l.z[0] + a, geom.L)
+            m, s = antiperiodic_wrap(l.z[0] - 1 + a, geom.L)
             sign *= s
-            new.append(FieldLabel(l.omega, l.D, (nx1, l.z[1])))
+            new.append(FieldLabel(l.omega, l.D, (m + 1, l.z[1])))
         ekey = tuple(sorted(
             (Edge((geom.wrap_x1(e.base[0] + a), e.base[1]), e.direction)
              for e in edges), key=_edge_sort_key))
@@ -738,38 +736,6 @@ def _key_columns(labels, edges, geom):
     return xs
 
 
-def horizontal_diameter(labels, edges, geom):
-    """Smallest arc of the cylinder containing all columns of the key."""
-    xs = sorted({x % geom.L for x in _key_columns(labels, edges, geom)})
-    if len(xs) <= 1:
-        return 0
-    gaps = [b - a for a, b in zip(xs, xs[1:])]
-    gaps.append(xs[0] + geom.L - xs[-1])
-    return geom.L - max(gaps)
-
-
-def infinite_representative(labels, edges, geom):
-    """Translate a narrow key to plain coordinates with leftmost column 0;
-    None when the key spans more than L/3."""
-    cols = sorted({x % geom.L for x in _key_columns(labels, edges, geom)})
-    if len(cols) == 1:
-        start = cols[0]
-    else:
-        gaps = [(b - a, a) for a, b in zip(cols, cols[1:])]
-        gaps.append((cols[0] + geom.L - cols[-1], cols[-1]))
-        width, at = max(gaps)
-        if geom.L - width > geom.L / 3:
-            return None
-        start = (at + width) % geom.L
-    new_labels = tuple(
-        FieldLabel(l.omega, l.D, ((l.z[0] - start) % geom.L, l.z[1]))
-        for l in labels)
-    new_edges = tuple(sorted(
-        (Edge(((e.base[0] - start) % geom.L, e.base[1]), e.direction)
-         for e in edges), key=_edge_sort_key))
-    return new_labels, new_edges
-
-
 def bulk_edge_kernel_split(kernel, kernel_inf):
     """Split a cylinder kernel into a bulk part -- the sign-corrected
     periodization of the infinite-volume kernel, restricted to interior,
@@ -1072,8 +1038,8 @@ def coupling_basis(geom):
             base = FieldLabel(omega, (0, 0), z)
             zeta_acc[((base, FieldLabel(omega, (1, 0), z)), ())] += \
                 0.5 * omega
-            xm, s = _wrap_label_x1(z[0] - 1, geom.L)
-            zeta_acc[((base, FieldLabel(omega, (1, 0), (xm, z[1]))),
+            m, s = antiperiodic_wrap(z[0] - 2, geom.L)
+            zeta_acc[((base, FieldLabel(omega, (1, 0), (m + 1, z[1]))),
                       ())] += 0.5 * omega * s
     f_zeta = symmetrize(Kernel(geom, 2, 1, 0, dict(zeta_acc)))
 

@@ -5,7 +5,8 @@ direction (``L`` even), open in the vertical one.  Its *closure* adds the
 ghost rows 0 and M+1 on which the boundary conditions of the fermionic
 representation live.  This module collects everything purely geometric:
 
-* horizontal periodization ``per_L`` and cylinder distances,
+* horizontal periodization ``per_L``, the antiperiodic wrap rule
+  ``antiperiodic_wrap`` and cylinder distances,
 * the sign factor ``alpha`` entering the bulk/edge bookkeeping of
   translation-covariant kernels,
 * the tree distance ``delta`` (size of the smallest connected edge set
@@ -45,9 +46,6 @@ class CylinderGeometry:
 
     def in_lattice(self, z):
         return 1 <= z[0] <= self.L and 1 <= z[1] <= self.M
-
-    def in_closure(self, z):
-        return 1 <= z[0] <= self.L and 0 <= z[1] <= self.M + 1
 
     # -- site / edge enumeration -------------------------------------------
 
@@ -124,6 +122,13 @@ class Edge:
     def j(self):
         """Coupling index: 1 for horizontal edges, 2 for vertical ones."""
         return 1 if self.direction == "h" else 2
+
+
+def antiperiodic_wrap(d, L):
+    """Residue ``d mod L`` and the sign ``(-1)^q`` of the ``q = floor(d/L)``
+    periods wrapped; works elementwise on integer arrays."""
+    q, r = divmod(d, L)
+    return r, 1.0 - 2.0 * (q % 2)
 
 
 def per_L(y, L):

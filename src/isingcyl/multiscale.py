@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CylinderGeometry, d_edge_pair, per_L
+from .lattice import CylinderGeometry, antiperiodic_wrap, d_edge_pair, per_L
 from .propagators import (
     ModelParams, TranslationInvariantTable, coeff_D,
     critical_propagator_fourier, infinite_propagator_grid,
-    register_cutoff_weight,
 )
 
 LEQ = "leq"
@@ -46,6 +45,28 @@ def chi_profile(x):
     x = np.asarray(x, dtype=float)
     s = np.clip(2.0 * x - 1.0, 0.0, 1.0)
     return 1.0 - s * s * (3.0 - 2.0 * s)
+
+
+@dataclass(frozen=True)
+class CutoffWeight:
+    """The momentum weight ``chi(2^-upper E) - chi(2^-lower E)`` with
+    ``E = sqrt(D(k1, k2))``; without a ``lower`` scale just
+    ``chi(2^-upper E)``.
+
+    A frozen value: equal weights hash equal, so the infinite-volume grid
+    cache can key on the weight itself.
+    """
+
+    upper: int
+    lower: int | None
+    params: ModelParams
+
+    def __call__(self, k1, k2):
+        E = np.sqrt(coeff_D(k1, k2, self.params))
+        w = chi_profile(2.0 ** (-self.upper) * E)
+        if self.lower is not None:
+            w = w - chi_profile(2.0 ** (-self.lower) * E)
+        return w
 
 
 @dataclass(frozen=True)
@@ -69,25 +90,15 @@ class ScaleCutoff:
     def weight(self, h, params):
         """The momentum weight of scale ``h`` (an int) or of LEQ."""
         if h == LEQ:
-            def w(k1, k2):
-                return chi_profile(2.0 ** (-self.h_star)
-                                   * self.dispersion(k1, k2, params))
-            return w
+            return CutoffWeight(self.h_star, None, params)
         if h not in self.scales:
             raise ValueError(
                 f"scale {h} outside {self.h_star + 1}..0 (or {LEQ!r})")
-
-        def w(k1, k2):
-            E = self.dispersion(k1, k2, params)
-            return (chi_profile(2.0 ** (-h) * E)
-                    - chi_profile(2.0 ** (-h + 1) * E))
-        return w
+        return CutoffWeight(h, h - 1, params)
 
     def smooth_weight(self, params):
         """chi(E): everything except the unit-momentum massive complement."""
-        def w(k1, k2):
-            return chi_profile(self.dispersion(k1, k2, params))
-        return w
+        return CutoffWeight(0, None, params)
 
     def partition_values(self, k1, k2, params):
         """All bracket values at (k1, k2); they must sum to 1."""
@@ -121,12 +132,6 @@ def smooth_sector_propagator(geom, params, cutoff=None):
 # ---------------------------------------------------------------------------
 
 
-def _scale_weight_key(h, cutoff, params):
-    key = ("scale", h, cutoff.h_star, params.t1, params.t2)
-    register_cutoff_weight(key, cutoff.weight(h, params))
-    return key
-
-
 def bulk_edge_split(h, geom, params, cutoff=None, N=None):
     """Split g^(h) into its bulk restriction and the edge remainder.
 
@@ -140,23 +145,20 @@ def bulk_edge_split(h, geom, params, cutoff=None, N=None):
     L, M = geom.L, geom.M
     if N is None:
         N = max(256, 1 << (4 * max(L, M) - 1).bit_length())
-    key = _scale_weight_key(h, cutoff, params)
-    ginf = infinite_propagator_grid(params, key, N=N)
+    ginf = infinite_propagator_grid(params, cutoff.weight(h, params), N=N)
 
     full = scale_propagator(h, geom, params, cutoff)
     data = np.zeros_like(full.data)
     rows = np.arange(M + 2)
-    d2 = rows[:, None] - rows[None, :]
-    # the torus grid stores negative offsets at wrapped indices with the
-    # antiperiodic sign, matching _grid_lookup
-    sign2 = np.where(d2 < 0, -1.0, 1.0)[..., None, None]
+    # the torus grid is antiperiodic in both offsets
+    m2, sign2 = antiperiodic_wrap(rows[:, None] - rows[None, :], N)
+    sign2 = sign2[..., None, None]
     for m in range(L):
         s = 1.0 if m < L / 2 else (0.0 if m == L / 2 else -1.0)
         if s == 0.0:
             continue
-        p1 = per_L(m, L)
-        sign1 = -1.0 if p1 < 0 else 1.0
-        data[m] = s * sign1 * sign2 * ginf[p1 % N, d2 % N]
+        m1, sign1 = antiperiodic_wrap(per_L(m, L), N)
+        data[m] = s * sign1 * sign2 * ginf[m1, m2]
     bulk = TranslationInvariantTable(geom, f"bulk-scale-{h}", data)
     edge = TranslationInvariantTable(geom, f"edge-scale-{h}",
                                      full.data - data)

@@ -17,8 +17,9 @@ antisymmetric coefficient matrices ``A_c`` (critical sector, field phi) and
   cutoff -- the building block of the multiscale bulk part;
 * the continuum scaling-limit propagator as an image sum.
 
-All tables are stored in complex arithmetic; physical realness is asserted
-by callers, never assumed here.
+All tables are stored in complex arithmetic; physical realness is checked
+by callers (a failed check raises :class:`NumericalError`), never assumed
+here.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .lattice import CylinderGeometry
+from .lattice import CylinderGeometry, antiperiodic_wrap
+
+
+class NumericalError(ArithmeticError):
+    """A numerical result failed its own consistency check."""
 
 
 def critical_t2(t1):
@@ -73,11 +77,6 @@ class ModelParams:
     def is_critical(self):
         return abs(self.t1 * self.t2 + self.t1 + self.t2 - 1.0) < 1e-14
 
-    @property
-    def starred(self):
-        """The dressed parameter pair as a bare ModelParams."""
-        return ModelParams(t1=self.t1_star, t2=self.t2_star)
-
 
 # ---------------------------------------------------------------------------
 # Coefficient functions of the quadratic actions.
@@ -107,16 +106,6 @@ def coeff_D(k1, k2, params):
     t1, t2 = params.t1, params.t2
     return (2.0 * (1.0 - t2) ** 2 * (1.0 - np.cos(k1))
             + 2.0 * (1.0 - t1) ** 2 * (1.0 - np.cos(k2)))
-
-
-def coeff_record(k1, k2, params):
-    """All four scalar coefficients at (k1, k2), as a dict."""
-    return {
-        "b": float(coeff_b(k1, params)),
-        "Delta": float(coeff_Delta(k1, params)),
-        "B": float(coeff_B(k1, params)),
-        "D": float(coeff_D(k1, k2, params)),
-    }
 
 
 def horizontal_momenta(L):
@@ -158,74 +147,53 @@ def normalization_N(k1, k2, params, M):
 # ---------------------------------------------------------------------------
 
 
-class RootCountError(RuntimeError):
-    """Raised when the root counter cannot stabilize the root set."""
-
-
-def solve_k2_roots(k1, M, params, *, include_zero=True, grid_factor=16):
+def solve_k2_roots(k1, M, params):
     """Roots of ``sin k2(M+1) = B(k1) sin(k2 M)`` in (-pi, pi).
 
-    Returns a sorted array.  The set is symmetric under k2 -> -k2; k2 = 0
-    (always a solution) is included by default -- the choice that
+    ``k1`` is a scalar or an array; the result has shape
+    ``shape(k1) + (2M+1,)``, sorted along the last axis and symmetric under
+    k2 -> -k2.  k2 = 0 (always a solution) is included -- the choice that
     reproduces the direct inversion of A_c, see the critical-propagator
-    tests.  Nonzero roots are bracketed on a grid of ``grid_factor*(M+1)``
-    points in (0, pi) and refined to 1e-13.
+    tests.  On the critical line B(k1) <= 1, and the condition divided by
+    sin k2 is a degree-M polynomial in cos k2 whose sign alternates at the
+    points pi j/M; so exactly one positive root lies in each bracket
+    (pi j/M, pi (j+1)/M), j = 0..M-1 (McCoy-Wu 1973).  Each bracket is
+    bisected, all k1 at once, and the roots are Newton-polished.
     """
-    B = float(coeff_B(k1, params))
-    if B > 1.0 + 1e-9:
+    B = np.asarray(coeff_B(k1, params), dtype=float)[..., None]
+    if np.any(B > 1.0 + 1e-9):
         # Off the critical line the condition may develop complex roots;
         # the Fourier representation is only used on the critical line.
-        raise ValueError(f"B(k1) = {B} > 1: not on the critical line")
+        raise ValueError(f"B(k1) = {B.max()} > 1: not on the critical line")
 
     def f(k2):
-        return math.sin(k2 * (M + 1)) - B * math.sin(k2 * M)
+        return np.sin(k2 * (M + 1)) - B * np.sin(k2 * M)
 
-    for factor in (grid_factor, 4 * grid_factor):
-        n = factor * (M + 1)
-        grid = np.linspace(0.0, np.pi, n + 1)
-        vals = np.sin(grid * (M + 1)) - B * np.sin(grid * M)
-        # k2 = 0 and k2 = pi are exact analytic zeros of the condition but
-        # not quantized momenta; pin them so roundoff cannot fabricate a
-        # sign change in the end cells
-        vals[0] = 0.0
-        vals[-1] = 0.0
-        roots = []
-        # skip the exact zero at k2 = 0 (handled separately below)
-        for j in range(1, n):
-            a, b = grid[j], grid[j + 1]
-            fa, fb = vals[j], vals[j + 1]
-            if fa == 0.0:
-                if a > 1e-12:
-                    roots.append(a)
-                continue
-            if fa * fb < 0.0:
-                roots.append(brentq(f, a, b, xtol=1e-13))
-        # the first cell may also bracket a root away from 0
-        if vals[1] * vals[0] < 0.0:  # pragma: no cover - f(0)=0 exactly
-            roots.append(brentq(f, grid[0] + 1e-14, grid[1], xtol=1e-13))
-        if len(roots) == M:
-            break
-    else:
-        raise RootCountError(
-            f"found {len(roots)} positive roots, expected {M} "
-            f"(k1={k1}, M={M}, B={B}); refine the bracketing grid")
-
-    roots = np.asarray(sorted(roots))
-    # polish to machine precision: brentq stops at xtol, which leaves the
-    # quantization identity satisfied only to ~1e-12
+    edges = np.pi * np.arange(M + 1) / M
+    lo = np.broadcast_to(edges[:-1], B.shape[:-1] + (M,))
+    hi = np.broadcast_to(edges[1:], lo.shape)
+    # the sign of f just right of pi j/M is (-1)^j
+    sign = 1.0 - 2.0 * (np.arange(M) % 2)
+    while np.max(hi - lo) > 1e-13:
+        mid = 0.5 * (lo + hi)
+        right = f(mid) * sign > 0.0
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    roots = 0.5 * (lo + hi)
+    # polish to machine precision: bisection stops at 1e-13, which leaves
+    # the quantization identity satisfied only to ~1e-12
     for _ in range(3):
-        fr = np.sin(roots * (M + 1)) - B * np.sin(roots * M)
+        fr = f(roots)
         dfr = (M + 1) * np.cos(roots * (M + 1)) - B * M * np.cos(roots * M)
         step = np.where(np.abs(dfr) > 1e-8, fr / np.where(dfr == 0, 1, dfr),
                         0.0)
         roots = roots - step
     # the condition's slope is O(M+1), so the attainable residual scales
     # with it
-    if np.any(np.abs(np.sin(roots * (M + 1)) - B * np.sin(roots * M))
-              > 1e-12 * (M + 1)):
-        raise RootCountError("root residual above 1e-12 after refinement")
-    full = np.concatenate([-roots[::-1], [0.0] if include_zero else [], roots])
-    return full
+    if np.any(np.abs(f(roots)) > 1e-12 * (M + 1)):
+        raise NumericalError("root residual above 1e-12 after refinement")
+    zero = np.zeros(roots.shape[:-1] + (1,))
+    return np.concatenate([-roots[..., ::-1], zero, roots], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -234,15 +202,13 @@ class MomentumGrid:
 
     geom: CylinderGeometry
     k1_values: np.ndarray
-    k2_roots: tuple  # tuple of arrays, one per k1
+    k2_roots: np.ndarray  # shape (L, 2M+1): the roots of each k1, by row
 
     @property
     def pairs(self):
         """(k1_flat, k2_flat) arrays over all momentum pairs."""
-        k1s = np.concatenate([np.full(len(r), k1) for k1, r
-                              in zip(self.k1_values, self.k2_roots)])
-        k2s = np.concatenate(self.k2_roots)
-        return k1s, k2s
+        k1s = np.repeat(self.k1_values, self.k2_roots.shape[1])
+        return k1s, self.k2_roots.ravel()
 
 
 @lru_cache(maxsize=16)
@@ -250,8 +216,8 @@ def _momentum_grid_cached(L, M, t1, t2):
     geom = CylinderGeometry(L, M)
     params = ModelParams(t1=t1, t2=t2)
     k1v = horizontal_momenta(L)
-    roots = tuple(solve_k2_roots(k1, M, params) for k1 in k1v)
-    return MomentumGrid(geom=geom, k1_values=k1v, k2_roots=roots)
+    return MomentumGrid(geom=geom, k1_values=k1v,
+                        k2_roots=solve_k2_roots(k1v, M, params))
 
 
 def momentum_grid(geom, params):
@@ -290,26 +256,18 @@ class TranslationInvariantTable(PropagatorTable):
         self.row_offset = row_offset
 
     def block(self, z, zp):
-        L = self.geom.L
-        d = z[0] - zp[0]
-        m = d % L
-        sign = 1.0 if (d - m) // L % 2 == 0 else -1.0
+        m, sign = antiperiodic_wrap(z[0] - zp[0], self.geom.L)
         return sign * self.data[m, z[1] - self.row_offset,
                                 zp[1] - self.row_offset]
 
     def __add__(self, other):
-        assert isinstance(other, TranslationInvariantTable)
-        assert self.geom == other.geom and self.row_offset == other.row_offset
+        if not isinstance(other, TranslationInvariantTable):
+            return NotImplemented
+        if self.geom != other.geom or self.row_offset != other.row_offset:
+            raise ValueError("tables of different geometries or row ranges")
         return TranslationInvariantTable(
             self.geom, f"{self.variant}+{other.variant}",
             self.data + other.data, self.row_offset)
-
-    def __sub__(self, other):
-        assert isinstance(other, TranslationInvariantTable)
-        assert self.geom == other.geom and self.row_offset == other.row_offset
-        return TranslationInvariantTable(
-            self.geom, f"{self.variant}-{other.variant}",
-            self.data - other.data, self.row_offset)
 
 
 class DenseTable(PropagatorTable):
@@ -363,8 +321,7 @@ def s_weights(geom, params):
 
 def s_eval(s_arr, y, L):
     """Evaluate an antiperiodic kernel array at arbitrary integer y."""
-    m = y % L
-    sign = 1.0 if (y - m) // L % 2 == 0 else -1.0
+    m, sign = antiperiodic_wrap(y, L)
     return sign * s_arr[m]
 
 
@@ -396,6 +353,25 @@ def s_infinite(y, t1):
 # ---------------------------------------------------------------------------
 
 
+def _critical_modes(geom, params, weight):
+    """The flat momentum pairs of the critical Fourier sum with their
+    weighted direct and reflected 2x2 mode matrices ``c G`` and ``c R``."""
+    if not params.is_critical:
+        raise ValueError("Fourier representation requires critical parameters")
+    M = geom.M
+    k1s, k2s = momentum_grid(geom, params).pairs
+    c = 1.0 / (2.0 * geom.L * normalization_N(k1s, k2s, params, M))
+    if weight is not None:
+        c = c * weight(k1s, k2s)
+    G = ghat_matrix(k1s, k2s, params)
+    # reflection matrix: (+,-) entry at -k2, (-,-) entry carries the extra
+    # phase e^{2 i k2 (M+1)}
+    R = G.copy()
+    R[:, 0, 1] = ghat_matrix(k1s, -k2s, params)[:, 0, 1]
+    R[:, 1, 1] = np.exp(2j * k2s * (M + 1)) * G[:, 1, 1]
+    return k1s, k2s, c[:, None, None] * G, c[:, None, None] * R
+
+
 def critical_propagator_fourier(geom, params, weight=None, variant="critical"):
     """The critical cylinder propagator from the explicit momentum sum.
 
@@ -404,22 +380,8 @@ def critical_propagator_fourier(geom, params, weight=None, variant="critical"):
     decomposition.  Rows cover the closure 0..M+1, where the formula
     extends and exhibits its boundary cancellations.
     """
-    if not params.is_critical:
-        raise ValueError("Fourier representation requires critical parameters")
     L, M = geom.L, geom.M
-    grid = momentum_grid(geom, params)
-    k1s, k2s = grid.pairs
-    c = 1.0 / (2.0 * L * normalization_N(k1s, k2s, params, M))
-    if weight is not None:
-        c = c * weight(k1s, k2s)
-
-    G = ghat_matrix(k1s, k2s, params)
-    # reflection matrix: (+,-) entry at -k2, (-,-) entry carries the extra
-    # phase e^{2 i k2 (M+1)}
-    Gneg = ghat_matrix(k1s, -k2s, params)
-    R = G.copy()
-    R[:, 0, 1] = Gneg[:, 0, 1]
-    R[:, 1, 1] = np.exp(2j * k2s * (M + 1)) * G[:, 1, 1]
+    k1s, k2s, cG, cR = _critical_modes(geom, params, weight)
 
     d1 = np.arange(L)
     d2 = np.arange(-(M + 1), M + 2)
@@ -428,8 +390,8 @@ def critical_propagator_fourier(geom, params, weight=None, variant="critical"):
     E2d = np.exp(-1j * np.outer(k2s, d2))
     E2s = np.exp(-1j * np.outer(k2s, s2))
 
-    T1 = np.einsum("p,pl,pd,pab->ldab", c, E1, E2d, G, optimize=True)
-    T2 = np.einsum("p,pl,ps,pab->lsab", c, E1, E2s, R, optimize=True)
+    T1 = np.einsum("pl,pd,pab->ldab", E1, E2d, cG, optimize=True)
+    T2 = np.einsum("pl,ps,pab->lsab", E1, E2s, cR, optimize=True)
 
     rows = np.arange(M + 2)
     dd = rows[:, None] - rows[None, :] + (M + 1)   # index into d2
@@ -448,30 +410,14 @@ class LazyCriticalTable(PropagatorTable):
     """
 
     def __init__(self, geom, params, weight=None, variant="critical-lazy"):
-        if not params.is_critical:
-            raise ValueError("Fourier representation requires critical parameters")
         self.geom = geom
         self.variant = variant
-        grid = momentum_grid(geom, params)
-        k1s, k2s = grid.pairs
-        self._k1s, self._k2s = k1s, k2s
-        c = 1.0 / (2.0 * geom.L * normalization_N(k1s, k2s, params, geom.M))
-        if weight is not None:
-            c = c * weight(k1s, k2s)
-        G = ghat_matrix(k1s, k2s, params)
-        Gneg = ghat_matrix(k1s, -k2s, params)
-        R = G.copy()
-        R[:, 0, 1] = Gneg[:, 0, 1]
-        R[:, 1, 1] = np.exp(2j * k2s * (geom.M + 1)) * G[:, 1, 1]
-        self._cG = c[:, None, None] * G
-        self._cR = c[:, None, None] * R
+        self._k1s, self._k2s, self._cG, self._cR = _critical_modes(
+            geom, params, weight)
         self._cache = {}
 
     def block(self, z, zp):
-        L = self.geom.L
-        d = z[0] - zp[0]
-        m = d % L
-        sign = 1.0 if (d - m) // L % 2 == 0 else -1.0
+        m, sign = antiperiodic_wrap(z[0] - zp[0], self.geom.L)
         key = (m, z[1], zp[1])
         blk = self._cache.get(key)
         if blk is None:
@@ -484,6 +430,39 @@ class LazyCriticalTable(PropagatorTable):
                                   self._cR, axes=(0, 0)))
             self._cache[key] = blk
         return sign * blk
+
+
+# above this max(L, M) the full critical table gives way to the lazy
+# pointwise evaluator (full-table assembly is O(L M^2 #modes))
+FULL_TABLE_MAX_SIZE = 32
+
+
+def critical_table(geom, params):
+    """The critical propagator as a full table on small cylinders and as a
+    :class:`LazyCriticalTable` above ``FULL_TABLE_MAX_SIZE``."""
+    if max(geom.L, geom.M) <= FULL_TABLE_MAX_SIZE:
+        return critical_propagator_fourier(geom, params)
+    return LazyCriticalTable(geom, params)
+
+
+def boundary_residual(table, sites, columns):
+    """Largest closure-row entry that the boundary conditions force to 0.
+
+    phi_+ vanishes on row 0 and phi_- on row M+1, so for ``z`` in
+    ``sites`` and ``x`` in ``columns`` the (+, .) row of g((x, 0), z), the
+    (-, .) row of g((x, M+1), z) and, in the other orientation, the (., +)
+    column of g(z, (x, 0)) and the (., -) column of g(z, (x, M+1)) vanish.
+    """
+    top = table.geom.M + 1
+    worst = 0.0
+    for z in sites:
+        for x in columns:
+            worst = max(worst,
+                        np.max(np.abs(table.block((x, 0), z)[0])),
+                        np.max(np.abs(table.block((x, top), z)[1])),
+                        np.max(np.abs(table.block(z, (x, 0))[:, 0])),
+                        np.max(np.abs(table.block(z, (x, top))[:, 1])))
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +508,8 @@ def build_A_critical(geom, params):
             if m < M:
                 C[idx(x, m, 0), idx(x, m + 1, 1)] += t2
     A = C - C.T
-    assert np.max(np.abs(A.imag)) < 1e-12
+    if not np.max(np.abs(A.imag)) < 1e-12:
+        raise NumericalError("critical quadratic form is not real")
     return A.real
 
 
@@ -567,7 +547,8 @@ def _direct_table(geom, params, builder, variant):
     try:
         G = -np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular quadratic form for {variant}") from exc
+        raise NumericalError(f"singular quadratic form for {variant}") \
+            from exc
     return DenseTable(geom, variant, G)
 
 
@@ -586,16 +567,19 @@ def massive_propagator_direct(geom, params):
 # ---------------------------------------------------------------------------
 
 
-class DoublingError(RuntimeError):
+class DoublingError(NumericalError):
+    """The torus sum did not converge; carries the last two estimates."""
+
     def __init__(self, msg, last, prev):
         super().__init__(msg)
         self.last, self.prev = last, prev
 
 
 @lru_cache(maxsize=8)
-def _infinite_grid_cached(t1, t2, weight_key, N):
+def _infinite_grid_cached(t1, t2, weight, N):
+    # keyed on the weight's value: weights must be hashable, and equal
+    # weights must be the same function of (k1, k2)
     params = ModelParams(t1=t1, t2=t2)
-    weight = _WEIGHT_REGISTRY.get(weight_key)
     m = np.arange(N)
     k = -np.pi + 2.0 * np.pi * (m + 0.5) / N
     K1, K2 = np.meshgrid(k, k, indexing="ij")
@@ -610,32 +594,19 @@ def _infinite_grid_cached(t1, t2, weight_key, N):
     return g
 
 
-_WEIGHT_REGISTRY = {}
-
-
-def register_cutoff_weight(key, fn):
-    """Register a picklable/cacheable momentum weight under a hashable key."""
-    _WEIGHT_REGISTRY[key] = fn
-    return key
-
-
 def _grid_lookup(g, z):
+    """Entry of an antiperiodic N x N torus grid at the integer offset z."""
     N = g.shape[0]
-    out = g
-    sign = 1.0
-    for axis, comp in enumerate(z):
-        m = comp % N
-        if (comp - m) // N % 2 != 0:
-            sign = -sign
-        out = out[m]
-    return sign * out
+    m1, s1 = antiperiodic_wrap(z[0], N)
+    m2, s2 = antiperiodic_wrap(z[1], N)
+    return s1 * s2 * g[m1, m2]
 
 
-def infinite_propagator(zs, params, weight_key=None, *, tol=1e-10, N0=64,
+def infinite_propagator(zs, params, weight=None, *, tol=1e-10, N0=64,
                         max_doublings=5):
     """The infinite-volume propagator at the integer offsets ``zs``.
 
-    Evaluates the momentum integral of ghat (times the registered cutoff
+    Evaluates the momentum integral of ghat (times the hashable cutoff
     weight, if any) by a discrete torus sum, doubling the grid and
     Richardson-extrapolating the O(N^-2) and O(N^-4) error terms (the
     massless integrand makes the raw sums converge only algebraically).
@@ -647,7 +618,7 @@ def infinite_propagator(zs, params, weight_key=None, *, tol=1e-10, N0=64,
     prev_best, cur_best = None, None
     N = N0
     for _ in range(max_doublings + 1):
-        g = _infinite_grid_cached(params.t1, params.t2, weight_key, N)
+        g = _infinite_grid_cached(params.t1, params.t2, weight, N)
         raw.append({z: _grid_lookup(g, z) for z in zs})
         if len(raw) >= 2:
             r1.append({z: (4.0 * raw[-1][z] - raw[-2][z]) / 3.0 for z in zs})
@@ -666,9 +637,9 @@ def infinite_propagator(zs, params, weight_key=None, *, tol=1e-10, N0=64,
         cur_best, prev_best)
 
 
-def infinite_propagator_grid(params, weight_key=None, N=256):
+def infinite_propagator_grid(params, weight=None, N=256):
     """Raw N x N grid of the infinite-volume propagator (bulk splitting)."""
-    return _infinite_grid_cached(params.t1, params.t2, weight_key, N)
+    return _infinite_grid_cached(params.t1, params.t2, weight, N)
 
 
 # ---------------------------------------------------------------------------

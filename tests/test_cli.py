@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isingcyl
 from isingcyl.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, build_parser, main,
+    EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, build_parser, main,
 )
 
 
@@ -33,6 +38,20 @@ class TestPartition:
         code, _ = run(capsys, "partition", "--L", "8", "--M", "8",
                       "--beta", "0.3", "--verify")
         assert code == EXIT_CONFIG
+
+    def test_overflow_is_numeric_failure(self):
+        # the prefactor 2^(LM) overflows a float at L*M = 1024: exit 3 with
+        # a one-line message, no traceback
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(isingcyl.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "isingcyl.cli", "partition", "--L", "64",
+             "--M", "16", "--beta", "0.44"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stderr.startswith("numerical failure")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "z.json"

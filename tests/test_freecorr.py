@@ -10,8 +10,8 @@ from isingcyl.freecorr import (
     partition_function_free, scaling_correlation,
 )
 from isingcyl.propagators import (
-    ModelParams, build_A_massive, critical_propagator_fourier, critical_t2,
-    scaling_propagator,
+    ModelParams, NumericalError, build_A_massive,
+    critical_propagator_fourier, critical_t2, scaling_propagator,
 )
 from isingcyl.skewlinalg import pfaffian
 
@@ -277,3 +277,27 @@ class TestScalingCorrelation:
                  Edge((int(zp[0] * n), int(zp[1] * n)), "v")])
             errs.append(abs(cum * n ** 2 - target))
         assert errs[1] < errs[0]
+
+
+class TestRealnessCheck:
+    """A Pfaffian-route value with a sizeable imaginary part is a numerical
+    failure, raised as a typed error rather than checked by ``assert``."""
+
+    @pytest.fixture
+    def complex_pfaffian(self, monkeypatch):
+        monkeypatch.setattr("isingcyl.freecorr.pfaffian",
+                            lambda a: 1.0 + 0.5j)
+
+    def test_partition_function(self, complex_pfaffian):
+        with pytest.raises(NumericalError):
+            partition_function_free(CylinderGeometry(2, 1), 0.3)
+
+    def test_bilinear_moment(self, small_critical, complex_pfaffian):
+        corr = small_critical[-1]
+        with pytest.raises(NumericalError):
+            corr.bilinear_moment([Edge((1, 1), "v")])
+
+    def test_scaling_correlation(self, complex_pfaffian):
+        with pytest.raises(NumericalError):
+            scaling_correlation([(0.25, 0.5), (0.625, 0.375)], (2, 2),
+                                1.0, 1.0, ModelParams.critical(0.5))

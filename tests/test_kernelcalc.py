@@ -96,6 +96,16 @@ class TestKernelBasics:
             Kernel(geom, 2, 0, 1,
                    {((l, l), (Edge((1, 0), "h"),)): 1.0})  # bad edge row
 
+    def test_add_rejects_mismatched_kernels(self, geom):
+        l = FieldLabel(1, (0, 0), (1, 1))
+        a = Kernel(geom, 2, 0, 0, {((l, l), ()): 1.0})
+        with pytest.raises(ValueError):
+            a + Kernel(geom, 4, 0, 0, {})
+        with pytest.raises(ValueError):
+            a + Kernel(CylinderGeometry(4, 5), 2, 0, 0, {})
+        with pytest.raises(TypeError):
+            a + 1.0
+
     def test_algebra(self, geom):
         rng = np.random.default_rng(0)
         a = rand_kernel(rng, geom, 2, 1)

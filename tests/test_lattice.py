@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from isingcyl.lattice import (
-    CylinderGeometry, Edge, per_L, alpha_sign, tree_distance,
-    edge_tree_distance, d_edge_pair,
+    CylinderGeometry, Edge, per_L, alpha_sign, antiperiodic_wrap,
+    tree_distance, edge_tree_distance, d_edge_pair,
 )
 
 
@@ -23,6 +24,27 @@ class TestPerL:
     def test_rejects_odd_L(self):
         with pytest.raises(ValueError):
             per_L(3, 5)
+
+
+class TestAntiperiodicWrap:
+    def test_examples(self):
+        assert antiperiodic_wrap(3, 8) == (3, 1.0)
+        assert antiperiodic_wrap(-1, 8) == (7, -1.0)
+        assert antiperiodic_wrap(8, 8) == (0, -1.0)
+        assert antiperiodic_wrap(17, 8) == (1, 1.0)
+
+    @given(st.integers(-200, 200), st.sampled_from([2, 4, 8, 12, 30]))
+    def test_one_period_flips_the_sign(self, d, L):
+        m, s = antiperiodic_wrap(d, L)
+        assert 0 <= m < L and (d - m) % L == 0
+        assert antiperiodic_wrap(d + L, L) == (m, -s)
+        assert antiperiodic_wrap(d + 2 * L, L) == (m, s)
+
+    def test_elementwise_on_arrays(self):
+        d = np.arange(-20, 21)
+        m, s = antiperiodic_wrap(d, 6)
+        assert [(int(a), float(b)) for a, b in zip(m, s)] == [
+            antiperiodic_wrap(int(x), 6) for x in d]
 
 
 class TestAlphaSign:

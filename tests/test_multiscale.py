@@ -3,11 +3,15 @@ import pytest
 
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.multiscale import (
-    LEQ, ScaleCutoff, bulk_edge_split, chi_profile, discrete_derivative,
-    edge_decay_profile, envelope_decay_fit, fit_exponential_decay,
-    scale_norm_profile, scale_propagator, smooth_sector_propagator,
+    LEQ, CutoffWeight, ScaleCutoff, bulk_edge_split, chi_profile,
+    discrete_derivative, edge_decay_profile, envelope_decay_fit,
+    fit_exponential_decay, scale_norm_profile, scale_propagator,
+    smooth_sector_propagator,
 )
-from isingcyl.propagators import ModelParams, critical_propagator_fourier
+from isingcyl.propagators import (
+    ModelParams, critical_propagator_fourier, ghat_matrix,
+    infinite_propagator, infinite_propagator_grid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,52 @@ class TestScaleCutoff:
         vals = w(k, k)
         E = cut.dispersion(k, k, params)
         assert np.all(vals[E <= 0.25] == 0.0)
+
+
+class TestCutoffWeight:
+    def test_values_are_hashable_and_equal(self, setup16):
+        geom, params, cut = setup16
+        again = ScaleCutoff.for_geometry(geom)
+        for h in cut.scales + (LEQ,):
+            assert cut.weight(h, params) == again.weight(h, params)
+            assert hash(cut.weight(h, params)) == hash(again.weight(h, params))
+        assert cut.weight(-1, params) == CutoffWeight(-1, -2, params)
+        assert cut.smooth_weight(params) == CutoffWeight(0, None, params)
+        assert cut.weight(-1, params) != cut.weight(-2, params)
+
+    def test_equal_weights_share_one_cached_grid(self, setup16):
+        geom, params, cut = setup16
+        again = ScaleCutoff.for_geometry(geom)
+        a = infinite_propagator_grid(params, cut.weight(-1, params), N=32)
+        assert infinite_propagator_grid(
+            params, again.weight(-1, params), N=32) is a
+
+    def test_different_scales_get_different_grids(self, setup16):
+        # a cache keyed on a label rather than on the weight returned the
+        # grid of whichever function was registered first
+        geom, params, cut = setup16
+        weights = (cut.weight(-1, params), cut.weight(-2, params),
+                   ScaleCutoff(h_star=-2).weight(LEQ, params),
+                   ScaleCutoff(h_star=-3).weight(LEQ, params))
+        grids = [infinite_propagator_grid(params, w, N=32) for w in weights]
+        for i, a in enumerate(grids):
+            for b in grids[i + 1:]:
+                assert np.max(np.abs(a - b)) > 1e-6
+        # the zero-offset entry is the momentum average of ghat * weight
+        k = -np.pi + 2.0 * np.pi * (np.arange(32) + 0.5) / 32
+        K1, K2 = np.meshgrid(k, k, indexing="ij")
+        for w, g in zip(weights, grids):
+            avg = np.mean(ghat_matrix(K1, K2, params)
+                          * w(K1, K2)[..., None, None], axis=(0, 1))
+            assert np.allclose(g[0, 0], avg, atol=1e-14)
+
+    def test_weighted_infinite_propagator(self, setup16):
+        # the cutoff profile is only C^1, so the torus sums converge too
+        # slowly for the default 1e-10
+        geom, params, cut = setup16
+        w = cut.weight(0, params)
+        g = infinite_propagator([(2, 1), (-2, -1)], params, w, tol=1e-6)
+        assert np.allclose(g[(2, 1)], -g[(-2, -1)].T, atol=1e-12)
 
 
 class TestScalePropagators:

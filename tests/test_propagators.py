@@ -5,13 +5,14 @@ import pytest
 
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.propagators import (
-    LazyCriticalTable, ModelParams, RootCountError, coeff_B, coeff_D,
-    critical_propagator_direct, critical_propagator_fourier, critical_t2,
-    ghat_matrix, horizontal_momenta, infinite_propagator,
-    g_infinite_scaling, gscal_scalar, massive_propagator,
-    massive_propagator_direct, max_block_difference, momentum_grid,
-    normalization_N, s_eval, s_infinite, s_weights, scaling_propagator,
-    solve_k2_roots,
+    FULL_TABLE_MAX_SIZE, DoublingError, LazyCriticalTable, ModelParams,
+    NumericalError, TranslationInvariantTable, _direct_table,
+    boundary_residual, coeff_B, coeff_D, critical_propagator_direct,
+    critical_propagator_fourier, critical_t2, critical_table, ghat_matrix,
+    horizontal_momenta, infinite_propagator, g_infinite_scaling,
+    gscal_scalar, massive_propagator, massive_propagator_direct,
+    max_block_difference, momentum_grid, normalization_N, s_eval,
+    s_infinite, s_weights, scaling_propagator, solve_k2_roots,
 )
 
 GEOMS = [(4, 3), (8, 3), (4, 5), (8, 5)]
@@ -92,6 +93,39 @@ class TestMomenta:
         for k1 in horizontal_momenta(4):
             r = solve_k2_roots(k1, 128, p)
             assert len(r) == 257
+
+    @pytest.mark.parametrize("case", ["B=1", "B~0", "M=1", "n=256"])
+    def test_roots_interlace(self, case):
+        # one positive root in each bracket (pi j/M, pi (j+1)/M)
+        k1, M, p = {
+            "B=1": (0.0, 3, critical_params(0.5)),
+            "B~0": (0.1, 4, ModelParams(t1=0.5, t2=1e-12)),
+            "M=1": (horizontal_momenta(8), 1, critical_params(0.3)),
+            "n=256": (horizontal_momenta(256), 256, critical_params(0.5)),
+        }[case]
+        r = solve_k2_roots(k1, M, p)
+        assert r.shape == np.shape(k1) + (2 * M + 1,)
+        pos = r[..., M + 1:]
+        j = np.arange(M)
+        assert np.all(pos > np.pi * j / M)
+        assert np.all(pos < np.pi * (j + 1) / M)
+        assert np.all(r[..., M] == 0.0)
+        assert np.array_equal(r[..., :M], -pos[..., ::-1])
+        B = np.asarray(coeff_B(k1, p))[..., None]
+        resid = np.sin(pos * (M + 1)) - B * np.sin(pos * M)
+        assert np.max(np.abs(resid)) <= 1e-12 * (M + 1)
+
+    def test_vectorized_roots_match_scalar(self):
+        p = critical_params(0.3)
+        k1 = horizontal_momenta(8)
+        rows = solve_k2_roots(k1, 5, p)
+        for k, row in zip(k1, rows):
+            assert np.array_equal(solve_k2_roots(k, 5, p), row)
+
+    def test_off_critical_roots_rejected(self):
+        # B(0) = t2 (1 + t1)/(1 - t1) = 2.7 > 1
+        with pytest.raises(ValueError):
+            solve_k2_roots(0.0, 3, ModelParams(t1=0.5, t2=0.9))
 
     def test_momentum_grid_cached(self):
         g = CylinderGeometry(4, 3)
@@ -185,6 +219,64 @@ class TestCriticalPropagator:
         for k2 in roots[roots > 0]:
             assert normalization_N(0.0, k2, p, 3) == pytest.approx(3.5,
                                                                    rel=1e-10)
+
+
+class TestCriticalTable:
+    def test_full_up_to_cap(self):
+        p = critical_params(0.5)
+        for L, M in [(FULL_TABLE_MAX_SIZE, 3), (4, FULL_TABLE_MAX_SIZE)]:
+            table = critical_table(CylinderGeometry(L, M), p)
+            assert isinstance(table, TranslationInvariantTable)
+
+    @pytest.mark.parametrize("LM", [(FULL_TABLE_MAX_SIZE + 2, 3),
+                                    (4, FULL_TABLE_MAX_SIZE + 1)])
+    def test_lazy_above_cap_with_equal_blocks(self, LM):
+        geom = CylinderGeometry(*LM)
+        p = critical_params(0.5)
+        table = critical_table(geom, p)
+        assert isinstance(table, LazyCriticalTable)
+        full = critical_propagator_fourier(geom, p)
+        sites = [(1, 0), (2, 1), (geom.L, geom.M), (geom.L // 2, geom.M + 1)]
+        assert max_block_difference(table, full, sites) < 1e-13
+
+
+class TestBoundaryResidual:
+    @pytest.mark.parametrize("entry, flagged", [
+        ((0, 0, 2, 0, 1), True),     # g_{+-}((x, 0), z)
+        ((0, 0, 2, 1, 1), False),    # g_{--}((x, 0), z) is unconstrained
+        ((0, 4, 2, 1, 0), True),     # g_{-+}((x, M+1), z)
+        ((0, 2, 0, 1, 0), True),     # g_{-+}(z, (x, 0))
+        ((0, 2, 4, 0, 1), True),     # g_{+-}(z, (x, M+1))
+        ((0, 2, 4, 1, 0), False),    # g_{-+}(z, (x, M+1)) is unconstrained
+    ])
+    def test_each_orientation_is_checked(self, entry, flagged):
+        geom = CylinderGeometry(4, 3)
+        data = np.zeros((4, 5, 5, 2, 2))
+        data[entry] = 1.0
+        table = TranslationInvariantTable(geom, "probe", data)
+        assert boundary_residual(table, [(1, 2)], [1]) == float(flagged)
+
+
+class TestTableErrors:
+    def test_add_rejects_other_types_and_geometries(self):
+        p = critical_params(0.5)
+        a = critical_propagator_fourier(CylinderGeometry(4, 3), p)
+        b = critical_propagator_fourier(CylinderGeometry(6, 3), p)
+        assert np.array_equal((a + a).data, 2 * a.data)
+        with pytest.raises(TypeError):
+            a + 1.0
+        with pytest.raises(ValueError):
+            a + b
+
+    def test_singular_form_is_numerical_error(self):
+        geom = CylinderGeometry(4, 3)
+        with pytest.raises(NumericalError):
+            _direct_table(geom, critical_params(0.5),
+                          lambda g, q: np.zeros((24, 24)), "zero")
+
+    def test_error_hierarchy(self):
+        assert issubclass(NumericalError, ArithmeticError)
+        assert issubclass(DoublingError, NumericalError)
 
 
 class TestMassivePropagator:
@@ -293,9 +385,7 @@ class TestScalingPropagator:
         target = scaling_propagator(z, zp, 1.0, 1.0, p)
         errs = []
         for n in (16, 32, 64):
-            geom = CylinderGeometry(n, n)
-            table = (critical_propagator_fourier(geom, p) if n <= 32
-                     else LazyCriticalTable(geom, p))
+            table = critical_table(CylinderGeometry(n, n), p)
             blk = table.block((int(z[0] * n), int(z[1] * n)),
                               (int(zp[0] * n), int(zp[1] * n))) * n
             errs.append(np.max(np.abs(blk - target)))
