@@ -789,8 +789,18 @@ def bulk_edge_kernel_split(kernel, kernel_inf):
 NORM_FLAVORS = ("bulk", "edge", "source-bulk", "source-edge")
 
 
+class Norm(float):
+    """A norm value carrying ``approximate``, the number of MST-surrogate
+    tree distances (flagged ``approximate``) among its weights."""
+
+    def __new__(cls, value, approximate=0):
+        obj = super().__new__(cls, value)
+        obj.approximate = approximate
+        return obj
+
+
 def weighted_norm(kernel, flavor, kappa):
-    """Sup-sum norm with tree-distance weights.
+    """Sup-sum norm with tree-distance weights, as a :class:`Norm`.
 
     ``bulk``: sup over (species, first site) of the weighted sum over the
     remaining sites; ``edge``: the first site's row is summed too (only
@@ -814,6 +824,7 @@ def weighted_norm(kernel, flavor, kappa):
                tuple(l.z for l in labels), edges)
         groups[key] = max(groups.get(key, 0.0), abs(c))
     buckets = defaultdict(float)
+    approximate = 0
     for (omegas, zs, edges), v in groups.items():
         if flavor == "bulk":
             d = tree_distance(zs, (), geom)
@@ -827,8 +838,9 @@ def weighted_norm(kernel, flavor, kappa):
         else:
             d = edge_tree_distance(zs, edges, geom)
             anchor = (omegas, edges)
+        approximate += d.approximate
         buckets[anchor] += math.exp(kappa * float(d)) * v
-    return max(buckets.values(), default=0.0)
+    return Norm(max(buckets.values(), default=0.0), approximate)
 
 
 # ---------------------------------------------------------------------------

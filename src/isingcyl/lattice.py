@@ -19,10 +19,11 @@ Sites are plain ``(x1, x2)`` tuples with ``x1`` in ``1..L`` and ``x2`` in
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import floor
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -175,135 +176,113 @@ class Distance(int):
 # (rows 0..M+1) so that tuples touching the ghost rows, and the boundary
 # condition of delta_E, are meaningful.  Edge weights are 1; required edges
 # are forced into the solution by zeroing their weight, declaring their
-# endpoints terminals and adding their count back afterwards.
+# endpoints terminals and adding their count back afterwards.  Every solver
+# below reads the all-pairs distance matrix of that graph.
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _closure_graph(L, M):
-    """Adjacency list of the closure graph.  Vertex id = x1-1 + L*(x2)."""
-    nv = L * (M + 2)
-    adj = [[] for _ in range(nv)]
+@lru_cache(maxsize=8)
+def _closure_metric(L, M):
+    """All-pairs distances ``|dx1|_L + |dx2|`` of the closure graph, as a
+    read-only array.  Vertex id = x1-1 + L*x2.
 
-    def vid(x1, x2):
-        return (x1 - 1) % L + L * x2
-
-    for x2 in range(0, M + 2):
-        for x1 in range(1, L + 1):
-            a, b = vid(x1, x2), vid(x1 + 1, x2)
-            adj[a].append(b)
-            adj[b].append(a)
-    for x2 in range(0, M + 1):
-        for x1 in range(1, L + 1):
-            a, b = vid(x1, x2), vid(x1, x2 + 1)
-            adj[a].append(b)
-            adj[b].append(a)
-    return adj
+    It holds ``(L*(M+2))**2`` int32 entries: 28 kB at 12x5, 4.7 MB at
+    32x32, 71 MB at 64x64.
+    """
+    v = np.arange(L * (M + 2), dtype=np.int32)
+    col, row = v % L, v // L
+    dc = np.abs(col[:, None] - col[None, :])
+    D = np.minimum(dc, L - dc) + np.abs(row[:, None] - row[None, :])
+    D.flags.writeable = False
+    return D
 
 
 def _vid(z, L):
     return (z[0] - 1) % L + L * z[1]
 
 
-def _steiner_dp(geom, terminals, zero_edges=frozenset()):
-    """Dreyfus-Wagner dynamic program.
-
-    Returns ``dp[v]`` = minimal weight of a connected subgraph spanning all
-    ``terminals`` and vertex ``v`` (weights 1 except ``zero_edges``).
-    """
-    L, M = geom.L, geom.M
-    adj = _closure_graph(L, M)
-    nv = len(adj)
-    t = len(terminals)
-    INF = float("inf")
-    if t == 0:
-        return [0.0] * nv
-
-    def wt(a, b):
-        return 0 if (a, b) in zero_edges or (b, a) in zero_edges else 1
-
-    full = (1 << t) - 1
-    dp = [[INF] * nv for _ in range(full + 1)]
-    for i, v in enumerate(terminals):
-        dp[1 << i][v] = 0
-
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        sub = (mask - 1) & mask
-        while sub:
-            other = mask ^ sub
-            if sub <= other:
-                a, b = dp[sub], dp[other]
-                for v in range(nv):
-                    c = a[v] + b[v]
-                    if c < row[v]:
-                        row[v] = c
-            sub = (sub - 1) & mask
-        heap = [(c, v) for v, c in enumerate(row) if c < INF]
-        heapq.heapify(heap)
-        while heap:
-            c, v = heapq.heappop(heap)
-            if c > row[v]:
-                continue
-            for w in adj[v]:
-                nc = c + wt(v, w)
-                if nc < row[w]:
-                    row[w] = nc
-                    heapq.heappush(heap, (nc, w))
-    return dp[full]
-
-
-def _bfs_dist(geom, source, zero_edges=frozenset()):
-    """0/1-weight shortest path distances from ``source`` (vertex id)."""
-    adj = _closure_graph(geom.L, geom.M)
-    INF = float("inf")
-    dist = [INF] * len(adj)
-    dist[source] = 0
-    from collections import deque
-    dq = deque([source])
-    while dq:
-        v = dq.popleft()
-        for w in adj[v]:
-            c = 0 if (v, w) in zero_edges or (w, v) in zero_edges else 1
-            if dist[v] + c < dist[w]:
-                dist[w] = dist[v] + c
-                if c == 0:
-                    dq.appendleft(w)
-                else:
-                    dq.append(w)
-    return dist
-
-
-def _terminals_and_zero_edges(zs, xs, geom):
+def _terminals_and_metric(zs, xs, geom):
+    """Sorted terminal ids and the closure metric with the required edges
+    ``xs`` at weight zero."""
     L = geom.L
     terms = {_vid(z, L) for z in zs}
-    zero = set()
+    D = _closure_metric(L, geom.M)
+    if not xs:
+        return sorted(terms), D
+    D = D.copy()
+    ends = set()
     for x in xs:
-        a, b = x.endpoints(geom)
-        terms.add(_vid(a, L))
-        terms.add(_vid(b, L))
-        zero.add((_vid(a, L), _vid(b, L)))
-    return sorted(terms), frozenset(zero)
+        a, b = (_vid(z, L) for z in x.endpoints(geom))
+        D[a, b] = D[b, a] = 0
+        ends.update((a, b))
+    # A shortest path alternates unit-weight stretches with zero edges, so
+    # Floyd-Warshall through the zero-edge endpoints alone is exact.
+    for k in sorted(ends):
+        np.minimum(D, D[:, k, None] + D[k], out=D)
+    return sorted(terms | ends), D
 
 
-def _mst_surrogate(geom, terminals, zero_edges):
-    """Metric-closure MST over the terminals (Prim); <= 2x the optimum."""
-    if len(terminals) <= 1:
-        return 0
-    dists = {v: _bfs_dist(geom, v, zero_edges) for v in terminals}
-    in_tree = {terminals[0]}
-    total = 0
-    rest = set(terminals[1:])
-    while rest:
-        best, bestv = None, None
-        for v in rest:
-            d = min(dists[u][v] for u in in_tree)
-            if best is None or d < best:
-                best, bestv = d, v
-        total += best
-        in_tree.add(bestv)
-        rest.remove(bestv)
+def _relax(merge, D):
+    """One min-plus step ``min_w merge[..., w] + D[w, :]``, holding one
+    (nv, nv) temporary at a time."""
+    if merge.ndim == 1:
+        return (merge[:, None] + D).min(axis=0)
+    return np.stack([(m[:, None] + D).min(axis=0) for m in merge])
+
+
+def _dreyfus_wagner(D, rows, dp=None):
+    """Dreyfus-Wagner dynamic program over the metric ``D``.
+
+    ``rows[i]`` holds the distances of all vertices to terminal ``i``.  A
+    row with a leading axis is a family of terminal groups, each reached
+    through its nearest member; masks holding such a row carry that axis.
+    Returns ``dp``, where ``dp[mask][..., v]`` is the minimal weight of a
+    connected subgraph spanning the terminals in ``mask`` and vertex ``v``.
+    A ``dp`` computed for a prefix of ``rows`` is extended, not recomputed.
+    """
+    dp = list(dp or [None])
+    for mask in range(len(dp), 1 << len(rows)):
+        low = mask & -mask
+        rest = mask ^ low
+        if not rest:
+            dp.append(rows[low.bit_length() - 1])
+            continue
+        merge = dp[low] + dp[rest]
+        sub = (rest - 1) & rest
+        while sub:
+            np.minimum(merge, dp[low | sub] + dp[rest ^ sub], out=merge)
+            sub = (sub - 1) & rest
+        dp.append(_relax(merge, D))
+    return dp
+
+
+def _mst(D, terms, extra):
+    """Metric-closure MST weight (Prim) over ``terms`` plus each row of
+    ``extra``; at most twice the optimum tree spanning the same points."""
+    P = len(extra)
+    pts = np.hstack([np.broadcast_to(terms, (P, len(terms))), extra])
+    Dk = D[pts[:, :, None], pts[:, None, :]]
+    idx = np.arange(P)
+    reach = Dk[:, 0].copy()
+    todo = np.ones(pts.shape, bool)
+    todo[:, 0] = False
+    total = np.zeros(P, D.dtype)
+    for _ in range(pts.shape[1] - 1):
+        j = np.where(todo, reach, np.iinfo(D.dtype).max).argmin(axis=1)
+        total += reach[idx, j]
+        todo[idx, j] = False
+        np.minimum(reach, Dk[idx, j], out=reach)
     return total
+
+
+def _use_exact(terms, max_exact_terminals, surrogate):
+    if len(terms) <= max_exact_terminals:
+        return True
+    if not surrogate:
+        raise ValueError(
+            f"{len(terms)} terminals exceed the exact-solver cap "
+            f"{max_exact_terminals} and the surrogate is disabled")
+    return False
 
 
 def tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4,
@@ -319,18 +298,15 @@ def tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4,
     """
     if geom is None:
         raise TypeError("geom is required")
-    terms, zero = _terminals_and_zero_edges(zs, xs, geom)
+    terms, D = _terminals_and_metric(zs, xs, geom)
     base = len(xs)
     if len(terms) <= 1:
         return Distance(base)
-    if len(terms) <= max_exact_terminals:
-        dp = _steiner_dp(geom, terms, zero)
-        return Distance(int(min(dp)) + base)
-    if not surrogate:
-        raise ValueError(
-            f"{len(terms)} terminals exceed the exact-solver cap "
-            f"{max_exact_terminals} and the surrogate is disabled")
-    return Distance(_mst_surrogate(geom, terms, zero) + base,
+    if _use_exact(terms, max_exact_terminals, surrogate):
+        return Distance(int(_dreyfus_wagner(D, list(D[terms]))[-1].min())
+                        + base)
+    no_extra = np.empty((1, 0), dtype=int)
+    return Distance(int(_mst(D, terms, no_extra)[0]) + base,
                     approximate=True)
 
 
@@ -345,52 +321,39 @@ def edge_tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4,
     """
     if geom is None:
         raise TypeError("geom is required")
-    terms, zero = _terminals_and_zero_edges(zs, xs, geom)
+    terms, D = _terminals_and_metric(zs, xs, geom)
     base = len(xs)
     if not terms:
         return Distance(base)
     L, M = geom.L, geom.M
-
-    approx = False
-    if len(terms) <= max_exact_terminals:
-        dp = _steiner_dp(geom, terms, zero)
+    boundary = np.r_[0:L, L * (M + 1):L * (M + 2)]
+    # Winding option: along a path between two points more than L/3 apart
+    # the horizontal distance from the first point takes every value up to
+    # sep = floor(L/3) + 1 <= L/2, so the set touches some column c and
+    # column c + sep.  It then has at least sep edges and can only beat the
+    # boundary option if the latter exceeds sep.
+    sep = floor(L / 3) + 1
+    exact = _use_exact(terms, max_exact_terminals, surrogate)
+    if exact:
+        rows = list(D[terms])
+        dp = _dreyfus_wagner(D, rows)
+        best = dp[-1][boundary].min()
+        if best > sep:
+            # Columns c and c + sep as two terminal groups, for every c at
+            # once; the masks without them are those of the plain DP.
+            col = D.reshape(M + 2, L, -1).min(axis=0)
+            dp = _dreyfus_wagner(
+                D, rows + [col, np.roll(col, -sep, axis=0)], dp)
+            best = min(best, dp[-1].min())
     else:
-        if not surrogate:
-            raise ValueError(
-                f"{len(terms)} terminals exceed the exact-solver cap "
-                f"{max_exact_terminals} and the surrogate is disabled")
-        approx = True
-        dp = None
-
-    # Boundary option: cheapest tree spanning the terminals plus one
-    # boundary vertex.
-    boundary_vids = [_vid((x1, x2), L) for x2 in (0, M + 1)
-                     for x1 in range(1, L + 1)]
-    if dp is not None:
-        boundary_opt = min(dp[v] for v in boundary_vids)
-    else:
-        boundary_opt = min(
-            _mst_surrogate(geom, terms + [v], zero) for v in
-            (boundary_vids[0], boundary_vids[L // 2],
-             boundary_vids[L], boundary_vids[L + L // 2]))
-
-    # Winding option: any set with two points more than L/3 apart contains
-    # a path of more than L/3 horizontal edges, so it can only beat the
-    # boundary option if the latter exceeds floor(L/3).
-    winding_floor = floor(L / 3) + 1
-    if boundary_opt > winding_floor and not approx:
-        sep = winding_floor
-        best = boundary_opt
-        nv = L * (M + 2)
-        for u in range(nv):
-            dpu = _steiner_dp(geom, sorted(set(terms) | {u}), zero)
-            for w in range(nv):
-                if geom.x1_dist(u % L + 1, w % L + 1) >= sep:
-                    if dpu[w] < best:
-                        best = dpu[w]
-        boundary_opt = best
-
-    return Distance(int(boundary_opt) + base, approximate=approx)
+        best = _mst(D, terms, boundary[:, None]).min()
+        if best > sep:
+            column = L * np.arange(M + 2)
+            for c in range(L):
+                u, w = np.meshgrid(column + c, column + (c + sep) % L)
+                best = min(best, _mst(
+                    D, terms, np.c_[u.ravel(), w.ravel()]).min())
+    return Distance(int(best) + base, approximate=not exact)
 
 
 def d_edge_pair(z, zp, geom):

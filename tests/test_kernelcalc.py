@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isingcyl.acceptance import _rand_kernel, _rand_source
 from isingcyl.kernelcalc import (
     FieldLabel, Kernel, RunningCouplings, VertexRenorm, antisymmetrize,
     bulk_edge_kernel_split, coupling_basis, expand_family,
@@ -17,7 +19,9 @@ from isingcyl.kernelcalc import (
     tilde_R_edge, tilde_R_source, truncated_expectation, weighted_norm,
     z_boundary,
 )
-from isingcyl.lattice import CylinderGeometry, Edge, tree_distance
+from isingcyl.lattice import (
+    CylinderGeometry, Edge, edge_tree_distance, tree_distance,
+)
 from isingcyl.propagators import ModelParams, critical_propagator_fourier
 
 
@@ -31,35 +35,10 @@ def table(geom):
     return critical_propagator_fourier(geom, ModelParams.critical(0.5))
 
 
-def rand_kernel(rng, geom, n, p, nkeys=5, base=1, width=5):
-    """A random sourceless kernel supported on a narrow horizontal window
-    anchored at ``base`` (it may wrap the seam), with interior rows."""
-    acc = {}
-    for _ in range(nkeys):
-        D = [[0, 0] for _ in range(n)]
-        for _ in range(p):
-            while True:
-                i = rng.integers(0, n)
-                a = rng.integers(0, 2)
-                if sum(D[i]) < 2:
-                    D[i][a] += 1
-                    break
-        zs = tuple(
-            (geom.wrap_x1(base + int(rng.integers(0, width))),
-             int(rng.integers(1, geom.M + 1 - D[k][1])))
-            for k in range(n))
-        labels = tuple(FieldLabel(int(rng.choice([1, -1])), tuple(d), z)
-                       for d, z in zip(D, zs))
-        acc[(labels, ())] = float(rng.normal())
-    return Kernel(geom, n, p, 0, acc)
-
-
-def rand_source(rng, geom, n, p, nkeys=5, base=1, width=5):
-    """Like rand_kernel but with one probe edge inside the same window."""
-    k = rand_kernel(rng, geom, n, p, nkeys, base, width)
-    ex = Edge((geom.wrap_x1(base + 1), 2), "h")
-    acc = {(labels, (ex,)): c for (labels, _), c in k.coeffs.items()}
-    return Kernel(geom, n, p, 1, acc)
+# random kernels on a window anchored at ``base`` (it may wrap the seam):
+# acceptance's generators, with five keys on a five-column window
+rand_kernel = functools.partial(_rand_kernel, nkeys=5, width=5)
+rand_source = functools.partial(_rand_source, nkeys=5, width=5)
 
 
 def family_sum(a, b):
@@ -465,6 +444,22 @@ class TestWeightedNorm:
         d = float(tree_distance(zs, (), geom))
         assert weighted_norm(k, "bulk", 0.3) == pytest.approx(
             2.0 * math.exp(0.3 * d))
+        assert weighted_norm(k, "bulk", 0.3).approximate == 0
+
+    @pytest.mark.parametrize("flavor, dist", [
+        ("bulk", tree_distance), ("edge", edge_tree_distance)])
+    def test_counts_surrogate_distances(self, geom, flavor, dist):
+        # six sites exceed the exact solver's default cap of four
+        small = tuple((x, 2) for x in range(1, 7))
+        large = tuple((x, 3) for x in range(4, 10))
+        k = Kernel(geom, 6, 0, 0, {
+            (tuple(FieldLabel(1, (0, 0), z) for z in zs), ()): c
+            for zs, c in ((small, 1.0), (large, -3.0))})
+        norm = weighted_norm(k, flavor, 0.2)
+        assert norm.approximate == 2
+        d = dist(large, (), geom)
+        assert d.approximate
+        assert norm == pytest.approx(3.0 * math.exp(0.2 * d))
 
     def test_null_labels_do_not_contribute(self, geom):
         labels = (FieldLabel(1, (0, 0), (2, 0)),

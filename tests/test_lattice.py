@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from isingcyl import lattice
 from isingcyl.lattice import (
     CylinderGeometry, Edge, per_L, alpha_sign, antiperiodic_wrap,
     tree_distance, edge_tree_distance, d_edge_pair,
 )
+
+import steiner_oracle as oracle
 
 
 class TestPerL:
@@ -197,6 +200,89 @@ class TestEdgeTreeDistance:
     def test_closer_of_two_boundaries(self):
         geom = CylinderGeometry(40, 9)
         assert edge_tree_distance(((1, 7),), (), geom) == 3  # row 7 -> row 10
+
+    @pytest.mark.parametrize("L, M, zs", [
+        # the winding option: a 2x2 block plus one site, 4 edges
+        (4, 20, ((1, 10), (2, 10), (3, 10), (1, 11), (2, 11))),
+        # the boundary option through a boundary column near the sites
+        (40, 3, tuple((x, 1) for x in range(10, 15))),
+    ])
+    def test_surrogate_within_factor_two(self, L, M, zs):
+        geom = CylinderGeometry(L, M)
+        d = edge_tree_distance(zs, (), geom)
+        assert d.approximate
+        exact = edge_tree_distance(zs, (), geom, max_exact_terminals=8)
+        assert not exact.approximate
+        assert exact <= d <= 2 * exact
+
+
+def _random_edge(rng, geom):
+    if geom.M > 1 and rng.integers(2):
+        return Edge((int(rng.integers(1, geom.L + 1)),
+                     int(rng.integers(1, geom.M))), "v")
+    return Edge((int(rng.integers(1, geom.L + 1)),
+                 int(rng.integers(1, geom.M + 1))), "h")
+
+
+class TestAgainstOracle:
+    """The vectorized engine against the pure-Python Dreyfus-Wagner and
+    BFS of ``steiner_oracle``."""
+
+    @pytest.mark.parametrize("L, M", [(4, 3), (8, 4), (2, 7)])
+    def test_metric_matches_bfs(self, L, M):
+        geom = CylinderGeometry(L, M)
+        rng = np.random.default_rng(L * 100 + M)
+        for n_edges in (0, 1, 3):
+            xs = tuple(_random_edge(rng, geom) for _ in range(n_edges))
+            _, D = lattice._terminals_and_metric((), xs, geom)
+            _, zero = oracle.terminals_and_zero_edges((), xs, geom)
+            for v in range(L * (M + 2)):
+                assert D[v].tolist() == oracle.bfs_dist(geom, v, zero)
+
+    @pytest.mark.parametrize("L, M", [(8, 4), (12, 5), (2, 7), (4, 20)])
+    def test_random_tuples(self, L, M):
+        # sites anywhere on the closure, ghost rows included; the required
+        # edges include seam-crossing horizontal ones
+        geom = CylinderGeometry(L, M)
+        rng = np.random.default_rng(L * 100 + M)
+        for case in range(9):
+            zs = tuple((int(rng.integers(1, L + 1)),
+                        int(rng.integers(0, M + 2)))
+                       for _ in range(rng.integers(1, 3)))
+            xs = ()
+            if case % 3 == 0:
+                zs += ((int(rng.integers(1, L + 1)), (0, M + 1)[case % 2]),)
+            elif case % 3 == 1:
+                xs = (Edge((L, int(rng.integers(1, M + 1))), "h"),)
+            else:
+                xs = (_random_edge(rng, geom),)
+            d = tree_distance(zs, xs, geom, max_exact_terminals=5)
+            assert not d.approximate
+            assert d == oracle.tree_distance(zs, xs, geom)
+            d = edge_tree_distance(zs, xs, geom, max_exact_terminals=5)
+            assert not d.approximate
+            assert d == oracle.edge_tree_distance(zs, xs, geom)
+
+    @pytest.mark.parametrize("L, M", [(4, 20), (6, 12)])
+    def test_winding_branch(self, L, M):
+        # sites more than sep rows away from both boundary rows: the
+        # boundary option exceeds sep, so the winding option is computed
+        geom = CylinderGeometry(L, M)
+        sep = L // 3 + 1
+        rng = np.random.default_rng(L * 100 + M)
+        wound = 0
+        for case in range(8):
+            zs = tuple((int(rng.integers(1, L + 1)),
+                        int(rng.integers(sep + 1, M + 1 - sep)))
+                       for _ in range(rng.integers(1, 3)))
+            xs = (_random_edge(rng, geom),) if case % 2 else ()
+            terms, zero = oracle.terminals_and_zero_edges(zs, xs, geom)
+            dp = oracle.steiner_dp(geom, terms, zero)
+            boundary = min(dp[:L] + dp[-L:]) + len(xs)
+            d = edge_tree_distance(zs, xs, geom)
+            assert d == oracle.edge_tree_distance(zs, xs, geom)
+            wound += d < boundary
+        assert wound > 0
 
 
 class TestDEdgePair:
