@@ -26,13 +26,13 @@ import numpy as np
 
 from . import __version__
 from .freecorr import (
-    CorrelationRequest, FreeCorrelator, enumerate_cumulant, enumerate_gibbs,
-    evaluate_request, partition_function_free,
+    CorrelationRequest, enumerate_cumulant, enumerate_gibbs, evaluate_request,
+    partition_function_free,
 )
 from .lattice import CylinderGeometry, Edge
 from .multiscale import (
-    LEQ, ScaleCutoff, bulk_edge_split, edge_decay_profile, envelope_decay_fit,
-    scale_norm_profile, scale_propagator, smooth_sector_propagator,
+    ScaleCutoff, bulk_edge_split, edge_decay_profile, envelope_decay_fit,
+    scale_norm_profile, telescoping_residual,
 )
 from .propagators import (
     ModelParams, boundary_residual, critical_propagator_direct,
@@ -100,17 +100,17 @@ def _emit_csv(metadata, header, rows, path):
 
 def _build_params(args):
     try:
-        if getattr(args, "beta", None) is not None:
-            params = ModelParams.from_beta(args.beta, args.J1, args.J2)
-            if getattr(args, "critical", False):
+        # args.critical is None unless --critical or --no-critical is given
+        if args.beta is not None:
+            if args.critical:
                 raise ConfigError("--critical conflicts with --beta; "
                                   "give --t1 instead")
-            return params
-        if getattr(args, "t1", None) is None:
+            return ModelParams.from_beta(args.beta, args.J1, args.J2)
+        if args.t1 is None:
             raise ConfigError("either --t1 or --beta is required")
-        if getattr(args, "critical", True):
+        if args.critical is not False:
             return ModelParams.critical(args.t1)
-        if getattr(args, "t2", None) is None:
+        if args.t2 is None:
             raise ConfigError("non-critical parameters need both --t1 and --t2")
         return ModelParams(t1=args.t1, t2=args.t2)
     except ValueError as exc:
@@ -316,11 +316,7 @@ def cmd_multiscale(args):
     geom = _build_geom(args)
     params = ModelParams.critical(args.t1)
     cut = ScaleCutoff.for_geometry(geom)
-    smooth = smooth_sector_propagator(geom, params, cut)
-    acc = scale_propagator(LEQ, geom, params, cut).data.copy()
-    for h in cut.scales:
-        acc += scale_propagator(h, geom, params, cut).data
-    reconstruction = float(np.max(np.abs(acc - smooth.data)))
+    reconstruction = telescoping_residual(geom, params, cut)
 
     h_fit = args.h if args.h is not None else min(cut.scales, default=0)
     split = bulk_edge_split(h_fit, geom, params, cut)
@@ -412,8 +408,6 @@ def _add_common(sub, geometry=True, output=True):
         sub.add_argument("--M", type=int, required=True, help="height")
     if output:
         sub.add_argument("--output", help="output path (default stdout)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized batteries")
 
 
 def build_parser():
@@ -428,8 +422,9 @@ def build_parser():
     p.add_argument("--beta", type=float)
     p.add_argument("--J1", type=float, default=1.0)
     p.add_argument("--J2", type=float, default=1.0)
-    p.add_argument("--critical", action="store_true", default=True)
-    p.add_argument("--no-critical", dest="critical", action="store_false")
+    p.add_argument("--critical", action="store_true", default=None)
+    p.add_argument("--no-critical", dest="critical", action="store_false",
+                   default=None)
     p.add_argument("--variant", choices=["critical", "massive"],
                    default="critical")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -482,6 +477,8 @@ def build_parser():
     _add_common(p, geometry=False)
     p.add_argument("--runs", type=int, default=10,
                    help="runs per norm inequality")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized batteries")
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_kernels)
 
@@ -489,6 +486,8 @@ def build_parser():
     _add_common(p, geometry=False)
     p.add_argument("--only", type=int, nargs="*",
                    help="criteria ids to run (default all)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized batteries")
     p.set_defaults(func=cmd_selftest)
 
     return parser

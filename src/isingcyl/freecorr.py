@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .lattice import CylinderGeometry, Edge
+from .lattice import CylinderGeometry
 from .propagators import (
     DIRECT_INVERSION_CAP, ModelParams, NumericalError, build_A_critical,
     build_A_massive, critical_propagator_direct, critical_table,
@@ -44,21 +44,6 @@ def _real(val):
     if not abs(np.imag(val)) < 1e-9 * max(1.0, abs(val)):
         raise NumericalError(f"expected a real value, got {val}")
     return float(np.real(val))
-
-
-@dataclass(frozen=True)
-class ObservableField:
-    """One Grassmann field occurrence inside an energy bilinear."""
-
-    kind: str   # "phi" or "xi"
-    omega: int  # 0 -> '+', 1 -> '-'
-    site: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("phi", "xi"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.omega not in (0, 1):
-            raise ValueError(f"omega must be 0 or 1, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -180,33 +165,29 @@ def partition_function_free(geom, beta, J1=1.0, J2=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _h_composite(w, z, geom, sp, sm):
-    """The mixed field H_{w,z} as a list of (coefficient, base field)."""
-    terms = [(1.0 + 0.0j, ObservableField("xi", w, z))]
-    s_arr = sp if w == 0 else sm
-    omega_sign = 1.0 if w == 0 else -1.0
-    row = z[1]
-    for y in range(1, geom.L + 1):
-        c = s_eval(s_arr, z[0] - y, geom.L)
-        terms.append((c, ObservableField("phi", 0, (y, row))))
-        terms.append((-omega_sign * c, ObservableField("phi", 1, (y, row))))
-    return terms
+def _h_composite(w, z, L, s_pm):
+    """The phi row and the xi row of the mixed field H_{w,z}."""
+    c = s_eval(s_pm[w], z[0] - np.arange(1, L + 1), L)
+    c_minus = -c if w == 0 else c
+    phi = ([(c[y - 1], 0, (y, z[1])) for y in range(1, L + 1)]
+           + [(c_minus[y - 1], 1, (y, z[1])) for y in range(1, L + 1)])
+    return phi, [(1.0, w, z)]
 
 
-def bilinear_fields(edge, geom, params):
-    """The two constituent (composite) fields of E_x, in product order.
+def bilinear_rows(edge, L, s_pm):
+    """The two constituent (composite) fields of E_x, in product order,
+    each as its (phi row, xi row) pair.
 
     Vertical edge at z: (phi_{+,z}, phi_{-,z+e2}).  Horizontal edge at z:
-    (H_{+,z}, H_{-,z+e1}); the second site keeps its raw first coordinate
-    (antiperiodicity is handled by the tables and s-kernels).
+    (H_{+,z}, H_{-,z+e1}), with ``s_pm = (s_+, s_-)``; the second site
+    keeps its raw first coordinate (antiperiodicity is handled by the
+    tables and s-kernels).
     """
     z = edge.base
     if edge.direction == "v":
-        return ([(1.0 + 0.0j, ObservableField("phi", 0, z))],
-                [(1.0 + 0.0j, ObservableField("phi", 1, (z[0], z[1] + 1)))])
-    sp, sm = s_weights(geom, params)
-    return (_h_composite(0, z, geom, sp, sm),
-            _h_composite(1, (z[0] + 1, z[1]), geom, sp, sm))
+        return (([(1.0, 0, z)], []), ([(1.0, 1, (z[0], z[1] + 1))], []))
+    return (_h_composite(0, z, L, s_pm),
+            _h_composite(1, (z[0] + 1, z[1]), L, s_pm))
 
 
 class FreeCorrelator:
@@ -215,7 +196,9 @@ class FreeCorrelator:
     Builds the critical (phi) and massive (xi) propagator tables once; on
     the critical line the Fourier representation is used (full table for
     small cylinders, lazy pointwise sums for large ones), otherwise the
-    dense inversion of A_c.
+    dense inversion of A_c.  A request builds the covariance of its 2m
+    constituent fields once; every moment is the Pfaffian of a principal
+    submatrix.
     """
 
     def __init__(self, geom, params):
@@ -226,24 +209,17 @@ class FreeCorrelator:
         else:
             self.gc = critical_propagator_direct(geom, params)
         self.gm = massive_propagator(geom, params)
-        self._swt = s_weights(geom, params)
+        self.s_pm = s_weights(geom, params)
 
-    def _base_cov(self, f1, f2):
-        if f1.kind != f2.kind:
-            return 0.0 + 0.0j  # independent Gaussians
-        table = self.gc if f1.kind == "phi" else self.gm
-        return table.block(f1.site, f2.site)[f1.omega, f2.omega]
-
-    def _cov(self, F1, F2):
-        total = 0.0 + 0.0j
-        for c1, f1 in F1:
-            if c1 == 0.0:
-                continue
-            for c2, f2 in F2:
-                if c2 == 0.0:
-                    continue
-                total += c1 * c2 * self._base_cov(f1, f2)
-        return total
+    def _covariance(self, edges):
+        """Covariance of the constituent fields of ``edges``, in product
+        order; phi and xi are independent, so their covariances add."""
+        phi, xi = [], []
+        for e in edges:
+            for p, x in bilinear_rows(e, self.geom.L, self.s_pm):
+                phi.append(p)
+                xi.append(x)
+        return self.gc.covariance(phi) + self.gm.covariance(xi)
 
     def bilinear_moment(self, edges):
         """<prod_x E_x>: Pfaffian of the constituent-field covariances.
@@ -252,47 +228,44 @@ class FreeCorrelator:
         """
         if not edges:
             return 1.0
-        fields = []
-        for e in edges:
-            fields.extend(bilinear_fields(e, self.geom, self.params))
-        n = len(fields)
-        G = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i + 1, n):
-                G[i, j] = self._cov(fields[i], fields[j])
-                G[j, i] = -G[i, j]
-        return _real(pfaffian(G))
+        return _real(pfaffian(self._covariance(edges)))
 
-    def _edge_t(self, edge):
-        return self.params.t1 if edge.direction == "h" else self.params.t2
+    def _energy_moments(self, edges):
+        """<prod_{x in S} eps_x> for every subset S of the edges, keyed by
+        position sets, with eps_x = t_j + (1 - t_j^2) E_x.
 
-    def energy_moment(self, edges):
-        """<prod_x eps_x> with eps_x = t_j + (1 - t_j^2) E_x.
-
-        Expanded over subsets Y of the edges:
-        sum_Y prod_{x not in Y} t_j prod_{x in Y} (1 - t_j^2) * <prod_Y E>.
+        Expanded over subsets Y of S:
+        sum_Y prod_{x in S - Y} t_j prod_{x in Y} (1 - t_j^2) <prod_Y E>.
         """
         if len(set(edges)) != len(edges):
             raise ValueError("edges must be pairwise distinct")
-        total = 0.0
         m = len(edges)
+        G = self._covariance(edges)
+        t = [self.params.t1 if e.direction == "h" else self.params.t2
+             for e in edges]
+        bilinear, moments = {}, {}
+        # by increasing size, so every subset Y of S is known before S
         for r in range(m + 1):
-            for sub in combinations(range(m), r):
-                term = self.bilinear_moment([edges[i] for i in sub])
-                for i in range(m):
-                    t = self._edge_t(edges[i])
-                    term *= (1.0 - t * t) if i in sub else t
-                total += term
-        return total
+            for S in map(frozenset, combinations(range(m), r)):
+                idx = [2 * i + k for i in sorted(S) for k in (0, 1)]
+                bilinear[S] = (_real(pfaffian(G[np.ix_(idx, idx)])) if S
+                               else 1.0)
+                moments[S] = 0.0
+                for Y, term in bilinear.items():
+                    if Y <= S:
+                        for i in sorted(S):
+                            term *= (1.0 - t[i] * t[i]) if i in Y else t[i]
+                        moments[S] += term
+        return moments
+
+    def energy_moment(self, edges):
+        """<prod_x eps_x> with eps_x = t_j + (1 - t_j^2) E_x."""
+        return self._energy_moments(edges)[frozenset(range(len(edges)))]
 
     def energy_cumulant(self, edges):
         """Order-m joint cumulant of the energy observables."""
-        moments = {}
-        for r in range(1, len(edges) + 1):
-            for sub in combinations(range(len(edges)), r):
-                moments[frozenset(sub)] = self.energy_moment(
-                    [edges[i] for i in sub])
-        cums = moments_to_cumulants(moments)
+        moments = self._energy_moments(edges)
+        cums = moments_to_cumulants({S: v for S, v in moments.items() if S})
         return cums[frozenset(range(len(edges)))]
 
 

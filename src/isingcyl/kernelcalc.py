@@ -848,40 +848,27 @@ def weighted_norm(kernel, flavor, kappa):
 # ---------------------------------------------------------------------------
 
 
-def label_covariance(l1, l2, table):
-    """Covariance of two derivative field labels against a propagator
-    table."""
-    geom = table.geom
-    tot = 0.0 + 0.0j
-    for c1, (w1, s1) in _expand_label(l1, geom):
-        i1 = 0 if w1 > 0 else 1
-        for c2, (w2, s2) in _expand_label(l2, geom):
-            i2 = 0 if w2 > 0 else 1
-            tot += c1 * c2 * table.block(s1, s2)[i1, i2]
-    return tot
+def _monomial_covariance(labels, table):
+    """Covariance matrix of derivative field labels against a propagator
+    table: each label is the row of its plain-field expansion."""
+    return table.covariance([
+        [(c, 0 if w > 0 else 1, site)
+         for c, (w, site) in _expand_label(l, table.geom)]
+        for l in labels])
 
 
 def monomial_moment(labels, table):
-    """Expectation of an even product of fields: the Pfaffian of its
-    covariance matrix."""
-    k = len(labels)
-    if k == 0:
-        return 1.0 + 0.0j
-    if k % 2 != 0:
-        return 0.0 + 0.0j
-    G = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(i + 1, k):
-            G[i, j] = label_covariance(labels[i], labels[j], table)
-            G[j, i] = -G[i, j]
-    return pfaffian(G)
+    """Expectation of a product of fields: the Pfaffian of its covariance
+    matrix (1 for no field, 0 for an odd number of fields)."""
+    return pfaffian(_monomial_covariance(labels, table))
 
 
 def truncated_expectation(monomials, table):
     """Joint cumulant of ``s`` even field monomials at the given
     propagator.
 
-    Computed by Pfaffian moments of every sub-collection followed by
+    Builds one covariance matrix of all fields; the moment of every
+    sub-collection is the Pfaffian of its principal submatrix, followed by
     moment-cumulant inversion.  Conventions: a single empty monomial gives
     1; any empty monomial among several gives 0.
     """
@@ -896,12 +883,15 @@ def truncated_expectation(monomials, table):
         return monomial_moment(monomials[0], table)
     if any(len(q) == 0 for q in monomials):
         return 0.0 + 0.0j
+    G = _monomial_covariance(
+        tuple(itertools.chain.from_iterable(monomials)), table)
+    ends = np.cumsum([0] + [len(q) for q in monomials])
     moments = {}
     for r in range(1, s + 1):
         for sub in itertools.combinations(range(s), r):
-            joined = tuple(itertools.chain.from_iterable(
-                monomials[i] for i in sub))
-            moments[frozenset(sub)] = monomial_moment(joined, table)
+            idx = np.concatenate([np.arange(ends[i], ends[i + 1])
+                                  for i in sub])
+            moments[frozenset(sub)] = pfaffian(G[idx[:, None], idx])
     return moments_to_cumulants(moments)[frozenset(range(s))]
 
 

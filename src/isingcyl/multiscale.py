@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CylinderGeometry, antiperiodic_wrap, d_edge_pair, per_L
+from .lattice import antiperiodic_wrap, d_edge_pair, per_L
 from .propagators import (
     ModelParams, TranslationInvariantTable, coeff_D,
     critical_propagator_fourier, infinite_propagator_grid,
@@ -125,6 +125,17 @@ def smooth_sector_propagator(geom, params, cutoff=None):
     return critical_propagator_fourier(
         geom, params, weight=cutoff.smooth_weight(params),
         variant="critical-smooth")
+
+
+def telescoping_residual(geom, params, cutoff=None):
+    """Largest entry of the sum of all scale tables minus the smooth
+    sector table (zero up to roundoff)."""
+    cutoff = cutoff or ScaleCutoff.for_geometry(geom)
+    acc = scale_propagator(LEQ, geom, params, cutoff).data.copy()
+    for h in cutoff.scales:
+        acc += scale_propagator(h, geom, params, cutoff).data
+    smooth = smooth_sector_propagator(geom, params, cutoff)
+    return float(np.max(np.abs(acc - smooth.data)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -239,6 +239,35 @@ class PropagatorTable:
 
     def entry(self, z, zp, w, wp):
         return self.block(z, zp)[w, wp]
+
+    def covariance(self, rows):
+        """Skew covariance matrix of linear combinations of fields.
+
+        A row is a sequence of ``(coeff, omega, site)`` terms, omega 0 for
+        '+' and 1 for '-'.  Entry (i, j), i < j, is
+        ``sum c c' g_{omega omega'}(site, site')`` over the terms of rows i
+        and j; the diagonal is zero and the lower triangle the negated
+        upper one.  It costs at most one block per distinct ordered pair
+        of sites: pairs that only the lower triangle reads are skipped.
+        """
+        first, last = {}, {}
+        for i, row in enumerate(rows):
+            for _, _, z in row:
+                first.setdefault(z, i)
+                last[z] = i
+        index = {z: a for a, z in enumerate(first)}
+        n = len(index)
+        C = np.zeros((len(rows), 2 * n), dtype=complex)
+        for i, row in enumerate(rows):
+            for c, w, z in row:
+                C[i, 2 * index[z] + w] += c
+        P = np.zeros((n, 2, n, 2), dtype=complex)
+        for z, a in index.items():
+            for zp, b in index.items():
+                if first[z] < last[zp]:
+                    P[a, :, b, :] = self.block(z, zp)
+        G = np.triu(C @ P.reshape(2 * n, 2 * n) @ C.T, 1)
+        return G - G.T
 
 
 class TranslationInvariantTable(PropagatorTable):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -99,6 +100,25 @@ class TestPropagator:
                         "--t1", "0.5", "--variant", "massive", "--verify")
         assert code == EXIT_OK
         assert json.loads(out)["oracle_residual"] < 1e-10
+
+    def test_beta_without_critical_flag(self, capsys):
+        code, out = run(capsys, "propagator", "--L", "4", "--M", "3",
+                        "--beta", "0.4", "--variant", "massive", "--verify")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["metadata"]["config"]["t1"] == pytest.approx(
+            math.tanh(0.4))
+        assert doc["oracle_residual"] < 1e-10
+
+    def test_explicit_critical_conflicts_with_beta(self, capsys):
+        code, _ = run(capsys, "propagator", "--L", "4", "--M", "3",
+                      "--critical", "--beta", "0.4", "--variant", "massive")
+        assert code == EXIT_CONFIG
+
+    def test_seed_is_not_a_propagator_flag(self, capsys):
+        code, _ = run(capsys, "propagator", "--L", "4", "--M", "3",
+                      "--t1", "0.5", "--seed", "1")
+        assert code == EXIT_CONFIG
 
 
 class TestCorrelate:

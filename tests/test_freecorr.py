@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import gaussian_oracle as oracle
+from isingcyl import freecorr
 from isingcyl.lattice import CylinderGeometry, Edge
 from isingcyl.freecorr import (
-    CorrelationRequest, FreeCorrelator, ObservableField, enumerate_cumulant,
+    CorrelationRequest, FreeCorrelator, enumerate_cumulant,
     enumerate_gibbs, energy_cumulants_free, energy_moment_free,
     partition_function_free, scaling_correlation,
 )
 from isingcyl.propagators import (
-    ModelParams, NumericalError, build_A_massive,
-    critical_propagator_fourier, critical_t2, scaling_propagator,
+    LazyCriticalTable, ModelParams, NumericalError, PropagatorTable,
+    build_A_massive, critical_propagator_fourier, critical_t2,
+    scaling_propagator,
 )
 from isingcyl.skewlinalg import pfaffian
 
@@ -217,12 +220,46 @@ class TestEnergyCumulants:
         assert vals[0] > vals[1] > vals[2] > 0
 
 
-class TestObservableField:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ObservableField("psi", 0, (1, 1))
-        with pytest.raises(ValueError):
-            ObservableField("phi", 2, (1, 1))
+class TestConstituentCovariance:
+    """The one covariance of a request against the pairwise loops of
+    ``gaussian_oracle``: critical (full and lazy) or off-critical dense phi
+    tables, with the massive table for xi."""
+
+    EDGES = [Edge((4, 1), "h"), Edge((1, 1), "v"), Edge((2, 3), "h"),
+             Edge((4, 2), "v"), Edge((1, 2), "h")]
+
+    @pytest.mark.parametrize("kind", ["full", "lazy", "dense"])
+    def test_against_oracle(self, kind):
+        geom = CylinderGeometry(4, 3)
+        params = (ModelParams(t1=0.4, t2=0.3) if kind == "dense"
+                  else ModelParams.critical(0.5))
+        corr = FreeCorrelator(geom, params)
+        if kind == "lazy":
+            corr.gc = LazyCriticalTable(geom, params)
+        # the first horizontal edge's second site wraps to x1 = L+1
+        got = corr._covariance(self.EDGES)
+        ref = oracle.bilinear_covariance(corr.gc, corr.gm, self.EDGES, geom,
+                                         params)
+        assert np.max(np.abs(got - ref)) < 1e-14
+
+    def test_one_covariance_and_2m_minus_1_pfaffians(self, small_critical,
+                                                     monkeypatch):
+        corr = small_critical[-1]
+        counts = {"pfaffian": 0, "covariance": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(freecorr, "pfaffian",
+                            counted("pfaffian", freecorr.pfaffian))
+        monkeypatch.setattr(PropagatorTable, "covariance", counted(
+            "covariance", PropagatorTable.covariance))
+        corr.energy_cumulant(self.EDGES[:3])
+        # one covariance per sector (phi and xi), one Pfaffian per
+        # nonempty subset of the three bilinears
+        assert counts == {"pfaffian": 7, "covariance": 2}
 
 
 class TestScalingCorrelation:

@@ -6,23 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gaussian_oracle as oracle
 from isingcyl.acceptance import _rand_kernel, _rand_source
 from isingcyl.kernelcalc import (
-    FieldLabel, Kernel, RunningCouplings, VertexRenorm, antisymmetrize,
-    bulk_edge_kernel_split, coupling_basis, expand_family,
+    FieldLabel, Kernel, RunningCouplings, VertexRenorm, _monomial_covariance,
+    antisymmetrize, bulk_edge_kernel_split, coupling_basis, expand_family,
     expand_to_plain_fields, extract_running_couplings, extract_vertex_renorm,
     free_source_kernels, gamma_steps, horizontal_translate, kernel_from_json,
-    kernel_to_json, kernels_equivalent, label_covariance, localize_bulk,
-    localize_edge, localize_source, monomial_moment, polynomial_distance,
-    reflect_kernel, renormalize_bulk, renormalize_edge, renormalize_source,
-    rg_step, symmetrize, tilde_L, tilde_L_edge, tilde_L_source, tilde_R,
-    tilde_R_edge, tilde_R_source, truncated_expectation, weighted_norm,
-    z_boundary,
+    kernel_to_json, kernels_equivalent, localize_bulk, localize_edge,
+    localize_source, monomial_moment, polynomial_distance, reflect_kernel,
+    renormalize_bulk, renormalize_edge, renormalize_source, rg_step,
+    symmetrize, tilde_L, tilde_L_edge, tilde_L_source, tilde_R, tilde_R_edge,
+    tilde_R_source, truncated_expectation, weighted_norm, z_boundary,
 )
 from isingcyl.lattice import (
     CylinderGeometry, Edge, edge_tree_distance, tree_distance,
 )
-from isingcyl.propagators import ModelParams, critical_propagator_fourier
+from isingcyl.propagators import (
+    LazyCriticalTable, ModelParams, PropagatorTable, critical_propagator_fourier,
+)
 
 
 @pytest.fixture(scope="module")
@@ -600,8 +602,39 @@ class TestTruncatedExpectation:
         rng = np.random.default_rng(28)
         l1, l2 = _rand_labels(rng, geom, 2)
         val = truncated_expectation([(l1, l2)], table)
-        assert val == pytest.approx(label_covariance(l1, l2, table),
+        assert val == pytest.approx(oracle.label_covariance(l1, l2, table),
                                     abs=1e-14)
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_covariance_vs_oracle(self, geom, table, lazy):
+        # derivative labels whose expansions reach the closure rows 0 and
+        # M+1 (boundary-null terms drop) and wrap the seam
+        if lazy:
+            table = LazyCriticalTable(geom, ModelParams.critical(0.5))
+        M, L = geom.M, geom.L
+        labels = (FieldLabel(-1, (0, 1), (3, 0)),
+                  FieldLabel(1, (0, 2), (2, 0)),
+                  FieldLabel(1, (1, 0), (L, M + 1)),
+                  FieldLabel(-1, (0, 1), (L, M)),
+                  FieldLabel(-1, (1, 1), (5, M + 1)),
+                  FieldLabel(1, (2, 0), (L - 1, 2)),
+                  FieldLabel(1, (0, 0), (1, 1)))
+        got = _monomial_covariance(labels, table)
+        ref = oracle.monomial_covariance(labels, table)
+        assert np.max(np.abs(got - ref)) < 1e-14
+
+    def test_one_covariance_per_call(self, geom, table, monkeypatch):
+        calls = []
+        cov = PropagatorTable.covariance
+
+        def counting(self, rows):
+            calls.append(len(rows))
+            return cov(self, rows)
+        monkeypatch.setattr(PropagatorTable, "covariance", counting)
+        rng = np.random.default_rng(37)
+        monos = [_rand_labels(rng, geom, 2) for _ in range(3)]
+        truncated_expectation(monos, table)
+        assert calls == [6]
 
     def test_empty_conventions(self, geom, table):
         rng = np.random.default_rng(29)
@@ -649,7 +682,7 @@ class TestRGStep:
         ls = _rand_labels(rng, geom, 4)
         v = Kernel(geom, 4, 0, 0, {(ls, ()): 1.0})
         out = rg_step(v, table, s_max=1)
-        g = {(i, j): label_covariance(ls[i], ls[j], table)
+        g = {(i, j): oracle.label_covariance(ls[i], ls[j], table)
              for i in range(4) for j in range(i + 1, 4)}
         expected = {}
         for (i, j), sign in [((0, 1), 1), ((0, 2), -1), ((0, 3), 1),

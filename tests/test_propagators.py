@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gaussian_oracle as oracle
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.propagators import (
     FULL_TABLE_MAX_SIZE, DoublingError, LazyCriticalTable, ModelParams,
@@ -255,6 +256,70 @@ class TestBoundaryResidual:
         data[entry] = 1.0
         table = TranslationInvariantTable(geom, "probe", data)
         assert boundary_residual(table, [(1, 2)], [1]) == float(flagged)
+
+
+def _covariance_table(kind, geom):
+    if kind == "full":
+        return critical_propagator_fourier(geom, critical_params(0.5))
+    if kind == "lazy":
+        return LazyCriticalTable(geom, critical_params(0.5))
+    if kind == "dense":
+        return critical_propagator_direct(geom, ModelParams(t1=0.4, t2=0.3))
+    return massive_propagator(geom, critical_params(0.5))
+
+
+class TestCovariance:
+    """``PropagatorTable.covariance`` against the pairwise loops of
+    ``gaussian_oracle`` on every table type."""
+
+    @pytest.mark.parametrize("kind", ["full", "lazy", "dense", "massive"])
+    def test_against_oracle(self, kind):
+        geom = CylinderGeometry(6, 4)
+        table = _covariance_table(kind, geom)
+        # the dense table covers rows 1..M and x1 in 1..L only; the others
+        # take the closure rows and the raw seam coordinate x1 = L+1
+        rows_z = range(1, geom.M + 1) if kind == "dense" else range(
+            0, geom.M + 2)
+        top_x = geom.L if kind == "dense" else geom.L + 1
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            rows = [[(complex(*rng.normal(size=2)), int(rng.integers(2)),
+                      (int(rng.integers(1, top_x + 1)),
+                       int(rng.choice(rows_z))))
+                     for _ in range(int(rng.integers(1, 5)))]
+                    for _ in range(6)]
+            # a repeated field accumulates; an empty row is a zero field
+            rows[0].append(rows[0][0])
+            rows.append([])
+            got = table.covariance(rows)
+            ref = oracle.row_covariance(rows, table)
+            assert np.max(np.abs(got - ref)) < 1e-13 * max(
+                1.0, np.max(np.abs(ref)))
+
+    def test_blocks_read_by_the_upper_triangle_only(self):
+        geom = CylinderGeometry(6, 4)
+        table = _covariance_table("full", geom)
+        calls = []
+        block = table.block
+
+        def counting_block(z, zp):
+            calls.append((z, zp))
+            return block(z, zp)
+        table.block = counting_block
+        rows = [[(1.0, 0, (1, 1)), (2.0, 1, (2, 1))], [(1.0, 1, (1, 1))],
+                [(0.5, 0, (2, 1)), (1.0, 1, (3, 2))]]
+        G = table.covariance(rows)
+        # (3, 2) occurs in the last row only, so no entry (i < j) reads a
+        # block with it as first site
+        assert sorted(calls) == sorted(
+            (a, b) for a in [(1, 1), (2, 1)]
+            for b in [(1, 1), (2, 1), (3, 2)])
+        assert np.array_equal(G, -G.T)
+
+    def test_no_rows_or_no_fields(self):
+        table = _covariance_table("massive", CylinderGeometry(4, 3))
+        assert table.covariance([]).shape == (0, 0)
+        assert np.array_equal(table.covariance([[], []]), np.zeros((2, 2)))
 
 
 class TestTableErrors:
