@@ -30,13 +30,12 @@ from .kernelcalc import (
 from .lattice import CylinderGeometry, Edge
 from .multiscale import (
     ScaleCutoff, bulk_edge_split, edge_decay_profile, envelope_decay_fit,
-    scale_propagator, telescoping_residual,
+    scale_propagator, split_residual, telescoping_residual,
 )
 from .propagators import (
     ModelParams, boundary_residual, critical_propagator_direct,
-    critical_propagator_fourier, critical_table, ghat_matrix,
-    horizontal_momenta, max_block_difference, scaling_propagator,
-    solve_k2_roots,
+    critical_propagator_fourier, ghat_matrix, horizontal_momenta,
+    max_block_difference, scaling_series, solve_k2_roots,
 )
 from .skewlinalg import pfaffian, pfaffian_bruteforce
 
@@ -166,13 +165,7 @@ def check_scaling_limit(seed=0):
     # dyadic points: the rescaled lattice sites z*n are exact integers at
     # every halving, so the error sequence is free of rounding jitter
     z, zp = (0.25, 0.5), (0.625, 0.375)
-    target = scaling_propagator(z, zp, 1.0, 1.0, p)
-    prop_errs = []
-    for n in (16, 32, 64, 128, 256):
-        table = critical_table(CylinderGeometry(n, n), p)
-        blk = table.block((int(z[0] * n), int(z[1] * n)),
-                          (int(zp[0] * n), int(zp[1] * n))) * n
-        prop_errs.append(float(np.max(np.abs(blk - target))))
+    _, prop_errs = scaling_series(z, zp, p, (16, 32, 64, 128, 256))
     corr_target = scaling_correlation([z, zp], (2, 2), 1.0, 1.0, p)
     corr_errs = []
     for n in (8, 16, 32):
@@ -201,8 +194,7 @@ def check_multiscale(seed=0):
         worst = max(worst, boundary_residual(
             scale_propagator(h, geom, p, cut), [(1, 3), (5, 8)], (1, 7)))
     sp = bulk_edge_split(-2, geom, p, cut)
-    worst = max(worst, float(np.max(np.abs(
-        sp["bulk"].data + sp["edge"].data - sp["full"].data))))
+    worst = max(worst, split_residual(sp))
     d, nrm = edge_decay_profile(-2, geom, p, cut, split=sp)
     fit = envelope_decay_fit(d, nrm, bin_width=8)
     ok = fit["rate"] > 0 and fit["r_squared"] > 0.9

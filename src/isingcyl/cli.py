@@ -32,12 +32,12 @@ from .freecorr import (
 from .lattice import CylinderGeometry, Edge
 from .multiscale import (
     ScaleCutoff, bulk_edge_split, edge_decay_profile, envelope_decay_fit,
-    scale_norm_profile, telescoping_residual,
+    scale_norm_profile, split_residual, telescoping_residual,
 )
 from .propagators import (
     ModelParams, boundary_residual, critical_propagator_direct,
-    critical_propagator_fourier, critical_table, massive_propagator,
-    massive_propagator_direct, max_block_difference, scaling_propagator,
+    critical_propagator_fourier, massive_propagator, massive_propagator_direct,
+    max_block_difference, scaling_series,
 )
 
 EXIT_OK = 0
@@ -287,18 +287,10 @@ def cmd_scaling(args):
     z, zp = _parse_points(args.points)
     if args.halvings < 1:
         raise ConfigError("--halvings must be at least 1")
-    target = scaling_propagator(z, zp, 1.0, 1.0, params)
-    rows = []
-    errors = []
-    n = args.start
-    for _ in range(args.halvings + 1):
-        table = critical_table(CylinderGeometry(n, n), params)
-        blk = table.block((int(round(z[0] * n)), int(round(z[1] * n))),
-                          (int(round(zp[0] * n)), int(round(zp[1] * n)))) * n
-        err = float(np.max(np.abs(blk - target)))
-        errors.append(err)
-        rows.append({"a": 1.0 / n, "n": n, "error": err})
-        n *= 2
+    sizes = [args.start * 2 ** i for i in range(args.halvings + 1)]
+    target, errors = scaling_series(z, zp, params, sizes)
+    rows = [{"a": 1.0 / n, "n": n, "error": err}
+            for n, err in zip(sizes, errors)]
     config = {"command": "scaling", "t1": args.t1, "points": [z, zp],
               "halvings": args.halvings, "start": args.start}
     report = {"metadata": _metadata(config, {}),
@@ -320,8 +312,7 @@ def cmd_multiscale(args):
 
     h_fit = args.h if args.h is not None else min(cut.scales, default=0)
     split = bulk_edge_split(h_fit, geom, params, cut)
-    split_residual = float(np.max(np.abs(
-        split["bulk"].data + split["edge"].data - split["full"].data)))
+    residual = split_residual(split)
     d, nrm = edge_decay_profile(h_fit, geom, params, cut, split=split)
     bin_width = args.bin_width
     if bin_width is None:
@@ -337,7 +328,7 @@ def cmd_multiscale(args):
         "metadata": meta,
         "h_star": cut.h_star,
         "reconstruction_residual": reconstruction,
-        "bulk_edge_residual": split_residual,
+        "bulk_edge_residual": residual,
         "scale_norm_profile": {str(h): v for h, v in profile.items()},
         "edge_decay_fit": fit,
     }
@@ -349,7 +340,7 @@ def cmd_multiscale(args):
             {"d_edge": float(di), "norm": float(ni)}
             for di, ni in zip(d, nrm)]
         _emit_json(report, args.output)
-    if args.verify and max(reconstruction, split_residual) > args.tol:
+    if args.verify and max(reconstruction, residual) > args.tol:
         raise VerificationError(
             f"multiscale residual above {args.tol}")
     return EXIT_OK

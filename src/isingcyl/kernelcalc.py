@@ -54,21 +54,19 @@ class FieldLabel(NamedTuple):
     D: tuple
     z: tuple
 
-    def validate(self, geom=None, strict=False):
+    def validate(self, geom=None):
         if self.omega not in (1, -1):
             raise ValueError(f"omega must be +-1, got {self.omega}")
         d1, d2 = self.D
         if not (0 <= d1 <= 2 and 0 <= d2 <= 2 and d1 + d2 <= 2):
             raise ValueError(f"invalid difference order {self.D}")
         if geom is not None:
-            # with strict=False the window [z2, z2 + d2] may overhang the
-            # closure rows 0..M+1 on either side: the difference expansion
-            # zero-extends the fields there (reflections of an overhanging
-            # label overhang on the opposite side)
-            lo, hi = self.z[1], self.z[1] + d2
-            ok = (0 <= lo and hi <= geom.M + 1) if strict else (
-                hi >= 0 and lo <= geom.M + 1)
-            if not (ok and 1 <= self.z[0] <= geom.L):
+            # the window [z2, z2 + d2] may overhang the closure rows
+            # 0..M+1 on either side: the difference expansion zero-extends
+            # the fields there (reflections of an overhanging label
+            # overhang on the opposite side)
+            if not (self.z[1] + d2 >= 0 and self.z[1] <= geom.M + 1
+                    and 1 <= self.z[0] <= geom.L):
                 raise ValueError(f"label {self} outside the closure")
 
     def order(self):
@@ -99,9 +97,6 @@ class Kernel:
     p: int
     m: int
     coeffs: dict
-    antisymmetrized: bool = False
-    reflection_symmetrized: bool = False
-    tag: str = ""
 
     def __post_init__(self):
         if self.n <= 0 or self.n % 2 != 0:
@@ -128,9 +123,7 @@ class Kernel:
 
     def scaled(self, c):
         return Kernel(self.geom, self.n, self.p, self.m,
-                      {k: c * v for k, v in self.coeffs.items()},
-                      self.antisymmetrized, self.reflection_symmetrized,
-                      self.tag)
+                      {k: c * v for k, v in self.coeffs.items()})
 
     def __add__(self, other):
         if not isinstance(other, Kernel):
@@ -164,9 +157,6 @@ def kernel_to_json(kernel):
         "L": geom.L if geom else None,
         "M": geom.M if geom else None,
         "n": kernel.n, "p": kernel.p, "m": kernel.m,
-        "antisymmetrized": kernel.antisymmetrized,
-        "reflection_symmetrized": kernel.reflection_symmetrized,
-        "tag": kernel.tag,
         "coeffs": [
             {"labels": [[l.omega, list(l.D), list(l.z)] for l in labels],
              "edges": [[list(e.base), e.direction] for e in edges],
@@ -185,10 +175,7 @@ def kernel_from_json(doc):
                        for o, D, z in rec["labels"])
         edges = tuple(Edge(tuple(b), d) for b, d in rec["edges"])
         coeffs[(labels, edges)] = rec["re"] + 1j * rec["im"]
-    return Kernel(geom, doc["n"], doc["p"], doc["m"], coeffs,
-                  doc.get("antisymmetrized", False),
-                  doc.get("reflection_symmetrized", False),
-                  doc.get("tag", ""))
+    return Kernel(geom, doc["n"], doc["p"], doc["m"], coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -307,35 +294,48 @@ def polynomial_distance(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Symmetrization: antisymmetrize field slots, average over reflections.
+# Derived kernels: symmetrization, reflections, translations.
 # ---------------------------------------------------------------------------
+
+
+def _derive(kernel, images, p=None):
+    """The kernel derived from ``kernel`` key by key.
+
+    ``images(labels, edges)`` yields ``(labels', edges', f)`` for one key;
+    the result sums ``f * c`` at ``(labels', sorted edges')`` over all keys
+    with coefficient ``c`` and prunes exact zeros.  The sector is kept,
+    except the difference order when ``p`` is given.
+    """
+    acc = defaultdict(complex)
+    for (labels, edges), c in kernel.coeffs.items():
+        for new, new_edges, f in images(labels, edges):
+            key = (tuple(new), tuple(sorted(new_edges, key=_edge_sort_key)))
+            acc[key] += f * c
+    return Kernel(kernel.geom, kernel.n, kernel.p if p is None else p,
+                  kernel.m, _prune(acc))
+
+
+def _parity(order):
+    sign = 1
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            if order[i] > order[j]:
+                sign = -sign
+    return sign
 
 
 @lru_cache(maxsize=8)
 def _perm_signs(n):
-    out = []
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        out.append((perm, sign))
-    return tuple(out)
+    return tuple((perm, _parity(perm))
+                 for perm in itertools.permutations(range(n)))
 
 
 def antisymmetrize(kernel):
     """Average over signed permutations of the field slots."""
-    perms = _perm_signs(kernel.n)
     fact = math.factorial(kernel.n)
-    acc = defaultdict(complex)
-    for (labels, edges), c in kernel.coeffs.items():
-        ekey = tuple(sorted(edges, key=_edge_sort_key))
-        for perm, sign in perms:
-            acc[(tuple(labels[i] for i in perm), ekey)] += sign * c / fact
-    return Kernel(kernel.geom, kernel.n, kernel.p, kernel.m, _prune(acc),
-                  antisymmetrized=True,
-                  reflection_symmetrized=kernel.reflection_symmetrized)
+    weights = [(perm, sign / fact) for perm, sign in _perm_signs(kernel.n)]
+    return _derive(kernel, lambda labels, edges: (
+        (tuple(labels[i] for i in perm), edges, f) for perm, f in weights))
 
 
 def _reflect_label(label, axis, geom):
@@ -363,60 +363,56 @@ def reflect_edge(edge, axis, geom):
     return Edge((b1, geom.M - b2), "v")
 
 
-def reflect_kernel(kernel, axis):
+def _reflected(kernel, compositions, weight=1.0):
+    """Sum over ``compositions`` (tuples of axes, applied in turn) of
+    ``weight`` times the reflected kernel, field phases included."""
     geom = kernel.geom
     if geom is None:
         raise ValueError("reflections require a finite geometry")
-    acc = defaultdict(complex)
-    for (labels, edges), c in kernel.coeffs.items():
-        phase = 1.0 + 0.0j
-        new = []
-        for l in labels:
-            ph, nl = _reflect_label(l, axis, geom)
-            phase *= ph
-            new.append(nl)
-        ekey = tuple(sorted((reflect_edge(e, axis, geom) for e in edges),
-                            key=_edge_sort_key))
-        acc[(tuple(new), ekey)] += phase * c
-    return Kernel(geom, kernel.n, kernel.p, kernel.m, _prune(acc),
-                  kernel.antisymmetrized, kernel.reflection_symmetrized)
+
+    def images(labels, edges):
+        for axes in compositions:
+            phase, new, new_edges = weight + 0.0j, labels, edges
+            for axis in axes:
+                reflected = [_reflect_label(l, axis, geom) for l in new]
+                for ph, _ in reflected:
+                    phase *= ph
+                new = [l for _, l in reflected]
+                new_edges = [reflect_edge(e, axis, geom) for e in new_edges]
+            yield new, new_edges, phase
+    return _derive(kernel, images)
+
+
+def reflect_kernel(kernel, axis):
+    return _reflected(kernel, [(axis,)])
 
 
 def symmetrize(kernel):
     """Antisymmetrize the field slots and average over the two reflections
     (with their field phases)."""
-    base = antisymmetrize(kernel)
-    r1 = reflect_kernel(base, 1)
-    r2 = reflect_kernel(base, 2)
-    r12 = reflect_kernel(r1, 2)
-    out = kernel_sum([base, r1, r2, r12]).scaled(0.25)
-    out.antisymmetrized = True
-    out.reflection_symmetrized = True
-    return out
+    return _reflected(antisymmetrize(kernel), [(), (1,), (2,), (1, 2)],
+                      0.25)
 
 
 def horizontal_translate(kernel, a):
     """Translate by ``a`` columns: antiperiodic on fields, periodic on
     edges."""
     geom = kernel.geom
-    acc = defaultdict(complex)
-    for (labels, edges), c in kernel.coeffs.items():
+
+    def images(labels, edges):
         sign = 1.0
         new = []
         for l in labels:
             m, s = antiperiodic_wrap(l.z[0] - 1 + a, geom.L)
             sign *= s
             new.append(FieldLabel(l.omega, l.D, (m + 1, l.z[1])))
-        ekey = tuple(sorted(
-            (Edge((geom.wrap_x1(e.base[0] + a), e.base[1]), e.direction)
-             for e in edges), key=_edge_sort_key))
-        acc[(tuple(new), ekey)] += sign * c
-    return Kernel(geom, kernel.n, kernel.p, kernel.m, _prune(acc),
-                  kernel.antisymmetrized, kernel.reflection_symmetrized)
+        yield new, [Edge((geom.wrap_x1(e.base[0] + a), e.base[1]),
+                         e.direction) for e in edges], sign
+    return _derive(kernel, images)
 
 
 # ---------------------------------------------------------------------------
-# Interpolation paths.
+# Interpolation paths, localizations and path remainders.
 # ---------------------------------------------------------------------------
 
 
@@ -456,10 +452,6 @@ def gamma_steps(z, zp, geom):
     return steps
 
 
-def _alpha(sites, geom):
-    return alpha_sign(sites, geom)
-
-
 def _sector_check(kernel, allowed, m):
     if (kernel.n, kernel.p) not in allowed or kernel.m != m:
         raise ValueError(
@@ -467,8 +459,46 @@ def _sector_check(kernel, allowed, m):
             f"{sorted(allowed)} with m={m})")
 
 
+def _localize(kernel, anchor):
+    """Move every field slot onto the site ``anchor(labels, edges)``, with
+    the seam-crossing sign of the source sites."""
+    geom = kernel.geom
+
+    def images(labels, edges):
+        z = anchor(labels, edges)
+        yield ([FieldLabel(l.omega, l.D, z) for l in labels], edges,
+               (-1.0) ** alpha_sign([l.z for l in labels], geom))
+    return _derive(kernel, images)
+
+
+def _remainder(kernel, walks):
+    """Path-interpolated remainder: raises the difference order by one.
+
+    For each walk ``(k, anchors, start)`` that ``walks(labels, edges)``
+    lists, slot k telescopes along the path from ``start`` to its own site
+    and gains the unit of each step, while every other slot i sits at
+    ``anchors[i]``; each term carries the seam-crossing signs of the source
+    sites and of its own.
+    """
+    geom = kernel.geom
+
+    def images(labels, edges):
+        a_in = alpha_sign([l.z for l in labels], geom)
+        for k, anchors, start in walks(labels, edges):
+            mv = labels[k]
+            for sigma, site, unit in gamma_steps(start, mv.z, geom):
+                sites = anchors[:k] + [site] + anchors[k + 1:]
+                new = [FieldLabel(l.omega, l.D, z)
+                       for l, z in zip(labels, sites)]
+                new[k] = FieldLabel(
+                    mv.omega, (mv.D[0] + unit[0], mv.D[1] + unit[1]), site)
+                yield (new, edges,
+                       (-1.0) ** (a_in + alpha_sign(sites, geom)) * sigma)
+    return _derive(kernel, images, kernel.p + 1)
+
+
 # ---------------------------------------------------------------------------
-# Point localization and path remainders (bulk flavor).
+# Bulk flavor: localization onto the first site.
 # ---------------------------------------------------------------------------
 
 
@@ -476,61 +506,23 @@ def tilde_L(kernel):
     """Localize all field slots onto the first site, with the
     seam-crossing sign of the source tuple."""
     _sector_check(kernel, {(2, 0), (2, 1), (4, 0)}, 0)
-    geom = kernel.geom
-    acc = defaultdict(complex)
-    for (labels, _), c in kernel.coeffs.items():
-        sites = [l.z for l in labels]
-        sign = (-1.0) ** _alpha(sites, geom)
-        new = tuple(FieldLabel(l.omega, l.D, sites[0]) for l in labels)
-        acc[(new, ())] += sign * c
-    return Kernel(geom, kernel.n, kernel.p, 0, _prune(acc))
-
-
-def _interp_terms(anchor_sites, moving_index, path_from, path_to, labels,
-                  coeff, geom, acc):
-    """Accumulate the interpolation terms for one field moving along the
-    path ``path_from -> path_to`` while the others sit at
-    ``anchor_sites``; adds one derivative unit to the moving slot."""
-    a_in = _alpha([l.z for l in labels], geom)
-    mv = labels[moving_index]
-    for sigma, site, unit in gamma_steps(path_from, path_to, geom):
-        new = []
-        sites = []
-        for i, l in enumerate(labels):
-            if i == moving_index:
-                nd = (mv.D[0] + unit[0], mv.D[1] + unit[1])
-                new.append(FieldLabel(mv.omega, nd, site))
-                sites.append(site)
-            else:
-                new.append(FieldLabel(l.omega, l.D, anchor_sites[i]))
-                sites.append(anchor_sites[i])
-        sign = (-1.0) ** (a_in + _alpha(sites, geom)) * sigma
-        acc[(tuple(new), ())] += sign * coeff
+    return _localize(kernel, lambda labels, edges: labels[0].z)
 
 
 def tilde_R(kernel):
     """Path-interpolated remainder: raises the difference order by one.
 
-    Two-field kernels interpolate the second slot along the path from the
-    first site; four-field kernels telescope slots 2, 3, 4 onto the first
-    site one at a time.
+    Slots 2..n telescope onto the first site one at a time: slot k walks
+    from the first site to its own with the slots before it at the first
+    site and the slots after it at their own sites.
     """
     _sector_check(kernel, {(2, 0), (2, 1), (4, 0)}, 0)
-    geom = kernel.geom
-    acc = defaultdict(complex)
-    n = kernel.n
-    for (labels, _), c in kernel.coeffs.items():
+
+    def walks(labels, edges):
         z = [l.z for l in labels]
-        if n == 2:
-            _interp_terms([z[0], None], 1, z[0], z[1], labels, c, geom, acc)
-        else:
-            _interp_terms([z[0], None, z[2], z[3]], 1, z[0], z[1],
-                          labels, c, geom, acc)
-            _interp_terms([z[0], z[0], None, z[3]], 2, z[0], z[2],
-                          labels, c, geom, acc)
-            _interp_terms([z[0], z[0], z[0], None], 3, z[0], z[3],
-                          labels, c, geom, acc)
-    return Kernel(geom, n, kernel.p + 1, 0, _prune(acc))
+        return [(k, [z[0]] * k + [None] + z[k + 1:], z[0])
+                for k in range(1, len(z))]
+    return _remainder(kernel, walks)
 
 
 def localize_bulk(family):
@@ -595,14 +587,8 @@ def tilde_L_edge(kernel):
     """Localize a (2,0) kernel onto the boundary projection of its first
     site (both slots)."""
     _sector_check(kernel, {(2, 0)}, 0)
-    geom = kernel.geom
-    acc = defaultdict(complex)
-    for (labels, _), c in kernel.coeffs.items():
-        zb = z_boundary(labels[0].z, geom)
-        sign = (-1.0) ** _alpha([l.z for l in labels], geom)
-        new = tuple(FieldLabel(l.omega, l.D, zb) for l in labels)
-        acc[(new, ())] += sign * c
-    return Kernel(geom, 2, 0, 0, _prune(acc))
+    return _localize(kernel, lambda labels, edges: z_boundary(
+        labels[0].z, kernel.geom))
 
 
 def tilde_R_edge(kernel):
@@ -611,36 +597,47 @@ def tilde_R_edge(kernel):
     then the first slot telescopes with the second pinned at the
     boundary."""
     _sector_check(kernel, {(2, 0)}, 0)
-    geom = kernel.geom
-    acc = defaultdict(complex)
-    for (labels, _), c in kernel.coeffs.items():
-        z1, z2 = labels[0].z, labels[1].z
-        zb = z_boundary(z1, geom)
-        _interp_terms([z1, None], 1, zb, z2, labels, c, geom, acc)
-        _interp_terms([None, zb], 0, zb, z1, labels, c, geom, acc)
-    return Kernel(geom, 2, 1, 0, _prune(acc))
+
+    def walks(labels, edges):
+        z1 = labels[0].z
+        zb = z_boundary(z1, kernel.geom)
+        return [(1, [z1, None], zb), (0, [None, zb], zb)]
+    return _remainder(kernel, walks)
 
 
-def localize_edge(family):
+def _localize_quadratic(family, tilde_L_op):
+    """The symmetrized localization of the (2,0) sector; the edge and
+    source local parts."""
     out = {}
     if (2, 0) in family:
-        out[(2, 0)] = symmetrize(tilde_L_edge(family[(2, 0)]))
+        out[(2, 0)] = symmetrize(tilde_L_op(family[(2, 0)]))
     return out
 
 
-def renormalize_edge(family):
+def _renormalize_quadratic(family, tilde_R_op):
+    """The (2,1) sector plus the remainder of the (2,0) sector,
+    symmetrized; (2,0) dropped, other sectors passed through.  The edge
+    and source remainders."""
     out = {}
     parts = []
     if (2, 1) in family:
         parts.append(family[(2, 1)])
     if (2, 0) in family:
-        parts.append(tilde_R_edge(family[(2, 0)]))
+        parts.append(tilde_R_op(family[(2, 0)]))
     if parts:
         out[(2, 1)] = symmetrize(kernel_sum(parts))
     for key, k in family.items():
         if key not in {(2, 0), (2, 1)}:
             out[key] = k
     return out
+
+
+def localize_edge(family):
+    return _localize_quadratic(family, tilde_L_edge)
+
+
+def renormalize_edge(family):
+    return _renormalize_quadratic(family, tilde_R_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -659,14 +656,7 @@ def tilde_L_source(kernel):
     """Localize a (2,0,1) source kernel onto the base vertex of its probe
     edge."""
     _sector_check(kernel, {(2, 0)}, 1)
-    geom = kernel.geom
-    acc = defaultdict(complex)
-    for (labels, edges), c in kernel.coeffs.items():
-        zx = edges[0].base
-        sign = (-1.0) ** _alpha([l.z for l in labels], geom)
-        new = tuple(FieldLabel(l.omega, l.D, zx) for l in labels)
-        acc[(new, edges)] += sign * c
-    return Kernel(geom, 2, 0, 1, _prune(acc))
+    return _localize(kernel, lambda labels, edges: edges[0].base)
 
 
 def tilde_R_source(kernel):
@@ -674,51 +664,21 @@ def tilde_R_source(kernel):
     telescopes from the edge base with the first pinned there, then the
     first slot telescopes with the second kept at its site."""
     _sector_check(kernel, {(2, 0)}, 1)
-    geom = kernel.geom
-    acc = defaultdict(complex)
-    for (labels, edges), c in kernel.coeffs.items():
-        z1, z2 = labels[0].z, labels[1].z
+
+    def walks(labels, edges):
         zx = edges[0].base
-        a_in = _alpha([z1, z2], geom)
-        for sigma, site, unit in gamma_steps(zx, z2, geom):
-            new = (FieldLabel(labels[0].omega, labels[0].D, zx),
-                   FieldLabel(labels[1].omega,
-                              (labels[1].D[0] + unit[0],
-                               labels[1].D[1] + unit[1]), site))
-            sign = (-1.0) ** (a_in + _alpha([zx, site], geom)) * sigma
-            acc[(new, edges)] += sign * c
-        for sigma, site, unit in gamma_steps(zx, z1, geom):
-            new = (FieldLabel(labels[0].omega,
-                              (labels[0].D[0] + unit[0],
-                               labels[0].D[1] + unit[1]), site),
-                   FieldLabel(labels[1].omega, labels[1].D, z2))
-            sign = (-1.0) ** (a_in + _alpha([site, z2], geom)) * sigma
-            acc[(new, edges)] += sign * c
-    return Kernel(geom, 2, 1, 1, _prune(acc))
+        return [(1, [zx, None], zx), (0, [None, labels[1].z], zx)]
+    return _remainder(kernel, walks)
 
 
 def localize_source(family):
     _source_check(family)
-    out = {}
-    if (2, 0) in family:
-        out[(2, 0)] = symmetrize(tilde_L_source(family[(2, 0)]))
-    return out
+    return _localize_quadratic(family, tilde_L_source)
 
 
 def renormalize_source(family):
     _source_check(family)
-    out = {}
-    parts = []
-    if (2, 1) in family:
-        parts.append(family[(2, 1)])
-    if (2, 0) in family:
-        parts.append(tilde_R_source(family[(2, 0)]))
-    if parts:
-        out[(2, 1)] = symmetrize(kernel_sum(parts))
-    for key, k in family.items():
-        if key not in {(2, 0), (2, 1)}:
-            out[key] = k
-    return out
+    return _renormalize_quadratic(family, tilde_R_source)
 
 
 # ---------------------------------------------------------------------------
@@ -771,15 +731,12 @@ def bulk_edge_kernel_split(kernel, kernel_inf):
                 new_edges.append(ne)
             if not ok:
                 continue
-            sign = (-1.0) ** _alpha([l.z for l in new_labels], geom)
+            sign = (-1.0) ** alpha_sign([l.z for l in new_labels], geom)
             key = (new_labels,
                    tuple(sorted(new_edges, key=_edge_sort_key)))
             acc[key] += sign * w
-    bulk = Kernel(geom, kernel.n, kernel.p, kernel.m, _prune(acc),
-                  tag="bulk")
-    edge = kernel - bulk
-    edge.tag = "edge"
-    return {"bulk": bulk, "edge": edge}
+    bulk = Kernel(geom, kernel.n, kernel.p, kernel.m, _prune(acc))
+    return {"bulk": bulk, "edge": kernel - bulk}
 
 
 # ---------------------------------------------------------------------------
@@ -893,15 +850,6 @@ def truncated_expectation(monomials, table):
                                   for i in sub])
             moments[frozenset(sub)] = pfaffian(G[idx[:, None], idx])
     return moments_to_cumulants(moments)[frozenset(range(s))]
-
-
-def _parity(order):
-    sign = 1
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
 
 
 def _even_subsets(n):

@@ -143,6 +143,13 @@ def telescoping_residual(geom, params, cutoff=None):
 # ---------------------------------------------------------------------------
 
 
+def split_residual(split):
+    """Largest entry of bulk + edge - full of a :func:`bulk_edge_split`
+    (zero up to roundoff)."""
+    return float(np.max(np.abs(
+        split["bulk"].data + split["edge"].data - split["full"].data)))
+
+
 def bulk_edge_split(h, geom, params, cutoff=None, N=None):
     """Split g^(h) into its bulk restriction and the edge remainder.
 

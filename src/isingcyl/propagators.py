@@ -237,9 +237,6 @@ class PropagatorTable:
     def block(self, z, zp):
         raise NotImplementedError
 
-    def entry(self, z, zp, w, wp):
-        return self.block(z, zp)[w, wp]
-
     def covariance(self, rows):
         """Skew covariance matrix of linear combinations of fields.
 
@@ -742,3 +739,21 @@ def scaling_propagator(z, zp, ell1, ell2, params):
 
     return _alternating_sum(
         lambda n2: _alternating_sum(lambda n1: term(n1, n2)))
+
+
+def scaling_series(z, zp, params, sizes):
+    """Errors of the rescaled lattice propagator against the continuum one.
+
+    For each n in ``sizes`` the critical n x n table block at the sites
+    nearest to ``n z`` and ``n z'``, times n, is compared with the
+    :func:`scaling_propagator` of the unit cylinder.  Returns that
+    continuum block and the list of largest entry errors.
+    """
+    target = scaling_propagator(z, zp, 1.0, 1.0, params)
+    errors = []
+    for n in sizes:
+        table = critical_table(CylinderGeometry(n, n), params)
+        blk = table.block((round(z[0] * n), round(z[1] * n)),
+                          (round(zp[0] * n), round(zp[1] * n))) * n
+        errors.append(float(np.max(np.abs(blk - target))))
+    return target, errors

@@ -1,0 +1,208 @@
+"""Reference kernel operators: one accumulation loop per operator and the
+symmetrization as a sum of separately built reflected kernels, the forms
+that :mod:`isingcyl.kernelcalc` derives through one shared accumulator,
+kept as its oracle.  Like the library, the localizations and remainders
+keep the probe edges of each key unchanged.
+
+Only label-level primitives (field-label reflection, edge reflection,
+interpolation paths, the seam-crossing sign) come from the library; every
+accumulation, permutation sign and pruning step is written out here.
+"""
+
+import itertools
+from collections import defaultdict
+
+from isingcyl.kernelcalc import (
+    FieldLabel, Kernel, _edge_sort_key, _reflect_label, gamma_steps,
+    reflect_edge, z_boundary,
+)
+from isingcyl.lattice import Edge, alpha_sign, antiperiodic_wrap
+
+
+def _prune(acc):
+    return {k: v for k, v in acc.items() if abs(v) > 0.0}
+
+
+def _sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def kernel_sum(kernels):
+    acc = dict(kernels[0].coeffs)
+    for k in kernels[1:]:
+        for key, v in k.coeffs.items():
+            acc[key] = acc.get(key, 0.0) + v
+        acc = _prune(acc)
+    first = kernels[0]
+    return Kernel(first.geom, first.n, first.p, first.m, acc)
+
+
+def scaled(kernel, c):
+    return Kernel(kernel.geom, kernel.n, kernel.p, kernel.m,
+                  {k: c * v for k, v in kernel.coeffs.items()})
+
+
+def antisymmetrize(kernel):
+    fact = 1
+    for i in range(2, kernel.n + 1):
+        fact *= i
+    acc = defaultdict(complex)
+    for (labels, edges), c in kernel.coeffs.items():
+        ekey = tuple(sorted(edges, key=_edge_sort_key))
+        for perm in itertools.permutations(range(kernel.n)):
+            acc[(tuple(labels[i] for i in perm), ekey)] += \
+                _sign(perm) * c / fact
+    return Kernel(kernel.geom, kernel.n, kernel.p, kernel.m, _prune(acc))
+
+
+def reflect_kernel(kernel, axis):
+    geom = kernel.geom
+    acc = defaultdict(complex)
+    for (labels, edges), c in kernel.coeffs.items():
+        phase = 1.0 + 0.0j
+        new = []
+        for l in labels:
+            ph, nl = _reflect_label(l, axis, geom)
+            phase *= ph
+            new.append(nl)
+        ekey = tuple(sorted((reflect_edge(e, axis, geom) for e in edges),
+                            key=_edge_sort_key))
+        acc[(tuple(new), ekey)] += phase * c
+    return Kernel(geom, kernel.n, kernel.p, kernel.m, _prune(acc))
+
+
+def symmetrize(kernel):
+    """Antisymmetrize, then average the kernel and its three reflected
+    images, each built as a kernel of its own."""
+    base = antisymmetrize(kernel)
+    r1 = reflect_kernel(base, 1)
+    r2 = reflect_kernel(base, 2)
+    r12 = reflect_kernel(r1, 2)
+    return scaled(kernel_sum([base, r1, r2, r12]), 0.25)
+
+
+def horizontal_translate(kernel, a):
+    geom = kernel.geom
+    acc = defaultdict(complex)
+    for (labels, edges), c in kernel.coeffs.items():
+        sign = 1.0
+        new = []
+        for l in labels:
+            m, s = antiperiodic_wrap(l.z[0] - 1 + a, geom.L)
+            sign *= s
+            new.append(FieldLabel(l.omega, l.D, (m + 1, l.z[1])))
+        ekey = tuple(sorted(
+            (Edge((geom.wrap_x1(e.base[0] + a), e.base[1]), e.direction)
+             for e in edges), key=_edge_sort_key))
+        acc[(tuple(new), ekey)] += sign * c
+    return Kernel(geom, kernel.n, kernel.p, kernel.m, _prune(acc))
+
+
+def _localized(kernel, anchor):
+    geom = kernel.geom
+    acc = defaultdict(complex)
+    for (labels, edges), c in kernel.coeffs.items():
+        z = anchor(labels, edges)
+        sign = (-1.0) ** alpha_sign([l.z for l in labels], geom)
+        new = tuple(FieldLabel(l.omega, l.D, z) for l in labels)
+        acc[(new, edges)] += sign * c
+    return Kernel(geom, kernel.n, kernel.p, kernel.m, _prune(acc))
+
+
+def tilde_L(kernel):
+    return _localized(kernel, lambda labels, edges: labels[0].z)
+
+
+def tilde_L_edge(kernel):
+    return _localized(kernel, lambda labels, edges: z_boundary(
+        labels[0].z, kernel.geom))
+
+
+def tilde_L_source(kernel):
+    return _localized(kernel, lambda labels, edges: edges[0].base)
+
+
+def _interp_terms(anchor_sites, moving_index, path_from, path_to, labels,
+                  edges, coeff, geom, acc):
+    """Accumulate the interpolation terms for one field moving along the
+    path ``path_from -> path_to`` while the others sit at
+    ``anchor_sites``; adds one derivative unit to the moving slot."""
+    a_in = alpha_sign([l.z for l in labels], geom)
+    mv = labels[moving_index]
+    for sigma, site, unit in gamma_steps(path_from, path_to, geom):
+        new = []
+        sites = []
+        for i, l in enumerate(labels):
+            if i == moving_index:
+                nd = (mv.D[0] + unit[0], mv.D[1] + unit[1])
+                new.append(FieldLabel(mv.omega, nd, site))
+                sites.append(site)
+            else:
+                new.append(FieldLabel(l.omega, l.D, anchor_sites[i]))
+                sites.append(anchor_sites[i])
+        sign = (-1.0) ** (a_in + alpha_sign(sites, geom)) * sigma
+        acc[(tuple(new), edges)] += sign * coeff
+
+
+def tilde_R(kernel):
+    """Two-field kernels interpolate the second slot from the first site;
+    four-field kernels telescope slots 2, 3, 4 onto the first site one at
+    a time."""
+    geom = kernel.geom
+    acc = defaultdict(complex)
+    for (labels, edges), c in kernel.coeffs.items():
+        z = [l.z for l in labels]
+        if kernel.n == 2:
+            _interp_terms([z[0], None], 1, z[0], z[1], labels, edges, c,
+                          geom, acc)
+        else:
+            _interp_terms([z[0], None, z[2], z[3]], 1, z[0], z[1],
+                          labels, edges, c, geom, acc)
+            _interp_terms([z[0], z[0], None, z[3]], 2, z[0], z[2],
+                          labels, edges, c, geom, acc)
+            _interp_terms([z[0], z[0], z[0], None], 3, z[0], z[3],
+                          labels, edges, c, geom, acc)
+    return Kernel(geom, kernel.n, kernel.p + 1, kernel.m, _prune(acc))
+
+
+def tilde_R_edge(kernel):
+    geom = kernel.geom
+    acc = defaultdict(complex)
+    for (labels, edges), c in kernel.coeffs.items():
+        z1, z2 = labels[0].z, labels[1].z
+        zb = z_boundary(z1, geom)
+        _interp_terms([z1, None], 1, zb, z2, labels, edges, c, geom, acc)
+        _interp_terms([None, zb], 0, zb, z1, labels, edges, c, geom, acc)
+    return Kernel(geom, 2, 1, kernel.m, _prune(acc))
+
+
+def tilde_R_source(kernel):
+    """The second slot telescopes from the edge base with the first pinned
+    there, then the first slot telescopes with the second kept at its
+    site, written out without :func:`_interp_terms`."""
+    geom = kernel.geom
+    acc = defaultdict(complex)
+    for (labels, edges), c in kernel.coeffs.items():
+        z1, z2 = labels[0].z, labels[1].z
+        zx = edges[0].base
+        a_in = alpha_sign([z1, z2], geom)
+        for sigma, site, unit in gamma_steps(zx, z2, geom):
+            new = (FieldLabel(labels[0].omega, labels[0].D, zx),
+                   FieldLabel(labels[1].omega,
+                              (labels[1].D[0] + unit[0],
+                               labels[1].D[1] + unit[1]), site))
+            sign = (-1.0) ** (a_in + alpha_sign([zx, site], geom)) * sigma
+            acc[(new, edges)] += sign * c
+        for sigma, site, unit in gamma_steps(zx, z1, geom):
+            new = (FieldLabel(labels[0].omega,
+                              (labels[0].D[0] + unit[0],
+                               labels[0].D[1] + unit[1]), site),
+                   FieldLabel(labels[1].omega, labels[1].D, z2))
+            sign = (-1.0) ** (a_in + alpha_sign([site, z2], geom)) * sigma
+            acc[(new, edges)] += sign * c
+    return Kernel(geom, 2, 1, kernel.m, _prune(acc))

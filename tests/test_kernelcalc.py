@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gaussian_oracle as oracle
+import kernel_oracle
 from isingcyl.acceptance import _rand_kernel, _rand_source
 from isingcyl.kernelcalc import (
     FieldLabel, Kernel, RunningCouplings, VertexRenorm, _monomial_covariance,
@@ -60,10 +61,8 @@ class TestKernelBasics:
             FieldLabel(1, (0, 0), (0, 1)).validate(geom)
         with pytest.raises(ValueError):
             FieldLabel(1, (0, 0), (1, geom.M + 2)).validate(geom)
-        # vertical overhang of the difference window is allowed non-strict
+        # vertical overhang of the difference window is allowed
         FieldLabel(1, (0, 2), (1, geom.M)).validate(geom)
-        with pytest.raises(ValueError):
-            FieldLabel(1, (0, 2), (1, geom.M)).validate(geom, strict=True)
 
     def test_kernel_validation(self, geom):
         l = FieldLabel(1, (0, 0), (1, 1))
@@ -238,6 +237,88 @@ class TestTildeOperators:
             v = rand_kernel(rng, geom, *sector, base=base, width=4)
             d = polynomial_distance({"loc": tilde_L(v), "rem": tilde_R(v)}, v)
             assert d < 1e-12
+
+
+def _two_probe_kernel(rng, geom, n, p, base):
+    # two probe edges listed against their sort order
+    k = rand_kernel(rng, geom, n, p, base=base)
+    edges = (Edge((geom.wrap_x1(base + 1), 2), "h"), Edge((base, 1), "v"))
+    return Kernel(geom, n, p, 2,
+                  {(labels, edges): c for (labels, _), c in k.coeffs.items()})
+
+
+def _oracle_inputs(geom, sectors, m):
+    # seeded kernels on every window base, the last four wrapping the seam
+    rng = np.random.default_rng(1000 * m + len(sectors))
+    gen = (rand_kernel, rand_source, _two_probe_kernel)[m]
+    return [gen(rng, geom, *sec, base=base)
+            for sec in sectors for base in range(1, geom.L + 1)]
+
+
+def assert_matches_oracle(got, ref, tol=1e-15):
+    assert (got.geom, got.sector) == (ref.geom, ref.sector)
+    keys = set(got.coeffs) | set(ref.coeffs)
+    assert max((abs(got.coeffs.get(k, 0.0) - ref.coeffs.get(k, 0.0))
+                for k in keys), default=0.0) <= tol
+    assert polynomial_distance(got, ref) <= tol
+
+
+ALL_SECTORS = [(2, 0), (2, 1), (2, 2), (4, 0), (4, 1)]
+
+
+class TestAgainstOracle:
+    """Every derived-kernel operator against the one-loop-per-operator
+    reference, key by key (missing keys count as 0) and expanded."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("name, args", [
+        ("antisymmetrize", ()), ("symmetrize", ()),
+        ("reflect_kernel", (1,)), ("reflect_kernel", (2,)),
+        ("horizontal_translate", (5,)), ("horizontal_translate", (-7,)),
+        ("horizontal_translate", (13,)),
+    ])
+    def test_symmetries(self, geom, name, args, m):
+        for k in _oracle_inputs(geom, ALL_SECTORS, m):
+            assert_matches_oracle(globals()[name](k, *args),
+                                  getattr(kernel_oracle, name)(k, *args))
+
+    def test_infinite_volume_antisymmetrize(self):
+        k = free_source_kernels(ModelParams.critical(0.5))
+        assert_matches_oracle(antisymmetrize(k),
+                              kernel_oracle.antisymmetrize(k))
+
+    @pytest.mark.parametrize("name, sectors, m", [
+        ("tilde_L", [(2, 0), (2, 1), (4, 0)], 0),
+        ("tilde_R", [(2, 0), (2, 1), (4, 0)], 0),
+        ("tilde_L_edge", [(2, 0)], 0),
+        ("tilde_R_edge", [(2, 0)], 0),
+        ("tilde_L_source", [(2, 0)], 1),
+        ("tilde_R_source", [(2, 0)], 1),
+    ])
+    def test_localizations_and_remainders(self, geom, name, sectors, m):
+        op = globals()[name]
+        for k in _oracle_inputs(geom, sectors, m):
+            assert_matches_oracle(op(k), getattr(kernel_oracle, name)(k))
+
+    def test_remainder_of_remainder(self, geom):
+        # the (2,0) -> (2,2) path of renormalize_bulk
+        for k in _oracle_inputs(geom, [(2, 0)], 0):
+            assert_matches_oracle(
+                tilde_R(tilde_R(k)),
+                kernel_oracle.tilde_R(kernel_oracle.tilde_R(k)))
+
+    def test_symmetrize_builds_two_kernels(self, geom, monkeypatch):
+        builds = []
+        post_init = Kernel.__post_init__
+
+        def counting(self):
+            builds.append(self.sector)
+            post_init(self)
+        rng = np.random.default_rng(41)
+        k = rand_kernel(rng, geom, 4, 1, base=10)
+        monkeypatch.setattr(Kernel, "__post_init__", counting)
+        symmetrize(k)
+        assert builds == [(4, 1, 0), (4, 1, 0)]
 
 
 class TestBulkOperators:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from isingcyl.multiscale import (
     LEQ, CutoffWeight, ScaleCutoff, bulk_edge_split, chi_profile,
     discrete_derivative, edge_decay_profile, envelope_decay_fit,
     fit_exponential_decay, scale_norm_profile, scale_propagator,
-    smooth_sector_propagator,
+    smooth_sector_propagator, split_residual,
 )
 from isingcyl.propagators import (
     ModelParams, critical_propagator_fourier, ghat_matrix,
@@ -181,6 +183,13 @@ class TestBulkEdgeSplit:
             sp = bulk_edge_split(h, geom, params, cut)
             assert np.max(np.abs(sp["bulk"].data + sp["edge"].data
                                  - sp["full"].data)) < 1e-12
+
+    def test_split_residual(self):
+        def table(*values):
+            return SimpleNamespace(data=np.array(values))
+        sp = {"bulk": table(1.0, -2.0), "edge": table(0.5, 1.0),
+              "full": table(1.5, -1.25)}
+        assert split_residual(sp) == 0.25
 
     def test_bulk_translation_and_antisymmetry(self, setup16):
         geom, params, cut = setup16

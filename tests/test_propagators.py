@@ -13,7 +13,8 @@ from isingcyl.propagators import (
     horizontal_momenta, infinite_propagator, g_infinite_scaling,
     gscal_scalar, massive_propagator, massive_propagator_direct,
     max_block_difference, momentum_grid, normalization_N, s_eval,
-    s_infinite, s_weights, scaling_propagator, solve_k2_roots,
+    s_infinite, s_weights, scaling_propagator, scaling_series,
+    solve_k2_roots,
 )
 
 GEOMS = [(4, 3), (8, 3), (4, 5), (8, 5)]
@@ -456,3 +457,16 @@ class TestScalingPropagator:
             errs.append(np.max(np.abs(blk - target)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.01
+
+    def test_scaling_series_reads_nearest_sites(self):
+        # non-dyadic points: the sites nearest to n z and n z', on a full
+        # (n = 10) and a lazy (n = 34) table
+        p = critical_params(0.5)
+        z, zp = (0.3, 0.55), (0.7, 0.2)
+        sites = {10: ((3, 6), (7, 2)), 34: ((10, 19), (24, 7))}
+        target, errs = scaling_series(z, zp, p, list(sites))
+        assert np.array_equal(target,
+                              scaling_propagator(z, zp, 1.0, 1.0, p))
+        for (n, (a, b)), err in zip(sites.items(), errs):
+            blk = critical_table(CylinderGeometry(n, n), p).block(a, b) * n
+            assert err == float(np.max(np.abs(blk - target)))

@@ -33,3 +33,29 @@ def test_no_unused_module_imports():
                           if (alias.asname or alias.name).split(".")[0]
                           not in used]
     assert found == []
+
+
+def _is_alias(fn):
+    # the body, past a docstring, is only ``return g(<params, in order>)``
+    body = fn.body
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    return (isinstance(call, ast.Call) and not call.keywords
+            and all(isinstance(a, ast.Name) for a in call.args)
+            and [a.id for a in call.args] == params)
+
+
+def test_no_alias_functions():
+    # a function that only forwards its own parameters to another one is a
+    # second name for it: call the other function directly
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and _is_alias(node)]
+    assert found == []
