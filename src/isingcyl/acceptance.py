@@ -276,9 +276,11 @@ def check_kernel_cancellations(seed=0):
                    1e-12, t0, ok=ok, detail=detail)
 
 
-def check_norm_battery(seed=0, kappa=0.1, eps=0.05, runs=50):
-    """Remainder-operator norm bounds with their explicit constants."""
+def check_norm_battery(seed=0, runs=50):
+    """Remainder-operator norm bounds with their explicit constants, at
+    decay rate kappa = 0.1 and rate loss eps = 0.05."""
     t0 = time.perf_counter()
+    kappa, eps = 0.1, 0.05
     geom = CylinderGeometry(12, 5)
     rng = np.random.default_rng(seed)
     violation = 0.0

@@ -9,7 +9,9 @@ ordered tuple of field labels ``(omega, D, z)`` -- the Grassmann field
   canonical form under which kernels are compared for equivalence),
 * the localization / renormalization operator pairs, in bulk, edge and
   source flavors: each splits a kernel into a local part plus a remainder
-  interpolated along lattice paths at the price of one extra derivative,
+  interpolated along lattice paths at the price of one extra derivative;
+  a flavor of dimension D (2 in the bulk, 1 at the boundary) localizes the
+  sectors of non-negative scaling dimension D - n/2 - p,
 * the antisymmetrization / reflection-symmetrization operator,
 * the bulk/edge splitting of a cylinder kernel against its
   infinite-volume counterpart,
@@ -139,8 +141,8 @@ class Kernel:
         return self + other.scaled(-1.0)
 
 
-def _prune(acc, tol=0.0):
-    return {k: v for k, v in acc.items() if abs(v) > tol}
+def _prune(acc):
+    return {k: v for k, v in acc.items() if abs(v) > 0.0}
 
 
 def kernel_sum(kernels):
@@ -298,21 +300,23 @@ def polynomial_distance(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _derive(kernel, images, p=None):
+def _derive(kernel, images, p=None, geom=None):
     """The kernel derived from ``kernel`` key by key.
 
     ``images(labels, edges)`` yields ``(labels', edges', f)`` for one key;
     the result sums ``f * c`` at ``(labels', sorted edges')`` over all keys
-    with coefficient ``c`` and prunes exact zeros.  The sector is kept,
-    except the difference order when ``p`` is given.
+    with coefficient ``c`` and prunes exact zeros.  The sector and the
+    geometry are kept, except the difference order when ``p`` is given and
+    the geometry when ``geom`` is (an infinite-volume kernel placed on a
+    cylinder).
     """
     acc = defaultdict(complex)
     for (labels, edges), c in kernel.coeffs.items():
         for new, new_edges, f in images(labels, edges):
             key = (tuple(new), tuple(sorted(new_edges, key=_edge_sort_key)))
             acc[key] += f * c
-    return Kernel(kernel.geom, kernel.n, kernel.p if p is None else p,
-                  kernel.m, _prune(acc))
+    return Kernel(kernel.geom if geom is None else geom, kernel.n,
+                  kernel.p if p is None else p, kernel.m, _prune(acc))
 
 
 def _parity(order):
@@ -452,11 +456,25 @@ def gamma_steps(z, zp, geom):
     return steps
 
 
-def _sector_check(kernel, allowed, m):
-    if (kernel.n, kernel.p) not in allowed or kernel.m != m:
+# The power counting of the paper: the sector (n, p) of a flavor with
+# dimension D has scaling dimension D - n/2 - p, and exactly the sectors of
+# non-negative dimension are localized.  Boundary operators gain one
+# dimension on their bulk counterparts.
+BULK = 2
+BOUNDARY = 1
+
+
+def _top_order(n, D):
+    """The largest localized difference order of the n-field sectors
+    (negative when none of them is localized)."""
+    return D - n // 2
+
+
+def _sector_check(kernel, D, m):
+    if kernel.p > _top_order(kernel.n, D) or kernel.m != m:
         raise ValueError(
-            f"sector {kernel.sector} not supported here (allowed "
-            f"{sorted(allowed)} with m={m})")
+            f"sector {kernel.sector} not supported here (needs "
+            f"p <= {D} - n/2 and m={m})")
 
 
 def _localize(kernel, anchor):
@@ -497,6 +515,50 @@ def _remainder(kernel, walks):
     return _derive(kernel, images, kernel.p + 1)
 
 
+def _collected(family, n, p, tilde_R_op):
+    """The parts that land in sector (n, p): v(n,p), R v(n,p-1), ...,
+    R^p v(n,0), in that order, for the sectors present in ``family``."""
+    parts = []
+    for q in range(p, -1, -1):
+        k = family.get((n, q))
+        if k is not None:
+            for _ in range(p - q):
+                k = tilde_R_op(k)
+            parts.append(k)
+    return parts
+
+
+def _localization(family, D, tilde_L_op, tilde_R_op):
+    """Local part: every sector (n, p) of non-negative dimension collects
+    the localizations of v(n,p) and of the remainders that the sectors
+    below it raise to order p, symmetrized; all other sectors vanish."""
+    out = {}
+    for n in range(2, 2 * D + 1, 2):
+        for p in range(_top_order(n, D) + 1):
+            parts = [tilde_L_op(k)
+                     for k in _collected(family, n, p, tilde_R_op)]
+            if parts:
+                out[(n, p)] = symmetrize(kernel_sum(parts))
+    return out
+
+
+def _renormalization(family, D, tilde_R_op):
+    """Remainder: the first irrelevant sector of each field number
+    collects the interpolated remainders of the localized sectors,
+    symmetrized; localized sectors vanish and every other sector passes
+    through."""
+    out = {}
+    for n in range(2, 2 * D + 1, 2):
+        p = _top_order(n, D) + 1
+        parts = _collected(family, n, p, tilde_R_op)
+        if parts:
+            out[(n, p)] = symmetrize(kernel_sum(parts))
+    for (n, p), k in family.items():
+        if (n, p) not in out and p > _top_order(n, D):
+            out[(n, p)] = k
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Bulk flavor: localization onto the first site.
 # ---------------------------------------------------------------------------
@@ -505,7 +567,7 @@ def _remainder(kernel, walks):
 def tilde_L(kernel):
     """Localize all field slots onto the first site, with the
     seam-crossing sign of the source tuple."""
-    _sector_check(kernel, {(2, 0), (2, 1), (4, 0)}, 0)
+    _sector_check(kernel, BULK, 0)
     return _localize(kernel, lambda labels, edges: labels[0].z)
 
 
@@ -516,7 +578,7 @@ def tilde_R(kernel):
     from the first site to its own with the slots before it at the first
     site and the slots after it at their own sites.
     """
-    _sector_check(kernel, {(2, 0), (2, 1), (4, 0)}, 0)
+    _sector_check(kernel, BULK, 0)
 
     def walks(labels, edges):
         z = [l.z for l in labels]
@@ -526,51 +588,13 @@ def tilde_R(kernel):
 
 
 def localize_bulk(family):
-    """Bulk local part: symmetrized point localization of the quadratic
-    sectors (plus the localized remainder of the (2,0) sector feeding the
-    (2,1) slot); all other sectors vanish."""
-    out = {}
-    v20 = family.get((2, 0))
-    v21 = family.get((2, 1))
-    if v20 is not None:
-        out[(2, 0)] = symmetrize(tilde_L(v20))
-    parts = []
-    if v21 is not None:
-        parts.append(tilde_L(v21))
-    if v20 is not None:
-        parts.append(tilde_L(tilde_R(v20)))
-    if parts:
-        out[(2, 1)] = symmetrize(kernel_sum(parts))
-    v40 = family.get((4, 0))
-    if v40 is not None:
-        out[(4, 0)] = symmetrize(tilde_L(v40))
-    return out
+    """Bulk local part: the sectors (2,0), (2,1) and (4,0)."""
+    return _localization(family, BULK, tilde_L, tilde_R)
 
 
 def renormalize_bulk(family):
-    """Bulk remainder: interpolated complements in the (2,2) and (4,1)
-    slots, zero on the localized sectors, identity elsewhere."""
-    out = {}
-    parts22 = []
-    if (2, 2) in family:
-        parts22.append(family[(2, 2)])
-    if (2, 1) in family:
-        parts22.append(tilde_R(family[(2, 1)]))
-    if (2, 0) in family:
-        parts22.append(tilde_R(tilde_R(family[(2, 0)])))
-    if parts22:
-        out[(2, 2)] = symmetrize(kernel_sum(parts22))
-    parts41 = []
-    if (4, 1) in family:
-        parts41.append(family[(4, 1)])
-    if (4, 0) in family:
-        parts41.append(tilde_R(family[(4, 0)]))
-    if parts41:
-        out[(4, 1)] = symmetrize(kernel_sum(parts41))
-    for key, k in family.items():
-        if key not in {(2, 0), (2, 1), (2, 2), (4, 0), (4, 1)}:
-            out[key] = k
-    return out
+    """Bulk remainder, collected in the (2,2) and (4,1) sectors."""
+    return _renormalization(family, BULK, tilde_R)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +610,7 @@ def z_boundary(z, geom):
 def tilde_L_edge(kernel):
     """Localize a (2,0) kernel onto the boundary projection of its first
     site (both slots)."""
-    _sector_check(kernel, {(2, 0)}, 0)
+    _sector_check(kernel, BOUNDARY, 0)
     return _localize(kernel, lambda labels, edges: z_boundary(
         labels[0].z, kernel.geom))
 
@@ -596,7 +620,7 @@ def tilde_R_edge(kernel):
     slot telescopes from the boundary point to its site (first slot kept),
     then the first slot telescopes with the second pinned at the
     boundary."""
-    _sector_check(kernel, {(2, 0)}, 0)
+    _sector_check(kernel, BOUNDARY, 0)
 
     def walks(labels, edges):
         z1 = labels[0].z
@@ -605,39 +629,14 @@ def tilde_R_edge(kernel):
     return _remainder(kernel, walks)
 
 
-def _localize_quadratic(family, tilde_L_op):
-    """The symmetrized localization of the (2,0) sector; the edge and
-    source local parts."""
-    out = {}
-    if (2, 0) in family:
-        out[(2, 0)] = symmetrize(tilde_L_op(family[(2, 0)]))
-    return out
-
-
-def _renormalize_quadratic(family, tilde_R_op):
-    """The (2,1) sector plus the remainder of the (2,0) sector,
-    symmetrized; (2,0) dropped, other sectors passed through.  The edge
-    and source remainders."""
-    out = {}
-    parts = []
-    if (2, 1) in family:
-        parts.append(family[(2, 1)])
-    if (2, 0) in family:
-        parts.append(tilde_R_op(family[(2, 0)]))
-    if parts:
-        out[(2, 1)] = symmetrize(kernel_sum(parts))
-    for key, k in family.items():
-        if key not in {(2, 0), (2, 1)}:
-            out[key] = k
-    return out
-
-
 def localize_edge(family):
-    return _localize_quadratic(family, tilde_L_edge)
+    """Edge local part: the (2,0) sector."""
+    return _localization(family, BOUNDARY, tilde_L_edge, tilde_R_edge)
 
 
 def renormalize_edge(family):
-    return _renormalize_quadratic(family, tilde_R_edge)
+    """Edge remainder, collected in the (2,1) sector."""
+    return _renormalization(family, BOUNDARY, tilde_R_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -645,17 +644,19 @@ def renormalize_edge(family):
 # ---------------------------------------------------------------------------
 
 
-def _source_check(family):
-    for (n, p), k in family.items():
+def _sourced(family):
+    """``family``, once every sector is checked to carry probe edges."""
+    for k in family.values():
         if k.m < 1:
             raise ValueError("source operators need kernels with probe "
                              "edges; found a sourceless sector")
+    return family
 
 
 def tilde_L_source(kernel):
     """Localize a (2,0,1) source kernel onto the base vertex of its probe
     edge."""
-    _sector_check(kernel, {(2, 0)}, 1)
+    _sector_check(kernel, BOUNDARY, 1)
     return _localize(kernel, lambda labels, edges: edges[0].base)
 
 
@@ -663,7 +664,7 @@ def tilde_R_source(kernel):
     """Interpolated remainder of the source localization: the second slot
     telescopes from the edge base with the first pinned there, then the
     first slot telescopes with the second kept at its site."""
-    _sector_check(kernel, {(2, 0)}, 1)
+    _sector_check(kernel, BOUNDARY, 1)
 
     def walks(labels, edges):
         zx = edges[0].base
@@ -672,28 +673,19 @@ def tilde_R_source(kernel):
 
 
 def localize_source(family):
-    _source_check(family)
-    return _localize_quadratic(family, tilde_L_source)
+    """Source local part: the (2,0,1) sector."""
+    return _localization(_sourced(family), BOUNDARY, tilde_L_source,
+                         tilde_R_source)
 
 
 def renormalize_source(family):
-    _source_check(family)
-    return _renormalize_quadratic(family, tilde_R_source)
+    """Source remainder, collected in the (2,1,1) sector."""
+    return _renormalization(_sourced(family), BOUNDARY, tilde_R_source)
 
 
 # ---------------------------------------------------------------------------
 # Bulk/edge splitting of a cylinder kernel.
 # ---------------------------------------------------------------------------
-
-
-def _key_columns(labels, edges, geom):
-    xs = [l.z[0] for l in labels]
-    for e in edges:
-        xs.append(e.base[0])
-        if e.direction == "h":
-            xs.append(e.base[0] + 1 if geom is None
-                      else geom.wrap_x1(e.base[0] + 1))
-    return xs
 
 
 def bulk_edge_kernel_split(kernel, kernel_inf):
@@ -706,36 +698,30 @@ def bulk_edge_kernel_split(kernel, kernel_inf):
     placed).  Returns ``{"bulk": ..., "edge": ...}``.
     """
     geom = kernel.geom
-    L, M = geom.L, geom.M
-    acc = defaultdict(complex)
-    for (labels0, edges0), w in kernel_inf.coeffs.items():
-        cols = _key_columns(labels0, edges0, None)
-        if max(cols) - min(cols) > L / 3:
-            continue
-        for a in range(L):
-            new_labels = tuple(
-                FieldLabel(l.omega, l.D, (geom.wrap_x1(l.z[0] + a), l.z[1]))
-                for l in labels0)
-            if not all(l.in_interior(geom) for l in new_labels):
-                continue
-            new_edges = []
-            ok = True
-            for e in edges0:
-                ne = Edge((geom.wrap_x1(e.base[0] + a), e.base[1]),
-                          e.direction)
-                try:
-                    ne.validate(geom)
-                except ValueError:
-                    ok = False
-                    break
-                new_edges.append(ne)
-            if not ok:
-                continue
-            sign = (-1.0) ** alpha_sign([l.z for l in new_labels], geom)
-            key = (new_labels,
-                   tuple(sorted(new_edges, key=_edge_sort_key)))
-            acc[key] += sign * w
-    bulk = Kernel(geom, kernel.n, kernel.p, kernel.m, _prune(acc))
+
+    def translate(labels, edges, a):
+        return ([FieldLabel(l.omega, l.D, (geom.wrap_x1(l.z[0] + a), l.z[1]))
+                 for l in labels],
+                [Edge((geom.wrap_x1(e.base[0] + a), e.base[1]), e.direction)
+                 for e in edges])
+
+    def images(labels, edges):
+        cols = ([l.z[0] for l in labels] + [e.base[0] for e in edges]
+                + [e.base[0] + 1 for e in edges if e.direction == "h"])
+        # rows do not move under a horizontal translation: a narrow key
+        # whose first translate lies inside, with edges between lattice
+        # sites, has every translate inside
+        new, new_edges = translate(labels, edges, 0)
+        if (max(cols) - min(cols) > geom.L / 3
+                or not all(l.in_interior(geom) for l in new)
+                or not all(1 <= z[1] <= geom.M
+                           for e in new_edges for z in e.endpoints(geom))):
+            return
+        for a in range(geom.L):
+            new, new_edges = translate(labels, edges, a)
+            sign = (-1.0) ** alpha_sign([l.z for l in new], geom)
+            yield new, new_edges, sign
+    bulk = _derive(kernel_inf, images, geom=geom)
     return {"bulk": bulk, "edge": kernel - bulk}
 
 
@@ -860,7 +846,7 @@ def _even_subsets(n):
     return out
 
 
-def rg_step(family, table, s_max=2, *, term_budget=500000, drop_tol=0.0):
+def rg_step(family, table, s_max=2, *, term_budget=500000):
     """One truncated step of the renormalization-group map.
 
     For every way of picking ``s <= s_max`` kernel entries (with the 1/s!
@@ -933,7 +919,7 @@ def rg_step(family, table, s_max=2, *, term_budget=500000, drop_tol=0.0):
     out = {}
     sector_acc = defaultdict(dict)
     for (labels, edges), c in acc.items():
-        if abs(c) <= drop_tol:
+        if c == 0:
             continue
         sec = (len(labels), sum(l.order() for l in labels), len(edges))
         sector_acc[sec][(labels, edges)] = c
@@ -1048,7 +1034,11 @@ def extract_vertex_renorm(source_kernel, h=0):
                         h=h)
 
 
-def free_source_kernels(params, cutoff=1e-16):
+# weights of the free source kernel below this are dropped
+_SOURCE_CUTOFF = 1e-16
+
+
+def free_source_kernels(params):
     """The free-theory infinite-volume source kernel in the (2,0,1)
     sector: the vertical probe couples to the local bilinear with weight
     (1 - t2^2), the horizontal one to the convolution of the two
@@ -1059,15 +1049,15 @@ def free_source_kernels(params, cutoff=1e-16):
     acc[((FieldLabel(1, (0, 0), (0, 0)), FieldLabel(-1, (0, 0), (0, 1))),
          v_edge)] += 1.0 - t2 ** 2
     h_edge = (Edge((0, 0), "h"),)
-    reach = max(1, int(math.log(cutoff) / math.log(abs(t1))) + 1) \
+    reach = max(1, int(math.log(_SOURCE_CUTOFF) / math.log(abs(t1))) + 1) \
         if 0 < abs(t1) < 1 else 1
     for y1 in range(-reach, 1):
         w1 = (-t1) ** (-y1)
-        if abs(w1) < cutoff:
+        if abs(w1) < _SOURCE_CUTOFF:
             continue
         for y2 in range(1, reach + 2):
             w2 = (-t1) ** (y2 - 1)
-            if abs(w2) < cutoff:
+            if abs(w2) < _SOURCE_CUTOFF:
                 continue
             for om1, c1 in ((1, 1.0), (-1, -1.0)):
                 for om2 in (1, -1):

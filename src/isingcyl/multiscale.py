@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,11 +112,24 @@ class ScaleCutoff:
 
 
 def scale_propagator(h, geom, params, cutoff=None):
-    """The scale-h critical propagator table (h an int, or LEQ)."""
-    cutoff = cutoff or ScaleCutoff.for_geometry(geom)
-    return critical_propagator_fourier(
+    """The scale-h critical propagator table (h an int, or LEQ).
+
+    Each table is built once per (h, geom, params, cutoff) and shared by
+    every caller, so its ``data`` is read-only.
+    """
+    return _scale_table(h, geom, params,
+                        cutoff or ScaleCutoff.for_geometry(geom))
+
+
+# room for one decomposition (LEQ and the scales h* + 1..0) while
+# min(L, M) < 256
+@lru_cache(maxsize=8)
+def _scale_table(h, geom, params, cutoff):
+    table = critical_propagator_fourier(
         geom, params, weight=cutoff.weight(h, params),
         variant=f"critical-scale-{h}")
+    table.data.flags.writeable = False
+    return table
 
 
 def smooth_sector_propagator(geom, params, cutoff=None):
@@ -150,19 +164,20 @@ def split_residual(split):
         split["bulk"].data + split["edge"].data - split["full"].data)))
 
 
-def bulk_edge_split(h, geom, params, cutoff=None, N=None):
+def bulk_edge_split(h, geom, params, cutoff=None):
     """Split g^(h) into its bulk restriction and the edge remainder.
 
     Returns a dict with the ``bulk``, ``edge`` and ``full`` tables; the
     first two sum to the third by construction.  The bulk entry at raw
     horizontal difference d1 carries the sign s_L(d1) (+1, 0, -1 for
     |d1| <, =, > L/2), which reproduces exactly the antiperiodic wrap
-    convention of the finite-cylinder tables.
+    convention of the finite-cylinder tables.  The infinite-volume table
+    is the raw N x N torus grid, N the least power of two >= 4 max(L, M)
+    and >= 256.
     """
     cutoff = cutoff or ScaleCutoff.for_geometry(geom)
     L, M = geom.L, geom.M
-    if N is None:
-        N = max(256, 1 << (4 * max(L, M) - 1).bit_length())
+    N = max(256, 1 << (4 * max(L, M) - 1).bit_length())
     ginf = infinite_propagator_grid(params, cutoff.weight(h, params), N=N)
 
     full = scale_propagator(h, geom, params, cutoff)
@@ -236,16 +251,16 @@ def discrete_derivative(table, r):
 # ---------------------------------------------------------------------------
 
 
-def fit_exponential_decay(distances, norms, floor=1e-13):
+def fit_exponential_decay(distances, norms):
     """Least-squares fit of log(norm) = a - rate * distance.
 
-    Values at or below ``floor`` are dropped.  Returns a dict with the
-    fitted positive-decay ``rate``, the intercept ``log_amplitude`` and the
-    coefficient of determination ``r_squared``.
+    Values at or below 1e-13 (roundoff) are dropped.  Returns a dict with
+    the fitted positive-decay ``rate``, the intercept ``log_amplitude`` and
+    the coefficient of determination ``r_squared``.
     """
     d = np.asarray(distances, dtype=float)
     n = np.asarray(norms, dtype=float)
-    keep = n > floor
+    keep = n > 1e-13
     d, n = d[keep], np.log(n[keep])
     if len(d) < 3 or np.ptp(d) == 0:
         raise ValueError("not enough usable points for a decay fit")
@@ -275,7 +290,7 @@ def edge_decay_profile(h, geom, params, cutoff=None, split=None):
     return np.asarray(dists), np.asarray(norms)
 
 
-def envelope_decay_fit(distances, norms, bin_width=12, floor=1e-13):
+def envelope_decay_fit(distances, norms, bin_width=12):
     """Exponential fit of the oscillation envelope: norms are binned by
     distance and each bin contributes its maximum."""
     d = np.asarray(distances, dtype=float)
@@ -285,7 +300,7 @@ def envelope_decay_fit(distances, norms, bin_width=12, floor=1e-13):
         sel = d // bin_width == b
         bd.append(d[sel].mean())
         bn.append(n[sel].max())
-    return fit_exponential_decay(bd, bn, floor=floor)
+    return fit_exponential_decay(bd, bn)
 
 
 def scale_norm_profile(geom, params, cutoff=None):

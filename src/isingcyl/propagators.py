@@ -46,16 +46,15 @@ def critical_t2(t1):
 class ModelParams:
     """Couplings ``t_j = tanh(beta J_j)`` and their dressed counterparts.
 
-    For the free theory (lambda = 0), the dressed values equal the bare
-    ones; they are carried separately because every scaling/multiscale
-    object is evaluated at the dressed parameters.
+    For the free theory the dressed values equal the bare ones; they are
+    carried separately because every scaling/multiscale object is
+    evaluated at the dressed parameters.
     """
 
     t1: float
     t2: float
     t1_star: float = None
     t2_star: float = None
-    lam: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.t1 < 1.0 or not 0.0 < self.t2 < 1.0:
@@ -66,12 +65,12 @@ class ModelParams:
             object.__setattr__(self, "t2_star", self.t2)
 
     @classmethod
-    def critical(cls, t1, lam=0.0):
-        return cls(t1=t1, t2=critical_t2(t1), lam=lam)
+    def critical(cls, t1):
+        return cls(t1=t1, t2=critical_t2(t1))
 
     @classmethod
-    def from_beta(cls, beta, J1=1.0, J2=1.0, lam=0.0):
-        return cls(t1=math.tanh(beta * J1), t2=math.tanh(beta * J2), lam=lam)
+    def from_beta(cls, beta, J1=1.0, J2=1.0):
+        return cls(t1=math.tanh(beta * J1), t2=math.tanh(beta * J2))
 
     @property
     def is_critical(self):
@@ -435,11 +434,12 @@ class LazyCriticalTable(PropagatorTable):
     O(#modes) reduction.  Blocks are cached by (d1 mod L, z2, z'2).
     """
 
-    def __init__(self, geom, params, weight=None, variant="critical-lazy"):
+    variant = "critical-lazy"
+
+    def __init__(self, geom, params):
         self.geom = geom
-        self.variant = variant
         self._k1s, self._k2s, self._cG, self._cR = _critical_modes(
-            geom, params, weight)
+            geom, params, None)
         self._cache = {}
 
     def block(self, z, zp):
@@ -628,8 +628,7 @@ def _grid_lookup(g, z):
     return s1 * s2 * g[m1, m2]
 
 
-def infinite_propagator(zs, params, weight=None, *, tol=1e-10, N0=64,
-                        max_doublings=5):
+def infinite_propagator(zs, params, weight=None, *, tol=1e-10):
     """The infinite-volume propagator at the integer offsets ``zs``.
 
     Evaluates the momentum integral of ghat (times the hashable cutoff
@@ -642,8 +641,8 @@ def infinite_propagator(zs, params, weight=None, *, tol=1e-10, N0=64,
     zs = [tuple(z) for z in zs]
     raw, r1, r2 = [], [], []
     prev_best, cur_best = None, None
-    N = N0
-    for _ in range(max_doublings + 1):
+    N = 64
+    for _ in range(6):  # N = 64 .. 2048
         g = _infinite_grid_cached(params.t1, params.t2, weight, N)
         raw.append({z: _grid_lookup(g, z) for z in zs})
         if len(raw) >= 2:
@@ -694,18 +693,18 @@ def g_infinite_scaling(x, y, params):
     return np.array([[a, b], [b, -a]])
 
 
-def _alternating_sum(term_fn, nmax=64, sweeps=12):
+def _alternating_sum(term_fn):
     """Euler-accelerated evaluation of ``sum_{n in Z} (-1)^n T(n)``.
 
-    ``T`` must be array-valued with a smooth O(1/|n|) tail; repeated
-    averaging of the folded partial sums then converges far below 1e-12.
+    ``T`` must be array-valued with a smooth O(1/|n|) tail; 12 averaging
+    sweeps of the 64 folded partial sums then converge far below 1e-12.
     """
     terms = [term_fn(0)]
-    for m in range(1, nmax + 1):
+    for m in range(1, 65):
         terms.append((-1.0) ** m * (term_fn(m) + term_fn(-m)))
     partial = np.cumsum(np.asarray(terms), axis=0)
     x = partial
-    for _ in range(sweeps):
+    for _ in range(12):
         x = 0.5 * (x[:-1] + x[1:])
     return x[-1]
 

@@ -21,12 +21,12 @@ class SkewMatrix:
     ``A[i, j] == -A[j, i]`` and ``A[i, i] == 0`` hold exactly.
     """
 
-    def __init__(self, entries, *, require_even=True):
+    def __init__(self, entries):
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
-        if require_even and n % 2 != 0:
+        if n % 2 != 0:
             raise ValueError(f"dimension must be even, got {n}")
         finite = bool(np.all(np.isfinite(a.view(float))))
         if finite and not np.allclose(

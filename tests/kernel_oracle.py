@@ -7,11 +7,18 @@ keep the probe edges of each key unchanged.
 Only label-level primitives (field-label reflection, edge reflection,
 interpolation paths, the seam-crossing sign) come from the library; every
 accumulation, permutation sign and pruning step is written out here.
+
+The family operators at the end (localization and renormalization of a
+dict of sector kernels, in the bulk, edge and source flavors) list their
+sectors by hand and call the library's kernel operators, so their outputs
+compare exactly with the library's power-counting rule.  The bulk/edge
+kernel split is its own placement loop.
 """
 
 import itertools
 from collections import defaultdict
 
+from isingcyl import kernelcalc as kc
 from isingcyl.kernelcalc import (
     FieldLabel, Kernel, _edge_sort_key, _reflect_label, gamma_steps,
     reflect_edge, z_boundary,
@@ -206,3 +213,143 @@ def tilde_R_source(kernel):
             sign = (-1.0) ** (a_in + alpha_sign([site, z2], geom)) * sigma
             acc[(new, edges)] += sign * c
     return Kernel(geom, 2, 1, kernel.m, _prune(acc))
+
+
+# ---------------------------------------------------------------------------
+# Family operators: the localized sectors of each flavor written out.
+# ---------------------------------------------------------------------------
+
+# the (n, p) sectors each flavor's tilde operators accept, with their m
+SECTORS = {"bulk": ({(2, 0), (2, 1), (4, 0)}, 0),
+           "edge": ({(2, 0)}, 0),
+           "source": ({(2, 0)}, 1)}
+
+
+def localize_bulk(family):
+    out = {}
+    v20 = family.get((2, 0))
+    v21 = family.get((2, 1))
+    if v20 is not None:
+        out[(2, 0)] = kc.symmetrize(kc.tilde_L(v20))
+    parts = []
+    if v21 is not None:
+        parts.append(kc.tilde_L(v21))
+    if v20 is not None:
+        parts.append(kc.tilde_L(kc.tilde_R(v20)))
+    if parts:
+        out[(2, 1)] = kc.symmetrize(kc.kernel_sum(parts))
+    v40 = family.get((4, 0))
+    if v40 is not None:
+        out[(4, 0)] = kc.symmetrize(kc.tilde_L(v40))
+    return out
+
+
+def renormalize_bulk(family):
+    out = {}
+    parts22 = []
+    if (2, 2) in family:
+        parts22.append(family[(2, 2)])
+    if (2, 1) in family:
+        parts22.append(kc.tilde_R(family[(2, 1)]))
+    if (2, 0) in family:
+        parts22.append(kc.tilde_R(kc.tilde_R(family[(2, 0)])))
+    if parts22:
+        out[(2, 2)] = kc.symmetrize(kc.kernel_sum(parts22))
+    parts41 = []
+    if (4, 1) in family:
+        parts41.append(family[(4, 1)])
+    if (4, 0) in family:
+        parts41.append(kc.tilde_R(family[(4, 0)]))
+    if parts41:
+        out[(4, 1)] = kc.symmetrize(kc.kernel_sum(parts41))
+    for key, k in family.items():
+        if key not in {(2, 0), (2, 1), (2, 2), (4, 0), (4, 1)}:
+            out[key] = k
+    return out
+
+
+def _localize_quadratic(family, tilde_L_op):
+    out = {}
+    if (2, 0) in family:
+        out[(2, 0)] = kc.symmetrize(tilde_L_op(family[(2, 0)]))
+    return out
+
+
+def _renormalize_quadratic(family, tilde_R_op):
+    out = {}
+    parts = []
+    if (2, 1) in family:
+        parts.append(family[(2, 1)])
+    if (2, 0) in family:
+        parts.append(tilde_R_op(family[(2, 0)]))
+    if parts:
+        out[(2, 1)] = kc.symmetrize(kc.kernel_sum(parts))
+    for key, k in family.items():
+        if key not in {(2, 0), (2, 1)}:
+            out[key] = k
+    return out
+
+
+def _source_check(family):
+    for k in family.values():
+        if k.m < 1:
+            raise ValueError("sourceless sector")
+
+
+def localize_edge(family):
+    return _localize_quadratic(family, kc.tilde_L_edge)
+
+
+def renormalize_edge(family):
+    return _renormalize_quadratic(family, kc.tilde_R_edge)
+
+
+def localize_source(family):
+    _source_check(family)
+    return _localize_quadratic(family, kc.tilde_L_source)
+
+
+def renormalize_source(family):
+    _source_check(family)
+    return _renormalize_quadratic(family, kc.tilde_R_source)
+
+
+def bulk_edge_kernel_split(kernel, kernel_inf):
+    """Every translate of every narrow infinite-volume key, tested one by
+    one for interior labels and valid edges."""
+    geom = kernel.geom
+    L = geom.L
+    acc = defaultdict(complex)
+    for (labels0, edges0), w in kernel_inf.coeffs.items():
+        cols = [l.z[0] for l in labels0]
+        for e in edges0:
+            cols.append(e.base[0])
+            if e.direction == "h":
+                cols.append(e.base[0] + 1)
+        if max(cols) - min(cols) > L / 3:
+            continue
+        for a in range(L):
+            new_labels = tuple(
+                FieldLabel(l.omega, l.D, (geom.wrap_x1(l.z[0] + a), l.z[1]))
+                for l in labels0)
+            if not all(l.in_interior(geom) for l in new_labels):
+                continue
+            new_edges = []
+            ok = True
+            for e in edges0:
+                ne = Edge((geom.wrap_x1(e.base[0] + a), e.base[1]),
+                          e.direction)
+                try:
+                    ne.validate(geom)
+                except ValueError:
+                    ok = False
+                    break
+                new_edges.append(ne)
+            if not ok:
+                continue
+            sign = (-1.0) ** alpha_sign([l.z for l in new_labels], geom)
+            key = (new_labels,
+                   tuple(sorted(new_edges, key=_edge_sort_key)))
+            acc[key] += sign * w
+    bulk = Kernel(geom, kernel.n, kernel.p, kernel.m, _prune(acc))
+    return {"bulk": bulk, "edge": kernel - bulk}

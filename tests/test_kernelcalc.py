@@ -10,7 +10,8 @@ import gaussian_oracle as oracle
 import kernel_oracle
 from isingcyl.acceptance import _rand_kernel, _rand_source
 from isingcyl.kernelcalc import (
-    FieldLabel, Kernel, RunningCouplings, VertexRenorm, _monomial_covariance,
+    BOUNDARY, BULK, FieldLabel, Kernel, RunningCouplings, VertexRenorm,
+    _monomial_covariance, _sector_check,
     antisymmetrize, bulk_edge_kernel_split, coupling_basis, expand_family,
     expand_to_plain_fields, extract_running_couplings, extract_vertex_renorm,
     free_source_kernels, gamma_steps, horizontal_translate, kernel_from_json,
@@ -319,6 +320,140 @@ class TestAgainstOracle:
         monkeypatch.setattr(Kernel, "__post_init__", counting)
         symmetrize(k)
         assert builds == [(4, 1, 0), (4, 1, 0)]
+
+
+# every sector up to the first pass-through ones: localized, collected and
+# passed through, in all three flavors
+MIXED_SECTORS = [(2, 0), (2, 1), (2, 2), (2, 3), (4, 0), (4, 1), (4, 2),
+                 (6, 0)]
+FLAVORS = {
+    "bulk": (localize_bulk, renormalize_bulk, rand_kernel, BULK, tilde_R),
+    "edge": (localize_edge, renormalize_edge, rand_kernel, BOUNDARY,
+             tilde_R_edge),
+    "source": (localize_source, renormalize_source, rand_source, BOUNDARY,
+               tilde_R_source),
+}
+
+
+def assert_same_kernel(got, ref):
+    assert (got.geom, got.sector) == (ref.geom, ref.sector)
+    keys = set(got.coeffs) | set(ref.coeffs)
+    assert all(got.coeffs.get(k, 0.0) == ref.coeffs.get(k, 0.0)
+               for k in keys)
+
+
+def assert_same_family(got, ref):
+    assert list(got) == list(ref)
+    for sec in ref:
+        assert_same_kernel(got[sec], ref[sec])
+
+
+def _mixed_families(geom, flavor, seed):
+    # on every window base (the last four wrap the seam): the full sector
+    # list, a random nonempty subset, and the full list with each sector
+    # above a localized one sharing keys with that one's remainder (so the
+    # order in which collected parts are summed shows in the rounding)
+    _, _, gen, D, R = FLAVORS[flavor]
+    rng = np.random.default_rng(seed)
+    out = []
+    for base in range(1, geom.L + 1):
+        picks = rng.permutation(len(MIXED_SECTORS))[
+            :int(rng.integers(1, len(MIXED_SECTORS) + 1))]
+        for sectors in (MIXED_SECTORS, [MIXED_SECTORS[i] for i in picks]):
+            out.append({sec: gen(rng, geom, *sec, base=base)
+                        for sec in sectors})
+        fam = dict(out[-2])
+        for n, p in MIXED_SECTORS:
+            if p - 1 in range(D - n // 2 + 1):
+                fam[(n, p)] += R(fam[(n, p - 1)]).scaled(rng.normal())
+        out.append(fam)
+    return out
+
+
+def _rand_inf_kernel(rng, geom, n, p, m, nkeys=6):
+    # raw integer columns either side of the seam, narrow (spread <= L/3,
+    # up to the extra column of a horizontal edge) or wide; rows include
+    # the ghost rows 0 and M+1 and rows beyond them, so some labels leave
+    # the interior and some edges leave the lattice
+    rows = list(range(1, geom.M + 1)) * 3 + [-1, 0, geom.M + 1, geom.M + 2]
+    acc = {}
+    for _ in range(nkeys):
+        D = [[0, 0] for _ in range(n)]
+        for _ in range(p):
+            free = [i for i in range(n) if sum(D[i]) < 2]
+            D[free[int(rng.integers(len(free)))]][int(rng.integers(2))] += 1
+        x0 = int(rng.integers(-geom.L, geom.L + 1))
+        width = geom.L // 3 + 1 if rng.random() < 0.7 else geom.L
+        labels = tuple(
+            FieldLabel(int(rng.choice([1, -1])), tuple(d),
+                       (x0 + int(rng.integers(width)), int(rng.choice(rows))))
+            for d in D)
+        edges = tuple(
+            Edge((x0 + int(rng.integers(width)), int(rng.choice(rows))),
+                 str(rng.choice(["h", "v"])))
+            for _ in range(m))
+        acc[(labels, edges)] = complex(rng.normal(), rng.normal())
+    return Kernel(None, n, p, m, acc)
+
+
+class TestPowerCounting:
+    """The family operators and the kernel split against the parent's
+    hand-written forms (``kernel_oracle``), compared exactly: the same
+    keys in the same order and equal coefficients (missing keys count as
+    0)."""
+
+    @pytest.mark.parametrize("flavor", sorted(FLAVORS))
+    def test_sector_check(self, geom, flavor):
+        D = FLAVORS[flavor][3]
+        allowed, m = kernel_oracle.SECTORS[flavor]
+        accepted = set()
+        for n, p, mm in itertools.product((2, 4, 6), range(5), (0, 1)):
+            try:
+                _sector_check(Kernel(geom, n, p, mm, {}), D, m)
+            except ValueError:
+                continue
+            accepted.add((n, p, mm))
+        assert accepted == {(n, p, m) for n, p in allowed}
+
+    @pytest.mark.parametrize("flavor", sorted(FLAVORS))
+    def test_family_operators(self, geom, flavor):
+        loc, ren = FLAVORS[flavor][:2]
+        for fam in _mixed_families(geom, flavor, len(flavor)):
+            for op in (loc, ren):
+                assert_same_family(
+                    op(fam), getattr(kernel_oracle, op.__name__)(fam))
+
+    @pytest.mark.parametrize("flavor", sorted(FLAVORS))
+    def test_wrong_probe_count_raises(self, geom, flavor):
+        loc, ren, gen = FLAVORS[flavor][:3]
+        other = rand_kernel if gen is rand_source else rand_source
+        fam = {sec: other(np.random.default_rng(3), geom, *sec)
+               for sec in MIXED_SECTORS}
+        for op in (loc, ren):
+            with pytest.raises(ValueError):
+                getattr(kernel_oracle, op.__name__)(fam)
+            with pytest.raises(ValueError):
+                op(fam)
+
+    @pytest.mark.parametrize("L, M", [(12, 5), (6, 4), (8, 3)])
+    @pytest.mark.parametrize("sector", [(2, 0, 0), (2, 1, 0), (4, 0, 0),
+                                        (2, 0, 1), (2, 1, 1)])
+    def test_bulk_edge_kernel_split(self, L, M, sector):
+        geom = CylinderGeometry(L, M)
+        n, p, m = sector
+        rng = np.random.default_rng(L * M + 10 * n + p + m)
+        gen = rand_source if m else rand_kernel
+        placed = 0
+        for _ in range(8):
+            kinf = _rand_inf_kernel(rng, geom, n, p, m)
+            kernel = gen(rng, geom, n, p, base=int(rng.integers(1, L + 1)),
+                         width=min(5, L))
+            got = bulk_edge_kernel_split(kernel, kinf)
+            ref = kernel_oracle.bulk_edge_kernel_split(kernel, kinf)
+            for part in ("bulk", "edge"):
+                assert_same_kernel(got[part], ref[part])
+            placed += len(ref["bulk"].coeffs)
+        assert placed > 0
 
 
 class TestBulkOperators:

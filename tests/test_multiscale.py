@@ -3,6 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from isingcyl import multiscale
+from isingcyl.cli import main
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.multiscale import (
     LEQ, CutoffWeight, ScaleCutoff, bulk_edge_split, chi_profile,
@@ -133,6 +135,33 @@ class TestScalePropagators:
         for h in cut.scales:
             acc += scale_propagator(h, geom, params, cut).data
         assert np.max(np.abs(acc - smooth.data)) < 1e-12
+
+    def test_one_build_per_table(self, capsys, monkeypatch):
+        # the multiscale report reads the scale tables in its telescoping
+        # residual, its bulk/edge split and its norm profile: each table is
+        # built once (parameters no other test uses, so none is cached yet)
+        built = []
+        fourier = multiscale.critical_propagator_fourier
+
+        def counting(geom, params, **kw):
+            built.append(kw["variant"])
+            return fourier(geom, params, **kw)
+        monkeypatch.setattr(multiscale, "critical_propagator_fourier",
+                            counting)
+        assert main(["multiscale", "--L", "16", "--M", "16",
+                     "--t1", "0.37"]) == 0
+        capsys.readouterr()
+        cut = ScaleCutoff.for_geometry(CylinderGeometry(16, 16))
+        assert sorted(built) == sorted(
+            ["critical-smooth", f"critical-scale-{LEQ}"]
+            + [f"critical-scale-{h}" for h in cut.scales])
+
+    def test_scale_tables_are_shared_and_read_only(self, setup16):
+        geom, params, cut = setup16
+        tab = scale_propagator(0, geom, params, cut)
+        assert scale_propagator(0, geom, params, cut) is tab
+        with pytest.raises(ValueError):
+            tab.data[0, 0, 0] = 1.0
 
     def test_smooth_plus_complement_is_full(self, setup16):
         geom, params, cut = setup16
