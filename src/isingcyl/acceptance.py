@@ -43,13 +43,19 @@ GEOMS = [(4, 3), (8, 3), (4, 5), (8, 5)]
 T1S = (0.3, 0.5, math.sqrt(2.0) - 1.0)
 
 
+def _margin(gate, distance):
+    """How many times ``distance`` fits into ``gate`` (None at 0)."""
+    return float(gate) / float(distance) if distance else None
+
+
 def _record(cid, name, residual, tol, t0, time_cap=None, ok=True, detail=""):
     seconds = time.perf_counter() - t0
     passed = ok and residual <= tol and (time_cap is None
                                          or seconds <= time_cap)
     return {"criterion": cid, "name": name, "residual": float(residual),
-            "tolerance": float(tol), "seconds": round(seconds, 3),
-            "time_cap": time_cap, "passed": bool(passed), "detail": detail}
+            "tolerance": float(tol), "margin": _margin(tol, residual),
+            "seconds": round(seconds, 3), "time_cap": time_cap,
+            "passed": bool(passed), "detail": detail}
 
 
 def check_pfaffian(seed=0):
@@ -200,8 +206,11 @@ def check_multiscale(seed=0):
     ok = fit["rate"] > 0 and fit["r_squared"] > 0.9
     detail = (f"edge decay rate {fit['rate']:.3f}, "
               f"R^2 {fit['r_squared']:.3f}")
-    return _record(7, "multiscale reconstruction and bulk/edge split",
-                   worst, 1e-12, t0, ok=ok, detail=detail)
+    rec = _record(7, "multiscale reconstruction and bulk/edge split",
+                  worst, 1e-12, t0, ok=ok, detail=detail)
+    # the R^2 gate's margin: the allowed 1 - R^2 over the fitted one
+    rec["r2_margin"] = _margin(1.0 - 0.9, 1.0 - fit["r_squared"])
+    return rec
 
 
 def _rand_kernel(rng, geom, n, p, nkeys=3, base=1, width=4):

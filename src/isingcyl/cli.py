@@ -8,7 +8,8 @@ force.
 
 Exit codes: 0 success, 1 configuration error, 2 verification failure,
 3 numerical failure (any ArithmeticError: root residual, singular
-inversion, non-converged sums, a non-real Pfaffian, float overflow).
+inversion, non-converged sums, a non-real Pfaffian, float overflow; or
+running out of memory).
 """
 
 from __future__ import annotations
@@ -471,6 +472,9 @@ def main(argv=None):
         return EXIT_VERIFY
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        print("numerical failure: out of memory", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -379,13 +379,17 @@ def s_infinite(y, t1):
 
 
 def _critical_modes(geom, params, weight):
-    """The flat momentum pairs of the critical Fourier sum with their
-    weighted direct and reflected 2x2 mode matrices ``c G`` and ``c R``."""
+    """The critical Fourier sum's momenta and weighted mode matrices.
+
+    Returns the L momenta k1, their (L, 2M+1) k2 roots, and the direct and
+    reflected 2x2 mode matrices ``c G`` and ``c R`` of shape
+    (L, 2M+1, 2, 2), grouped by k1."""
     if not params.is_critical:
         raise ValueError("Fourier representation requires critical parameters")
-    M = geom.M
-    k1s, k2s = momentum_grid(geom, params).pairs
-    c = 1.0 / (2.0 * geom.L * normalization_N(k1s, k2s, params, M))
+    L, M = geom.L, geom.M
+    grid = momentum_grid(geom, params)
+    k1s, k2s = grid.pairs
+    c = 1.0 / (2.0 * L * normalization_N(k1s, k2s, params, M))
     if weight is not None:
         c = c * weight(k1s, k2s)
     G = ghat_matrix(k1s, k2s, params)
@@ -394,7 +398,19 @@ def _critical_modes(geom, params, weight):
     R = G.copy()
     R[:, 0, 1] = ghat_matrix(k1s, -k2s, params)[:, 0, 1]
     R[:, 1, 1] = np.exp(2j * k2s * (M + 1)) * G[:, 1, 1]
-    return k1s, k2s, c[:, None, None] * G, c[:, None, None] * R
+    shape = grid.k2_roots.shape + (2, 2)
+    return (grid.k1_values, grid.k2_roots,
+            (c[:, None, None] * G).reshape(shape),
+            (c[:, None, None] * R).reshape(shape))
+
+
+def _k2_partial_sums(k2_roots, modes, offsets):
+    """``F[k1, i] = sum_{k2} e^{-i k2 offsets[i]} modes[k1, k2]``: the
+    inner sum of the Fourier series over each k1's own roots, shape
+    (L, len(offsets), 2, 2)."""
+    L, K = k2_roots.shape
+    phase = np.exp(-1j * k2_roots[:, None, :] * np.asarray(offsets)[:, None])
+    return (phase @ modes.reshape(L, K, 4)).reshape(L, len(offsets), 2, 2)
 
 
 def critical_propagator_fourier(geom, params, weight=None, variant="critical"):
@@ -404,19 +420,18 @@ def critical_propagator_fourier(geom, params, weight=None, variant="critical"):
     multiplying each momentum summand -- the hook used by the multiscale
     decomposition.  Rows cover the closure 0..M+1, where the formula
     extends and exhibits its boundary cancellations.
+
+    The series is summed k2 first: the per-k1 partial sums at every
+    vertical difference and sum (O(L M^2)), then one (L x L) matmul over
+    k1 for all of them (O(L^2 M)).
     """
     L, M = geom.L, geom.M
-    k1s, k2s, cG, cR = _critical_modes(geom, params, weight)
-
-    d1 = np.arange(L)
-    d2 = np.arange(-(M + 1), M + 2)
-    s2 = np.arange(0, 2 * M + 3)
-    E1 = np.exp(-1j * np.outer(k1s, d1))
-    E2d = np.exp(-1j * np.outer(k2s, d2))
-    E2s = np.exp(-1j * np.outer(k2s, s2))
-
-    T1 = np.einsum("pl,pd,pab->ldab", E1, E2d, cG, optimize=True)
-    T2 = np.einsum("pl,ps,pab->lsab", E1, E2s, cR, optimize=True)
+    k1, k2, cG, cR = _critical_modes(geom, params, weight)
+    F1 = _k2_partial_sums(k2, cG, np.arange(-(M + 1), M + 2))
+    F2 = _k2_partial_sums(k2, cR, np.arange(0, 2 * M + 3))
+    E1 = np.exp(-1j * np.outer(np.arange(L), k1))
+    T1 = (E1 @ F1.reshape(L, -1)).reshape(F1.shape)
+    T2 = (E1 @ F2.reshape(L, -1)).reshape(F2.shape)
 
     rows = np.arange(M + 2)
     dd = rows[:, None] - rows[None, :] + (M + 1)   # index into d2
@@ -427,39 +442,47 @@ def critical_propagator_fourier(geom, params, weight=None, variant="critical"):
 
 class LazyCriticalTable(PropagatorTable):
     """Pointwise critical propagator: the same momentum sum as
-    :func:`critical_propagator_fourier`, evaluated entry by entry.
+    :func:`critical_propagator_fourier`, evaluated block by block.
 
-    The full table costs O(L M^2 * #modes) to assemble; on large cylinders
-    only a handful of blocks is ever needed, and each one is a plain
-    O(#modes) reduction.  Blocks are cached by (d1 mod L, z2, z'2).
+    The full table costs O(L M^2 + L^2 M) to assemble; on large cylinders
+    only a handful of blocks is ever needed.  The per-k1 partial sum at a
+    vertical difference or sum is an O(#modes) column, built when a block
+    first needs it and cached; a block is then one O(L) sum over k1.
+    Blocks are cached by (d1 mod L, z2, z'2).
     """
 
     variant = "critical-lazy"
 
     def __init__(self, geom, params):
         self.geom = geom
-        self._k1s, self._k2s, self._cG, self._cR = _critical_modes(
+        self._k1, self._k2, self._cG, self._cR = _critical_modes(
             geom, params, None)
+        self._direct, self._reflected = {}, {}
         self._cache = {}
+
+    def _column(self, columns, modes, offset):
+        col = columns.get(offset)
+        if col is None:
+            col = _k2_partial_sums(self._k2, modes, [offset])[:, 0]
+            columns[offset] = col
+        return col
 
     def block(self, z, zp):
         m, sign = antiperiodic_wrap(z[0] - zp[0], self.geom.L)
         key = (m, z[1], zp[1])
         blk = self._cache.get(key)
         if blk is None:
-            ph1 = np.exp(-1j * self._k1s * m)
-            d2 = z[1] - zp[1]
-            s2 = z[1] + zp[1]
-            blk = (np.tensordot(ph1 * np.exp(-1j * self._k2s * d2),
-                                self._cG, axes=(0, 0))
-                   - np.tensordot(ph1 * np.exp(-1j * self._k2s * s2),
-                                  self._cR, axes=(0, 0)))
+            F = (self._column(self._direct, self._cG, z[1] - zp[1])
+                 - self._column(self._reflected, self._cR, z[1] + zp[1]))
+            blk = np.tensordot(np.exp(-1j * self._k1 * m), F, axes=(0, 0))
             self._cache[key] = blk
         return sign * blk
 
 
 # above this max(L, M) the full critical table gives way to the lazy
-# pointwise evaluator (full-table assembly is O(L M^2 #modes))
+# pointwise evaluator (full-table assembly is O(L M^2 + L^2 M) time and
+# O(L M^2) memory; a lazy block is O(L) after one O(#modes) column per
+# distinct vertical offset)
 FULL_TABLE_MAX_SIZE = 32
 
 
@@ -637,6 +660,12 @@ def infinite_propagator(zs, params, weight=None, *, tol=1e-10):
     massless integrand makes the raw sums converge only algebraically).
     Stops once the extrapolated entries change by less than ``tol``.
     Returns a dict ``z -> 2x2 block``.
+
+    The extrapolation assumes a smooth integrand.  A
+    :class:`~isingcyl.multiscale.CutoffWeight` is only C^1 (its profile's
+    second derivative jumps), so a weighted sum converges too slowly for
+    the default ``tol`` and raises :class:`DoublingError` after N = 2048;
+    ask such sums for ``tol`` ~ 1e-6.
     """
     zs = [tuple(z) for z in zs]
     raw, r1, r2 = [], [], []
@@ -658,8 +687,8 @@ def infinite_propagator(zs, params, weight=None, *, tol=1e-10):
                 return cur_best
         N *= 2
     raise DoublingError(
-        f"torus sum did not converge to {tol} at N = {N // 2}",
-        cur_best, prev_best)
+        f"torus sum did not converge to {tol} at N = {N // 2} "
+        f"(last change {delta:.3g})", cur_best, prev_best)
 
 
 def infinite_propagator_grid(params, weight=None, N=256):

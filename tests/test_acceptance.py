@@ -40,3 +40,13 @@ def test_criterion(records, cid):
         line += f" [{rec['detail']}]"
     print(line)
     assert rec["passed"], line
+
+
+def test_margins(records):
+    for rec in records.values():
+        if rec["residual"] == 0.0:
+            assert rec["margin"] is None
+        else:
+            assert rec["margin"] == rec["tolerance"] / rec["residual"]
+    assert records[9]["residual"] == 0.0   # exact tree-distance bound
+    assert records[7]["r2_margin"] > 1.0

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import isingcyl
+from isingcyl import cli
 from isingcyl.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, build_parser, main,
 )
@@ -65,6 +66,17 @@ class TestPartition:
 
 
 class TestPropagator:
+    def test_out_of_memory_is_numeric_failure(self, capsys, monkeypatch):
+        # a table too large for the machine: exit 3 with a one-line message
+        def oversized(geom, params):
+            raise MemoryError
+        monkeypatch.setattr(cli, "critical_propagator_fourier", oversized)
+        code = main(["propagator", "--L", "4", "--M", "3", "--t1", "0.5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert captured.err == "numerical failure: out of memory\n"
+        assert captured.out == ""
+
     def test_verify_json(self, capsys):
         code, out = run(capsys, "propagator", "--L", "4", "--M", "3",
                         "--t1", "0.5", "--verify")
@@ -231,6 +243,20 @@ class TestSelftest:
         assert [c["criterion"] for c in doc["criteria"]] == [2, 10]
         for c in doc["criteria"]:
             assert c["residual"] <= c["tolerance"]
+
+    def test_records_carry_margins(self, capsys):
+        code, out = run(capsys, "selftest", "--only", "3", "7")
+        assert code == EXIT_OK
+        recs = {c["criterion"]: c for c in json.loads(out)["criteria"]}
+        for c in recs.values():
+            assert c["margin"] == pytest.approx(c["tolerance"] / c["residual"])
+            assert c["margin"] >= 1.0
+        # the edge-decay fit's R^2 against its 0.9 gate
+        r2 = float(recs[7]["detail"].split("R^2 ")[1])
+        assert recs[7]["r2_margin"] == pytest.approx(0.1 / (1.0 - r2),
+                                                     rel=0.02)
+        assert recs[7]["r2_margin"] > 1.0
+        assert "r2_margin" not in recs[3]
 
 
 class TestParser:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import gaussian_oracle as oracle
+import propagator_oracle
+from isingcyl import propagators
 from isingcyl.lattice import CylinderGeometry
+from isingcyl.multiscale import LEQ, ScaleCutoff
 from isingcyl.propagators import (
     FULL_TABLE_MAX_SIZE, DoublingError, LazyCriticalTable, ModelParams,
     NumericalError, TranslationInvariantTable, _direct_table,
@@ -223,6 +226,57 @@ class TestCriticalPropagator:
                                                                    rel=1e-10)
 
 
+class TestAgainstFlatSum:
+    """The k2-first partial sums against the flat sum over all modes."""
+
+    @pytest.mark.parametrize("LM", [(4, 3), (8, 5), (32, 3), (4, 32),
+                                    (32, 32)])
+    def test_full_table(self, LM):
+        geom = CylinderGeometry(*LM)
+        p = critical_params(0.3)
+        data = critical_propagator_fourier(geom, p).data
+        ref = propagator_oracle.fourier_table_data(geom, p)
+        assert data.shape == ref.shape
+        assert np.max(np.abs(data - ref)) <= 1e-14
+
+    # LEQ and the deepest scale vanish on a square cylinder (the lowest
+    # momentum k1 = pi/L lies outside their support), so LEQ is checked on
+    # a wide one
+    @pytest.mark.parametrize("LM, scale", [
+        ((32, 8), "leq"), ((16, 16), "middle"), ((16, 16), "deepest"),
+        ((16, 16), "smooth")])
+    def test_weighted_table(self, LM, scale):
+        geom = CylinderGeometry(*LM)
+        p = critical_params(0.5)
+        cut = ScaleCutoff.for_geometry(geom)
+        weight = {"leq": cut.weight(LEQ, p), "middle": cut.weight(-2, p),
+                  "deepest": cut.weight(cut.h_star + 1, p),
+                  "smooth": cut.smooth_weight(p)}[scale]
+        data = critical_propagator_fourier(geom, p, weight=weight).data
+        ref = propagator_oracle.fourier_table_data(geom, p, weight)
+        assert np.max(np.abs(data - ref)) <= 1e-14
+        if scale == "deepest":
+            assert not np.any(data) and not np.any(ref)
+        else:
+            assert np.max(np.abs(ref)) > 1e-3
+
+    @pytest.mark.parametrize("LM", [(34, 3), (64, 64)])
+    def test_lazy_blocks(self, LM):
+        L, M = LM
+        geom = CylinderGeometry(L, M)
+        p = critical_params(0.5)
+        lazy = LazyCriticalTable(geom, p)
+        flat = propagator_oracle.FlatLazyTable(geom, p)
+        # closure rows 0 and M+1, and raw x1 on both sides of the seam
+        sites = [(1, 0), (2, 1), (L, M // 2), (L + 3, M + 1), (-2, M),
+                 (2 * L + 1, 2)]
+        for z in sites:
+            for zp in sites:
+                for _ in range(2):  # first evaluation, then cached
+                    assert np.max(np.abs(lazy.block(z, zp)
+                                         - flat.block(z, zp))) <= 1e-14
+
+
 class TestCriticalTable:
     def test_full_up_to_cap(self):
         p = critical_params(0.5)
@@ -343,6 +397,20 @@ class TestTableErrors:
     def test_error_hierarchy(self):
         assert issubclass(NumericalError, ArithmeticError)
         assert issubclass(DoublingError, NumericalError)
+
+    def test_doubling_error_reports_last_change(self, monkeypatch):
+        # a stand-in torus grid whose entries drift like 1/N, which the
+        # O(N^-2), O(N^-4) extrapolation cannot remove
+        monkeypatch.setattr(
+            propagators, "_infinite_grid_cached",
+            lambda t1, t2, weight, N: np.full((4, 4, 2, 2), 1.0 / N))
+        with pytest.raises(DoublingError) as info:
+            infinite_propagator([(1, 1)], critical_params(0.5))
+        exc = info.value
+        change = np.max(np.abs(exc.last[(1, 1)] - exc.prev[(1, 1)]))
+        assert change > 1e-10
+        assert str(exc) == (f"torus sum did not converge to 1e-10 at "
+                            f"N = 2048 (last change {change:.3g})")
 
 
 class TestMassivePropagator:
