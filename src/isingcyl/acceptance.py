@@ -81,7 +81,7 @@ def check_pfaffian(seed=0):
 
 
 def check_partition(seed=0):
-    """Two-Pfaffian partition function vs exhaustive Gibbs sums."""
+    """Momentum-factorized partition function vs exhaustive Gibbs sums."""
     t0 = time.perf_counter()
     beta_c = math.atanh(math.sqrt(2.0) - 1.0)
     worst = 0.0

@@ -4,7 +4,7 @@ At lambda = 0 the cylinder Ising model is an exactly solvable pair of
 Gaussian Grassmann integrals (critical phi sector + massive xi sector).
 This module evaluates
 
-* the partition function through the Pfaffian identity
+* log Z through the Pfaffian identity (one block per horizontal momentum)
   ``Z = 2^{LM} (cosh bJ1)^{LM} (cosh bJ2)^{L(M-1)} Pf(A_c) Pf(A_m)``;
 * multipoint energy correlations: each energy observable (the product of
   the two spins adjacent to an edge) equals ``t_j + (1 - t_j^2) E_x`` in
@@ -22,6 +22,7 @@ phi and xi are independent Gaussians, so their cross covariance vanishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,8 +30,8 @@ import numpy as np
 
 from .lattice import CylinderGeometry
 from .propagators import (
-    DIRECT_INVERSION_CAP, ModelParams, NumericalError, build_A_critical,
-    build_A_massive, critical_propagator_direct, critical_table,
+    ModelParams, NumericalError, _critical_momentum_blocks,
+    critical_propagator_direct, critical_table, horizontal_momenta,
     massive_propagator, s_eval, s_weights,
 )
 from .skewlinalg import moments_to_cumulants, pfaffian
@@ -142,22 +143,29 @@ def enumerate_cumulant(geom, beta, J1, J2, observables):
 # ---------------------------------------------------------------------------
 
 
-def partition_function_free(geom, beta, J1=1.0, J2=1.0):
-    """The partition function through the two-Pfaffian identity.
+def log_partition_function_free(geom, beta, J1=1.0, J2=1.0):
+    """log Z at ``t_j = tanh(beta J_j)``, on and off the critical line.
 
-    Valid on and off the critical line (it is an identity of the
-    nearest-neighbor model); the coefficient matrices are built at
-    ``t_j = tanh(beta J_j)``.
+    A_c and A_m commute with antiperiodic horizontal translations, so
+    ``Pf(A_c)^2 = prod_{k1} det Ac(k1)`` over 2M x 2M momentum blocks and
+    ``|Pf(A_m)| = prod_{k1} |1 + t1 e^{i k1}|^M``; Z > 0, so magnitudes
+    suffice.  Ac(-k1) = conj Ac(k1), so each pair +-k1 is taken once.
     """
-    if 2 * geom.L * geom.M > DIRECT_INVERSION_CAP:
-        raise ValueError("geometry too large for the Pfaffian route")
     params = ModelParams.from_beta(beta, J1, J2)
     L, M = geom.L, geom.M
-    pref = (2.0 ** (L * M) * np.cosh(beta * J1) ** (L * M)
-            * np.cosh(beta * J2) ** (L * (M - 1)))
-    pf_c = pfaffian(build_A_critical(geom, params))
-    pf_m = pfaffian(build_A_massive(geom, params))
-    return _real(pref * pf_c * pf_m)
+    k1 = horizontal_momenta(L)[L // 2:]  # the momenta k1 > 0
+    _, logdet = np.linalg.slogdet(_critical_momentum_blocks(k1, M, params))
+    if not np.all(np.isfinite(logdet)):
+        raise NumericalError("singular critical momentum block")
+    return float(L * M * math.log(2.0 * math.cosh(beta * J1))
+                 + L * (M - 1) * math.log(math.cosh(beta * J2))
+                 + np.sum(logdet + 2 * M * np.log(np.abs(
+                     1.0 + params.t1 * np.exp(1j * k1)))))
+
+
+def partition_function_free(geom, beta, J1=1.0, J2=1.0):
+    """Z = exp(log Z); OverflowError where Z does not fit a float."""
+    return math.exp(log_partition_function_free(geom, beta, J1, J2))
 
 
 # ---------------------------------------------------------------------------

@@ -303,25 +303,15 @@ class DenseTable(PropagatorTable):
         self.variant = variant
         self.matrix = np.asarray(matrix, dtype=complex)
 
-    def _idx(self, z, w):
-        return 2 * self.geom.site_index(z) + w
-
     def block(self, z, zp):
-        out = np.empty((2, 2), dtype=complex)
-        for w in (0, 1):
-            for wp in (0, 1):
-                out[w, wp] = self.matrix[self._idx(z, w), self._idx(zp, wp)]
-        return out
+        i, j = 2 * self.geom.site_index(z), 2 * self.geom.site_index(zp)
+        return self.matrix[i:i + 2, j:j + 2].copy()
 
 
 def max_block_difference(ta, tb, sites):
     """Max entrywise |ta - tb| over all ordered pairs from ``sites``."""
-    worst = 0.0
-    for z in sites:
-        for zp in sites:
-            d = np.max(np.abs(ta.block(z, zp) - tb.block(z, zp)))
-            worst = max(worst, float(d))
-    return worst
+    return max((float(np.max(np.abs(ta.block(z, zp) - tb.block(z, zp))))
+                for z in sites for zp in sites), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +323,15 @@ def s_weights(geom, params):
     """The convolution kernels s_+(y), s_-(y) for y = 0..L-1.
 
     ``s_pm(y) = (1/L) sum_{k1} e^{-i k1 y}/(1 + t1 e^{+- i k1})`` over the
-    antiperiodic momenta; antiperiodic in y with period L.
+    antiperiodic momenta; antiperiodic in y with period L.  Summing the
+    geometric series in t1 mode by mode gives ``s_+(y) = (-t1)^y/(1+t1^L)``,
+    ``s_-(y) = -(-t1)^(L-y)/(1+t1^L)`` for y > 0 and ``s_-(0) = s_+(0)``.
     """
     L, t1 = geom.L, params.t1
-    k1 = horizontal_momenta(L)
     y = np.arange(L)
-    ph = np.exp(-1j * np.outer(y, k1))
-    sp = ph @ (1.0 / (1.0 + t1 * np.exp(1j * k1))) / L
-    sm = ph @ (1.0 / (1.0 + t1 * np.exp(-1j * k1))) / L
+    sp = (-t1) ** y / (1.0 + t1 ** L)
+    sm = -(-t1) ** (L - y) / (1.0 + t1 ** L)
+    sm[0] = sp[0]
     return sp, sm
 
 
@@ -350,16 +341,24 @@ def s_eval(s_arr, y, L):
     return sign * s_arr[m]
 
 
+class RowDiagonalTable(PropagatorTable):
+    """Table of the form ``g(z, z') = s * data[d1 mod L]`` on equal rows
+    (sign as in :class:`TranslationInvariantTable`), zero across rows."""
+
+    def __init__(self, geom, variant, data):
+        self.geom, self.variant, self.data = geom, variant, data
+
+    def block(self, z, zp):
+        m, sign = antiperiodic_wrap(z[0] - zp[0], self.geom.L)
+        return sign * self.data[m] * (z[1] == zp[1])
+
+
 def massive_propagator(geom, params):
-    """The xi-sector propagator: row-diagonal, built from s_+ and s_-."""
-    L, M = geom.L, geom.M
+    """The row-diagonal xi propagator, ``[[0, s_+(d1)], [-s_-(d1), 0]]``."""
     sp, sm = s_weights(geom, params)
-    data = np.zeros((L, M + 2, M + 2, 2, 2), dtype=complex)
-    rows = np.arange(M + 2)
-    for d1 in range(L):
-        blk = np.array([[0.0, sp[d1]], [-sm[d1], 0.0]])
-        data[d1, rows, rows] = blk
-    return TranslationInvariantTable(geom, "massive", data)
+    data = np.zeros((geom.L, 2, 2), dtype=complex)
+    data[:, 0, 1], data[:, 1, 0] = sp, -sm
+    return RowDiagonalTable(geom, "massive", data)
 
 
 def s_infinite(y, t1):
@@ -562,6 +561,21 @@ def build_A_critical(geom, params):
     return A.real
 
 
+def _critical_momentum_blocks(k1, M, params):
+    """The 2M x 2M horizontal Fourier blocks ``C(k1) - C(-k1)^T`` of A_c,
+    basis 2(m-1) + omega, with the rows of :func:`build_A_critical` in
+    momentum space: C(m+, m+) = -C(m-, m-) = i Delta/2, C(m+, m-) = -b and
+    C(m+, (m+1)-) = t2.  b is even and Delta odd, so C(-k1) = conj C(k1).
+    """
+    half_delta = 0.5j * coeff_Delta(k1, params)[..., None]
+    r = 2 * np.arange(M)
+    C = np.zeros(np.shape(k1) + (2 * M, 2 * M), dtype=complex)
+    C[..., r, r], C[..., r + 1, r + 1] = half_delta, -half_delta
+    C[..., r, r + 1] = -coeff_b(k1, params)[..., None]
+    C[..., r[:-1], r[:-1] + 3] = params.t2
+    return C - np.conj(np.swapaxes(C, -1, -2))
+
+
 def build_A_massive(geom, params):
     """The antisymmetric matrix A_m with S_m = (1/2)(xi, A_m xi)."""
     L, M = geom.L, geom.M
@@ -575,12 +589,8 @@ def build_A_massive(geom, params):
     for m in range(1, M + 1):
         for x in range(1, L + 1):
             C[idx(x, m, 0), idx(x, m, 1)] += 1.0
-            xp = x + 1
-            sign = 1.0
-            if xp > L:
-                xp -= L
-                sign = -1.0  # antiperiodic wrap of the momentum sum
-            C[idx(x, m, 0), idx(xp, m, 1)] += sign * t1
+            r, sign = antiperiodic_wrap(x, L)  # the neighbor x + 1 = r + 1
+            C[idx(x, m, 0), idx(r + 1, m, 1)] += sign * t1
     return C - C.T
 
 

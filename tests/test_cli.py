@@ -41,19 +41,21 @@ class TestPartition:
                       "--beta", "0.3", "--verify")
         assert code == EXIT_CONFIG
 
-    def test_overflow_is_numeric_failure(self):
-        # the prefactor 2^(LM) overflows a float at L*M = 1024: exit 3 with
-        # a one-line message, no traceback
+    def test_overflow_reports_log_z(self):
+        # Z exceeds a float at L*M = 1024 (log Z ~ 940): exit 0 with a null
+        # Z and log Z within Onsager's O(1/M) band
         env = dict(os.environ, PYTHONPATH=str(
             Path(isingcyl.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "isingcyl.cli", "partition", "--L", "64",
              "--M", "16", "--beta", "0.44"],
             capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == EXIT_NUMERIC
-        assert proc.stderr.startswith("numerical failure")
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["Z"] is None
+        f_onsager = 0.5 * math.log(2.0) + 2.0 * 0.915965594177219 / math.pi
+        assert 16 * abs(doc["log_Z"] / 1024 - f_onsager) <= 1.0
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "z.json"

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import gaussian_oracle as oracle
-from isingcyl import freecorr
+import partition_oracle
+from isingcyl import freecorr, propagators
 from isingcyl.lattice import CylinderGeometry, Edge
 from isingcyl.freecorr import (
     CorrelationRequest, FreeCorrelator, enumerate_cumulant,
     enumerate_gibbs, energy_cumulants_free, energy_moment_free,
-    partition_function_free, scaling_correlation,
+    log_partition_function_free, partition_function_free,
+    scaling_correlation,
 )
 from isingcyl.propagators import (
     LazyCriticalTable, ModelParams, NumericalError, PropagatorTable,
@@ -17,6 +19,12 @@ from isingcyl.propagators import (
     scaling_propagator,
 )
 from isingcyl.skewlinalg import pfaffian
+
+
+# the isotropic critical point tanh(beta) = sqrt(2) - 1 and Onsager's bulk
+# free energy there, log 2 / 2 + 2 G/pi with Catalan's constant G
+BETA_ONSAGER = math.atanh(math.sqrt(2.0) - 1.0)
+F_ONSAGER = 0.5 * math.log(2.0) + 2.0 * 0.915965594177219 / math.pi
 
 
 def critical_beta(t1=0.5):
@@ -79,9 +87,51 @@ class TestPartitionFunction:
             prod *= pfaffian(A[m * n:(m + 1) * n, m * n:(m + 1) * n])
         assert full == pytest.approx(prod, rel=1e-12)
 
+    @pytest.mark.parametrize("LM", [(2, 1), (4, 2), (4, 3), (4, 5), (6, 4),
+                                    (8, 5)])
+    def test_matches_dense_pfaffians(self, LM):
+        geom = CylinderGeometry(*LM)
+        beta_c, J1, J2 = critical_beta(0.5)
+        for beta, j1, j2 in [(beta_c, J1, J2), (BETA_ONSAGER, 1.0, 1.0),
+                             (0.3, 1.0, 1.0), (0.7, 1.0, 0.8),
+                             (0.5, 0.6, 1.3)]:
+            zd = partition_oracle.partition_function_dense(geom, beta, j1, j2)
+            zp = partition_function_free(geom, beta, j1, j2)
+            assert zp == pytest.approx(zd, rel=1e-12)
+
     def test_size_cap(self):
-        with pytest.raises(ValueError):
-            partition_function_free(CylinderGeometry(128, 64), 0.3)
+        # past L M ~ 1000 Z no longer fits a float, but log Z does
+        geom = CylinderGeometry(128, 64)
+        assert math.isfinite(log_partition_function_free(geom, 0.3))
+        with pytest.raises(OverflowError):
+            partition_function_free(geom, 0.3)
+
+    @pytest.mark.parametrize("LM", [(64, 16), (64, 64), (128, 128)])
+    def test_onsager_band(self, LM):
+        # log Z/(LM) tends to Onsager's critical free energy with an O(1/M)
+        # boundary term
+        L, M = LM
+        log_z = log_partition_function_free(CylinderGeometry(L, M),
+                                            BETA_ONSAGER)
+        assert M * abs(log_z / (L * M) - F_ONSAGER) <= 1.0
+
+    def test_onsager_boundary_term(self):
+        terms = [n * (log_partition_function_free(CylinderGeometry(n, n),
+                                                  BETA_ONSAGER) / (n * n)
+                      - F_ONSAGER) for n in (64, 128)]
+        assert abs(terms[0] - terms[1]) <= 0.01
+
+    def test_no_dense_route(self, monkeypatch):
+        # log Z never builds a (2LM)^2 coefficient matrix or takes its
+        # Pfaffian
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense route called")
+        for module in (freecorr, propagators):
+            for name in ("pfaffian", "build_A_critical", "build_A_massive"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        log_z = log_partition_function_free(CylinderGeometry(64, 16),
+                                            BETA_ONSAGER)
+        assert 16 * abs(log_z / 1024 - F_ONSAGER) <= 1.0
 
 
 @pytest.fixture(scope="module")
@@ -317,17 +367,26 @@ class TestScalingCorrelation:
 
 
 class TestRealnessCheck:
-    """A Pfaffian-route value with a sizeable imaginary part is a numerical
-    failure, raised as a typed error rather than checked by ``assert``."""
+    """A Pfaffian-route value with a sizeable imaginary part, or a singular
+    momentum block of the partition function, is a numerical failure,
+    raised as a typed error rather than checked by ``assert``."""
 
     @pytest.fixture
     def complex_pfaffian(self, monkeypatch):
         monkeypatch.setattr("isingcyl.freecorr.pfaffian",
                             lambda a: 1.0 + 0.5j)
 
-    def test_partition_function(self, complex_pfaffian):
+    def test_partition_function(self, monkeypatch):
+        blocks = freecorr._critical_momentum_blocks
+
+        def one_singular(k1, M, params):
+            out = blocks(k1, M, params)
+            out[0] = 0.0
+            return out
+        monkeypatch.setattr(freecorr, "_critical_momentum_blocks",
+                            one_singular)
         with pytest.raises(NumericalError):
-            partition_function_free(CylinderGeometry(2, 1), 0.3)
+            partition_function_free(CylinderGeometry(4, 3), 0.3)
 
     def test_bilinear_moment(self, small_critical, complex_pfaffian):
         corr = small_critical[-1]

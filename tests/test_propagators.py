@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,82 @@ class TestMassivePropagator:
             spi, smi = s_infinite(y, 0.5)
             assert spy == pytest.approx(spi, abs=1e-12)
             assert smy == pytest.approx(smi, abs=1e-12)
+
+
+    def test_s_weights_closed_form(self):
+        # the closed form against the defining momentum sum, whose terms
+        # reach 1/(1 - t1) = 100 and whose roundoff is ~1e-15 L/(1 - t1)
+        for L in (2, 6, 64):
+            k1 = horizontal_momenta(L)
+            ph = np.exp(-1j * np.outer(np.arange(L), k1)) / L
+            for t1 in (1e-14, 0.5, 0.99):
+                sp, sm = s_weights(CylinderGeometry(L, 1),
+                                   ModelParams(t1=t1, t2=0.5))
+                assert np.max(np.abs(
+                    sp - ph @ (1.0 / (1.0 + t1 * np.exp(1j * k1))))) < 1e-12
+                assert np.max(np.abs(
+                    sm - ph @ (1.0 / (1.0 + t1 * np.exp(-1j * k1))))) < 1e-12
+
+    def test_closure_rows_and_wrap_sign(self):
+        geom = CylinderGeometry(6, 4)
+        tm = massive_propagator(geom, critical_params(0.5))
+        sp, _ = s_weights(geom, critical_params(0.5))
+        for row in (0, 3, 5):
+            assert tm.block((3, row), (1, row))[0, 1] == sp[2]
+            assert tm.block((1, row), (3, row))[0, 1] == -sp[4]
+        assert np.max(np.abs(tm.block((2, 0), (2, 5)))) == 0.0
+
+    def test_memory_is_one_block_per_offset(self):
+        # only the row diagonal is stored: a few kB at 256 x 256, where the
+        # dense (L, M+2, M+2, 2, 2) table took 1.09 GB
+        tracemalloc.start()
+        try:
+            massive_propagator(CylinderGeometry(256, 256),
+                               critical_params(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _fourier_blocks(A, L, M):
+    """The horizontal Fourier blocks of a (2LM)^2 row-major coefficient
+    matrix, with the basis e^{i k1 x1}/sqrt(L) at each row and omega."""
+    U = np.exp(1j * np.outer(np.arange(1, L + 1), horizontal_momenta(L)))
+    F = np.einsum("xk,mxwnyv,yq->kmwqnv", U.conj(),
+                  A.reshape(M, L, 2, M, L, 2), U) / L
+    return F.reshape(L, 2 * M, L, 2 * M)
+
+
+class TestMomentumBlocks:
+    """The 2M x 2M momentum blocks of the partition function against the
+    Fourier transform of the dense coefficient matrices."""
+
+    @pytest.mark.parametrize("LM", [(4, 3), (6, 4), (8, 5)])
+    def test_critical_blocks(self, LM):
+        L, M = LM
+        geom = CylinderGeometry(L, M)
+        for p in (critical_params(0.5), ModelParams(t1=0.4, t2=0.7)):
+            F = _fourier_blocks(propagators.build_A_critical(geom, p), L, M)
+            blocks = propagators._critical_momentum_blocks(
+                horizontal_momenta(L), M, p)
+            for i in range(L):
+                assert np.max(np.abs(F[i, :, i] - blocks[i])) < 1e-13
+                F[i, :, i] = 0.0
+            # and nothing couples different momenta
+            assert np.max(np.abs(F)) < 1e-13
+
+    def test_massive_blocks(self):
+        L, M = 8, 3
+        p = ModelParams(t1=0.4, t2=0.7)
+        F = _fourier_blocks(propagators.build_A_massive(CylinderGeometry(
+            L, M), p), L, M)
+        k1 = horizontal_momenta(L)
+        for i in range(L):
+            expected = np.kron(np.eye(M), [[0, 1 + p.t1 * np.exp(1j * k1[i])],
+                                           [-1 - p.t1 * np.exp(-1j * k1[i]),
+                                            0]])
+            assert np.max(np.abs(F[i, :, i] - expected)) < 1e-13
 
 
 class TestInfinitePropagator:
