@@ -60,6 +60,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Output plumbing.
 # ---------------------------------------------------------------------------
@@ -213,6 +220,10 @@ def _load_request(path):
             params = ModelParams(t1=p["t1"], t2=p["t2"])
         edges = tuple(Edge((e["x1"], e["x2"]), e["dir"])
                       for e in doc["edges"])
+        for e in edges:
+            if not all(type(x) is int for x in e.base):
+                raise ValueError(f"edge coordinates {e.base} are not "
+                                 "integers")
         return CorrelationRequest(geom=geom, edges=edges,
                                   mode=doc.get("mode", "truncated"),
                                   params=params)
@@ -263,8 +274,6 @@ def _parse_points(text):
 def cmd_scaling(args):
     params = ModelParams.critical(args.t1)
     z, zp = _parse_points(args.points)
-    if args.halvings < 1:
-        raise ConfigError("--halvings must be at least 1")
     sizes = [args.start * 2 ** i for i in range(args.halvings + 1)]
     target, errors = scaling_series(z, zp, params, sizes)
     rows = [{"a": 1.0 / n, "n": n, "error": err}
@@ -347,8 +356,10 @@ def cmd_kernels(args):
 
 
 def cmd_selftest(args):
-    from .acceptance import run_acceptance
+    from .acceptance import CHECKS, run_acceptance
     only = set(args.only) if args.only else None
+    if only and not only <= set(range(1, len(CHECKS) + 1)):
+        raise ConfigError(f"--only ids must lie in 1..{len(CHECKS)}")
     records = run_acceptance(seed=args.seed, only=only)
     config = {"command": "selftest", "seed": args.seed,
               "only": sorted(only) if only else None}
@@ -422,7 +433,7 @@ def build_parser():
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--points", required=True,
                    help='two continuum points, e.g. "(0.25,0.5),(0.625,0.375)"')
-    p.add_argument("--halvings", type=int, default=4)
+    p.add_argument("--halvings", type=_positive_int, default=4)
     p.add_argument("--start", type=int, default=16,
                    help="initial inverse lattice spacing")
     p.add_argument("--verify", action="store_true")
@@ -433,7 +444,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--h", type=int, help="scale for the bulk/edge split")
-    p.add_argument("--bin-width", type=int,
+    p.add_argument("--bin-width", type=_positive_int,
                    help="envelope bin width (default: range/4)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--verify", action="store_true")
@@ -443,7 +454,7 @@ def build_parser():
     p = sub.add_parser("kernels",
                        help="cancellation demos and norm batteries")
     _add_common(p, geometry=False)
-    p.add_argument("--runs", type=int, default=10,
+    p.add_argument("--runs", type=_positive_int, default=10,
                    help="runs per norm inequality")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized batteries")

@@ -30,9 +30,9 @@ import numpy as np
 
 from .lattice import CylinderGeometry
 from .propagators import (
-    ModelParams, NumericalError, _critical_momentum_blocks,
-    critical_propagator_direct, critical_table, horizontal_momenta,
-    massive_propagator, s_eval, s_weights,
+    LazyCriticalTable, ModelParams, NumericalError,
+    _critical_momentum_blocks, critical_propagator_direct,
+    horizontal_momenta, massive_propagator, s_eval, s_weights,
 )
 from .skewlinalg import moments_to_cumulants, pfaffian
 
@@ -202,18 +202,18 @@ class FreeCorrelator:
     """Evaluator of lambda = 0 energy moments and cumulants.
 
     Builds the critical (phi) and massive (xi) propagator tables once; on
-    the critical line the Fourier representation is used (full table for
-    small cylinders, lazy pointwise sums for large ones), otherwise the
-    dense inversion of A_c.  A request builds the covariance of its 2m
-    constituent fields once; every moment is the Pfaffian of a principal
-    submatrix.
+    the critical line the critical table is the Fourier representation,
+    evaluated one row pair at a time (:class:`LazyCriticalTable`) at every
+    size, otherwise the dense inversion of A_c.  A request builds the
+    covariance of its 2m constituent fields once; every moment is the
+    Pfaffian of a principal submatrix.
     """
 
     def __init__(self, geom, params):
         self.geom = geom
         self.params = params
         if params.is_critical:
-            self.gc = critical_table(geom, params)
+            self.gc = LazyCriticalTable(geom, params)
         else:
             self.gc = critical_propagator_direct(geom, params)
         self.gm = massive_propagator(geom, params)

@@ -34,6 +34,9 @@ class CylinderGeometry:
     M: int
 
     def __post_init__(self):
+        for v in (self.L, self.M):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"sizes must be integers, got {v!r}")
         if self.L < 2 or self.L % 2 != 0:
             raise ValueError(f"L must be a positive even integer, got {self.L}")
         if self.M < 1:

@@ -403,13 +403,27 @@ def _critical_modes(geom, params, weight):
             (c[:, None, None] * R).reshape(shape))
 
 
-def _k2_partial_sums(k2_roots, modes, offsets):
-    """``F[k1, i] = sum_{k2} e^{-i k2 offsets[i]} modes[k1, k2]``: the
-    inner sum of the Fourier series over each k1's own roots, shape
-    (L, len(offsets), 2, 2)."""
+def _row_profiles(k1, k2_roots, cG, cR, z2, zp2):
+    """``g((d1, z2[i]), (0, zp2[i]))`` for every residue d1 = 0..L-1: the
+    critical Fourier series at the row pairs ``(z2[i], zp2[i])``, shape
+    (L, n, 2, 2), from the modes of :func:`_critical_modes`.
+
+    The series is summed k2 first, over each k1's own roots, at the
+    distinct vertical differences and sums of the row pairs (O(L M) each),
+    then over k1 for all of them by one (L x L) matmul.
+    """
     L, K = k2_roots.shape
-    phase = np.exp(-1j * k2_roots[:, None, :] * np.asarray(offsets)[:, None])
-    return (phase @ modes.reshape(L, K, 4)).reshape(L, len(offsets), 2, 2)
+    E1 = np.exp(-1j * np.outer(np.arange(L), k1))
+
+    def series(modes, offsets):
+        offsets, inverse = np.unique(offsets, return_inverse=True)
+        phase = np.exp(-1j * k2_roots[:, None, :] * offsets[:, None])
+        F = phase @ modes.reshape(L, K, 4)
+        T = (E1 @ F.reshape(L, -1)).reshape(L, len(offsets), 2, 2)
+        return T[:, inverse.ravel()]
+
+    z2, zp2 = np.asarray(z2), np.asarray(zp2)
+    return series(cG, z2 - zp2) - series(cR, z2 + zp2)
 
 
 def critical_propagator_fourier(geom, params, weight=None, variant="critical"):
@@ -418,79 +432,41 @@ def critical_propagator_fourier(geom, params, weight=None, variant="critical"):
     ``weight``, if given, is a vectorized function of flat (k1, k2) arrays
     multiplying each momentum summand -- the hook used by the multiscale
     decomposition.  Rows cover the closure 0..M+1, where the formula
-    extends and exhibits its boundary cancellations.
-
-    The series is summed k2 first: the per-k1 partial sums at every
-    vertical difference and sum (O(L M^2)), then one (L x L) matmul over
-    k1 for all of them (O(L^2 M)).
+    extends and exhibits its boundary cancellations.  Assembly costs
+    O(L M^2 + L^2 M): every vertical difference and sum is a closure row
+    pair's.
     """
     L, M = geom.L, geom.M
-    k1, k2, cG, cR = _critical_modes(geom, params, weight)
-    F1 = _k2_partial_sums(k2, cG, np.arange(-(M + 1), M + 2))
-    F2 = _k2_partial_sums(k2, cR, np.arange(0, 2 * M + 3))
-    E1 = np.exp(-1j * np.outer(np.arange(L), k1))
-    T1 = (E1 @ F1.reshape(L, -1)).reshape(F1.shape)
-    T2 = (E1 @ F2.reshape(L, -1)).reshape(F2.shape)
-
-    rows = np.arange(M + 2)
-    dd = rows[:, None] - rows[None, :] + (M + 1)   # index into d2
-    ss = rows[:, None] + rows[None, :]             # index into s2
-    data = T1[:, dd] - T2[:, ss]
-    return TranslationInvariantTable(geom, variant, data)
+    z2, zp2 = np.indices((M + 2, M + 2)).reshape(2, -1)
+    data = _row_profiles(*_critical_modes(geom, params, weight), z2, zp2)
+    return TranslationInvariantTable(geom, variant,
+                                     data.reshape(L, M + 2, M + 2, 2, 2))
 
 
 class LazyCriticalTable(PropagatorTable):
     """Pointwise critical propagator: the same momentum sum as
-    :func:`critical_propagator_fourier`, evaluated block by block.
+    :func:`critical_propagator_fourier`, evaluated one row pair at a time.
 
-    The full table costs O(L M^2 + L^2 M) to assemble; on large cylinders
-    only a handful of blocks is ever needed.  The per-k1 partial sum at a
-    vertical difference or sum is an O(#modes) column, built when a block
-    first needs it and cached; a block is then one O(L) sum over k1.
-    Blocks are cached by (d1 mod L, z2, z'2).
+    The first block of a row pair ``(z2, z'2)`` computes and caches its
+    profile over all L residues of d1 (O(L M + L^2)); every later block
+    of that row pair is a lookup.
     """
 
     variant = "critical-lazy"
 
     def __init__(self, geom, params):
         self.geom = geom
-        self._k1, self._k2, self._cG, self._cR = _critical_modes(
-            geom, params, None)
-        self._direct, self._reflected = {}, {}
-        self._cache = {}
-
-    def _column(self, columns, modes, offset):
-        col = columns.get(offset)
-        if col is None:
-            col = _k2_partial_sums(self._k2, modes, [offset])[:, 0]
-            columns[offset] = col
-        return col
+        self._modes = _critical_modes(geom, params, None)
+        self._profiles = {}
 
     def block(self, z, zp):
         m, sign = antiperiodic_wrap(z[0] - zp[0], self.geom.L)
-        key = (m, z[1], zp[1])
-        blk = self._cache.get(key)
-        if blk is None:
-            F = (self._column(self._direct, self._cG, z[1] - zp[1])
-                 - self._column(self._reflected, self._cR, z[1] + zp[1]))
-            blk = np.tensordot(np.exp(-1j * self._k1 * m), F, axes=(0, 0))
-            self._cache[key] = blk
-        return sign * blk
-
-
-# above this max(L, M) the full critical table gives way to the lazy
-# pointwise evaluator (full-table assembly is O(L M^2 + L^2 M) time and
-# O(L M^2) memory; a lazy block is O(L) after one O(#modes) column per
-# distinct vertical offset)
-FULL_TABLE_MAX_SIZE = 32
-
-
-def critical_table(geom, params):
-    """The critical propagator as a full table on small cylinders and as a
-    :class:`LazyCriticalTable` above ``FULL_TABLE_MAX_SIZE``."""
-    if max(geom.L, geom.M) <= FULL_TABLE_MAX_SIZE:
-        return critical_propagator_fourier(geom, params)
-    return LazyCriticalTable(geom, params)
+        rows = (z[1], zp[1])
+        profile = self._profiles.get(rows)
+        if profile is None:
+            profile = _row_profiles(*self._modes, [z[1]], [zp[1]])[:, 0]
+            self._profiles[rows] = profile
+        return sign * profile[m]
 
 
 def boundary_residual(table, sites, columns):
@@ -785,12 +761,17 @@ def scaling_series(z, zp, params, sizes):
     For each n in ``sizes`` the critical n x n table block at the sites
     nearest to ``n z`` and ``n z'``, times n, is compared with the
     :func:`scaling_propagator` of the unit cylinder.  Returns that
-    continuum block and the list of largest entry errors.
+    continuum block and the list of largest entry errors.  Both points
+    must lie in the open cylinder, 0 < y < 1.
     """
+    for p in (z, zp):
+        if not 0.0 < p[1] < 1.0:
+            raise ValueError(f"point {tuple(p)} outside the open unit "
+                             "cylinder")
     target = scaling_propagator(z, zp, 1.0, 1.0, params)
     errors = []
     for n in sizes:
-        table = critical_table(CylinderGeometry(n, n), params)
+        table = LazyCriticalTable(CylinderGeometry(n, n), params)
         blk = table.block((round(z[0] * n), round(z[1] * n)),
                           (round(zp[0] * n), round(zp[1] * n))) * n
         errors.append(float(np.max(np.abs(blk - target))))

@@ -20,6 +20,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def rejected(capsys, *argv):
+    """Exit 1 with a one-line configuration error, no traceback."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    return (code == EXIT_CONFIG and err.startswith("configuration error")
+            and "Traceback" not in err)
+
+
 class TestPartition:
     def test_verify_ok(self, capsys):
         code, out = run(capsys, "partition", "--L", "4", "--M", "2",
@@ -166,6 +174,22 @@ class TestCorrelate:
         code, _ = run(capsys, "correlate", "--request", "missing.json")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("params, edge", [
+        ({"L": 4.0, "M": 3}, {"x1": 1, "x2": 1}),
+        ({"L": 4, "M": 3.0}, {"x1": 1, "x2": 1}),
+        ({"L": True, "M": 3}, {"x1": 1, "x2": 1}),
+        ({"L": 4, "M": 3}, {"x1": 1.0, "x2": 1}),
+        ({"L": 4, "M": 3}, {"x1": 1, "x2": 1.5}),
+        ({"L": 4, "M": 3}, {"x1": True, "x2": 1}),
+    ])
+    def test_non_integer_sizes_and_coordinates(self, capsys, tmp_path,
+                                               params, edge):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "params": dict(params, t1=0.5),
+            "edges": [dict(edge, dir="h"), {"x1": 3, "x2": 2, "dir": "v"}]}))
+        assert rejected(capsys, "correlate", "--request", str(path))
+
     def test_invalid_mode(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -193,6 +217,18 @@ class TestScaling:
                       "--points", "(0.25,0.5)")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("y", ["-0.1", "1.0", "1.5"])
+    def test_points_off_the_cylinder(self, capsys, y):
+        # a wrapped ghost row must not pass as a converging series
+        assert rejected(capsys, "scaling", "--t1", "0.5", "--points",
+                        f"(0.25,{y}),(0.625,0.375)", "--verify")
+        assert rejected(capsys, "scaling", "--t1", "0.5", "--points",
+                        f"(0.25,0.5),(0.625,{y})", "--verify")
+
+    def test_halvings_at_least_one(self, capsys):
+        assert rejected(capsys, "scaling", "--t1", "0.5", "--points",
+                        "(0.25,0.5),(0.625,0.375)", "--halvings", "0")
+
 
 class TestMultiscale:
     def test_json_report(self, capsys):
@@ -213,8 +249,17 @@ class TestMultiscale:
         assert lines[0] == "h,d_edge,norm"
         assert len(lines) > 10
 
+    @pytest.mark.parametrize("width", ["0", "-2"])
+    def test_bin_width_at_least_one(self, capsys, width):
+        assert rejected(capsys, "multiscale", "--L", "8", "--M", "8",
+                        "--t1", "0.5", "--bin-width", width)
+
 
 class TestKernels:
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_at_least_one(self, capsys, runs):
+        assert rejected(capsys, "kernels", "--runs", runs, "--verify")
+
     def test_report_and_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         code, _ = run(capsys, "kernels", "--runs", "1", "--verify",
@@ -237,6 +282,10 @@ class TestKernels:
 
 
 class TestSelftest:
+    @pytest.mark.parametrize("ids", [["99"], ["0"], ["2", "12"]])
+    def test_unknown_criteria(self, capsys, ids):
+        assert rejected(capsys, "selftest", "--only", *ids)
+
     def test_subset(self, capsys):
         code, out = run(capsys, "selftest", "--only", "2", "10")
         assert code == EXIT_OK

@@ -85,6 +85,17 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Edge((1, 3), "v").validate(CylinderGeometry(4, 3))
 
+    @pytest.mark.parametrize("L, M", [(4.0, 3), (4, 3.0), (True, 3),
+                                      (4, True), ("4", 3)])
+    def test_sizes_must_be_integers(self, L, M):
+        with pytest.raises(ValueError, match="integers"):
+            CylinderGeometry(L, M)
+
+    def test_numpy_integer_sizes(self):
+        geom = CylinderGeometry(np.int64(4), np.int32(3))
+        assert geom == CylinderGeometry(4, 3)
+        assert len(geom.sites()) == 12
+
     def test_horizontal_wrap(self):
         geom = CylinderGeometry(4, 2)
         a, b = Edge((4, 1), "h").endpoints(geom)

@@ -10,10 +10,10 @@ from isingcyl import propagators
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.multiscale import LEQ, ScaleCutoff
 from isingcyl.propagators import (
-    FULL_TABLE_MAX_SIZE, DoublingError, LazyCriticalTable, ModelParams,
-    NumericalError, TranslationInvariantTable, _direct_table,
-    boundary_residual, coeff_B, coeff_D, critical_propagator_direct,
-    critical_propagator_fourier, critical_t2, critical_table, ghat_matrix,
+    DoublingError, LazyCriticalTable, ModelParams, NumericalError,
+    TranslationInvariantTable, _direct_table, boundary_residual, coeff_B,
+    coeff_D, critical_propagator_direct, critical_propagator_fourier,
+    critical_t2, ghat_matrix,
     horizontal_momenta, infinite_propagator, g_infinite_scaling,
     gscal_scalar, massive_propagator, massive_propagator_direct,
     max_block_difference, momentum_grid, normalization_N, s_eval,
@@ -279,22 +279,22 @@ class TestAgainstFlatSum:
 
 
 class TestCriticalTable:
-    def test_full_up_to_cap(self):
-        p = critical_params(0.5)
-        for L, M in [(FULL_TABLE_MAX_SIZE, 3), (4, FULL_TABLE_MAX_SIZE)]:
-            table = critical_table(CylinderGeometry(L, M), p)
-            assert isinstance(table, TranslationInvariantTable)
+    """Full tables and lazy blocks are one series: both read the row
+    profiles of ``propagators._row_profiles``."""
 
-    @pytest.mark.parametrize("LM", [(FULL_TABLE_MAX_SIZE + 2, 3),
-                                    (4, FULL_TABLE_MAX_SIZE + 1)])
-    def test_lazy_above_cap_with_equal_blocks(self, LM):
-        geom = CylinderGeometry(*LM)
+    @pytest.mark.parametrize("LM", [(8, 5), (32, 32), (34, 3)])
+    def test_lazy_blocks_equal_full_table(self, LM):
+        L, M = LM
+        geom = CylinderGeometry(L, M)
         p = critical_params(0.5)
-        table = critical_table(geom, p)
-        assert isinstance(table, LazyCriticalTable)
-        full = critical_propagator_fourier(geom, p)
-        sites = [(1, 0), (2, 1), (geom.L, geom.M), (geom.L // 2, geom.M + 1)]
-        assert max_block_difference(table, full, sites) < 1e-13
+        full = critical_propagator_fourier(geom, p).data
+        lazy = LazyCriticalTable(geom, p)
+        blocks = np.array([[[lazy.block((d1, z2), (0, zp2))
+                             for zp2 in range(M + 2)]
+                            for z2 in range(M + 2)] for d1 in range(L)])
+        assert np.max(np.abs(blocks - full)) <= 1e-15
+        # one cached profile per distinct row pair, whatever d1 asked for
+        assert len(lazy._profiles) == (M + 2) ** 2
 
 
 class TestBoundaryResidual:
@@ -596,7 +596,7 @@ class TestScalingPropagator:
         target = scaling_propagator(z, zp, 1.0, 1.0, p)
         errs = []
         for n in (16, 32, 64):
-            table = critical_table(CylinderGeometry(n, n), p)
+            table = LazyCriticalTable(CylinderGeometry(n, n), p)
             blk = table.block((int(z[0] * n), int(z[1] * n)),
                               (int(zp[0] * n), int(zp[1] * n))) * n
             errs.append(np.max(np.abs(blk - target)))
@@ -604,8 +604,7 @@ class TestScalingPropagator:
         assert errs[2] < 0.01
 
     def test_scaling_series_reads_nearest_sites(self):
-        # non-dyadic points: the sites nearest to n z and n z', on a full
-        # (n = 10) and a lazy (n = 34) table
+        # non-dyadic points: the sites nearest to n z and n z'
         p = critical_params(0.5)
         z, zp = (0.3, 0.55), (0.7, 0.2)
         sites = {10: ((3, 6), (7, 2)), 34: ((10, 19), (24, 7))}
@@ -613,5 +612,13 @@ class TestScalingPropagator:
         assert np.array_equal(target,
                               scaling_propagator(z, zp, 1.0, 1.0, p))
         for (n, (a, b)), err in zip(sites.items(), errs):
-            blk = critical_table(CylinderGeometry(n, n), p).block(a, b) * n
+            blk = LazyCriticalTable(CylinderGeometry(n, n), p).block(a, b) * n
             assert err == float(np.max(np.abs(blk - target)))
+
+    @pytest.mark.parametrize("y", [-0.1, 0.0, 1.0, 1.5])
+    def test_scaling_series_rejects_points_off_the_cylinder(self, y):
+        p = critical_params(0.5)
+        with pytest.raises(ValueError, match="open unit cylinder"):
+            scaling_series((0.25, 0.5), (0.625, y), p, [16])
+        with pytest.raises(ValueError, match="open unit cylinder"):
+            scaling_series((0.25, y), (0.625, 0.375), p, [16])

@@ -1,11 +1,13 @@
 """Source-level rules for the library package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import isingcyl
 
 SRC = Path(isingcyl.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def test_no_assert_statements():
@@ -59,3 +61,24 @@ def test_no_alias_functions():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and _is_alias(node)]
     assert found == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # the benchmark's tracer patches these names from outside the library:
+    # a module attribute, or a method defined on the class itself
+    targets = next(ast.literal_eval(node.value)
+                   for node in ast.parse(TRACING.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["TARGETS"])
+    assert targets
+    missing = []
+    for module, attr, _ in targets:
+        owner = vars(importlib.import_module(f"isingcyl.{module}"))
+        *cls_name, name = attr.split(".")
+        if cls_name:
+            cls = owner.get(cls_name[0])
+            owner = vars(cls) if isinstance(cls, type) else {}
+        if not callable(owner.get(name)):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
