@@ -220,10 +220,6 @@ def _load_request(path):
             params = ModelParams(t1=p["t1"], t2=p["t2"])
         edges = tuple(Edge((e["x1"], e["x2"]), e["dir"])
                       for e in doc["edges"])
-        for e in edges:
-            if not all(type(x) is int for x in e.base):
-                raise ValueError(f"edge coordinates {e.base} are not "
-                                 "integers")
         return CorrelationRequest(geom=geom, edges=edges,
                                   mode=doc.get("mode", "truncated"),
                                   params=params)

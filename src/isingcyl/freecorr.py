@@ -224,6 +224,7 @@ class FreeCorrelator:
         order; phi and xi are independent, so their covariances add."""
         phi, xi = [], []
         for e in edges:
+            e.validate(self.geom)
             for p, x in bilinear_rows(e, self.geom.L, self.s_pm):
                 phi.append(p)
                 xi.append(x)

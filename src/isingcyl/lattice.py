@@ -26,6 +26,13 @@ from math import floor
 import numpy as np
 
 
+def _require_integers(values, what):
+    """Accept Python and numpy integers; reject bools, floats and the rest."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+
+
 @dataclass(frozen=True)
 class CylinderGeometry:
     """The cylinder ``Z_L x [1, M]`` (L even, M >= 1)."""
@@ -34,9 +41,7 @@ class CylinderGeometry:
     M: int
 
     def __post_init__(self):
-        for v in (self.L, self.M):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"sizes must be integers, got {v!r}")
+        _require_integers((self.L, self.M), "sizes")
         if self.L < 2 or self.L % 2 != 0:
             raise ValueError(f"L must be a positive even integer, got {self.L}")
         if self.M < 1:
@@ -108,6 +113,7 @@ class Edge:
             raise ValueError(f"direction must be 'h' or 'v', got {self.direction!r}")
 
     def validate(self, geom: CylinderGeometry):
+        _require_integers(self.base, "edge coordinates")
         x1, x2 = self.base
         if not 1 <= x1 <= geom.L:
             raise ValueError(f"edge base column {x1} outside 1..{geom.L}")

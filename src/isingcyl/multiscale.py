@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import antiperiodic_wrap, d_edge_pair, per_L
+from .lattice import d_edge_pair, per_L
 from .propagators import (
     ModelParams, TranslationInvariantTable, coeff_D,
     critical_propagator_fourier, infinite_propagator_grid,
@@ -54,8 +54,9 @@ class CutoffWeight:
     ``E = sqrt(D(k1, k2))``; without a ``lower`` scale just
     ``chi(2^-upper E)``.
 
-    A frozen value: equal weights hash equal, so the infinite-volume grid
-    cache can key on the weight itself.
+    A frozen value: weights with equal scales and parameters compare
+    equal and are the same function of (k1, k2).  It takes broadcastable
+    momentum arrays.
     """
 
     upper: int
@@ -171,27 +172,22 @@ def bulk_edge_split(h, geom, params, cutoff=None):
     first two sum to the third by construction.  The bulk entry at raw
     horizontal difference d1 carries the sign s_L(d1) (+1, 0, -1 for
     |d1| <, =, > L/2), which reproduces exactly the antiperiodic wrap
-    convention of the finite-cylinder tables.  The infinite-volume table
-    is the raw N x N torus grid, N the least power of two >= 4 max(L, M)
-    and >= 256.
+    convention of the finite-cylinder tables.  The infinite-volume values
+    are raw torus sums at the offsets ``(per_L(d1), z2 - z'2)``, N the
+    least power of two >= 4 max(L, M) and >= 256: O(N^2 (L + M)) time and
+    O(N^2) memory.
     """
     cutoff = cutoff or ScaleCutoff.for_geometry(geom)
     L, M = geom.L, geom.M
     N = max(256, 1 << (4 * max(L, M) - 1).bit_length())
-    ginf = infinite_propagator_grid(params, cutoff.weight(h, params), N=N)
-
+    m = np.arange(L)
+    ginf = infinite_propagator_grid(
+        params, cutoff.weight(h, params), N, [per_L(d, L) for d in m],
+        np.arange(-(M + 1), M + 2))
     full = scale_propagator(h, geom, params, cutoff)
-    data = np.zeros_like(full.data)
     rows = np.arange(M + 2)
-    # the torus grid is antiperiodic in both offsets
-    m2, sign2 = antiperiodic_wrap(rows[:, None] - rows[None, :], N)
-    sign2 = sign2[..., None, None]
-    for m in range(L):
-        s = 1.0 if m < L / 2 else (0.0 if m == L / 2 else -1.0)
-        if s == 0.0:
-            continue
-        m1, sign1 = antiperiodic_wrap(per_L(m, L), N)
-        data[m] = s * sign1 * sign2 * ginf[m1, m2]
+    s = np.sign(L / 2 - m)[:, None, None, None, None]
+    data = s * ginf[:, rows[:, None] - rows[None, :] + M + 1]
     bulk = TranslationInvariantTable(geom, f"bulk-scale-{h}", data)
     edge = TranslationInvariantTable(geom, f"edge-scale-{h}",
                                      full.data - data)

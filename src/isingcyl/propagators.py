@@ -378,9 +378,10 @@ def s_infinite(y, t1):
 
 
 def _critical_modes(geom, params, weight):
-    """The critical Fourier sum's momenta and weighted mode matrices.
+    """The critical Fourier sum's phases and weighted mode matrices.
 
-    Returns the L momenta k1, their (L, 2M+1) k2 roots, and the direct and
+    Returns the (L x L) k1 phase matrix ``E1[d1, k1] = e^{-i k1 d1}``,
+    d1 = 0..L-1, the (L, 2M+1) k2 roots of each k1, and the direct and
     reflected 2x2 mode matrices ``c G`` and ``c R`` of shape
     (L, 2M+1, 2, 2), grouped by k1."""
     if not params.is_critical:
@@ -398,22 +399,22 @@ def _critical_modes(geom, params, weight):
     R[:, 0, 1] = ghat_matrix(k1s, -k2s, params)[:, 0, 1]
     R[:, 1, 1] = np.exp(2j * k2s * (M + 1)) * G[:, 1, 1]
     shape = grid.k2_roots.shape + (2, 2)
-    return (grid.k1_values, grid.k2_roots,
+    E1 = np.exp(-1j * np.outer(np.arange(L), grid.k1_values))
+    return (E1, grid.k2_roots,
             (c[:, None, None] * G).reshape(shape),
             (c[:, None, None] * R).reshape(shape))
 
 
-def _row_profiles(k1, k2_roots, cG, cR, z2, zp2):
+def _row_profiles(E1, k2_roots, cG, cR, z2, zp2):
     """``g((d1, z2[i]), (0, zp2[i]))`` for every residue d1 = 0..L-1: the
     critical Fourier series at the row pairs ``(z2[i], zp2[i])``, shape
-    (L, n, 2, 2), from the modes of :func:`_critical_modes`.
+    (L, n, 2, 2), from the phases and modes of :func:`_critical_modes`.
 
     The series is summed k2 first, over each k1's own roots, at the
     distinct vertical differences and sums of the row pairs (O(L M) each),
     then over k1 for all of them by one (L x L) matmul.
     """
     L, K = k2_roots.shape
-    E1 = np.exp(-1j * np.outer(np.arange(L), k1))
 
     def series(modes, offsets):
         offsets, inverse = np.unique(offsets, return_inverse=True)
@@ -447,9 +448,10 @@ class LazyCriticalTable(PropagatorTable):
     """Pointwise critical propagator: the same momentum sum as
     :func:`critical_propagator_fourier`, evaluated one row pair at a time.
 
-    The first block of a row pair ``(z2, z'2)`` computes and caches its
-    profile over all L residues of d1 (O(L M + L^2)); every later block
-    of that row pair is a lookup.
+    The k1 phase matrix is formed once, with the modes.  The first block
+    of a row pair ``(z2, z'2)`` computes and caches its profile over all L
+    residues of d1 (O(L M + L^2)); every later block of that row pair is
+    a lookup.
     """
 
     variant = "critical-lazy"
@@ -610,39 +612,41 @@ class DoublingError(NumericalError):
         self.last, self.prev = last, prev
 
 
-@lru_cache(maxsize=8)
-def _infinite_grid_cached(t1, t2, weight, N):
-    # keyed on the weight's value: weights must be hashable, and equal
-    # weights must be the same function of (k1, k2)
-    params = ModelParams(t1=t1, t2=t2)
-    m = np.arange(N)
-    k = -np.pi + 2.0 * np.pi * (m + 0.5) / N
-    K1, K2 = np.meshgrid(k, k, indexing="ij")
-    vals = ghat_matrix(K1, K2, params)
+def infinite_propagator_grid(params, weight, N, z1, z2):
+    """The raw N-torus sum ``(1/N^2) sum_k ghat(k) w(k) e^{-i k.z}`` at
+    every offset of ``z1 x z2``, shape (len z1, len z2, 2, 2).
+
+    The momenta ``-pi + 2 pi (m + 1/2)/N`` make the sum antiperiodic in N
+    along each raw integer offset.  ``weight`` (or None) takes
+    broadcastable (k1, k2) arrays.  D is real and ghat's numerators depend
+    on k2 only through ``e^{+-i k2}``: ``w/D`` is summed over k2 by one
+    matmul at the columns z2, z2 +- 1, and over k1, after the per-k1
+    numerators, by another.  O(N^2 (|z1| + |z2|)) time, O(N^2) memory.
+    """
+    z1, z2, t1 = np.asarray(z1), np.asarray(z2), params.t1
+    k = -np.pi + 2.0 * np.pi * (np.arange(N) + 0.5) / N
+    W = 1.0 / coeff_D(k[:, None], k[None, :], params)
     if weight is not None:
-        vals = vals * weight(K1, K2)[..., None, None]
-    g = np.fft.fft2(vals, axes=(0, 1)) / N ** 2
-    z = np.arange(N)
-    phase = np.exp(1j * np.pi * z * (1.0 - 1.0 / N))
-    g *= phase[:, None, None, None]
-    g *= phase[None, :, None, None]
-    return g
-
-
-def _grid_lookup(g, z):
-    """Entry of an antiperiodic N x N torus grid at the integer offset z."""
-    N = g.shape[0]
-    m1, s1 = antiperiodic_wrap(z[0], N)
-    m2, s2 = antiperiodic_wrap(z[1], N)
-    return s1 * s2 * g[m1, m2]
+        W = W * weight(k[:, None], k[None, :])
+    # columns z2, z2 + 1 (the e^{-i k2} numerator) and z2 - 1 (e^{+i k2})
+    cols = np.concatenate([z2, z2 + 1, z2 - 1])
+    P0, Pp, Pm = np.split(W @ np.exp(-1j * np.outer(k, cols)), 3, axis=1)
+    sin1 = (2j * t1 * np.sin(k))[:, None]
+    B = coeff_B(k, params)[:, None]
+    c = 1.0 - t1 ** 2
+    num = np.stack([-sin1 * P0, -c * (P0 - B * Pp),
+                    c * (P0 - B * Pm), sin1 * P0], axis=-1)
+    E1 = np.exp(-1j * np.outer(z1, k)) / N ** 2
+    return (E1 @ num.reshape(N, -1)).reshape(len(z1), len(z2), 2, 2)
 
 
 def infinite_propagator(zs, params, weight=None, *, tol=1e-10):
     """The infinite-volume propagator at the integer offsets ``zs``.
 
-    Evaluates the momentum integral of ghat (times the hashable cutoff
-    weight, if any) by a discrete torus sum, doubling the grid and
-    Richardson-extrapolating the O(N^-2) and O(N^-4) error terms (the
+    Evaluates the momentum integral of ghat (times the cutoff weight, if
+    any) by the torus sum of :func:`infinite_propagator_grid` at the
+    distinct first and second components of ``zs``, doubling the torus
+    and Richardson-extrapolating the O(N^-2) and O(N^-4) error terms (the
     massless integrand makes the raw sums converge only algebraically).
     Stops once the extrapolated entries change by less than ``tol``.
     Returns a dict ``z -> 2x2 block``.
@@ -654,12 +658,14 @@ def infinite_propagator(zs, params, weight=None, *, tol=1e-10):
     ask such sums for ``tol`` ~ 1e-6.
     """
     zs = [tuple(z) for z in zs]
+    z1, i1 = np.unique([z[0] for z in zs], return_inverse=True)
+    z2, i2 = np.unique([z[1] for z in zs], return_inverse=True)
     raw, r1, r2 = [], [], []
     prev_best, cur_best = None, None
     N = 64
     for _ in range(6):  # N = 64 .. 2048
-        g = _infinite_grid_cached(params.t1, params.t2, weight, N)
-        raw.append({z: _grid_lookup(g, z) for z in zs})
+        g = infinite_propagator_grid(params, weight, N, z1, z2)
+        raw.append({z: g[a, b] for z, a, b in zip(zs, i1, i2)})
         if len(raw) >= 2:
             r1.append({z: (4.0 * raw[-1][z] - raw[-2][z]) / 3.0 for z in zs})
         if len(r1) >= 2:
@@ -675,11 +681,6 @@ def infinite_propagator(zs, params, weight=None, *, tol=1e-10):
     raise DoublingError(
         f"torus sum did not converge to {tol} at N = {N // 2} "
         f"(last change {delta:.3g})", cur_best, prev_best)
-
-
-def infinite_propagator_grid(params, weight=None, N=256):
-    """Raw N x N grid of the infinite-volume propagator (bulk splitting)."""
-    return _infinite_grid_cached(params.t1, params.t2, weight, N)
 
 
 # ---------------------------------------------------------------------------
@@ -708,20 +709,24 @@ def g_infinite_scaling(x, y, params):
     return np.array([[a, b], [b, -a]])
 
 
-def _alternating_sum(term_fn):
-    """Euler-accelerated evaluation of ``sum_{n in Z} (-1)^n T(n)``.
+_IMAGES = 64
 
-    ``T`` must be array-valued with a smooth O(1/|n|) tail; 12 averaging
-    sweeps of the 64 folded partial sums then converge far below 1e-12.
+
+def _alternating_fold(T):
+    """Euler-accelerated ``sum_n (-1)^n T[..., n]`` over the last axis,
+    which runs over the images n = -64..64.
+
+    ``T`` must have a smooth O(1/|n|) tail; 12 averaging sweeps of the 64
+    folded partial sums then converge far below 1e-12.
     """
-    terms = [term_fn(0)]
-    for m in range(1, 65):
-        terms.append((-1.0) ** m * (term_fn(m) + term_fn(-m)))
-    partial = np.cumsum(np.asarray(terms), axis=0)
-    x = partial
+    sign = (-1.0) ** np.arange(1, _IMAGES + 1)
+    x = np.cumsum(np.concatenate(
+        [T[..., _IMAGES:_IMAGES + 1],
+         sign * (T[..., _IMAGES + 1:] + T[..., _IMAGES - 1::-1])], axis=-1),
+        axis=-1)
     for _ in range(12):
-        x = 0.5 * (x[:-1] + x[1:])
-    return x[-1]
+        x = 0.5 * (x[..., :-1] + x[..., 1:])
+    return x[..., -1]
 
 
 def scaling_propagator(z, zp, ell1, ell2, params):
@@ -729,9 +734,10 @@ def scaling_propagator(z, zp, ell1, ell2, params):
 
     ``z``, ``zp`` are distinct points of the open cylinder of circumference
     ``ell1`` and height ``ell2``.  Images carry the alternating sign
-    ``(-1)^(n1 + n2)``; both lattice directions are summed with Euler
-    acceleration, so the conditionally convergent 1/r tails are resummed
-    to machine precision.
+    ``(-1)^(n1 + n2)``; all images with |n1|, |n2| <= 64 are evaluated as
+    one array, and both lattice directions are summed with Euler
+    acceleration, n1 first, so the conditionally convergent 1/r tails are
+    resummed to machine precision.
     """
     z = np.asarray(z, dtype=float)
     zp = np.asarray(zp, dtype=float)
@@ -739,20 +745,14 @@ def scaling_propagator(z, zp, ell1, ell2, params):
         raise ValueError("scaling propagator requires distinct points")
     dx, dy = z - zp
     sy = (z + zp)[1]
-
-    def term(n1, n2):
-        x = dx + n1 * ell1
-        out = g_infinite_scaling(x, dy + 2 * n2 * ell2, params)
-        ry = sy + 2 * n2 * ell2
-        refl = np.array([
-            [-_g1(x, ry, params), _g2(x, ry, params)],
-            [-_g2(x, ry, params),
-             _g1(x, sy + 2 * (n2 - 1) * ell2, params)],
-        ])
-        return out + refl
-
-    return _alternating_sum(
-        lambda n2: _alternating_sum(lambda n1: term(n1, n2)))
+    n = np.arange(-_IMAGES, _IMAGES + 1)
+    x, n2 = dx + n * ell1, n[:, None]    # axis 0: n2, axis 1: n1
+    y, ry = dy + 2 * n2 * ell2, sy + 2 * n2 * ell2
+    g1, g2 = _g1(x, y, params), _g2(x, y, params)
+    r1, r2 = _g1(x, ry, params), _g2(x, ry, params)
+    T = np.array([g1 - r1, g2 + r2, g2 - r2,
+                  _g1(x, sy + 2 * (n2 - 1) * ell2, params) - g1])
+    return _alternating_fold(_alternating_fold(T)).reshape(2, 2)
 
 
 def scaling_series(z, zp, params, sizes):

@@ -215,6 +215,13 @@ class TestEnergyCumulants:
         ce = enumerate_cumulant(geom, beta, J1, J2, edges)
         assert cum == pytest.approx(ce, abs=1e-9)
 
+    def test_non_integer_edge_coordinates_rejected(self):
+        # a float coordinate used to reach the s-kernel lookup and raise a
+        # raw IndexError there
+        corr = FreeCorrelator(CylinderGeometry(4, 3), ModelParams.critical(0.5))
+        with pytest.raises(ValueError, match="integers"):
+            corr.energy_cumulant((Edge((1.0, 1), "h"), Edge((3, 2), "v")))
+
     def test_second_cumulant_identity(self, small_critical):
         geom, beta, J1, J2, params, corr = small_critical
         e1, e2 = Edge((1, 1), "v"), Edge((3, 2), "v")

@@ -91,6 +91,15 @@ class TestGeometry:
         with pytest.raises(ValueError, match="integers"):
             CylinderGeometry(L, M)
 
+    @pytest.mark.parametrize("base", [(1.0, 1), (1, 2.0), (True, 1),
+                                      (1, False), ("1", 1)])
+    def test_edge_coordinates_must_be_integers(self, base):
+        with pytest.raises(ValueError, match="integers"):
+            Edge(base, "h").validate(CylinderGeometry(4, 3))
+
+    def test_numpy_integer_edge_coordinates(self):
+        Edge((np.int64(2), np.int32(1)), "v").validate(CylinderGeometry(4, 3))
+
     def test_numpy_integer_sizes(self):
         geom = CylinderGeometry(np.int64(4), np.int32(3))
         assert geom == CylinderGeometry(4, 3)

@@ -92,21 +92,24 @@ class TestCutoffWeight:
         assert cut.smooth_weight(params) == CutoffWeight(0, None, params)
         assert cut.weight(-1, params) != cut.weight(-2, params)
 
-    def test_equal_weights_share_one_cached_grid(self, setup16):
+    def test_equal_weights_give_equal_values(self, setup16):
         geom, params, cut = setup16
         again = ScaleCutoff.for_geometry(geom)
-        a = infinite_propagator_grid(params, cut.weight(-1, params), N=32)
-        assert infinite_propagator_grid(
-            params, again.weight(-1, params), N=32) is a
+        z = np.arange(-3, 4)
+        a = infinite_propagator_grid(params, cut.weight(-1, params), 32, z, z)
+        assert np.array_equal(infinite_propagator_grid(
+            params, again.weight(-1, params), 32, z, z), a)
 
     def test_different_scales_get_different_grids(self, setup16):
-        # a cache keyed on a label rather than on the weight returned the
-        # grid of whichever function was registered first
+        # each weight reaches the torus sum: distinct scales give
+        # distinct values
         geom, params, cut = setup16
         weights = (cut.weight(-1, params), cut.weight(-2, params),
                    ScaleCutoff(h_star=-2).weight(LEQ, params),
                    ScaleCutoff(h_star=-3).weight(LEQ, params))
-        grids = [infinite_propagator_grid(params, w, N=32) for w in weights]
+        z = np.arange(32)
+        grids = [infinite_propagator_grid(params, w, 32, z, z)
+                 for w in weights]
         for i, a in enumerate(grids):
             for b in grids[i + 1:]:
                 assert np.max(np.abs(a - b)) > 1e-6

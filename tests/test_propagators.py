@@ -8,13 +8,14 @@ import gaussian_oracle as oracle
 import propagator_oracle
 from isingcyl import propagators
 from isingcyl.lattice import CylinderGeometry
-from isingcyl.multiscale import LEQ, ScaleCutoff
+from isingcyl.multiscale import LEQ, CutoffWeight, ScaleCutoff
 from isingcyl.propagators import (
     DoublingError, LazyCriticalTable, ModelParams, NumericalError,
     TranslationInvariantTable, _direct_table, boundary_residual, coeff_B,
     coeff_D, critical_propagator_direct, critical_propagator_fourier,
     critical_t2, ghat_matrix,
-    horizontal_momenta, infinite_propagator, g_infinite_scaling,
+    horizontal_momenta, infinite_propagator, infinite_propagator_grid,
+    g_infinite_scaling,
     gscal_scalar, massive_propagator, massive_propagator_direct,
     max_block_difference, momentum_grid, normalization_N, s_eval,
     s_infinite, s_weights, scaling_propagator, scaling_series,
@@ -400,11 +401,12 @@ class TestTableErrors:
         assert issubclass(DoublingError, NumericalError)
 
     def test_doubling_error_reports_last_change(self, monkeypatch):
-        # a stand-in torus grid whose entries drift like 1/N, which the
+        # a stand-in torus sum whose entries drift like 1/N, which the
         # O(N^-2), O(N^-4) extrapolation cannot remove
         monkeypatch.setattr(
-            propagators, "_infinite_grid_cached",
-            lambda t1, t2, weight, N: np.full((4, 4, 2, 2), 1.0 / N))
+            propagators, "infinite_propagator_grid",
+            lambda params, weight, N, z1, z2: np.full(
+                (len(z1), len(z2), 2, 2), 1.0 / N))
         with pytest.raises(DoublingError) as info:
             infinite_propagator([(1, 1)], critical_params(0.5))
         exc = info.value
@@ -552,6 +554,62 @@ class TestInfinitePropagator:
         assert errs[1] < errs[0] < 2e-3
 
 
+class TestInfiniteTorusSum:
+    """The torus sums at requested offsets against the FFT of the whole
+    grid and against exactly rounded sums."""
+
+    WEIGHTS = {"none": None,
+               "scale-1": CutoffWeight(-1, -2, critical_params(0.5)),
+               "leq": CutoffWeight(-3, None, critical_params(0.5))}
+
+    @pytest.mark.parametrize("N", [32, 64, 128, 256])
+    @pytest.mark.parametrize("weight", sorted(WEIGHTS))
+    def test_matches_fft_grid(self, N, weight):
+        p, w = critical_params(0.5), self.WEIGHTS[weight]
+        # offsets on both sides of 0, at +-N and beyond (antiperiodicity)
+        z1 = np.array([0, 1, -3, 7, N - 1, N, -N - 2, 2 * N + 3])
+        z2 = np.array([0, -1, 2, -N + 1, N + 5, -2 * N])
+        g = infinite_propagator_grid(p, w, N, z1, z2)
+        assert g.shape == (len(z1), len(z2), 2, 2)
+        ref = propagator_oracle.fft_torus_grid(p, w, N)
+        worst = max(np.max(np.abs(
+            g[i, j] - propagator_oracle.torus_lookup(ref, (a, b))))
+            for i, a in enumerate(z1) for j, b in enumerate(z2))
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("weight", ["none", "scale-1"])
+    def test_matches_fsum(self, weight):
+        p, w, N = critical_params(0.5), self.WEIGHTS[weight], 16
+        zs = [(0, 0), (1, -2), (-5, 3), (9, 17)]
+        g = infinite_propagator_grid(p, w, N, [z[0] for z in zs],
+                                     [z[1] for z in zs])
+        for i, z in enumerate(zs):
+            ref = propagator_oracle.fsum_torus_entry(p, w, N, z)
+            assert np.max(np.abs(g[i, i] - ref)) < 1e-15
+
+    def test_memory_at_benchmark_offsets(self, monkeypatch):
+        # offsets in the box |z_i| <= 4 converge at N = 1024; the torus
+        # sums hold O(N^2) reals, not an (N, N, 2, 2) complex grid
+        sizes = []
+        grid = propagators.infinite_propagator_grid
+
+        def recording(params, weight, N, z1, z2):
+            sizes.append(N)
+            return grid(params, weight, N, z1, z2)
+        monkeypatch.setattr(propagators, "infinite_propagator_grid",
+                            recording)
+        zs = [(4, 4), (-3, 2), (1, -4), (0, 1), (2, 0)]
+        tracemalloc.start()
+        try:
+            infinite_propagator(zs + [(-a, -b) for a, b in zs],
+                                critical_params(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20
+        assert max(sizes) >= 1024
+
+
 class TestScalingPropagator:
     def test_scalar_value(self):
         # g(1, 0) at t2 = 1/3: -1/(2 pi (1/3)(2/3)) = -9/(4 pi)
@@ -588,6 +646,19 @@ class TestScalingPropagator:
         assert abs(g[0, 0]) < 1e-7 and abs(g[1, 0]) < 1e-7
         g = scaling_propagator((0.4, 0.5), (0.6, 1.0 - 1e-9), 1.0, 1.0, p)
         assert abs(g[0, 1]) < 1e-7 and abs(g[1, 1]) < 1e-7
+
+    @pytest.mark.parametrize("z, zp, ell1, ell2, p", [
+        ((0.25, 0.5), (0.625, 0.375), 1.0, 1.0, critical_params(0.5)),
+        ((0.4, 0.5), (0.6, 1e-9), 1.0, 1.0, critical_params(0.5)),
+        ((0.4, 0.5), (0.6, 1.0 - 1e-9), 1.0, 1.0, critical_params(0.5)),
+        ((0.2, 0.6), (0.7, 0.3), 1.0, 1.0, critical_params(0.3)),
+        ((0.05, 0.95), (0.9, 0.02), 1.0, 1.0, critical_params(0.5)),
+        ((0.4, 1.2), (1.4, 0.6), 2.0, 1.5,
+         ModelParams(0.4, 0.5, t1_star=0.45, t2_star=0.35))])
+    def test_matches_scalar_image_loops(self, z, zp, ell1, ell2, p):
+        ref = propagator_oracle.image_sum_propagator(z, zp, ell1, ell2, p)
+        g = scaling_propagator(z, zp, ell1, ell2, p)
+        assert np.allclose(g, ref, atol=1e-15, rtol=0)
 
     def test_lattice_limit(self):
         # the rescaled lattice propagator converges to the continuum one
