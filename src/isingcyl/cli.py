@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .freecorr import (
-    CorrelationRequest, enumerate_cumulant, enumerate_gibbs, evaluate_request,
+    CorrelationRequest, FreeCorrelator, enumerate_cumulant, enumerate_gibbs,
     log_partition_function_free,
 )
 from .lattice import CylinderGeometry, Edge
@@ -229,7 +229,9 @@ def _load_request(path):
 
 def cmd_correlate(args):
     request = _load_request(args.request)
-    value = evaluate_request(request)
+    corr = FreeCorrelator(request.geom, request.params)
+    value = (corr.energy_moment(request.edges) if request.mode == "moment"
+             else corr.energy_cumulant(request.edges))
     config = {"command": "correlate", "L": request.geom.L,
               "M": request.geom.M, "t1": request.params.t1,
               "t2": request.params.t2, "mode": request.mode,
@@ -459,7 +461,7 @@ def build_parser():
 
     p = sub.add_parser("selftest", help="full acceptance suite")
     _add_common(p, geometry=False)
-    p.add_argument("--only", type=int, nargs="*",
+    p.add_argument("--only", type=int, nargs="+",
                    help="criteria ids to run (default all)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized batteries")

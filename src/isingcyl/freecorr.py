@@ -33,6 +33,7 @@ from .propagators import (
     LazyCriticalTable, ModelParams, NumericalError,
     _critical_momentum_blocks, critical_propagator_direct,
     horizontal_momenta, massive_propagator, s_eval, s_weights,
+    scaling_propagator,
 )
 from .skewlinalg import moments_to_cumulants, pfaffian
 
@@ -49,7 +50,8 @@ def _real(val):
 
 @dataclass(frozen=True)
 class CorrelationRequest:
-    """An m-point energy correlation to evaluate at lambda = 0."""
+    """An m-point energy correlation to evaluate at lambda = 0: a moment
+    of at least one edge or a truncated correlation of at least two."""
 
     geom: CylinderGeometry
     edges: tuple
@@ -61,6 +63,8 @@ class CorrelationRequest:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.edges:
             raise ValueError("at least one edge is required")
+        if self.mode == "truncated" and len(self.edges) < 2:
+            raise ValueError("cumulants need at least two edges")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("edges must be pairwise distinct")
         for e in self.edges:
@@ -278,26 +282,6 @@ class FreeCorrelator:
         return cums[frozenset(range(len(edges)))]
 
 
-def energy_moment_free(request):
-    """<eps_{x_1} ... eps_{x_m}> at lambda = 0 (Pfaffian route)."""
-    corr = FreeCorrelator(request.geom, request.params)
-    return corr.energy_moment(request.edges)
-
-
-def energy_cumulants_free(request):
-    """The order-m truncated energy correlation at lambda = 0."""
-    if len(request.edges) < 2:
-        raise ValueError("cumulants need at least two edges")
-    corr = FreeCorrelator(request.geom, request.params)
-    return corr.energy_cumulant(request.edges)
-
-
-def evaluate_request(request):
-    if request.mode == "moment":
-        return energy_moment_free(request)
-    return energy_cumulants_free(request)
-
-
 # ---------------------------------------------------------------------------
 # Continuum scaling limit.
 # ---------------------------------------------------------------------------
@@ -311,8 +295,6 @@ def scaling_correlation(points, labels, ell1, ell2, params):
     ``(2 t2*)^{m1} (1 - t2*^2)^{m2} Pf(M)`` where M is the 2m x 2m matrix
     with zero diagonal blocks and the continuum propagator off-diagonal.
     """
-    from .propagators import scaling_propagator
-
     points = [np.asarray(p, dtype=float) for p in points]
     m = len(points)
     if len(labels) != m:

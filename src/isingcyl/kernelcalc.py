@@ -13,14 +13,11 @@ ordered tuple of field labels ``(omega, D, z)`` -- the Grassmann field
   a flavor of dimension D (2 in the bulk, 1 at the boundary) localizes the
   sectors of non-negative scaling dimension D - n/2 - p,
 * the antisymmetrization / reflection-symmetrization operator,
-* the bulk/edge splitting of a cylinder kernel against its
-  infinite-volume counterpart,
 * weighted kernel norms with tree-distance weights,
 * truncated expectations of field monomials against a propagator table
   and a one-step (truncated) renormalization-group map,
-* extraction of the running couplings (nu, zeta, eta) and of the vertex
-  renormalizations (Z1, Z2), with the free-theory source kernels as the
-  reference input.
+* extraction of the vertex renormalizations (Z1, Z2), with the
+  free-theory source kernels as the reference input.
 
 Sites follow the lattice conventions: ``x1`` in 1..L (antiperiodic wrap
 for fields), rows 0..M+1 on the closure.  Infinite-volume kernels use
@@ -40,12 +37,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
-    CylinderGeometry, Edge, alpha_sign, antiperiodic_wrap,
-    edge_tree_distance, per_L, tree_distance,
+    Edge, alpha_sign, antiperiodic_wrap, edge_tree_distance, per_L,
+    tree_distance,
 )
 from .skewlinalg import moments_to_cumulants, pfaffian
-
-_UNITS = ((1, 0), (0, 1))
 
 
 class FieldLabel(NamedTuple):
@@ -73,11 +68,6 @@ class FieldLabel(NamedTuple):
 
     def order(self):
         return self.D[0] + self.D[1]
-
-    def in_interior(self, geom):
-        """Whether z and z + D lie strictly inside the lattice rows."""
-        return (1 <= self.z[1] and self.z[1] + self.D[1] <= geom.M
-                and geom.in_lattice(self.z))
 
 
 def _edge_sort_key(e):
@@ -120,9 +110,6 @@ class Kernel:
     def sector(self):
         return (self.n, self.p, self.m)
 
-    def items(self):
-        return self.coeffs.items()
-
     def scaled(self, c):
         return Kernel(self.geom, self.n, self.p, self.m,
                       {k: c * v for k, v in self.coeffs.items()})
@@ -137,9 +124,6 @@ class Kernel:
             acc[k] = acc.get(k, 0.0) + v
         return Kernel(self.geom, self.n, self.p, self.m, _prune(acc))
 
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
 
 def _prune(acc):
     return {k: v for k, v in acc.items() if abs(v) > 0.0}
@@ -150,34 +134,6 @@ def kernel_sum(kernels):
     for k in kernels[1:]:
         out = out + k
     return out
-
-
-def kernel_to_json(kernel):
-    """JSON-serializable dict (sector header + coefficient list)."""
-    geom = kernel.geom
-    return {
-        "L": geom.L if geom else None,
-        "M": geom.M if geom else None,
-        "n": kernel.n, "p": kernel.p, "m": kernel.m,
-        "coeffs": [
-            {"labels": [[l.omega, list(l.D), list(l.z)] for l in labels],
-             "edges": [[list(e.base), e.direction] for e in edges],
-             "re": float(c.real), "im": float(c.imag)}
-            for (labels, edges), c in sorted(
-                kernel.coeffs.items(), key=lambda kv: repr(kv[0]))],
-    }
-
-
-def kernel_from_json(doc):
-    geom = (CylinderGeometry(doc["L"], doc["M"])
-            if doc["L"] is not None else None)
-    coeffs = {}
-    for rec in doc["coeffs"]:
-        labels = tuple(FieldLabel(o, tuple(D), tuple(z))
-                       for o, D, z in rec["labels"])
-        edges = tuple(Edge(tuple(b), d) for b, d in rec["edges"])
-        coeffs[(labels, edges)] = rec["re"] + 1j * rec["im"]
-    return Kernel(geom, doc["n"], doc["p"], doc["m"], coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +238,6 @@ def expand_family(obj):
     return dict(out)
 
 
-def kernels_equivalent(a, b, tol=1e-12):
-    """Whether two kernels (or sector families) expand to the same
-    potential within ``tol``."""
-    return polynomial_distance(a, b) <= tol
-
-
 def polynomial_distance(a, b):
     ea, eb = expand_family(a), expand_family(b)
     keys = set(ea) | set(eb)
@@ -300,23 +250,21 @@ def polynomial_distance(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _derive(kernel, images, p=None, geom=None):
+def _derive(kernel, images, p=None):
     """The kernel derived from ``kernel`` key by key.
 
     ``images(labels, edges)`` yields ``(labels', edges', f)`` for one key;
     the result sums ``f * c`` at ``(labels', sorted edges')`` over all keys
     with coefficient ``c`` and prunes exact zeros.  The sector and the
-    geometry are kept, except the difference order when ``p`` is given and
-    the geometry when ``geom`` is (an infinite-volume kernel placed on a
-    cylinder).
+    geometry are kept, except the difference order when ``p`` is given.
     """
     acc = defaultdict(complex)
     for (labels, edges), c in kernel.coeffs.items():
         for new, new_edges, f in images(labels, edges):
             key = (tuple(new), tuple(sorted(new_edges, key=_edge_sort_key)))
             acc[key] += f * c
-    return Kernel(kernel.geom if geom is None else geom, kernel.n,
-                  kernel.p if p is None else p, kernel.m, _prune(acc))
+    return Kernel(kernel.geom, kernel.n, kernel.p if p is None else p,
+                  kernel.m, _prune(acc))
 
 
 def _parity(order):
@@ -684,48 +632,6 @@ def renormalize_source(family):
 
 
 # ---------------------------------------------------------------------------
-# Bulk/edge splitting of a cylinder kernel.
-# ---------------------------------------------------------------------------
-
-
-def bulk_edge_kernel_split(kernel, kernel_inf):
-    """Split a cylinder kernel into a bulk part -- the sign-corrected
-    periodization of the infinite-volume kernel, restricted to interior,
-    narrow keys -- and the edge remainder.
-
-    ``kernel_inf`` has ``geom=None``; its keys are taken as canonical
-    representatives (any horizontal anchor works, every translate is
-    placed).  Returns ``{"bulk": ..., "edge": ...}``.
-    """
-    geom = kernel.geom
-
-    def translate(labels, edges, a):
-        return ([FieldLabel(l.omega, l.D, (geom.wrap_x1(l.z[0] + a), l.z[1]))
-                 for l in labels],
-                [Edge((geom.wrap_x1(e.base[0] + a), e.base[1]), e.direction)
-                 for e in edges])
-
-    def images(labels, edges):
-        cols = ([l.z[0] for l in labels] + [e.base[0] for e in edges]
-                + [e.base[0] + 1 for e in edges if e.direction == "h"])
-        # rows do not move under a horizontal translation: a narrow key
-        # whose first translate lies inside, with edges between lattice
-        # sites, has every translate inside
-        new, new_edges = translate(labels, edges, 0)
-        if (max(cols) - min(cols) > geom.L / 3
-                or not all(l.in_interior(geom) for l in new)
-                or not all(1 <= z[1] <= geom.M
-                           for e in new_edges for z in e.endpoints(geom))):
-            return
-        for a in range(geom.L):
-            new, new_edges = translate(labels, edges, a)
-            sign = (-1.0) ** alpha_sign([l.z for l in new], geom)
-            yield new, new_edges, sign
-    bulk = _derive(kernel_inf, images, geom=geom)
-    return {"bulk": bulk, "edge": kernel - bulk}
-
-
-# ---------------------------------------------------------------------------
 # Weighted norms.
 # ---------------------------------------------------------------------------
 
@@ -929,22 +835,8 @@ def rg_step(family, table, s_max=2, *, term_budget=500000):
 
 
 # ---------------------------------------------------------------------------
-# Running couplings and vertex renormalizations.
+# Vertex renormalizations.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunningCouplings:
-    nu: float
-    zeta: float
-    eta: float
-    h: int
-    residual: float = 0.0
-
-    def __post_init__(self):
-        for v in (self.nu, self.zeta, self.eta):
-            if not math.isfinite(v):
-                raise ValueError("couplings must be finite")
 
 
 @dataclass(frozen=True)
@@ -956,65 +848,6 @@ class VertexRenorm:
     def __post_init__(self):
         if not (math.isfinite(self.Z1) and math.isfinite(self.Z2)):
             raise ValueError("vertex renormalizations must be finite")
-
-
-def coupling_basis(geom):
-    """The three symmetrized local kernels spanning the localized
-    quadratic potentials: a mass term, a horizontal-derivative term (with
-    the symmetric two-sided difference) and a vertical-derivative term."""
-    nu_acc = {}
-    for z in geom.sites():
-        key = ((FieldLabel(1, (0, 0), z), FieldLabel(-1, (0, 0), z)), ())
-        nu_acc[key] = 1.0 + 0.0j
-    f_nu = symmetrize(Kernel(geom, 2, 0, 0, nu_acc))
-
-    zeta_acc = defaultdict(complex)
-    for z in geom.sites():
-        for omega in (1, -1):
-            base = FieldLabel(omega, (0, 0), z)
-            zeta_acc[((base, FieldLabel(omega, (1, 0), z)), ())] += \
-                0.5 * omega
-            m, s = antiperiodic_wrap(z[0] - 2, geom.L)
-            zeta_acc[((base, FieldLabel(omega, (1, 0), (m + 1, z[1]))),
-                      ())] += 0.5 * omega * s
-    f_zeta = symmetrize(Kernel(geom, 2, 1, 0, dict(zeta_acc)))
-
-    eta_acc = defaultdict(complex)
-    for z in geom.sites():
-        for omega in (1, -1):
-            base = FieldLabel(omega, (0, 0), z)
-            if z[1] + 1 <= geom.M:
-                eta_acc[((base, FieldLabel(-omega, (0, 1), z)), ())] += 0.5
-            if z[1] - 1 >= 1:
-                eta_acc[((base, FieldLabel(-omega, (0, 1),
-                                           (z[0], z[1] - 1))), ())] += 0.5
-    f_eta = symmetrize(Kernel(geom, 2, 1, 0, dict(eta_acc)))
-    return {"nu": f_nu, "zeta": f_zeta, "eta": f_eta}
-
-
-def extract_running_couplings(family, h, geom):
-    """Read off (nu, zeta, eta) of a localized sourceless kernel against
-    the expanded coupling basis; the scale enters through the 2^h weight
-    of the mass term.  The least-squares residual is reported."""
-    basis = coupling_basis(geom)
-    e_in = expand_family(family)
-    exps = [expand_family(basis[name]) for name in ("nu", "zeta", "eta")]
-    keys = sorted(set(e_in) | set().union(*[set(e) for e in exps]),
-                  key=repr)
-    if not keys:
-        return RunningCouplings(0.0, 0.0, 0.0, h, 0.0)
-    A = np.zeros((len(keys), 3), dtype=complex)
-    b = np.zeros(len(keys), dtype=complex)
-    for i, k in enumerate(keys):
-        b[i] = e_in.get(k, 0.0)
-        for j, e in enumerate(exps):
-            A[i, j] = e.get(k, 0.0)
-    Ar = np.vstack([A.real, A.imag])
-    br = np.concatenate([b.real, b.imag])
-    x, *_ = np.linalg.lstsq(Ar, br, rcond=None)
-    residual = float(np.max(np.abs(br - Ar @ x)))
-    return RunningCouplings(nu=float(x[0]) / 2.0 ** h, zeta=float(x[1]),
-                            eta=float(x[2]), h=h, residual=residual)
 
 
 def extract_vertex_renorm(source_kernel, h=0):

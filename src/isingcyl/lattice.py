@@ -47,23 +47,12 @@ class CylinderGeometry:
         if self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M}")
 
-    # -- membership ---------------------------------------------------------
-
     def wrap_x1(self, x1):
         """Reduce a horizontal coordinate into 1..L."""
         return (x1 - 1) % self.L + 1
 
-    def in_lattice(self, z):
-        return 1 <= z[0] <= self.L and 1 <= z[1] <= self.M
-
-    # -- site / edge enumeration -------------------------------------------
-
     def sites(self):
         return [(x1, x2) for x2 in range(1, self.M + 1)
-                for x1 in range(1, self.L + 1)]
-
-    def closure_sites(self):
-        return [(x1, x2) for x2 in range(0, self.M + 2)
                 for x1 in range(1, self.L + 1)]
 
     def edges(self):
@@ -78,27 +67,6 @@ class CylinderGeometry:
         """Row-major index of a lattice site, rows 1..M."""
         x1, x2 = z
         return (x2 - 1) * self.L + (x1 - 1)
-
-    # -- symmetries ---------------------------------------------------------
-
-    def translate(self, z, a):
-        """Horizontal translation by ``a`` steps (periodic)."""
-        return (self.wrap_x1(z[0] + a), z[1])
-
-    def theta1(self, z):
-        """Horizontal reflection about the axis between columns L and 1."""
-        return (self.wrap_x1(self.L + 1 - z[0]), z[1])
-
-    def theta2(self, z):
-        """Vertical reflection swapping rows 0 and M+1."""
-        return (z[0], self.M + 1 - z[1])
-
-    # -- distances ----------------------------------------------------------
-
-    def x1_dist(self, a, b):
-        """Cylinder distance between two horizontal coordinates."""
-        d = abs(a - b) % self.L
-        return min(d, self.L - d)
 
 
 @dataclass(frozen=True)
@@ -127,11 +95,6 @@ class Edge:
         if self.direction == "h":
             return (x1, x2), (geom.wrap_x1(x1 + 1), x2)
         return (x1, x2), (x1, x2 + 1)
-
-    @property
-    def j(self):
-        """Coupling index: 1 for horizontal edges, 2 for vertical ones."""
-        return 1 if self.direction == "h" else 2
 
 
 def antiperiodic_wrap(d, L):
@@ -284,18 +247,7 @@ def _mst(D, terms, extra):
     return total
 
 
-def _use_exact(terms, max_exact_terminals, surrogate):
-    if len(terms) <= max_exact_terminals:
-        return True
-    if not surrogate:
-        raise ValueError(
-            f"{len(terms)} terminals exceed the exact-solver cap "
-            f"{max_exact_terminals} and the surrogate is disabled")
-    return False
-
-
-def tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4,
-                  surrogate=True):
+def tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4):
     """Tree distance ``delta``: edge count of the smallest connected subset
     of the cylinder edge graph containing all edges ``xs`` and touching all
     sites ``zs``.
@@ -303,7 +255,7 @@ def tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4,
     Exact (Dreyfus-Wagner) up to ``max_exact_terminals`` distinct terminal
     vertices; beyond that a minimum-spanning-tree surrogate is used (at most
     a factor 2 above the optimum) and the result is flagged
-    ``approximate=True``.  With ``surrogate=False`` oversize tuples raise.
+    ``approximate=True``.
     """
     if geom is None:
         raise TypeError("geom is required")
@@ -311,7 +263,7 @@ def tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4,
     base = len(xs)
     if len(terms) <= 1:
         return Distance(base)
-    if _use_exact(terms, max_exact_terminals, surrogate):
+    if len(terms) <= max_exact_terminals:
         return Distance(int(_dreyfus_wagner(D, list(D[terms]))[-1].min())
                         + base)
     no_extra = np.empty((1, 0), dtype=int)
@@ -319,8 +271,7 @@ def tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4,
                     approximate=True)
 
 
-def edge_tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4,
-                       surrogate=True):
+def edge_tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4):
     """Boundary-aware tree distance ``delta_E``.
 
     Same as :func:`tree_distance`, but the connected set must in addition
@@ -342,7 +293,7 @@ def edge_tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4,
     # column c + sep.  It then has at least sep edges and can only beat the
     # boundary option if the latter exceeds sep.
     sep = floor(L / 3) + 1
-    exact = _use_exact(terms, max_exact_terminals, surrogate)
+    exact = len(terms) <= max_exact_terminals
     if exact:
         rows = list(D[terms])
         dp = _dreyfus_wagner(D, rows)

@@ -18,9 +18,9 @@ remainder localized near the open boundaries:
     g_B^(h)(z, z') = s_L((z - z')_1) g_inf^(h)(per_L((z - z')_1), (z - z')_2),
     g_E^(h) = g^(h) - g_B^(h).
 
-The module also provides discrete derivatives of propagator tables and the
-log-linear decay-fit helpers used by the empirical checks (the sharp decay
-constants are not asserted, only fitted).
+The module also provides the log-linear decay-fit helpers used by the
+empirical checks (the sharp decay constants are not asserted, only
+fitted).
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ class ScaleCutoff:
         """The single-scale labels, deepest first."""
         return tuple(range(self.h_star + 1, 1))
 
-    def dispersion(self, k1, k2, params):
-        return np.sqrt(coeff_D(k1, k2, params))
-
     def weight(self, h, params):
         """The momentum weight of scale ``h`` (an int) or of LEQ."""
         if h == LEQ:
@@ -101,15 +98,6 @@ class ScaleCutoff:
     def smooth_weight(self, params):
         """chi(E): everything except the unit-momentum massive complement."""
         return CutoffWeight(0, None, params)
-
-    def partition_values(self, k1, k2, params):
-        """All bracket values at (k1, k2); they must sum to 1."""
-        vals = [self.weight(LEQ, params)(k1, k2)]
-        for h in self.scales:
-            vals.append(self.weight(h, params)(k1, k2))
-        E = self.dispersion(k1, k2, params)
-        vals.append(1.0 - chi_profile(E))
-        return vals
 
 
 def scale_propagator(h, geom, params, cutoff=None):
@@ -192,54 +180,6 @@ def bulk_edge_split(h, geom, params, cutoff=None):
     edge = TranslationInvariantTable(geom, f"edge-scale-{h}",
                                      full.data - data)
     return {"bulk": bulk, "edge": edge, "full": full}
-
-
-# ---------------------------------------------------------------------------
-# Discrete derivatives.
-# ---------------------------------------------------------------------------
-
-
-def _shift_d1(data, L, step):
-    """Shift the horizontal-difference axis by ``step`` with the
-    antiperiodic seam sign."""
-    out = np.roll(data, -step, axis=0)
-    if step > 0:
-        out[L - step:] *= -1.0
-    elif step < 0:
-        out[:-step] *= -1.0
-    return out
-
-
-def discrete_derivative(table, r):
-    """Mixed finite differences of a translation-invariant table.
-
-    ``r = (r1, r2, r1', r2')`` gives the forward-difference orders in the
-    first and second components of z and z'; each must be <= 2.  Vertical
-    differences shrink the set of rows on which the result is meaningful;
-    the rows that would reference sites above the closure are left at 0.
-    """
-    if len(r) != 4 or any(not 0 <= ri <= 2 for ri in r):
-        raise ValueError("r must be four orders, each between 0 and 2")
-    geom = table.geom
-    L = geom.L
-    data = table.data.copy()
-    for _ in range(r[0]):          # z1: d1 -> d1 + 1
-        data = _shift_d1(data, L, 1) - data
-    for _ in range(r[2]):          # z'1: d1 -> d1 - 1
-        data = _shift_d1(data, L, -1) - data
-    for _ in range(r[1]):          # z2
-        shifted = np.zeros_like(data)
-        shifted[:, :-1] = data[:, 1:]
-        data = shifted - data
-        data[:, -1] = 0.0
-    for _ in range(r[3]):          # z'2
-        shifted = np.zeros_like(data)
-        shifted[:, :, :-1] = data[:, :, 1:]
-        data = shifted - data
-        data[:, :, -1] = 0.0
-    return TranslationInvariantTable(
-        geom, f"{table.variant}-d{''.join(map(str, r))}", data,
-        table.row_offset)
 
 
 # ---------------------------------------------------------------------------

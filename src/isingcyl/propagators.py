@@ -285,15 +285,6 @@ class TranslationInvariantTable(PropagatorTable):
         return sign * self.data[m, z[1] - self.row_offset,
                                 zp[1] - self.row_offset]
 
-    def __add__(self, other):
-        if not isinstance(other, TranslationInvariantTable):
-            return NotImplemented
-        if self.geom != other.geom or self.row_offset != other.row_offset:
-            raise ValueError("tables of different geometries or row ranges")
-        return TranslationInvariantTable(
-            self.geom, f"{self.variant}+{other.variant}",
-            self.data + other.data, self.row_offset)
-
 
 class DenseTable(PropagatorTable):
     """Full (2LM)x(2LM) table from a dense inversion; rows 1..M only."""
@@ -359,17 +350,6 @@ def massive_propagator(geom, params):
     data = np.zeros((geom.L, 2, 2), dtype=complex)
     data[:, 0, 1], data[:, 1, 0] = sp, -sm
     return RowDiagonalTable(geom, "massive", data)
-
-
-def s_infinite(y, t1):
-    """Infinite-volume limits of s_+ and s_- at integer separation y.
-
-    Geometric series of the generating function: s_+(y) = (-t1)^y for
-    y >= 0, s_-(y) = (-t1)^(-y) for y <= 0, zero otherwise.
-    """
-    sp = (-t1) ** y if y >= 0 else 0.0
-    sm = (-t1) ** (-y) if y <= 0 else 0.0
-    return sp, sm
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +681,6 @@ def _g1(x, y, params):
 def _g2(x, y, params):
     return gscal_scalar(y / (1.0 - params.t1_star), x / (1.0 - params.t2_star),
                         params.t2_star)
-
-
-def g_infinite_scaling(x, y, params):
-    """The 2x2 infinite-plane scaling propagator [[g1, g2], [g2, -g1]]."""
-    a, b = _g1(x, y, params), _g2(x, y, params)
-    return np.array([[a, b], [b, -a]])
 
 
 _IMAGES = 64

@@ -14,60 +14,12 @@ from math import factorial
 import numpy as np
 
 
-class SkewMatrix:
-    """A dense antisymmetric matrix of even dimension.
-
-    The lower triangle is rebuilt from the upper one so that
-    ``A[i, j] == -A[j, i]`` and ``A[i, i] == 0`` hold exactly.
-    """
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        if n % 2 != 0:
-            raise ValueError(f"dimension must be even, got {n}")
-        finite = bool(np.all(np.isfinite(a.view(float))))
-        if finite and not np.allclose(
-                a, -a.T, atol=1e-13 * max(1.0, np.abs(a).max(initial=0.0))):
-            raise ValueError("matrix is not antisymmetric")
-        upper = np.triu(a, k=1)
-        self._a = upper - upper.T
-        self._a.setflags(write=False)
-
-    @classmethod
-    def from_upper(cls, n, upper_entries):
-        """Build from a flat iterable of the n(n-1)/2 upper entries."""
-        a = np.zeros((n, n), dtype=complex)
-        it = iter(upper_entries)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a[i, j] = next(it)
-        return cls(a - a.T)
-
-    @property
-    def array(self):
-        return self._a
-
-    @property
-    def dimension(self):
-        return self._a.shape[0]
-
-    def __getitem__(self, idx):
-        return self._a[idx]
-
-
-def _as_array(A):
-    return A.array if isinstance(A, SkewMatrix) else np.asarray(A, dtype=complex)
-
-
 def pfaffian(A):
     """Pfaffian by pivoted skew-symmetric (Parlett-Reid) elimination, O(n^3).
 
     Dimension 0 returns 1; odd dimension returns 0.
     """
-    a = _as_array(A).astype(complex, copy=True)
+    a = np.array(A, dtype=complex)
     n = a.shape[0]
     if n == 0:
         return 1.0 + 0.0j
@@ -93,7 +45,7 @@ def pfaffian(A):
 
 def pfaffian_bruteforce(A):
     """Exact perfect-matching expansion of the Pfaffian; oracle, dim <= 12."""
-    a = _as_array(A)
+    a = np.asarray(A, dtype=complex)
     n = a.shape[0]
     if n > 12:
         raise ValueError(f"brute-force Pfaffian capped at dimension 12, got {n}")
@@ -157,16 +109,3 @@ def moments_to_cumulants(moments):
         out[s] = total
     return out
 
-
-def cumulants_to_moments(cumulants):
-    """Inverse of :func:`moments_to_cumulants` (used for round-trip tests)."""
-    out = {}
-    for s in sorted(cumulants, key=lambda s: (len(s), sorted(s))):
-        total = 0.0
-        for part in set_partitions(sorted(s)):
-            prod = 1.0
-            for block in part:
-                prod *= cumulants[frozenset(block)]
-            total += prod
-        out[s] = total
-    return out

@@ -11,8 +11,7 @@ accumulation, permutation sign and pruning step is written out here.
 The family operators at the end (localization and renormalization of a
 dict of sector kernels, in the bulk, edge and source flavors) list their
 sectors by hand and call the library's kernel operators, so their outputs
-compare exactly with the library's power-counting rule.  The bulk/edge
-kernel split is its own placement loop.
+compare exactly with the library's power-counting rule.
 """
 
 import itertools
@@ -313,43 +312,3 @@ def renormalize_source(family):
     _source_check(family)
     return _renormalize_quadratic(family, kc.tilde_R_source)
 
-
-def bulk_edge_kernel_split(kernel, kernel_inf):
-    """Every translate of every narrow infinite-volume key, tested one by
-    one for interior labels and valid edges."""
-    geom = kernel.geom
-    L = geom.L
-    acc = defaultdict(complex)
-    for (labels0, edges0), w in kernel_inf.coeffs.items():
-        cols = [l.z[0] for l in labels0]
-        for e in edges0:
-            cols.append(e.base[0])
-            if e.direction == "h":
-                cols.append(e.base[0] + 1)
-        if max(cols) - min(cols) > L / 3:
-            continue
-        for a in range(L):
-            new_labels = tuple(
-                FieldLabel(l.omega, l.D, (geom.wrap_x1(l.z[0] + a), l.z[1]))
-                for l in labels0)
-            if not all(l.in_interior(geom) for l in new_labels):
-                continue
-            new_edges = []
-            ok = True
-            for e in edges0:
-                ne = Edge((geom.wrap_x1(e.base[0] + a), e.base[1]),
-                          e.direction)
-                try:
-                    ne.validate(geom)
-                except ValueError:
-                    ok = False
-                    break
-                new_edges.append(ne)
-            if not ok:
-                continue
-            sign = (-1.0) ** alpha_sign([l.z for l in new_labels], geom)
-            key = (new_labels,
-                   tuple(sorted(new_edges, key=_edge_sort_key)))
-            acc[key] += sign * w
-    bulk = Kernel(geom, kernel.n, kernel.p, kernel.m, _prune(acc))
-    return {"bulk": bulk, "edge": kernel - bulk}

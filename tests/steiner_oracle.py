@@ -35,6 +35,12 @@ def closure_graph(L, M):
     return adj
 
 
+def x1_dist(a, b, L):
+    """Cylinder distance between two horizontal coordinates."""
+    d = abs(a - b) % L
+    return min(d, L - d)
+
+
 def vid(z, L):
     return (z[0] - 1) % L + L * z[1]
 
@@ -141,6 +147,6 @@ def edge_tree_distance(zs, xs, geom):
         for u in range(L * (M + 2)):
             dpu = steiner_dp(geom, sorted(set(terms) | {u}), zero)
             for w in range(L * (M + 2)):
-                if geom.x1_dist(u % L + 1, w % L + 1) >= sep:
+                if x1_dist(u % L + 1, w % L + 1, L) >= sep:
                     best = min(best, dpu[w])
     return int(best) + len(xs)

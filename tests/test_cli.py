@@ -144,13 +144,14 @@ class TestPropagator:
 
 
 class TestCorrelate:
-    def _request(self, tmp_path, mode="truncated"):
+    def _request(self, tmp_path, mode="truncated", edges=None):
         doc = {
             "params": {"L": 4, "M": 3, "t1": 0.41421356237309515,
                        "critical": True},
             "mode": mode,
             "edges": [{"x1": 1, "x2": 1, "dir": "h"},
-                      {"x1": 3, "x2": 2, "dir": "v"}],
+                      {"x1": 3, "x2": 2, "dir": "v"}] if edges is None
+            else edges,
         }
         path = tmp_path / "req.json"
         path.write_text(json.dumps(doc))
@@ -169,6 +170,23 @@ class TestCorrelate:
                         self._request(tmp_path, mode="moment"), "--verify")
         assert code == EXIT_OK
         assert json.loads(out)["oracle_delta"] < 1e-9
+
+    def test_minimum_order(self, capsys, tmp_path):
+        # one edge has a moment but no truncated correlation
+        one = [{"x1": 1, "x2": 1, "dir": "v"}]
+        assert rejected(capsys, "correlate", "--request",
+                        self._request(tmp_path, edges=one))
+        code, _ = run(capsys, "correlate", "--request",
+                      self._request(tmp_path, mode="moment", edges=one),
+                      "--verify")
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("mode", ["moment", "truncated"])
+    @pytest.mark.parametrize("edges", [
+        [], [{"x1": 1, "x2": 1, "dir": "v"}, {"x1": 1, "x2": 1, "dir": "v"}]])
+    def test_no_or_repeated_edges(self, capsys, tmp_path, mode, edges):
+        assert rejected(capsys, "correlate", "--request",
+                        self._request(tmp_path, mode=mode, edges=edges))
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "correlate", "--request", "missing.json")
@@ -285,6 +303,10 @@ class TestSelftest:
     @pytest.mark.parametrize("ids", [["99"], ["0"], ["2", "12"]])
     def test_unknown_criteria(self, capsys, ids):
         assert rejected(capsys, "selftest", "--only", *ids)
+
+    def test_only_needs_ids(self, capsys):
+        # a bare --only used to select the empty set and run every criterion
+        assert rejected(capsys, "selftest", "--only")
 
     def test_subset(self, capsys):
         code, out = run(capsys, "selftest", "--only", "2", "10")

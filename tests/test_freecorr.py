@@ -9,8 +9,7 @@ from isingcyl import freecorr, propagators
 from isingcyl.lattice import CylinderGeometry, Edge
 from isingcyl.freecorr import (
     CorrelationRequest, FreeCorrelator, enumerate_cumulant,
-    enumerate_gibbs, energy_cumulants_free, energy_moment_free,
-    log_partition_function_free, partition_function_free,
+    enumerate_gibbs, log_partition_function_free, partition_function_free,
     scaling_correlation,
 )
 from isingcyl.propagators import (
@@ -182,13 +181,6 @@ class TestEnergyMoments:
         with pytest.raises(ValueError):
             CorrelationRequest(geom, (e, e), "moment", params)
 
-    def test_request_interface(self, small_critical):
-        geom, beta, J1, J2, params, corr = small_critical
-        edges = (Edge((1, 1), "v"), Edge((2, 2), "v"))
-        req = CorrelationRequest(geom, edges, "moment", params)
-        assert energy_moment_free(req) == pytest.approx(
-            corr.energy_moment(list(edges)), rel=1e-14)
-
     def test_off_critical_direct_route(self):
         # off the critical line the phi table comes from dense inversion
         geom = CylinderGeometry(4, 2)
@@ -228,13 +220,6 @@ class TestEnergyCumulants:
         assert corr.energy_cumulant([e1, e2]) == pytest.approx(
             corr.energy_moment([e1, e2])
             - corr.energy_moment([e1]) * corr.energy_moment([e2]), abs=1e-12)
-
-    def test_minimum_order(self, small_critical):
-        geom, beta, J1, J2, params, corr = small_critical
-        req = CorrelationRequest(geom, (Edge((1, 1), "v"),), "truncated",
-                                 params)
-        with pytest.raises(ValueError):
-            energy_cumulants_free(req)
 
     def test_translation_invariance(self, small_critical):
         geom, beta, J1, J2, params, corr = small_critical

@@ -69,7 +69,6 @@ class TestGeometry:
     def test_counts(self):
         geom = CylinderGeometry(6, 4)
         assert len(geom.sites()) == 24
-        assert len(geom.closure_sites()) == 36
         edges = geom.edges()
         assert sum(1 for e in edges if e.direction == "h") == 24
         assert sum(1 for e in edges if e.direction == "v") == 18
@@ -110,14 +109,6 @@ class TestGeometry:
         a, b = Edge((4, 1), "h").endpoints(geom)
         assert a == (4, 1) and b == (1, 1)
 
-    def test_reflections_involutive(self):
-        geom = CylinderGeometry(8, 5)
-        for z in geom.closure_sites():
-            assert geom.theta1(geom.theta1(z)) == z
-            assert geom.theta2(geom.theta2(z)) == z
-        # theta2 swaps the ghost rows
-        assert geom.theta2((3, 0)) == (3, 6)
-
 
 class TestTreeDistance:
     def test_single_edge(self):
@@ -154,7 +145,11 @@ class TestTreeDistance:
         geom = CylinderGeometry(8, 4)
         zs = ((1, 1), (3, 2), (2, 4))
         d0 = tree_distance(zs, (), geom)
-        for im in (lambda z: geom.translate(z, 3), geom.theta1, geom.theta2):
+        # a translation by three columns, the reflection about the axis
+        # between columns L and 1, and the one swapping rows 0 and M+1
+        for im in (lambda z: (geom.wrap_x1(z[0] + 3), z[1]),
+                   lambda z: (geom.wrap_x1(geom.L + 1 - z[0]), z[1]),
+                   lambda z: (z[0], geom.M + 1 - z[1])):
             assert tree_distance(tuple(im(z) for z in zs), (), geom) == d0
         assert tree_distance(tuple(reversed(zs)), (), geom) == d0
 
@@ -176,12 +171,6 @@ class TestTreeDistance:
         assert d.approximate
         exact = tree_distance(zs, (), geom, max_exact_terminals=8)
         assert exact <= d <= 2 * exact
-
-    def test_surrogate_disabled_raises(self):
-        geom = CylinderGeometry(8, 4)
-        zs = tuple((x, 1) for x in range(1, 7))
-        with pytest.raises(ValueError):
-            tree_distance(zs, (), geom, surrogate=False)
 
     def test_mst_exact_on_pairs(self):
         geom = CylinderGeometry(8, 4)

@@ -8,12 +8,12 @@ from isingcyl.cli import main
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.multiscale import (
     LEQ, CutoffWeight, ScaleCutoff, bulk_edge_split, chi_profile,
-    discrete_derivative, edge_decay_profile, envelope_decay_fit,
-    fit_exponential_decay, scale_norm_profile, scale_propagator,
-    smooth_sector_propagator, split_residual,
+    edge_decay_profile, envelope_decay_fit, fit_exponential_decay,
+    scale_norm_profile, scale_propagator, smooth_sector_propagator,
+    split_residual,
 )
 from isingcyl.propagators import (
-    ModelParams, critical_propagator_fourier, ghat_matrix,
+    ModelParams, coeff_D, critical_propagator_fourier, ghat_matrix,
     infinite_propagator, infinite_propagator_grid,
 )
 
@@ -61,7 +61,12 @@ class TestScaleCutoff:
         rng = np.random.default_rng(1)
         k1 = rng.uniform(-np.pi, np.pi, 500)
         k2 = rng.uniform(-np.pi, np.pi, 500)
-        total = sum(cut.partition_values(k1, k2, params))
+        # the deepest block, every single scale and the unit-momentum
+        # complement 1 - chi(E)
+        brackets = ([cut.weight(LEQ, params)(k1, k2)]
+                    + [cut.weight(h, params)(k1, k2) for h in cut.scales]
+                    + [1.0 - chi_profile(np.sqrt(coeff_D(k1, k2, params)))])
+        total = sum(brackets)
         assert np.max(np.abs(total - 1.0)) < 1e-15
 
     def test_invalid_scale(self, setup16):
@@ -77,7 +82,7 @@ class TestScaleCutoff:
         w = cut.weight(0, params)
         k = np.linspace(0.01, 0.1, 50)
         vals = w(k, k)
-        E = cut.dispersion(k, k, params)
+        E = np.sqrt(coeff_D(k, k, params))
         assert np.all(vals[E <= 0.25] == 0.0)
 
 
@@ -173,7 +178,7 @@ class TestScalePropagators:
         comp = critical_propagator_fourier(
             geom, params,
             weight=lambda k1, k2: 1.0 - chi_profile(
-                cut.dispersion(k1, k2, params)))
+                np.sqrt(coeff_D(k1, k2, params))))
         assert np.max(np.abs(smooth.data + comp.data - full.data)) < 1e-12
 
     def test_scale_boundary_cancellation(self, setup16):
@@ -247,63 +252,6 @@ class TestBulkEdgeSplit:
         fit = envelope_decay_fit(d, n, bin_width=8)
         assert fit["rate"] > 0
         assert fit["r_squared"] > 0.9
-
-
-class TestDiscreteDerivative:
-    def test_identity(self, setup16):
-        geom, params, cut = setup16
-        tab = critical_propagator_fourier(geom, params)
-        out = discrete_derivative(tab, (0, 0, 0, 0))
-        assert np.array_equal(out.data, tab.data)
-
-    def test_validation(self, setup16):
-        geom, params, cut = setup16
-        tab = critical_propagator_fourier(geom, params)
-        with pytest.raises(ValueError):
-            discrete_derivative(tab, (3, 0, 0, 0))
-        with pytest.raises(ValueError):
-            discrete_derivative(tab, (1, 0, 0))
-
-    def test_linearity(self, setup16):
-        geom, params, cut = setup16
-        a = scale_propagator(0, geom, params, cut)
-        b = scale_propagator(-1, geom, params, cut)
-        lhs = discrete_derivative(a + b, (1, 0, 1, 0)).data
-        rhs = (discrete_derivative(a, (1, 0, 1, 0)).data
-               + discrete_derivative(b, (1, 0, 1, 0)).data)
-        assert np.max(np.abs(lhs - rhs)) < 1e-14
-
-    def test_fourier_side_oracle_first_argument(self, setup16):
-        geom, params, cut = setup16
-        tab = critical_propagator_fourier(geom, params)
-        der = discrete_derivative(tab, (1, 0, 0, 0))
-        oracle = critical_propagator_fourier(
-            geom, params, weight=lambda k1, k2: np.exp(-1j * k1) - 1.0)
-        assert np.max(np.abs(der.data - oracle.data)) < 1e-10
-
-    def test_fourier_side_oracle_second_argument(self, setup16):
-        geom, params, cut = setup16
-        tab = critical_propagator_fourier(geom, params)
-        der = discrete_derivative(tab, (0, 0, 1, 0))
-        oracle = critical_propagator_fourier(
-            geom, params, weight=lambda k1, k2: np.exp(1j * k1) - 1.0)
-        assert np.max(np.abs(der.data - oracle.data)) < 1e-10
-
-    def test_vertical_matches_manual_difference(self, setup16):
-        geom, params, cut = setup16
-        tab = critical_propagator_fourier(geom, params)
-        der = discrete_derivative(tab, (0, 1, 0, 0))
-        z, zp = (4, 5), (9, 11)
-        manual = tab.block((z[0], z[1] + 1), zp) - tab.block(z, zp)
-        assert np.allclose(der.block(z, zp), manual, atol=1e-14)
-
-    def test_horizontal_seam_wrap(self, setup16):
-        geom, params, cut = setup16
-        tab = critical_propagator_fourier(geom, params)
-        der = discrete_derivative(tab, (1, 0, 0, 0))
-        z, zp = (geom.L, 5), (2, 5)
-        manual = tab.block((geom.L + 1, z[1]), zp) - tab.block(z, zp)
-        assert np.allclose(der.block(z, zp), manual, atol=1e-14)
 
 
 class TestDecayFitHelpers:

@@ -82,3 +82,65 @@ def test_benchmark_trace_targets_resolve():
         if not callable(owner.get(name)):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+PERFBENCH = TRACING.parent
+
+
+def _mentions(node):
+    # every identifier a piece of code names: variables, attributes, the
+    # parts of imported module paths and of dotted string constants (the
+    # tracer's targets)
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update(n.name.split("."))
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            out.update(n.module.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            parts = n.value.split(".")
+            if all(p.isidentifier() for p in parts):
+                out.update(parts)
+    return out
+
+
+def _module_definitions():
+    # (module, name) -> node for each top-level def, class and assignment
+    defs = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs[(path.stem, node.name)] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for t in targets:
+                    if isinstance(t, ast.Name):
+                        defs[(path.stem, t.id)] = node
+    return defs
+
+
+def test_every_module_definition_is_reached():
+    # the library's uses are the CLI, the acceptance criteria and the
+    # benchmark: every top-level definition is named, transitively, from
+    # ``cli.main``, ``acceptance.CHECKS`` or a benchmark module that also
+    # names its module
+    defs = _module_definitions()
+    bench = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        bench |= _mentions(ast.parse(path.read_text()))
+    todo = [("cli", "main"), ("acceptance", "CHECKS")]
+    todo += [k for k in defs if k[0] in bench and k[1] in bench]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            mentioned = _mentions(defs[key])
+            todo += [k for k in defs if k[1] in mentioned]
+    assert sorted(f"{m}.{n}" for m, n in set(defs) - reached) == []
