@@ -67,6 +67,14 @@ def _positive_int(text):
     return value
 
 
+def _tolerance(text):
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least 0, got {text}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Output plumbing.
 # ---------------------------------------------------------------------------
@@ -91,11 +99,13 @@ def _emit_json(doc, path):
         sys.stdout.write(text)
 
 
-def _emit_csv(metadata, header, rows, path):
+def _emit_csv(metadata, header, rows, path, residuals=None):
     out = io.StringIO()
     for key in ("version", "config_hash"):
         out.write(f"# {key}: {metadata[key]}\n")
     out.write(f"# tolerances: {json.dumps(metadata['tolerances'], sort_keys=True)}\n")
+    if residuals:
+        out.write(f"# residuals: {json.dumps(residuals, sort_keys=True)}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -136,7 +146,6 @@ def _beta_for(params):
 def cmd_propagator(args):
     geom = CylinderGeometry(args.L, args.M)
     params = _build_params(args)
-    tols = {"verify": args.tol}
     if args.variant == "critical":
         if not params.is_critical:
             raise ConfigError("the critical variant requires critical "
@@ -147,39 +156,36 @@ def cmd_propagator(args):
 
     config = {"command": "propagator", "L": args.L, "M": args.M,
               "t1": params.t1, "t2": params.t2, "variant": args.variant}
-    meta = _metadata(config, tols)
+    meta = _metadata(config, {"verify": args.tol})
 
-    report = {"metadata": meta, "variant": table.variant}
+    residuals = {}
     if args.verify:
         direct = (critical_propagator_direct(geom, params)
                   if args.variant == "critical"
                   else massive_propagator_direct(geom, params))
-        residual = max_block_difference(table, direct, geom.sites())
-        report["oracle_residual"] = residual
+        residuals["oracle_residual"] = max_block_difference(
+            table, direct, geom.sites())
         if args.variant == "critical":
-            report["boundary_residual"] = boundary_residual(
+            residuals["boundary_residual"] = boundary_residual(
                 table, [(1, 1), (geom.L, geom.M)], range(1, geom.L + 1))
-        if max(report.get("oracle_residual", 0.0),
-               report.get("boundary_residual", 0.0)) > args.tol:
-            _emit_json(report, args.output if args.format == "json" else None)
-            raise VerificationError(
-                f"propagator residual above {args.tol}")
 
     entries = [([1, x2], [x1p, x2p], table.block((1, x2), (x1p, x2p)))
                for x2 in range(0, geom.M + 2)
                for x1p in range(1, geom.L + 1)
                for x2p in range(0, geom.M + 2)]
     if args.format == "json":
-        report["entries"] = [{"z": z, "zp": zp,
-                              "block": np.real(blk).tolist()}
-                             for z, zp, blk in entries]
-        _emit_json(report, args.output)
+        _emit_json({"metadata": meta, "variant": table.variant, **residuals,
+                    "entries": [{"z": z, "zp": zp,
+                                 "block": np.real(blk).tolist()}
+                                for z, zp, blk in entries]}, args.output)
     else:
         rows = [[*z, *zp, w, wp, f"{blk[w, wp].real:.17g}",
                  f"{blk[w, wp].imag:.17g}"]
                 for z, zp, blk in entries for w in (0, 1) for wp in (0, 1)]
         _emit_csv(meta, ["z1", "z2", "z1p", "z2p", "omega", "omegap",
-                         "re", "im"], rows, args.output)
+                         "re", "im"], rows, args.output, residuals)
+    if max(residuals.values(), default=0.0) > args.tol:
+        raise VerificationError(f"propagator residual above {args.tol}")
     return EXIT_OK
 
 
@@ -309,17 +315,19 @@ def cmd_multiscale(args):
               "t1": args.t1, "h": h_fit}
     meta = _metadata(config, {"reconstruction": args.tol})
     profile = scale_norm_profile(geom, params, cut)
+    residuals = {"reconstruction_residual": reconstruction,
+                 "bulk_edge_residual": residual}
     report = {
         "metadata": meta,
         "h_star": cut.h_star,
-        "reconstruction_residual": reconstruction,
-        "bulk_edge_residual": residual,
+        **residuals,
         "scale_norm_profile": {str(h): v for h, v in profile.items()},
         "edge_decay_fit": fit,
     }
     if args.format == "csv":
         rows = [[h_fit, float(di), f"{ni:.17g}"] for di, ni in zip(d, nrm)]
-        _emit_csv(meta, ["h", "d_edge", "norm"], rows, args.output)
+        _emit_csv(meta, ["h", "d_edge", "norm"], rows, args.output,
+                  residuals)
     else:
         report["edge_decay_profile"] = [
             {"d_edge": float(di), "norm": float(ni)}
@@ -406,7 +414,7 @@ def build_parser():
                    default="critical")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.set_defaults(func=cmd_propagator)
 
     p = sub.add_parser("partition", help="partition function (log Z)")
@@ -415,7 +423,7 @@ def build_parser():
     p.add_argument("--J1", type=float, default=1.0)
     p.add_argument("--J2", type=float, default=1.0)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("correlate", help="energy moments and cumulants")
@@ -423,7 +431,7 @@ def build_parser():
     p.add_argument("--request", required=True,
                    help="JSON request file: {edges, mode, params}")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("scaling", help="continuum-limit convergence series")
@@ -446,7 +454,7 @@ def build_parser():
                    help="envelope bin width (default: range/4)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.set_defaults(func=cmd_multiscale)
 
     p = sub.add_parser("kernels",

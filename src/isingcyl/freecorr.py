@@ -35,7 +35,9 @@ from .propagators import (
     horizontal_momenta, massive_propagator, s_eval, s_weights,
     scaling_propagator,
 )
-from .skewlinalg import moments_to_cumulants, pfaffian
+from .skewlinalg import (
+    block_pfaffians, joint_cumulant, moments_to_cumulants, pfaffian,
+)
 
 ENUMERATION_CAP = 24
 _ENUM_CHUNK = 1 << 16
@@ -243,43 +245,38 @@ class FreeCorrelator:
             return 1.0
         return _real(pfaffian(self._covariance(edges)))
 
-    def _energy_moments(self, edges):
-        """<prod_{x in S} eps_x> for every subset S of the edges, keyed by
-        position sets, with eps_x = t_j + (1 - t_j^2) E_x.
-
-        Expanded over subsets Y of S:
-        sum_Y prod_{x in S - Y} t_j prod_{x in Y} (1 - t_j^2) <prod_Y E>.
-        """
+    def _couplings(self, edges):
+        """t_j of each edge's direction; the edges must be distinct."""
         if len(set(edges)) != len(edges):
             raise ValueError("edges must be pairwise distinct")
-        m = len(edges)
-        G = self._covariance(edges)
-        t = [self.params.t1 if e.direction == "h" else self.params.t2
-             for e in edges]
-        bilinear, moments = {}, {}
-        # by increasing size, so every subset Y of S is known before S
-        for r in range(m + 1):
-            for S in map(frozenset, combinations(range(m), r)):
-                idx = [2 * i + k for i in sorted(S) for k in (0, 1)]
-                bilinear[S] = (_real(pfaffian(G[np.ix_(idx, idx)])) if S
-                               else 1.0)
-                moments[S] = 0.0
-                for Y, term in bilinear.items():
-                    if Y <= S:
-                        for i in sorted(S):
-                            term *= (1.0 - t[i] * t[i]) if i in Y else t[i]
-                        moments[S] += term
-        return moments
+        return [self.params.t1 if e.direction == "h" else self.params.t2
+                for e in edges]
 
     def energy_moment(self, edges):
-        """<prod_x eps_x> with eps_x = t_j + (1 - t_j^2) E_x."""
-        return self._energy_moments(edges)[frozenset(range(len(edges)))]
+        """<prod_x eps_x> with eps_x = t_j + (1 - t_j^2) E_x, expanded over
+        subsets Y of the edges:
+        sum_Y prod_{x not in Y} t_j prod_{x in Y} (1 - t_j^2) <prod_Y E>.
+        """
+        t = self._couplings(edges)
+        total = math.prod(t, start=1.0)  # Y empty
+        for Y, pf in block_pfaffians(self._covariance(edges),
+                                     [2] * len(t)).items():
+            term = _real(pf)
+            for i, ti in enumerate(t):
+                term *= (1.0 - ti * ti) if i in Y else ti
+            total += term
+        return total
 
     def energy_cumulant(self, edges):
-        """Order-m joint cumulant of the energy observables."""
-        moments = self._energy_moments(edges)
-        cums = moments_to_cumulants({S: v for S, v in moments.items() if S})
-        return cums[frozenset(range(len(edges)))]
+        """Order-m joint cumulant of the energy observables; the mean for
+        m = 1.  For m >= 2 cumulants ignore the constants t_j and are
+        multilinear: prod_x (1 - t_j^2) times the joint cumulant of the
+        bilinears E_x."""
+        if len(edges) == 1:
+            return self.energy_moment(edges)
+        t = self._couplings(edges)
+        return math.prod(1.0 - ti * ti for ti in t) * _real(joint_cumulant(
+            self._covariance(edges), [2] * len(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .lattice import (
     Edge, alpha_sign, antiperiodic_wrap, edge_tree_distance, per_L,
     tree_distance,
 )
-from .skewlinalg import moments_to_cumulants, pfaffian
+from .skewlinalg import joint_cumulant, pfaffian
 
 
 class FieldLabel(NamedTuple):
@@ -638,18 +636,8 @@ def renormalize_source(family):
 NORM_FLAVORS = ("bulk", "edge", "source-bulk", "source-edge")
 
 
-class Norm(float):
-    """A norm value carrying ``approximate``, the number of MST-surrogate
-    tree distances (flagged ``approximate``) among its weights."""
-
-    def __new__(cls, value, approximate=0):
-        obj = super().__new__(cls, value)
-        obj.approximate = approximate
-        return obj
-
-
 def weighted_norm(kernel, flavor, kappa):
-    """Sup-sum norm with tree-distance weights, as a :class:`Norm`.
+    """Sup-sum norm with tree-distance weights.
 
     ``bulk``: sup over (species, first site) of the weighted sum over the
     remaining sites; ``edge``: the first site's row is summed too (only
@@ -673,23 +661,15 @@ def weighted_norm(kernel, flavor, kappa):
                tuple(l.z for l in labels), edges)
         groups[key] = max(groups.get(key, 0.0), abs(c))
     buckets = defaultdict(float)
-    approximate = 0
+    dist = edge_tree_distance if flavor.endswith("edge") else tree_distance
     for (omegas, zs, edges), v in groups.items():
-        if flavor == "bulk":
-            d = tree_distance(zs, (), geom)
-            anchor = (omegas, zs[0])
-        elif flavor == "edge":
-            d = edge_tree_distance(zs, (), geom)
-            anchor = (omegas, zs[0][0])
-        elif flavor == "source-bulk":
-            d = tree_distance(zs, edges, geom)
-            anchor = (omegas, edges)
+        if flavor.startswith("source"):
+            d, anchor = dist(zs, edges, geom), (omegas, edges)
         else:
-            d = edge_tree_distance(zs, edges, geom)
-            anchor = (omegas, edges)
-        approximate += d.approximate
-        buckets[anchor] += math.exp(kappa * float(d)) * v
-    return Norm(max(buckets.values(), default=0.0), approximate)
+            d = dist(zs, (), geom)
+            anchor = (omegas, zs[0][0] if flavor == "edge" else zs[0])
+        buckets[anchor] += math.exp(kappa * d) * v
+    return max(buckets.values(), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -734,14 +714,7 @@ def truncated_expectation(monomials, table):
         return 0.0 + 0.0j
     G = _monomial_covariance(
         tuple(itertools.chain.from_iterable(monomials)), table)
-    ends = np.cumsum([0] + [len(q) for q in monomials])
-    moments = {}
-    for r in range(1, s + 1):
-        for sub in itertools.combinations(range(s), r):
-            idx = np.concatenate([np.arange(ends[i], ends[i + 1])
-                                  for i in sub])
-            moments[frozenset(sub)] = pfaffian(G[idx[:, None], idx])
-    return moments_to_cumulants(moments)[frozenset(range(s))]
+    return joint_cumulant(G, [len(q) for q in monomials])
 
 
 def _even_subsets(n):
@@ -763,11 +736,9 @@ def rg_step(family, table, s_max=2, *, term_budget=500000):
     scale kernel with the sign of the interleaving permutation.  Purely
     constant contributions (no external field) are dropped.
 
-    ``family`` is a dict of sector Kernels (or a single Kernel); returns a
-    dict keyed by (n, p, m).
+    ``family`` is a dict of sector Kernels; returns a dict keyed by
+    (n, p, m).
     """
-    if isinstance(family, Kernel):
-        family = {family.sector: family}
     entries = []
     geom = None
     for k in family.values():

@@ -132,15 +132,6 @@ def alpha_sign(zs, geom):
     return 0
 
 
-class Distance(int):
-    """An integer distance carrying an ``approximate`` flag."""
-
-    def __new__(cls, value, approximate=False):
-        obj = super().__new__(cls, value)
-        obj.approximate = approximate
-        return obj
-
-
 # ---------------------------------------------------------------------------
 # Steiner machinery on the closure graph.
 #
@@ -228,50 +219,22 @@ def _dreyfus_wagner(D, rows, dp=None):
     return dp
 
 
-def _mst(D, terms, extra):
-    """Metric-closure MST weight (Prim) over ``terms`` plus each row of
-    ``extra``; at most twice the optimum tree spanning the same points."""
-    P = len(extra)
-    pts = np.hstack([np.broadcast_to(terms, (P, len(terms))), extra])
-    Dk = D[pts[:, :, None], pts[:, None, :]]
-    idx = np.arange(P)
-    reach = Dk[:, 0].copy()
-    todo = np.ones(pts.shape, bool)
-    todo[:, 0] = False
-    total = np.zeros(P, D.dtype)
-    for _ in range(pts.shape[1] - 1):
-        j = np.where(todo, reach, np.iinfo(D.dtype).max).argmin(axis=1)
-        total += reach[idx, j]
-        todo[idx, j] = False
-        np.minimum(reach, Dk[idx, j], out=reach)
-    return total
-
-
-def tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4):
+def tree_distance(zs, xs, geom):
     """Tree distance ``delta``: edge count of the smallest connected subset
     of the cylinder edge graph containing all edges ``xs`` and touching all
     sites ``zs``.
 
-    Exact (Dreyfus-Wagner) up to ``max_exact_terminals`` distinct terminal
-    vertices; beyond that a minimum-spanning-tree surrogate is used (at most
-    a factor 2 above the optimum) and the result is flagged
-    ``approximate=True``.
+    Exact (Dreyfus-Wagner) at every terminal count: ``k`` distinct terminal
+    vertices on ``n`` closure vertices cost ``O(3^k n + 2^k n^2)``.
     """
-    if geom is None:
-        raise TypeError("geom is required")
     terms, D = _terminals_and_metric(zs, xs, geom)
     base = len(xs)
     if len(terms) <= 1:
-        return Distance(base)
-    if len(terms) <= max_exact_terminals:
-        return Distance(int(_dreyfus_wagner(D, list(D[terms]))[-1].min())
-                        + base)
-    no_extra = np.empty((1, 0), dtype=int)
-    return Distance(int(_mst(D, terms, no_extra)[0]) + base,
-                    approximate=True)
+        return base
+    return int(_dreyfus_wagner(D, list(D[terms]))[-1].min()) + base
 
 
-def edge_tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4):
+def edge_tree_distance(zs, xs, geom):
     """Boundary-aware tree distance ``delta_E``.
 
     Same as :func:`tree_distance`, but the connected set must in addition
@@ -279,12 +242,10 @@ def edge_tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4):
     points whose horizontal coordinates differ by more than L/3 (winding
     option).  Empty input tuples give 0.
     """
-    if geom is None:
-        raise TypeError("geom is required")
     terms, D = _terminals_and_metric(zs, xs, geom)
     base = len(xs)
     if not terms:
-        return Distance(base)
+        return base
     L, M = geom.L, geom.M
     boundary = np.r_[0:L, L * (M + 1):L * (M + 2)]
     # Winding option: along a path between two points more than L/3 apart
@@ -293,27 +254,16 @@ def edge_tree_distance(zs, xs=(), geom=None, *, max_exact_terminals=4):
     # column c + sep.  It then has at least sep edges and can only beat the
     # boundary option if the latter exceeds sep.
     sep = floor(L / 3) + 1
-    exact = len(terms) <= max_exact_terminals
-    if exact:
-        rows = list(D[terms])
-        dp = _dreyfus_wagner(D, rows)
-        best = dp[-1][boundary].min()
-        if best > sep:
-            # Columns c and c + sep as two terminal groups, for every c at
-            # once; the masks without them are those of the plain DP.
-            col = D.reshape(M + 2, L, -1).min(axis=0)
-            dp = _dreyfus_wagner(
-                D, rows + [col, np.roll(col, -sep, axis=0)], dp)
-            best = min(best, dp[-1].min())
-    else:
-        best = _mst(D, terms, boundary[:, None]).min()
-        if best > sep:
-            column = L * np.arange(M + 2)
-            for c in range(L):
-                u, w = np.meshgrid(column + c, column + (c + sep) % L)
-                best = min(best, _mst(
-                    D, terms, np.c_[u.ravel(), w.ravel()]).min())
-    return Distance(int(best) + base, approximate=not exact)
+    rows = list(D[terms])
+    dp = _dreyfus_wagner(D, rows)
+    best = dp[-1][boundary].min()
+    if best > sep:
+        # Columns c and c + sep as two terminal groups, for every c at
+        # once; the masks without them are those of the plain DP.
+        col = D.reshape(M + 2, L, -1).min(axis=0)
+        dp = _dreyfus_wagner(D, rows + [col, np.roll(col, -sep, axis=0)], dp)
+        best = min(best, dp[-1].min())
+    return int(best) + base
 
 
 def d_edge_pair(z, zp, geom):

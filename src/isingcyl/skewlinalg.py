@@ -43,6 +43,27 @@ def pfaffian(A):
     return pf
 
 
+def block_pfaffians(G, sizes):
+    """Moments of every nonempty sub-collection of even Gaussian monomials
+    whose fields are the consecutive index blocks of sizes ``sizes`` of the
+    covariance ``G``: principal-submatrix Pfaffians, keyed by the frozenset
+    of block positions, by increasing size."""
+    ends = np.cumsum([0, *sizes])
+    out = {}
+    for r in range(1, len(sizes) + 1):
+        for sub in combinations(range(len(sizes)), r):
+            idx = np.concatenate([np.arange(ends[i], ends[i + 1])
+                                  for i in sub])
+            out[frozenset(sub)] = pfaffian(G[idx[:, None], idx])
+    return out
+
+
+def joint_cumulant(G, sizes):
+    """Joint cumulant of all the monomials of :func:`block_pfaffians`."""
+    return moments_to_cumulants(block_pfaffians(G, sizes))[
+        frozenset(range(len(sizes)))]
+
+
 def pfaffian_bruteforce(A):
     """Exact perfect-matching expansion of the Pfaffian; oracle, dim <= 12."""
     a = np.asarray(A, dtype=complex)

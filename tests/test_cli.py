@@ -28,6 +28,20 @@ def rejected(capsys, *argv):
             and "Traceback" not in err)
 
 
+def write_request(tmp_path, mode="truncated", edges=None):
+    doc = {
+        "params": {"L": 4, "M": 3, "t1": 0.41421356237309515,
+                   "critical": True},
+        "mode": mode,
+        "edges": [{"x1": 1, "x2": 1, "dir": "h"},
+                  {"x1": 3, "x2": 2, "dir": "v"}] if edges is None
+        else edges,
+    }
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestPartition:
     def test_verify_ok(self, capsys):
         code, out = run(capsys, "partition", "--L", "4", "--M", "2",
@@ -107,6 +121,23 @@ class TestPropagator:
         assert len([l for l in lines if not l.startswith("#")]) \
             == 1 + 5 * 4 * 5 * 4
 
+    @pytest.mark.parametrize("tol, code", [("1e-20", EXIT_VERIFY),
+                                           ("1e-6", EXIT_OK)])
+    def test_csv_verify_writes_output_and_residuals(self, capsys, tmp_path,
+                                                    tol, code):
+        # pass or fail, the table goes to --output with its residuals
+        path = tmp_path / "g.csv"
+        got, out = run(capsys, "propagator", "--L", "4", "--M", "3",
+                       "--t1", "0.5", "--verify", "--format", "csv",
+                       "--output", str(path), "--tol", tol)
+        assert (got, out) == (code, "")
+        lines = path.read_text().splitlines()
+        res = [l for l in lines if l.startswith("# residuals: ")]
+        assert len(res) == 1
+        residuals = json.loads(res[0][len("# residuals: "):])
+        assert set(residuals) == {"oracle_residual", "boundary_residual"}
+        assert "z1,z2,z1p,z2p,omega,omegap,re,im" in lines
+
     def test_odd_L_is_config_error(self, capsys):
         code, _ = run(capsys, "propagator", "--L", "5", "--M", "3",
                       "--t1", "0.5")
@@ -144,22 +175,9 @@ class TestPropagator:
 
 
 class TestCorrelate:
-    def _request(self, tmp_path, mode="truncated", edges=None):
-        doc = {
-            "params": {"L": 4, "M": 3, "t1": 0.41421356237309515,
-                       "critical": True},
-            "mode": mode,
-            "edges": [{"x1": 1, "x2": 1, "dir": "h"},
-                      {"x1": 3, "x2": 2, "dir": "v"}] if edges is None
-            else edges,
-        }
-        path = tmp_path / "req.json"
-        path.write_text(json.dumps(doc))
-        return str(path)
-
     def test_verify_cumulant(self, capsys, tmp_path):
         code, out = run(capsys, "correlate", "--request",
-                        self._request(tmp_path), "--verify")
+                        write_request(tmp_path), "--verify")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["oracle_delta"] < 1e-9
@@ -167,7 +185,7 @@ class TestCorrelate:
 
     def test_verify_moment(self, capsys, tmp_path):
         code, out = run(capsys, "correlate", "--request",
-                        self._request(tmp_path, mode="moment"), "--verify")
+                        write_request(tmp_path, mode="moment"), "--verify")
         assert code == EXIT_OK
         assert json.loads(out)["oracle_delta"] < 1e-9
 
@@ -175,9 +193,9 @@ class TestCorrelate:
         # one edge has a moment but no truncated correlation
         one = [{"x1": 1, "x2": 1, "dir": "v"}]
         assert rejected(capsys, "correlate", "--request",
-                        self._request(tmp_path, edges=one))
+                        write_request(tmp_path, edges=one))
         code, _ = run(capsys, "correlate", "--request",
-                      self._request(tmp_path, mode="moment", edges=one),
+                      write_request(tmp_path, mode="moment", edges=one),
                       "--verify")
         assert code == EXIT_OK
 
@@ -186,7 +204,7 @@ class TestCorrelate:
         [], [{"x1": 1, "x2": 1, "dir": "v"}, {"x1": 1, "x2": 1, "dir": "v"}]])
     def test_no_or_repeated_edges(self, capsys, tmp_path, mode, edges):
         assert rejected(capsys, "correlate", "--request",
-                        self._request(tmp_path, mode=mode, edges=edges))
+                        write_request(tmp_path, mode=mode, edges=edges))
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "correlate", "--request", "missing.json")
@@ -267,6 +285,18 @@ class TestMultiscale:
         assert lines[0] == "h,d_edge,norm"
         assert len(lines) > 10
 
+    def test_csv_verify_carries_residuals(self, capsys, tmp_path):
+        path = tmp_path / "profile.csv"
+        code, out = run(capsys, "multiscale", "--L", "8", "--M", "8",
+                        "--t1", "0.5", "--format", "csv", "--verify",
+                        "--output", str(path), "--tol", "0")
+        assert (code, out) == (EXIT_VERIFY, "")
+        res = [l for l in path.read_text().splitlines()
+               if l.startswith("# residuals: ")]
+        assert len(res) == 1
+        assert set(json.loads(res[0][len("# residuals: "):])) == {
+            "reconstruction_residual", "bulk_edge_residual"}
+
     @pytest.mark.parametrize("width", ["0", "-2"])
     def test_bin_width_at_least_one(self, capsys, width):
         assert rejected(capsys, "multiscale", "--L", "8", "--M", "8",
@@ -333,6 +363,22 @@ class TestSelftest:
 
 
 class TestParser:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ("propagator", "--L", "4", "--M", "2", "--t1", "0.5"),
+        ("partition", "--L", "4", "--M", "2", "--beta", "0.44"),
+        ("correlate", "--request", "req.json"),
+        ("multiscale", "--L", "8", "--M", "8", "--t1", "0.5"),
+    ], ids=lambda argv: argv[0])
+    def test_tolerance_finite_and_nonnegative(self, capsys, tmp_path,
+                                              monkeypatch, argv, tol):
+        # a NaN tolerance would pass every check, a negative one fail all
+        monkeypatch.chdir(tmp_path)
+        write_request(tmp_path)
+        assert main([*argv, "--verify"]) == EXIT_OK
+        capsys.readouterr()
+        assert rejected(capsys, *argv, "--verify", "--tol", tol)
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == EXIT_CONFIG
 

@@ -5,7 +5,7 @@ import pytest
 
 import gaussian_oracle as oracle
 import partition_oracle
-from isingcyl import freecorr, propagators
+from isingcyl import freecorr, propagators, skewlinalg
 from isingcyl.lattice import CylinderGeometry, Edge
 from isingcyl.freecorr import (
     CorrelationRequest, FreeCorrelator, enumerate_cumulant,
@@ -294,8 +294,8 @@ class TestConstituentCovariance:
                 counts[name] += 1
                 return fn(*args)
             return wrapper
-        monkeypatch.setattr(freecorr, "pfaffian",
-                            counted("pfaffian", freecorr.pfaffian))
+        monkeypatch.setattr(skewlinalg, "pfaffian",
+                            counted("pfaffian", skewlinalg.pfaffian))
         monkeypatch.setattr(PropagatorTable, "covariance", counted(
             "covariance", PropagatorTable.covariance))
         corr.energy_cumulant(self.EDGES[:3])

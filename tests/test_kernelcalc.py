@@ -22,8 +22,7 @@ from isingcyl.kernelcalc import (
     truncated_expectation, weighted_norm, z_boundary,
 )
 from isingcyl.lattice import (
-    CylinderGeometry, Edge, antiperiodic_wrap, edge_tree_distance,
-    tree_distance,
+    CylinderGeometry, Edge, antiperiodic_wrap, tree_distance,
 )
 from isingcyl.propagators import (
     LazyCriticalTable, ModelParams, PropagatorTable, critical_propagator_fourier,
@@ -592,22 +591,21 @@ class TestWeightedNorm:
         d = float(tree_distance(zs, (), geom))
         assert weighted_norm(k, "bulk", 0.3) == pytest.approx(
             2.0 * math.exp(0.3 * d))
-        assert weighted_norm(k, "bulk", 0.3).approximate == 0
 
-    @pytest.mark.parametrize("flavor, dist", [
-        ("bulk", tree_distance), ("edge", edge_tree_distance)])
-    def test_counts_surrogate_distances(self, geom, flavor, dist):
-        # six sites exceed the exact solver's default cap of four
-        small = tuple((x, 2) for x in range(1, 7))
-        large = tuple((x, 3) for x in range(4, 10))
+    @pytest.mark.parametrize("flavor, d", [("bulk", 6), ("edge", 7)])
+    def test_six_fields_use_exact_distance(self, geom, flavor, d):
+        # a plus-shaped six-site term: its Steiner tree (6 edges, through
+        # the unoccupied center (6, 3)) is shorter than the spanning tree
+        # of its sites (8 edges).  delta_E: reaching a boundary row costs
+        # 2 more edges, but one more edge already spans columns 5 apart,
+        # more than L/3 = 4 (the winding option).
+        line = tuple((x, 2) for x in range(1, 7))
+        plus = ((4, 3), (5, 3), (6, 2), (6, 4), (7, 3), (8, 3))
         k = Kernel(geom, 6, 0, 0, {
             (tuple(FieldLabel(1, (0, 0), z) for z in zs), ()): c
-            for zs, c in ((small, 1.0), (large, -3.0))})
-        norm = weighted_norm(k, flavor, 0.2)
-        assert norm.approximate == 2
-        d = dist(large, (), geom)
-        assert d.approximate
-        assert norm == pytest.approx(3.0 * math.exp(0.2 * d))
+            for zs, c in ((line, 1.0), (plus, -3.0))})
+        assert weighted_norm(k, flavor, 0.2) == pytest.approx(
+            3.0 * math.exp(0.2 * d))
 
     def test_null_labels_do_not_contribute(self, geom):
         labels = (FieldLabel(1, (0, 0), (2, 0)),
@@ -827,7 +825,7 @@ class TestRGStep:
         rng = np.random.default_rng(33)
         ls = _rand_labels(rng, geom, 4)
         v = Kernel(geom, 4, 0, 0, {(ls, ()): 1.0})
-        out = rg_step(v, table, s_max=1)
+        out = rg_step({v.sector: v}, table, s_max=1)
         g = {(i, j): oracle.label_covariance(ls[i], ls[j], table)
              for i in range(4) for j in range(i + 1, 4)}
         expected = {}
@@ -870,7 +868,7 @@ class TestRGStep:
         rng = np.random.default_rng(36)
         v = rand_kernel(rng, geom, 4, 0, nkeys=4)
         with pytest.raises(RuntimeError):
-            rg_step(v, table, s_max=2, term_budget=10)
+            rg_step({v.sector: v}, table, s_max=2, term_budget=10)
 
 
 class TestCouplings:

@@ -139,7 +139,7 @@ class TestTreeDistance:
         geom = CylinderGeometry(10, 6)
         d = tree_distance(((1, 1), (4, 1), (1, 4)), (), geom)
         assert d == 6
-        assert not d.approximate
+        assert type(d) is int
 
     def test_symmetry_invariance(self):
         geom = CylinderGeometry(8, 4)
@@ -164,21 +164,12 @@ class TestTreeDistance:
         d = tree_distance(((5, 2),), (Edge((1, 2), "h"),), geom)
         assert d == 1 + 3
 
-    def test_surrogate_flagged_and_bounded(self):
+    def test_six_terminals_exact(self):
+        # above four terminals the engine stays the exact DP
         geom = CylinderGeometry(8, 4)
         zs = ((1, 1), (3, 1), (5, 1), (7, 1), (1, 3), (5, 3))
-        d = tree_distance(zs, (), geom)
-        assert d.approximate
-        exact = tree_distance(zs, (), geom, max_exact_terminals=8)
-        assert exact <= d <= 2 * exact
-
-    def test_mst_exact_on_pairs(self):
-        geom = CylinderGeometry(8, 4)
-        for za in geom.sites()[::5]:
-            for zb in geom.sites()[::7]:
-                exact = tree_distance((za, zb), (), geom)
-                approx = tree_distance((za, zb), (), geom, max_exact_terminals=1)
-                assert exact == approx
+        assert tree_distance(zs, (), geom) == oracle.tree_distance(
+            zs, (), geom)
 
 
 class TestEdgeTreeDistance:
@@ -216,13 +207,10 @@ class TestEdgeTreeDistance:
         # the boundary option through a boundary column near the sites
         (40, 3, tuple((x, 1) for x in range(10, 15))),
     ])
-    def test_surrogate_within_factor_two(self, L, M, zs):
+    def test_five_terminals_exact(self, L, M, zs):
         geom = CylinderGeometry(L, M)
-        d = edge_tree_distance(zs, (), geom)
-        assert d.approximate
-        exact = edge_tree_distance(zs, (), geom, max_exact_terminals=8)
-        assert not exact.approximate
-        assert exact <= d <= 2 * exact
+        assert edge_tree_distance(zs, (), geom) == oracle.edge_tree_distance(
+            zs, (), geom)
 
 
 def _random_edge(rng, geom):
@@ -265,12 +253,10 @@ class TestAgainstOracle:
                 xs = (Edge((L, int(rng.integers(1, M + 1))), "h"),)
             else:
                 xs = (_random_edge(rng, geom),)
-            d = tree_distance(zs, xs, geom, max_exact_terminals=5)
-            assert not d.approximate
-            assert d == oracle.tree_distance(zs, xs, geom)
-            d = edge_tree_distance(zs, xs, geom, max_exact_terminals=5)
-            assert not d.approximate
-            assert d == oracle.edge_tree_distance(zs, xs, geom)
+            assert (tree_distance(zs, xs, geom)
+                    == oracle.tree_distance(zs, xs, geom))
+            assert (edge_tree_distance(zs, xs, geom)
+                    == oracle.edge_tree_distance(zs, xs, geom))
 
     @pytest.mark.parametrize("L, M", [(4, 20), (6, 12)])
     def test_winding_branch(self, L, M):
