@@ -184,7 +184,8 @@ def cmd_propagator(args):
                 for z, zp, blk in entries for w in (0, 1) for wp in (0, 1)]
         _emit_csv(meta, ["z1", "z2", "z1p", "z2p", "omega", "omegap",
                          "re", "im"], rows, args.output, residuals)
-    if max(residuals.values(), default=0.0) > args.tol:
+    # "not <=" so that a NaN residual fails the gate
+    if any(not r <= args.tol for r in residuals.values()):
         raise VerificationError(f"propagator residual above {args.tol}")
     return EXIT_OK
 
@@ -203,7 +204,7 @@ def cmd_partition(args):
         delta = abs(math.expm1(log_z - math.log(z_enum)))
         report["Z_enumeration"] = z_enum
         report["delta_rel"] = delta
-        if delta > args.tol:
+        if not delta <= args.tol:
             _emit_json(report, args.output)
             raise VerificationError(
                 f"partition delta {delta:.3e} above {args.tol}")
@@ -256,7 +257,7 @@ def cmd_correlate(args):
             oracle = rec.moments[frozenset(range(len(request.edges)))]
         report["oracle"] = oracle
         report["oracle_delta"] = abs(value - oracle)
-        if report["oracle_delta"] > args.tol:
+        if not report["oracle_delta"] <= args.tol:
             _emit_json(report, args.output)
             raise VerificationError(
                 f"correlation delta {report['oracle_delta']:.3e} "
@@ -333,7 +334,8 @@ def cmd_multiscale(args):
             {"d_edge": float(di), "norm": float(ni)}
             for di, ni in zip(d, nrm)]
         _emit_json(report, args.output)
-    if args.verify and max(reconstruction, residual) > args.tol:
+    if args.verify and not (reconstruction <= args.tol
+                            and residual <= args.tol):
         raise VerificationError(
             f"multiscale residual above {args.tol}")
     return EXIT_OK

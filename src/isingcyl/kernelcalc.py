@@ -19,6 +19,10 @@ ordered tuple of field labels ``(omega, D, z)`` -- the Grassmann field
 * extraction of the vertex renormalizations (Z1, Z2), with the
   free-theory source kernels as the reference input.
 
+A :class:`Kernel` is built from (and decodes to) a ``{(labels, edges):
+coefficient}`` dict but keeps only integer key arrays and complex values;
+every derived kernel is one reduction of its operator's image arrays.
+
 Sites follow the lattice conventions: ``x1`` in 1..L (antiperiodic wrap
 for fields), rows 0..M+1 on the closure.  Infinite-volume kernels use
 plain integer coordinates and ``geom=None``.  All coefficient arithmetic
@@ -34,11 +38,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .lattice import (
-    Edge, alpha_sign, antiperiodic_wrap, edge_tree_distance, per_L,
-    tree_distance,
+    Edge, _require_integers, alpha_sign, antiperiodic_wrap,
+    edge_tree_distance, gamma_steps, tree_distance, z_boundary,
 )
 from .skewlinalg import joint_cumulant, pfaffian
+
+_SITE = slice(3, 5)  # the (x1, x2) columns of a label row
+_DIRECTIONS = ("h", "v")
 
 
 class FieldLabel(NamedTuple):
@@ -50,88 +59,191 @@ class FieldLabel(NamedTuple):
     z: tuple
 
     def validate(self, geom=None):
-        if self.omega not in (1, -1):
-            raise ValueError(f"omega must be +-1, got {self.omega}")
-        d1, d2 = self.D
-        if not (0 <= d1 <= 2 and 0 <= d2 <= 2 and d1 + d2 <= 2):
-            raise ValueError(f"invalid difference order {self.D}")
-        if geom is not None:
-            # the window [z2, z2 + d2] may overhang the closure rows
-            # 0..M+1 on either side: the difference expansion zero-extends
-            # the fields there (reflections of an overhanging label
-            # overhang on the opposite side)
-            if not (self.z[1] + d2 >= 0 and self.z[1] <= geom.M + 1
-                    and 1 <= self.z[0] <= geom.L):
-                raise ValueError(f"label {self} outside the closure")
+        _check_labels(np.array(_label_row(self)), geom)
 
-    def order(self):
-        return self.D[0] + self.D[1]
+
+def _label_row(label):
+    (d1, d2), (x1, x2) = label.D, label.z
+    return _require_integers((label.omega, d1, d2, x1, x2),
+                             "field label entries")
+
+
+def _edge(b1, b2, direction):
+    return Edge((b1, b2), _DIRECTIONS[direction])
+
+
+def _decoded(rows, make):
+    """One tuple of ``make(*row)`` per key of integer rows (K, k, c), with
+    one object per distinct row."""
+    cache, k = {}, rows.shape[1]
+    objs = [cache.get(r) or cache.setdefault(r, make(*r))
+            for r in map(tuple, rows.reshape(-1, rows.shape[2]).tolist())]
+    return [tuple(objs[k * i:k * i + k]) for i in range(len(rows))]
+
+
+def _check_labels(labels, geom):
+    """Raise on label rows (..., 5) with omega != +-1, d1 or d2 < 0, d1 + d2
+    > 2 or, on a cylinder, x1 outside 1..L or a window [x2, x2 + d2] off the
+    closure rows 0..M+1 (the expansion zero-extends an overhang)."""
+    omega, d1, d2, x1, x2 = labels.T
+    bad = (abs(omega) != 1) | (d1 < 0) | (d2 < 0) | (d1 + d2 > 2)
+    if geom is not None:
+        bad |= (x1 < 1) | (x1 > geom.L) | (x2 + d2 < 0) | (x2 > geom.M + 1)
+    if bad.any():
+        raise ValueError(f"invalid field label {labels[bad.T][0]} "
+                         f"(omega, d1, d2, x1, x2)")
+
+
+class Kernel:
+    """A sparse kernel of fixed sector (n fields, total difference order p,
+    m probe edges).
+
+    ``Kernel(geom, n, p, m, coeffs)`` takes a dict mapping ``(labels,
+    edges)`` -- a tuple of ``n`` FieldLabels and a tuple of ``m`` Edges --
+    to a coefficient and keeps it, in order, as read-only arrays: ``labels``
+    (K, n, 5) of rows (omega, d1, d2, x1, x2), ``edges`` (K, m, 3) of rows
+    (b1, b2, 0 for "h" / 1 for "v") and complex ``values`` (K,); ``coeffs``
+    decodes it afresh.  ``geom=None`` marks an infinite-volume kernel.
+    """
+
+    def __init__(self, geom, n, p, m, coeffs):
+        if any(len(ls) != n or len(es) != m for ls, es in coeffs):
+            raise ValueError(f"key arity mismatch in sector ({n},{p},{m})")
+        labels = [[_label_row(l) for l in ls] for ls, _ in coeffs]
+        edges = [(*_require_integers(e.base, "edge coordinates"),
+                  _DIRECTIONS.index(e.direction))
+                 for _, es in coeffs for e in es]
+        K = len(coeffs)
+        self._set(geom, n, p, m,
+                  np.array(labels, dtype=np.int32).reshape(K, n, 5),
+                  np.array(edges, dtype=np.int32).reshape(K, m, 3),
+                  np.fromiter(coeffs.values(), dtype=complex, count=K))
+
+    @classmethod
+    def _of_arrays(cls, *args):
+        kernel = cls.__new__(cls)
+        kernel._set(*args)
+        return kernel
+
+    def _set(self, geom, n, p, m, labels, edges, values):
+        self.geom, self.n, self.p, self.m = geom, n, p, m
+        self.labels, self.edges, self.values = labels, edges, values
+        for a in (labels, edges, values):
+            a.flags.writeable = False
+        self._validate()
+
+    def _validate(self):
+        if self.n <= 0 or self.n % 2 != 0:
+            raise ValueError(f"n must be even and positive, got {self.n}")
+        _check_labels(self.labels, self.geom)
+        if (self.labels[..., 1:3].sum(axis=(1, 2)) != self.p).any():
+            raise ValueError(f"difference orders off sector p={self.p}")
+        b1, b2, vertical = self.edges.T
+        if self.geom is not None and (
+                (b1 < 1) | (b1 > self.geom.L) | (b2 < 1)
+                | (b2 > self.geom.M - vertical)).any():
+            raise ValueError("probe edge outside the lattice")
+
+    @property
+    def sector(self):
+        return (self.n, self.p, self.m)
+
+    @property
+    def coeffs(self):
+        labels = _decoded(self.labels, lambda w, d1, d2, *z: FieldLabel(
+            w, (d1, d2), z))
+        return dict(zip(zip(labels, _decoded(self.edges, _edge)),
+                        self.values.tolist()))
+
+    def __repr__(self):
+        return (f"Kernel(geom={self.geom!r}, n={self.n}, p={self.p}, "
+                f"m={self.m}, coeffs={self.coeffs!r})")
+
+    def scaled(self, c):
+        return Kernel._of_arrays(self.geom, *self.sector, self.labels,
+                                 self.edges, c * self.values)
+
+    def __add__(self, other):
+        if not isinstance(other, Kernel):
+            return NotImplemented
+        return kernel_sum([self, other])
+
+
+def kernel_sum(kernels):
+    """One reduction of the rows of kernels of one sector and geometry, in
+    order; a single kernel is returned as it is."""
+    k = kernels[0]
+    if any((q.sector, q.geom) != (k.sector, k.geom) for q in kernels):
+        raise ValueError("kernels of different sectors or geometries")
+    if len(kernels) == 1:
+        return k
+    return _reduced(k.geom, *k.sector, *(
+        np.concatenate([getattr(q, a) for q in kernels])
+        for a in ("labels", "edges", "values")))
+
+
+def _pack(rows):
+    """One int64 code per integer row (last axis), ordered as the rows: the
+    columns folded in mixed radix, the partial codes replaced by their
+    dense ranks where the next column would overflow 63 bits."""
+    code = np.zeros(rows.shape[:-1], dtype=np.int64)
+    span = 1
+    for j in range(rows.shape[-1] if code.size else 0):
+        col = rows[..., j]
+        lo = int(col.min())
+        s = int(col.max()) - lo + 1
+        if span * s >= 2 ** 63:
+            code = np.unique(code, return_inverse=True)[1].reshape(code.shape)
+            span = int(code.max()) + 1
+        code *= s
+        code += col
+        code -= lo
+        span *= s
+    return code
 
 
 def _edge_sort_key(e):
     return (e.base[1], e.base[0], e.direction)
 
 
-@dataclass
-class Kernel:
-    """A sparse kernel of fixed sector (n fields, total difference order p,
-    m probe edges).
-
-    ``coeffs`` maps ``(labels, edges)`` -- a tuple of ``n`` FieldLabels and
-    a tuple of ``m`` Edges -- to a complex coefficient.  ``geom=None``
-    marks an infinite-volume kernel on plain integer coordinates.
-    """
-
-    geom: object
-    n: int
-    p: int
-    m: int
-    coeffs: dict
-
-    def __post_init__(self):
-        if self.n <= 0 or self.n % 2 != 0:
-            raise ValueError(f"n must be even and positive, got {self.n}")
-        for (labels, edges), _ in self.coeffs.items():
-            if len(labels) != self.n or len(edges) != self.m:
-                raise ValueError(
-                    f"key arity mismatch in sector ({self.n},{self.p},{self.m})")
-            if sum(l.order() for l in labels) != self.p:
-                raise ValueError(
-                    f"difference order of {labels} != sector p={self.p}")
-            for l in labels:
-                l.validate(self.geom)
-            if self.geom is not None:
-                for e in edges:
-                    e.validate(self.geom)
-
-    @property
-    def sector(self):
-        return (self.n, self.p, self.m)
-
-    def scaled(self, c):
-        return Kernel(self.geom, self.n, self.p, self.m,
-                      {k: c * v for k, v in self.coeffs.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, Kernel):
-            return NotImplemented
-        if self.sector != other.sector or self.geom != other.geom:
-            raise ValueError("kernels of different sectors or geometries")
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc[k] = acc.get(k, 0.0) + v
-        return Kernel(self.geom, self.n, self.p, self.m, _prune(acc))
+def _sorted_edges(edges):
+    """Edge rows sorted within each key in ``_edge_sort_key`` order."""
+    order = np.argsort(_pack(edges[..., [1, 0, 2]]), axis=1, kind="stable")
+    return np.take_along_axis(edges, order[..., None], axis=1)
 
 
-def _prune(acc):
-    return {k: v for k, v in acc.items() if abs(v) > 0.0}
+def _groups(*blocks):
+    """Rows equal in every integer block (N, k, c): the first row of each
+    group, in order of first appearance, and the group of every row."""
+    key = _pack(np.concatenate([_pack(b) for b in blocks], axis=1))
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[group]
 
 
-def kernel_sum(kernels):
-    out = kernels[0]
-    for k in kernels[1:]:
-        out = out + k
-    return out
+def _merge(values, *blocks):
+    """``values`` summed, in row order, over rows equal in every block: the
+    first row of each group and the group sums."""
+    first, group = _groups(*blocks)
+    sums = np.empty(len(first), dtype=complex)
+    sums.real = np.bincount(group, values.real, len(first))
+    sums.imag = np.bincount(group, values.imag, len(first))
+    return first, sums
+
+
+def _modulus(z):  # as Python's abs(complex); np.abs may differ in the last bit
+    return np.hypot(z.real, z.imag)
+
+
+def _reduced(geom, n, p, m, labels, edges, values):
+    """The kernel of key rows: edges sorted within each row, equal keys
+    merged in order of first appearance with their values summed in row
+    order, exact zeros dropped."""
+    edges = _sorted_edges(edges)
+    first, sums = _merge(values, labels, edges)
+    keep = np.abs(sums) > 0.0
+    return Kernel._of_arrays(geom, n, p, m, labels[first[keep]],
+                             edges[first[keep]], sums[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -139,107 +251,94 @@ def kernel_sum(kernels):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=200000)
-def _expand_label_cached(omega, D, z, L, M):
-    """Derivative-expanded field as ((coeff, (omega, site)), ...).
-
-    Horizontal shifts wrap antiperiodically at the seam; vertical shifts
-    leaving the closure drop their term (fields vanish outside it), and the
-    boundary-null combinations (omega=+ at row 0, omega=- at row M+1) are
-    removed.
+def _label_terms(labels, geom):
+    """Columns, rows, signs and validity of the plain-field terms of label
+    rows (..., 5), in four slots (..., 4).  Each forward difference splits
+    a term into the shifted field (+) and the unshifted one (-), horizontal
+    ones first; slot t spells the choices from its high bit (0 shifted), so
+    slots t < 2^order hold the terms in order.  Horizontal shifts wrap
+    antiperiodically; on a cylinder the terms off the closure rows and the
+    boundary-null ones (omega=+ at row 0, omega=- at row M+1) are invalid.
     """
-    terms = [(1.0, z)]
-    for _ in range(D[0]):
-        new = []
-        for c, (x1, x2) in terms:
-            if L is None:
-                new.append((c, (x1 + 1, x2)))
-            elif x1 == L:
-                new.append((-c, (1, x2)))
-            else:
-                new.append((c, (x1 + 1, x2)))
-            new.append((-c, (x1, x2)))
-        terms = new
-    for _ in range(D[1]):
-        new = []
-        for c, (x1, x2) in terms:
-            if L is None or x2 + 1 <= M + 1:
-                new.append((c, (x1, x2 + 1)))
-            new.append((-c, (x1, x2)))
-        terms = new
-    out = []
-    for c, (x1, x2) in terms:
-        if L is not None:
-            if not 0 <= x2 <= M + 1:
-                continue
-            if omega > 0 and x2 == 0:
-                continue
-            if omega < 0 and x2 == M + 1:
-                continue
-        out.append((c, (omega, (x1, x2))))
-    return tuple(out)
-
-
-def _expand_label(label, geom):
+    omega, d1, d2, x1, x2 = (labels[..., j, None] for j in range(5))
+    t, ones = np.arange(4, dtype=np.int32), np.array([0, 1, 1, 2], np.int32)
+    h, v = d1 - ones[t >> d2], d2 - ones[t & ((1 << d2) - 1)]
+    valid = t < 1 << (d1 + d2)
+    sign = np.array([1, -1, -1, 1], dtype=np.int8)
     if geom is None:
-        return _expand_label_cached(label.omega, label.D, label.z, None, None)
-    return _expand_label_cached(label.omega, label.D, label.z,
-                                geom.L, geom.M)
+        return x1 + h, x2 + v, np.broadcast_to(sign, valid.shape), valid
+    col, seam = antiperiodic_wrap(x1 - 1 + h, geom.L)
+    valid &= (x2 + v >= (omega > 0)) & (x2 + v <= geom.M + (omega > 0))
+    return col + 1, x2 + v, np.where(seam > 0, sign, -sign), valid
 
 
-def _canonical_monomial(fields):
-    """Sort plain fields with the permutation sign; None if a field repeats
-    (the monomial vanishes)."""
-    fields = list(fields)
-    sign = 1
-    for i in range(1, len(fields)):
-        j = i
-        while j > 0 and fields[j] < fields[j - 1]:
-            fields[j], fields[j - 1] = fields[j - 1], fields[j]
-            sign = -sign
-            j -= 1
-    for a, b in zip(fields, fields[1:]):
-        if a == b:
-            return None, 0
-    return tuple(fields), sign
+def _expansion(kernel):
+    """The plain-field polynomial of a kernel: rows of sorted plain fields
+    (omega, x1, x2) (E, n, 3), sorted edges (E, m, 3) and values (E,), one
+    per monomial in order of first appearance; products with a repeated
+    field vanish, the others carry the sign of the sort of their fields."""
+    labels, n, p = kernel.labels, kernel.n, kernel.p
+    col, row, sign, valid = _label_terms(labels, kernel.geom)
+    orders = labels[..., 1] + labels[..., 2]
+    # product term c takes term (c >> low) & (2^order - 1) of each slot
+    low = p - np.cumsum(orders, axis=1, dtype=np.int32)
+    c = np.arange(1 << p, dtype=np.int32)[:, None]
+    terms = (c >> low[:, None]) & ((1 << orders[:, None]) - 1)
+    slot = np.arange(n)
+    src, c = np.nonzero(valid[np.arange(len(labels))[:, None, None], slot,
+                              terms].all(axis=-1))
+    idx = (src[:, None], slot, terms[src, c])
+    fields = np.stack([labels[src, :, 0], col[idx], row[idx]], axis=-1)
+    codes = _pack(fields)
+    perm = np.argsort(codes, axis=1, kind="stable")
+    rows = np.arange(len(perm))[:, None]
+    live = (np.diff(codes[rows, perm]) != 0).all(axis=1)
+    odd = sum(perm[:, i] > perm[:, j]
+              for i in range(n) for j in range(i + 1, n)) % 2
+    sign = np.where(odd, -1, 1) * sign[idx].prod(axis=1, dtype=np.int8)
+    fields = fields[rows[live], perm[live]]
+    edges = _sorted_edges(kernel.edges)[src[live]]
+    first, sums = _merge(kernel.values[src[live]] * sign[live], fields,
+                         edges)
+    return fields[first], edges[first], sums
 
 
-def expand_to_plain_fields(kernel):
-    """Canonical polynomial form: {(sorted plain fields, sorted edges):
-    coefficient}, with boundary-null monomials dropped."""
-    out = defaultdict(complex)
-    geom = kernel.geom
-    for (labels, edges), c in kernel.coeffs.items():
-        expansions = [_expand_label(l, geom) for l in labels]
-        ekey = tuple(sorted(edges, key=_edge_sort_key))
-        for combo in itertools.product(*expansions):
-            mono, sign = _canonical_monomial(f for _, f in combo)
-            if mono is None:
-                continue
-            w = c * sign
-            for s, _ in combo:
-                w *= s
-            out[(mono, ekey)] += w
-    return dict(out)
+def _summed(parts):
+    """Expansion rows of one monomial shape added in order."""
+    if len(parts) == 1:
+        return parts[0]
+    fields, edges, values = (np.concatenate(a) for a in zip(*parts))
+    first, sums = _merge(values, fields, edges)
+    return fields[first], edges[first], sums
+
+
+def _polynomial(obj, sign=1.0):
+    """``{(n, m): (fields, edges, values)}``: the expansions of a Kernel, a
+    dict of sector Kernels or None, times ``sign``, added in order."""
+    parts = defaultdict(list)
+    for k in ([] if obj is None else [obj] if isinstance(obj, Kernel)
+              else obj.values()):
+        fields, edges, values = _expansion(k)
+        parts[(k.n, k.m)].append((fields, edges, sign * values))
+    return {shape: _summed(p) for shape, p in parts.items()}
 
 
 def expand_family(obj):
-    """Expanded polynomial of a Kernel, a dict of sector Kernels, or None."""
-    if obj is None:
-        return {}
-    if isinstance(obj, Kernel):
-        return expand_to_plain_fields(obj)
-    out = defaultdict(complex)
-    for k in obj.values():
-        for key, v in expand_to_plain_fields(k).items():
-            out[key] += v
-    return dict(out)
+    """Canonical polynomial form of a Kernel, a dict of sector Kernels or
+    None: {(sorted plain fields, sorted edges): coefficient}, with
+    boundary-null monomials dropped."""
+    out = {}
+    for fields, edges, values in _polynomial(obj).values():
+        out.update(zip(zip(_decoded(fields, lambda w, *z: (w, z)),
+                           _decoded(edges, _edge)), values.tolist()))
+    return out
 
 
 def polynomial_distance(a, b):
-    ea, eb = expand_family(a), expand_family(b)
-    keys = set(ea) | set(eb)
-    return max((abs(ea.get(k, 0.0) - eb.get(k, 0.0)) for k in keys),
+    """Largest coefficient difference of the expanded polynomials."""
+    ea, eb = _polynomial(a), _polynomial(b, -1.0)
+    return max((float(_modulus(_summed([e[s] for e in (ea, eb) if s in e])[2])
+                      .max(initial=0.0)) for s in ea.keys() | eb.keys()),
                default=0.0)
 
 
@@ -249,68 +348,56 @@ def polynomial_distance(a, b):
 
 
 def _derive(kernel, images, p=None):
-    """The kernel derived from ``kernel`` key by key.
-
-    ``images(labels, edges)`` yields ``(labels', edges', f)`` for one key;
-    the result sums ``f * c`` at ``(labels', sorted edges')`` over all keys
-    with coefficient ``c`` and prunes exact zeros.  The sector and the
-    geometry are kept, except the difference order when ``p`` is given.
-    """
-    acc = defaultdict(complex)
-    for (labels, edges), c in kernel.coeffs.items():
-        for new, new_edges, f in images(labels, edges):
-            key = (tuple(new), tuple(sorted(new_edges, key=_edge_sort_key)))
-            acc[key] += f * c
-    return Kernel(kernel.geom, kernel.n, kernel.p if p is None else p,
-                  kernel.m, _prune(acc))
+    """The kernel of the images ``(src, labels, edges, f)`` of the keys of
+    ``kernel``, listed key-major: source row, label and edge rows and factor
+    of each, adding ``f * c`` for the source's coefficient ``c``.  Sector and
+    geometry are kept, except the difference order when ``p`` is given."""
+    src, labels, edges, f = images
+    return _reduced(kernel.geom, kernel.n, kernel.p if p is None else p,
+                    kernel.m, labels, edges, f * kernel.values[src])
 
 
 def _parity(order):
-    sign = 1
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
 
 
 @lru_cache(maxsize=8)
 def _perm_signs(n):
-    return tuple((perm, _parity(perm))
-                 for perm in itertools.permutations(range(n)))
+    perms = list(itertools.permutations(range(n)))
+    return np.array(perms), np.array([_parity(p) for p in perms], float)
 
 
 def antisymmetrize(kernel):
     """Average over signed permutations of the field slots."""
-    fact = math.factorial(kernel.n)
-    weights = [(perm, sign / fact) for perm, sign in _perm_signs(kernel.n)]
-    return _derive(kernel, lambda labels, edges: (
-        (tuple(labels[i] for i in perm), edges, f) for perm, f in weights))
+    perms, signs = _perm_signs(kernel.n)
+    K, P = len(kernel.values), len(perms)
+    return _derive(kernel, (
+        np.repeat(np.arange(K), P),
+        kernel.labels[:, perms].reshape(K * P, kernel.n, 5),
+        np.repeat(kernel.edges, P, axis=0),
+        np.tile(signs / math.factorial(kernel.n), K)))
 
 
-def _reflect_label(label, axis, geom):
-    """Image of a field label under the horizontal (axis=1) or vertical
-    (axis=2) reflection, with its phase."""
-    d1, d2 = label.D
-    x1, x2 = label.z
+def _reflect(labels, edges, axis, geom):
+    """Label rows (K, n, 5) and edge rows (K, m, 3) reflected horizontally
+    (axis=1) or vertically (axis=2), with the product of the label phases
+    of each key: ``i omega (-1)^d1 s`` (s the sign of the antiperiodic
+    wrap), resp. ``i (-1)^d2``, per label, and ``i^n = (-1)^(n/2)``."""
+    omega, d1, d2, x1, x2 = np.moveaxis(labels, -1, 0)
+    b1, b2, vertical = np.moveaxis(edges, -1, 0)
+    labels, edges = labels.copy(), edges.copy()
+    L, M = geom.L, geom.M
     if axis == 1:
-        m, s = antiperiodic_wrap(geom.L - x1 - d1, geom.L)
-        phase = 1j * label.omega * (-1.0) ** d1 * s
-        return phase, FieldLabel(label.omega, label.D, (m + 1, x2))
-    phase = 1j * (-1.0) ** d2
-    return phase, FieldLabel(-label.omega, label.D,
-                             (x1, geom.M + 1 - x2 - d2))
-
-
-def reflect_edge(edge, axis, geom):
-    b1, b2 = edge.base
-    if axis == 1:
-        if edge.direction == "h":
-            return Edge((geom.wrap_x1(geom.L - b1), b2), "h")
-        return Edge((geom.wrap_x1(geom.L + 1 - b1), b2), "v")
-    if edge.direction == "h":
-        return Edge((b1, geom.M + 1 - b2), "h")
-    return Edge((b1, geom.M - b2), "v")
+        col, s = antiperiodic_wrap(L - x1 - d1, L)
+        labels[..., 3] = col + 1
+        edges[..., 0] = (L - 1 + vertical - b1) % L + 1
+        phase = np.prod(omega * (1 - 2 * (d1 % 2)) * s, axis=-1)
+    else:
+        labels[..., 0] = -omega
+        labels[..., 4] = M + 1 - x2 - d2
+        edges[..., 1] = M + 1 - vertical - b2
+        phase = 1 - 2 * (d2.sum(axis=-1) % 2)
+    return labels, edges, (-1) ** (labels.shape[1] // 2) * phase
 
 
 def _reflected(kernel, compositions, weight=1.0):
@@ -319,18 +406,18 @@ def _reflected(kernel, compositions, weight=1.0):
     geom = kernel.geom
     if geom is None:
         raise ValueError("reflections require a finite geometry")
-
-    def images(labels, edges):
-        for axes in compositions:
-            phase, new, new_edges = weight + 0.0j, labels, edges
-            for axis in axes:
-                reflected = [_reflect_label(l, axis, geom) for l in new]
-                for ph, _ in reflected:
-                    phase *= ph
-                new = [l for _, l in reflected]
-                new_edges = [reflect_edge(e, axis, geom) for e in new_edges]
-            yield new, new_edges, phase
-    return _derive(kernel, images)
+    K, C = len(kernel.values), len(compositions)
+    labels = np.repeat(kernel.labels[:, None], C, axis=1)
+    edges = np.repeat(kernel.edges[:, None], C, axis=1)
+    f = np.full((K, C), weight)
+    for i, axes in enumerate(compositions):
+        for axis in axes:
+            labels[:, i], edges[:, i], phase = _reflect(
+                labels[:, i], edges[:, i], axis, geom)
+            f[:, i] *= phase
+    return _derive(kernel, (np.repeat(np.arange(K), C),
+                            labels.reshape(K * C, kernel.n, 5),
+                            edges.reshape(K * C, kernel.m, 3), f.ravel()))
 
 
 def reflect_kernel(kernel, axis):
@@ -347,59 +434,18 @@ def symmetrize(kernel):
 def horizontal_translate(kernel, a):
     """Translate by ``a`` columns: antiperiodic on fields, periodic on
     edges."""
-    geom = kernel.geom
-
-    def images(labels, edges):
-        sign = 1.0
-        new = []
-        for l in labels:
-            m, s = antiperiodic_wrap(l.z[0] - 1 + a, geom.L)
-            sign *= s
-            new.append(FieldLabel(l.omega, l.D, (m + 1, l.z[1])))
-        yield new, [Edge((geom.wrap_x1(e.base[0] + a), e.base[1]),
-                         e.direction) for e in edges], sign
-    return _derive(kernel, images)
+    L = kernel.geom.L
+    labels, edges = kernel.labels.copy(), kernel.edges.copy()
+    col, s = antiperiodic_wrap(labels[..., 3].astype(np.int64) - 1 + a, L)
+    labels[..., 3] = col + 1
+    edges[..., 0] = (edges[..., 0].astype(np.int64) - 1 + a) % L + 1
+    return _derive(kernel, (np.arange(len(labels)), labels, edges,
+                            s.prod(axis=1)))
 
 
 # ---------------------------------------------------------------------------
-# Interpolation paths, localizations and path remainders.
+# Localizations and path remainders.
 # ---------------------------------------------------------------------------
-
-
-def gamma_steps(z, zp, geom):
-    """Telescoping steps of the canonical path from z to z'.
-
-    Returns a list of ``(sigma, site, unit)`` such that, for any function f
-    on the path (with the seam handled by the callers' sign bookkeeping),
-    ``f(z') - f(z) = sum sigma * (f(site + unit) - f(site))``.  The path
-    runs first vertically, then horizontally the short way round; at the
-    half-circumference tie it stays inside the raw coordinate interval.
-    """
-    steps = []
-    x1, y = z
-    xp1, yp = zp
-    cur = y
-    while cur < yp:
-        steps.append((1, (x1, cur), (0, 1)))
-        cur += 1
-    while cur > yp:
-        cur -= 1
-        steps.append((-1, (x1, cur), (0, 1)))
-    d = per_L(xp1 - x1, geom.L)
-    if 2 * abs(d) == geom.L:
-        direction = 1 if xp1 > x1 else -1
-    else:
-        direction = 1 if d > 0 else -1
-    cur = x1
-    for _ in range(abs(d)):
-        if direction > 0:
-            steps.append((1, (cur, yp), (1, 0)))
-            cur = geom.wrap_x1(cur + 1)
-        else:
-            nxt = geom.wrap_x1(cur - 1)
-            steps.append((-1, (nxt, yp), (1, 0)))
-            cur = nxt
-    return steps
 
 
 # The power counting of the paper: the sector (n, p) of a flavor with
@@ -424,41 +470,38 @@ def _sector_check(kernel, D, m):
 
 
 def _localize(kernel, anchor):
-    """Move every field slot onto the site ``anchor(labels, edges)``, with
-    the seam-crossing sign of the source sites."""
-    geom = kernel.geom
-
-    def images(labels, edges):
-        z = anchor(labels, edges)
-        yield ([FieldLabel(l.omega, l.D, z) for l in labels], edges,
-               (-1.0) ** alpha_sign([l.z for l in labels], geom))
-    return _derive(kernel, images)
+    """Move every field slot of each key onto its site in ``anchor`` (K,
+    2), with the seam-crossing sign of the source sites."""
+    labels = kernel.labels.copy()
+    labels[..., _SITE] = anchor[:, None]
+    f = (-1.0) ** alpha_sign(kernel.labels[..., _SITE], kernel.geom)
+    return _derive(kernel, (np.arange(len(labels)), labels, kernel.edges, f))
 
 
 def _remainder(kernel, walks):
-    """Path-interpolated remainder: raises the difference order by one.
-
-    For each walk ``(k, anchors, start)`` that ``walks(labels, edges)``
-    lists, slot k telescopes along the path from ``start`` to its own site
-    and gains the unit of each step, while every other slot i sits at
-    ``anchors[i]``; each term carries the seam-crossing signs of the source
-    sites and of its own.
-    """
-    geom = kernel.geom
-
-    def images(labels, edges):
-        a_in = alpha_sign([l.z for l in labels], geom)
-        for k, anchors, start in walks(labels, edges):
-            mv = labels[k]
-            for sigma, site, unit in gamma_steps(start, mv.z, geom):
-                sites = anchors[:k] + [site] + anchors[k + 1:]
-                new = [FieldLabel(l.omega, l.D, z)
-                       for l, z in zip(labels, sites)]
-                new[k] = FieldLabel(
-                    mv.omega, (mv.D[0] + unit[0], mv.D[1] + unit[1]), site)
-                yield (new, edges,
-                       (-1.0) ** (a_in + alpha_sign(sites, geom)) * sigma)
-    return _derive(kernel, images, kernel.p + 1)
+    """Path-interpolated remainder, one difference order up: for each walk
+    ``(k, anchors, start)`` -- arrays (K, n, 2) and (K, 2) over the keys --
+    slot k telescopes along the path from ``start`` to its own site, gaining
+    the unit of each step, while every other slot i sits at ``anchors[:,
+    i]``; each term carries the seam-crossing signs of the source sites and
+    of its own."""
+    geom, labels = kernel.geom, kernel.labels
+    a_in = alpha_sign(labels[..., _SITE], geom)
+    parts = []
+    for k, anchors, start in walks:
+        row, sigma, site, unit = gamma_steps(start, labels[:, k, _SITE],
+                                             geom)
+        new = labels[row]
+        new[..., _SITE] = anchors[row]
+        new[:, k, _SITE] = site
+        new[:, k, 1:3] += unit
+        parts.append((row, new, (-1.0) ** (
+            a_in[row] + alpha_sign(new[..., _SITE], geom)) * sigma))
+    row, new, f = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(row, kind="stable")  # key-major, walks in order
+    return _derive(kernel, (row[order], new[order],
+                            kernel.edges[row[order]], f[order]),
+                   kernel.p + 1)
 
 
 def _collected(family, n, p, tilde_R_op):
@@ -506,7 +549,8 @@ def _renormalization(family, D, tilde_R_op):
 
 
 # ---------------------------------------------------------------------------
-# Bulk flavor: localization onto the first site.
+# Flavors: localization onto the first site (bulk), the nearest open
+# boundary (edge) and the probe edge's base vertex (source).
 # ---------------------------------------------------------------------------
 
 
@@ -514,7 +558,7 @@ def tilde_L(kernel):
     """Localize all field slots onto the first site, with the
     seam-crossing sign of the source tuple."""
     _sector_check(kernel, BULK, 0)
-    return _localize(kernel, lambda labels, edges: labels[0].z)
+    return _localize(kernel, kernel.labels[:, 0, _SITE])
 
 
 def tilde_R(kernel):
@@ -525,12 +569,10 @@ def tilde_R(kernel):
     site and the slots after it at their own sites.
     """
     _sector_check(kernel, BULK, 0)
-
-    def walks(labels, edges):
-        z = [l.z for l in labels]
-        return [(k, [z[0]] * k + [None] + z[k + 1:], z[0])
-                for k in range(1, len(z))]
-    return _remainder(kernel, walks)
+    z = kernel.labels[..., _SITE]
+    return _remainder(kernel, [
+        (k, np.concatenate([np.repeat(z[:, :1], k, axis=1), z[:, k:]], 1),
+         z[:, 0]) for k in range(1, kernel.n)])
 
 
 def localize_bulk(family):
@@ -543,22 +585,12 @@ def renormalize_bulk(family):
     return _renormalization(family, BULK, tilde_R)
 
 
-# ---------------------------------------------------------------------------
-# Edge flavor: localization onto the nearest open boundary.
-# ---------------------------------------------------------------------------
-
-
-def z_boundary(z, geom):
-    """Vertical projection of a site onto the nearest closure row."""
-    return (z[0], 0) if z[1] <= geom.M // 2 else (z[0], geom.M + 1)
-
-
 def tilde_L_edge(kernel):
     """Localize a (2,0) kernel onto the boundary projection of its first
     site (both slots)."""
     _sector_check(kernel, BOUNDARY, 0)
-    return _localize(kernel, lambda labels, edges: z_boundary(
-        labels[0].z, kernel.geom))
+    return _localize(kernel, z_boundary(kernel.labels[:, 0, _SITE],
+                                        kernel.geom))
 
 
 def tilde_R_edge(kernel):
@@ -567,12 +599,9 @@ def tilde_R_edge(kernel):
     then the first slot telescopes with the second pinned at the
     boundary."""
     _sector_check(kernel, BOUNDARY, 0)
-
-    def walks(labels, edges):
-        z1 = labels[0].z
-        zb = z_boundary(z1, kernel.geom)
-        return [(1, [z1, None], zb), (0, [None, zb], zb)]
-    return _remainder(kernel, walks)
+    z = kernel.labels[..., _SITE]
+    zb = z_boundary(z[:, 0], kernel.geom)
+    return _remainder(kernel, [(1, z, zb), (0, np.stack([zb, zb], 1), zb)])
 
 
 def localize_edge(family):
@@ -583,11 +612,6 @@ def localize_edge(family):
 def renormalize_edge(family):
     """Edge remainder, collected in the (2,1) sector."""
     return _renormalization(family, BOUNDARY, tilde_R_edge)
-
-
-# ---------------------------------------------------------------------------
-# Source flavor: localization onto the probe edge's base vertex.
-# ---------------------------------------------------------------------------
 
 
 def _sourced(family):
@@ -603,7 +627,7 @@ def tilde_L_source(kernel):
     """Localize a (2,0,1) source kernel onto the base vertex of its probe
     edge."""
     _sector_check(kernel, BOUNDARY, 1)
-    return _localize(kernel, lambda labels, edges: edges[0].base)
+    return _localize(kernel, kernel.edges[:, 0, :2])
 
 
 def tilde_R_source(kernel):
@@ -611,11 +635,8 @@ def tilde_R_source(kernel):
     telescopes from the edge base with the first pinned there, then the
     first slot telescopes with the second kept at its site."""
     _sector_check(kernel, BOUNDARY, 1)
-
-    def walks(labels, edges):
-        zx = edges[0].base
-        return [(1, [zx, None], zx), (0, [None, labels[1].z], zx)]
-    return _remainder(kernel, walks)
+    z, zx = kernel.labels[..., _SITE], kernel.edges[:, 0, :2]
+    return _remainder(kernel, [(1, np.stack([zx, zx], 1), zx), (0, z, zx)])
 
 
 def localize_source(family):
@@ -650,26 +671,25 @@ def weighted_norm(kernel, flavor, kappa):
         raise ValueError(f"unknown norm flavor {flavor!r}")
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    geom = kernel.geom
-    groups = {}
-    for (labels, edges), c in kernel.coeffs.items():
-        if any(len(_expand_label(l, geom)) == 0 for l in labels):
-            continue
-        if any(l.z[1] + l.D[1] > geom.M + 1 for l in labels):
-            continue
-        key = (tuple(l.omega for l in labels),
-               tuple(l.z for l in labels), edges)
-        groups[key] = max(groups.get(key, 0.0), abs(c))
-    buckets = defaultdict(float)
+    geom, labels = kernel.geom, kernel.labels
+    rows = np.flatnonzero(
+        _label_terms(labels, geom)[3].any(axis=-1).all(axis=-1)
+        & (labels[..., 4] + labels[..., 2] <= geom.M + 1).all(axis=-1))
+    labels, edges = labels[rows], kernel.edges[rows]
+    first, group = _groups(labels[..., [0, 3, 4]], edges)
+    top = np.zeros(len(first))
+    np.maximum.at(top, group, _modulus(kernel.values[rows]))
+    labels, edges = labels[first], edges[first]
+    source = flavor.startswith("source")
     dist = edge_tree_distance if flavor.endswith("edge") else tree_distance
-    for (omegas, zs, edges), v in groups.items():
-        if flavor.startswith("source"):
-            d, anchor = dist(zs, edges, geom), (omegas, edges)
-        else:
-            d = dist(zs, (), geom)
-            anchor = (omegas, zs[0][0] if flavor == "edge" else zs[0])
-        buckets[anchor] += math.exp(kappa * d) * v
-    return max(buckets.values(), default=0.0)
+    weights = [math.exp(kappa * dist(zs, xs if source else (), geom)) * v
+               for zs, xs, v in zip(_decoded(labels[..., _SITE], lambda *z: z),
+                                    _decoded(edges, _edge), top.tolist())]
+    # pinned with the species: the probe edges or the first site (column)
+    anchor = (edges if source else labels[:, :1, 3:4] if flavor == "edge"
+              else labels[:, :1, _SITE])
+    _, bucket = _groups(labels[..., :1], anchor)
+    return float(np.bincount(bucket, weights).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +697,20 @@ def weighted_norm(kernel, flavor, kappa):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=200000)
+def _covariance_row(label, geom):
+    """A derivative label as a row of plain-field terms ``(sign, 0 for
+    omega=+ / 1 for omega=-, site)``, in expansion order."""
+    col, row, sign, valid = _label_terms(np.array(_label_row(label)), geom)
+    species = 0 if label.omega > 0 else 1
+    return tuple((float(s), species, (c, r)) for c, r, s, ok in zip(
+        col.tolist(), row.tolist(), sign.tolist(), valid.tolist()) if ok)
+
+
 def _monomial_covariance(labels, table):
     """Covariance matrix of derivative field labels against a propagator
     table: each label is the row of its plain-field expansion."""
-    return table.covariance([
-        [(c, 0 if w > 0 else 1, site)
-         for c, (w, site) in _expand_label(l, table.geom)]
-        for l in labels])
+    return table.covariance([_covariance_row(l, table.geom) for l in labels])
 
 
 def monomial_moment(labels, table):
@@ -705,9 +732,8 @@ def truncated_expectation(monomials, table):
     s = len(monomials)
     if s < 1:
         raise ValueError("need at least one monomial")
-    for q in monomials:
-        if len(q) % 2 != 0:
-            raise ValueError("monomials must have even length")
+    if any(len(q) % 2 for q in monomials):
+        raise ValueError("monomials must have even length")
     if s == 1:
         return monomial_moment(monomials[0], table)
     if any(len(q) == 0 for q in monomials):
@@ -718,11 +744,8 @@ def truncated_expectation(monomials, table):
 
 
 def _even_subsets(n):
-    out = []
-    for mask in range(1 << n):
-        if bin(mask).count("1") % 2 == 0:
-            out.append(tuple(i for i in range(n) if mask >> i & 1))
-    return out
+    return [tuple(i for i in range(n) if mask >> i & 1)
+            for mask in range(1 << n) if bin(mask).count("1") % 2 == 0]
 
 
 def rg_step(family, table, s_max=2, *, term_budget=500000):
@@ -739,12 +762,10 @@ def rg_step(family, table, s_max=2, *, term_budget=500000):
     ``family`` is a dict of sector Kernels; returns a dict keyed by
     (n, p, m).
     """
-    entries = []
-    geom = None
+    entries, geom = [], None
     for k in family.values():
         geom = k.geom
-        for (labels, edges), c in k.coeffs.items():
-            entries.append((labels, tuple(edges), c))
+        entries += [(*key, c) for key, c in k.coeffs.items()]
     acc = defaultdict(complex)
     count = 0
     for s in range(1, s_max + 1):
@@ -757,35 +778,20 @@ def rg_step(family, table, s_max=2, *, term_budget=500000):
                 if count > term_budget:
                     raise RuntimeError(
                         f"term budget {term_budget} exceeded in rg_step")
-                internals = []
-                ok = True
-                for (labels, _, _), ext in zip(combo, ext_sets):
-                    q = tuple(l for i, l in enumerate(labels)
-                              if i not in ext)
-                    if s > 1 and not q:
-                        ok = False
-                        break
-                    internals.append(q)
-                if not ok:
-                    continue
-                ext_labels = []
-                order = []
-                offset = 0
-                int_order = []
-                for (labels, _, _), ext in zip(combo, ext_sets):
-                    for i in range(len(labels)):
-                        if i in ext:
-                            order.append(offset + i)
-                        else:
-                            int_order.append(offset + i)
-                    ext_labels.extend(labels[i] for i in ext)
-                    offset += len(labels)
-                if not ext_labels:
+                internals = [
+                    tuple(l for i, l in enumerate(labels) if i not in ext)
+                    for (labels, _, _), ext in zip(combo, ext_sets)]
+                # every field of the combination: (external?, label)
+                slots = [(i in ext, l) for (labels, _, _), ext in zip(
+                    combo, ext_sets) for i, l in enumerate(labels)]
+                ext_labels = [l for e, l in slots if e]
+                if (s > 1 and not all(internals)) or not ext_labels:
                     continue
                 val = truncated_expectation(internals, table)
                 if val == 0.0:
                     continue
-                sign = _parity(order + int_order)
+                sign = _parity(sorted(range(len(slots)),
+                                      key=lambda j: not slots[j][0]))
                 coeff = sign * val / fact
                 for _, _, c in combo:
                     coeff *= c
@@ -793,16 +799,12 @@ def rg_step(family, table, s_max=2, *, term_budget=500000):
                     itertools.chain.from_iterable(e for _, e, _ in combo),
                     key=_edge_sort_key))
                 acc[(tuple(ext_labels), edges)] += coeff
-    out = {}
-    sector_acc = defaultdict(dict)
+    sectors = defaultdict(dict)
     for (labels, edges), c in acc.items():
-        if c == 0:
-            continue
-        sec = (len(labels), sum(l.order() for l in labels), len(edges))
-        sector_acc[sec][(labels, edges)] = c
-    for sec, coeffs in sector_acc.items():
-        out[sec] = Kernel(geom, sec[0], sec[1], sec[2], coeffs)
-    return out
+        if c != 0:
+            sectors[(len(labels), sum(sum(l.D) for l in labels),
+                     len(edges))][(labels, edges)] = c
+    return {sec: Kernel(geom, *sec, coeffs) for sec, coeffs in sectors.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -827,15 +829,12 @@ def extract_vertex_renorm(source_kernel, h=0):
     edge."""
     if source_kernel.sector != (2, 0, 1):
         raise ValueError("expected an infinite-volume (2,0,1) kernel")
-    targets = {"h": Edge((0, 0), "h"), "v": Edge((0, 0), "v")}
-    sums = {"h": 0.0 + 0.0j, "v": 0.0 + 0.0j}
-    for (labels, edges), c in source_kernel.coeffs.items():
-        if labels[0].omega == 1 and labels[1].omega == -1:
-            for key, target in targets.items():
-                if edges[0] == target:
-                    sums[key] += c
-    return VertexRenorm(Z1=2.0 * sums["h"].real, Z2=2.0 * sums["v"].real,
-                        h=h)
+    omega, edge = source_kernel.labels[:, :, 0], source_kernel.edges[:, 0]
+    pm = ((omega[:, 0] == 1) & (omega[:, 1] == -1) & (edge[:, 0] == 0)
+          & (edge[:, 1] == 0))
+    Z1, Z2 = np.bincount(edge[pm, 2], source_kernel.values[pm].real,
+                         2).tolist()  # the "h" and the "v" edge, in order
+    return VertexRenorm(Z1=2.0 * Z1, Z2=2.0 * Z2, h=h)
 
 
 # weights of the free source kernel below this are dropped

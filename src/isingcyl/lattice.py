@@ -8,7 +8,9 @@ representation live.  This module collects everything purely geometric:
 * horizontal periodization ``per_L``, the antiperiodic wrap rule
   ``antiperiodic_wrap`` and cylinder distances,
 * the sign factor ``alpha`` entering the bulk/edge bookkeeping of
-  translation-covariant kernels,
+  translation-covariant kernels, the projection of sites onto the nearest
+  closure row and the canonical interpolation paths between sites (both
+  on integer arrays of sites),
 * the tree distance ``delta`` (size of the smallest connected edge set
   touching a tuple of sites and containing a tuple of edges) and its
   boundary-aware variant ``delta_E``, which weight all kernel norms.
@@ -27,10 +29,12 @@ import numpy as np
 
 
 def _require_integers(values, what):
-    """Accept Python and numpy integers; reject bools, floats and the rest."""
+    """Accept Python and numpy integers; reject bools, floats and the rest.
+    Returns ``values``."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{what} must be integers, got {v!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -108,12 +112,13 @@ def per_L(y, L):
     """Horizontal periodization of ``y`` into the window ``(-L/2, L/2]``.
 
     Matches ``y - L*floor(y/L + 1/2)`` except at the half-integer boundary,
-    where the representative ``+L/2`` is kept.
+    where the representative ``+L/2`` is kept.  Works elementwise on
+    integer arrays.
     """
     if L < 2 or L % 2 != 0:
         raise ValueError(f"L must be even and >= 2, got {L}")
     r = y % L
-    return r if r <= L // 2 else r - L
+    return r - L * (r > L // 2)
 
 
 def alpha_sign(zs, geom):
@@ -122,14 +127,49 @@ def alpha_sign(zs, geom):
     For a tuple whose raw horizontal coordinates spread over at least
     ``2L/3`` (i.e. it wraps through the seam between columns L and 1), this
     is the parity of the number of sites with ``x1 <= L/3``; otherwise 0.
+    An integer array of shape (K, n, 2) holds K tuples and gives K parities.
     """
-    if not zs:
-        return 0
+    zs = np.asarray(zs, dtype=np.int64)
+    if zs.size == 0:
+        return np.zeros(zs.shape[:-2], dtype=np.int64)[()]
     L = geom.L if isinstance(geom, CylinderGeometry) else int(geom)
-    xs = [z[0] for z in zs]
-    if max(xs) - min(xs) >= 2 * L / 3:
-        return sum(1 for x in xs if x <= L / 3) % 2
-    return 0
+    xs = zs[..., 0]
+    wraps = xs.max(axis=-1) - xs.min(axis=-1) >= 2 * L / 3
+    return np.where(wraps, np.sum(xs <= L / 3, axis=-1) % 2, 0)[()]
+
+
+def z_boundary(z, geom):
+    """Vertical projections of sites (integer arrays (..., 2)) onto the
+    nearest closure row."""
+    out = np.array(z)
+    out[..., 1] = np.where(out[..., 1] <= geom.M // 2, 0, geom.M + 1)
+    return out
+
+
+def gamma_steps(z, zp, geom):
+    """Telescoping steps of the canonical paths from the sites ``z`` to the
+    sites ``zp`` (integer arrays (N, 2)): ``(row, sigma, site, unit)``, one
+    entry per step, path by path in order, such that on each path ``f(z')
+    - f(z) = sum sigma * (f(site + unit) - f(site))`` (the seam is left to
+    the callers' sign bookkeeping).  A path runs first vertically, then
+    horizontally the short way round; at the half-circumference tie it
+    stays inside the raw coordinate interval.
+    """
+    L = geom.L
+    (x1, y), (xp1, yp) = np.moveaxis(z, -1, 0), np.moveaxis(zp, -1, 0)
+    d = per_L(xp1 - x1, L)
+    right = np.where(2 * np.abs(d) == L, xp1 > x1, d > 0)
+    counts = np.abs(yp - y) + np.abs(d)
+    row = np.repeat(np.arange(len(counts)), counts)
+    j = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    h = j - np.abs(yp - y)[row]  # negative on the vertical steps
+    x1, y, yp, right, up = x1[row], y[row], yp[row], right[row], (yp > y)[row]
+    vertical = h < 0
+    sigma = np.where(vertical, 2 * up - 1, 2 * right - 1)
+    site = np.stack([
+        np.where(vertical, x1, (x1 - 1 + np.where(right, h, -h - 1)) % L + 1),
+        np.where(vertical, np.where(up, y + j, y - 1 - j), yp)], axis=-1)
+    return row, sigma, site, np.stack([~vertical, vertical], -1).astype(int)
 
 
 # ---------------------------------------------------------------------------

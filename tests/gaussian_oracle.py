@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from isingcyl.kernelcalc import _expand_label
 from isingcyl.propagators import s_eval, s_weights
+from kernel_oracle import expand_label
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ def label_covariance(l1, l2, table):
     table."""
     geom = table.geom
     tot = 0.0 + 0.0j
-    for c1, (w1, s1) in _expand_label(l1, geom):
+    for c1, (w1, s1) in expand_label(l1, geom):
         i1 = 0 if w1 > 0 else 1
-        for c2, (w2, s2) in _expand_label(l2, geom):
+        for c2, (w2, s2) in expand_label(l2, geom):
             i2 = 0 if w2 > 0 else 1
             tot += c1 * c2 * table.block(s1, s2)[i1, i2]
     return tot

@@ -1,12 +1,15 @@
-"""Reference kernel operators: one accumulation loop per operator and the
-symmetrization as a sum of separately built reflected kernels, the forms
-that :mod:`isingcyl.kernelcalc` derives through one shared accumulator,
-kept as its oracle.  Like the library, the localizations and remainders
-keep the probe edges of each key unchanged.
+"""Reference kernel operators: one dict accumulation loop per operator
+and the symmetrization as a sum of separately built reflected kernels, the
+forms that :mod:`isingcyl.kernelcalc` computes on integer key arrays
+through one shared reduction, kept as its oracle.  Like the library, the
+localizations and remainders keep the probe edges of each key unchanged.
 
-Only label-level primitives (field-label reflection, edge reflection,
-interpolation paths, the seam-crossing sign) come from the library; every
-accumulation, permutation sign and pruning step is written out here.
+The label-level maps (field-label and edge reflections, boundary
+projections, interpolation paths, the difference expansion of a label and
+the plain-field polynomial of a kernel) are written out here one label or
+key at a time; only the seam-crossing sign and the antiperiodic wrap come
+from :mod:`isingcyl.lattice`.  Kernels enter and leave through the dict
+form (``Kernel(geom, n, p, m, coeffs)`` and ``kernel.coeffs``).
 
 The family operators at the end (localization and renormalization of a
 dict of sector kernels, in the bulk, edge and source flavors) list their
@@ -16,13 +19,161 @@ compare exactly with the library's power-counting rule.
 
 import itertools
 from collections import defaultdict
+from functools import lru_cache
 
 from isingcyl import kernelcalc as kc
-from isingcyl.kernelcalc import (
-    FieldLabel, Kernel, _edge_sort_key, _reflect_label, gamma_steps,
-    reflect_edge, z_boundary,
-)
-from isingcyl.lattice import Edge, alpha_sign, antiperiodic_wrap
+from isingcyl.kernelcalc import FieldLabel, Kernel, _edge_sort_key
+from isingcyl.lattice import Edge, alpha_sign, antiperiodic_wrap, per_L
+
+
+# ---------------------------------------------------------------------------
+# Label-level maps, one label, edge or path at a time.
+# ---------------------------------------------------------------------------
+
+
+def reflect_label(label, axis, geom):
+    """Image of a field label under the horizontal (axis=1) or vertical
+    (axis=2) reflection, with its phase."""
+    d1, d2 = label.D
+    x1, x2 = label.z
+    if axis == 1:
+        m, s = antiperiodic_wrap(geom.L - x1 - d1, geom.L)
+        phase = 1j * label.omega * (-1.0) ** d1 * s
+        return phase, FieldLabel(label.omega, label.D, (m + 1, x2))
+    phase = 1j * (-1.0) ** d2
+    return phase, FieldLabel(-label.omega, label.D,
+                             (x1, geom.M + 1 - x2 - d2))
+
+
+def reflect_edge(edge, axis, geom):
+    b1, b2 = edge.base
+    if axis == 1:
+        if edge.direction == "h":
+            return Edge((geom.wrap_x1(geom.L - b1), b2), "h")
+        return Edge((geom.wrap_x1(geom.L + 1 - b1), b2), "v")
+    if edge.direction == "h":
+        return Edge((b1, geom.M + 1 - b2), "h")
+    return Edge((b1, geom.M - b2), "v")
+
+
+def z_boundary(z, geom):
+    """Vertical projection of a site onto the nearest closure row."""
+    return (z[0], 0) if z[1] <= geom.M // 2 else (z[0], geom.M + 1)
+
+
+def gamma_steps(z, zp, geom):
+    """Telescoping steps ``(sigma, site, unit)`` of the canonical path from
+    z to z': first vertically, then horizontally the short way round; at
+    the half-circumference tie it stays inside the raw coordinate
+    interval."""
+    steps = []
+    x1, y = z
+    xp1, yp = zp
+    cur = y
+    while cur < yp:
+        steps.append((1, (x1, cur), (0, 1)))
+        cur += 1
+    while cur > yp:
+        cur -= 1
+        steps.append((-1, (x1, cur), (0, 1)))
+    d = per_L(xp1 - x1, geom.L)
+    if 2 * abs(d) == geom.L:
+        direction = 1 if xp1 > x1 else -1
+    else:
+        direction = 1 if d > 0 else -1
+    cur = x1
+    for _ in range(abs(d)):
+        if direction > 0:
+            steps.append((1, (cur, yp), (1, 0)))
+            cur = geom.wrap_x1(cur + 1)
+        else:
+            nxt = geom.wrap_x1(cur - 1)
+            steps.append((-1, (nxt, yp), (1, 0)))
+            cur = nxt
+    return steps
+
+
+@lru_cache(maxsize=None)
+def expand_label(label, geom):
+    """Derivative-expanded field as ((coeff, (omega, site)), ...).
+
+    Horizontal shifts wrap antiperiodically at the seam; vertical shifts
+    leaving the closure drop their term (fields vanish outside it), and
+    the boundary-null combinations (omega=+ at row 0, omega=- at row M+1)
+    are removed.
+    """
+    L = None if geom is None else geom.L
+    M = None if geom is None else geom.M
+    terms = [(1.0, label.z)]
+    for _ in range(label.D[0]):
+        new = []
+        for c, (x1, x2) in terms:
+            if L is None:
+                new.append((c, (x1 + 1, x2)))
+            elif x1 == L:
+                new.append((-c, (1, x2)))
+            else:
+                new.append((c, (x1 + 1, x2)))
+            new.append((-c, (x1, x2)))
+        terms = new
+    for _ in range(label.D[1]):
+        new = []
+        for c, (x1, x2) in terms:
+            if L is None or x2 + 1 <= M + 1:
+                new.append((c, (x1, x2 + 1)))
+            new.append((-c, (x1, x2)))
+        terms = new
+    out = []
+    for c, (x1, x2) in terms:
+        if L is not None:
+            if not 0 <= x2 <= M + 1:
+                continue
+            if label.omega > 0 and x2 == 0:
+                continue
+            if label.omega < 0 and x2 == M + 1:
+                continue
+        out.append((c, (label.omega, (x1, x2))))
+    return tuple(out)
+
+
+def _canonical_monomial(fields):
+    """Sort plain fields with the permutation sign; None if a field repeats
+    (the monomial vanishes)."""
+    fields = list(fields)
+    sign = 1
+    for i in range(1, len(fields)):
+        j = i
+        while j > 0 and fields[j] < fields[j - 1]:
+            fields[j], fields[j - 1] = fields[j - 1], fields[j]
+            sign = -sign
+            j -= 1
+    for a, b in zip(fields, fields[1:]):
+        if a == b:
+            return None, 0
+    return tuple(fields), sign
+
+
+def expand_to_plain_fields(kernel):
+    """Canonical polynomial form: {(sorted plain fields, sorted edges):
+    coefficient}, with boundary-null monomials dropped."""
+    out = defaultdict(complex)
+    for (labels, edges), c in kernel.coeffs.items():
+        expansions = [expand_label(l, kernel.geom) for l in labels]
+        ekey = tuple(sorted(edges, key=_edge_sort_key))
+        for combo in itertools.product(*expansions):
+            mono, sign = _canonical_monomial(f for _, f in combo)
+            if mono is None:
+                continue
+            w = c * sign
+            for s, _ in combo:
+                w *= s
+            out[(mono, ekey)] += w
+    return dict(out)
+
+
+# ---------------------------------------------------------------------------
+# Kernel operators, one accumulation loop each.
+# ---------------------------------------------------------------------------
 
 
 def _prune(acc):
@@ -73,7 +224,7 @@ def reflect_kernel(kernel, axis):
         phase = 1.0 + 0.0j
         new = []
         for l in labels:
-            ph, nl = _reflect_label(l, axis, geom)
+            ph, nl = reflect_label(l, axis, geom)
             phase *= ph
             new.append(nl)
         ekey = tuple(sorted((reflect_edge(e, axis, geom) for e in edges),

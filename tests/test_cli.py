@@ -389,3 +389,29 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["selftest", "--seed", "7"])
         assert args.seed == 7
+
+
+class TestNanResiduals:
+    """A NaN residual fails every --verify gate, in any position."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("max_block_difference",
+         ["propagator", "--L", "4", "--M", "3", "--t1", "0.5"]),
+        ("boundary_residual",
+         ["propagator", "--L", "4", "--M", "3", "--t1", "0.5"]),
+        ("log_partition_function_free",
+         ["partition", "--L", "4", "--M", "2", "--beta", "0.44"]),
+        ("split_residual",
+         ["multiscale", "--L", "8", "--M", "8", "--t1", "0.5"]),
+    ])
+    def test_gate_fails(self, capsys, monkeypatch, name, argv):
+        monkeypatch.setattr(cli, name, lambda *a, **k: math.nan)
+        code, _ = run(capsys, *argv, "--verify")
+        assert code == EXIT_VERIFY
+
+    def test_correlate_gate_fails(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "enumerate_cumulant",
+                            lambda *a, **k: math.nan)
+        code, _ = run(capsys, "correlate", "--request",
+                      write_request(tmp_path), "--verify")
+        assert code == EXIT_VERIFY

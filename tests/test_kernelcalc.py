@@ -12,17 +12,18 @@ import kernel_oracle
 from isingcyl.acceptance import _rand_kernel, _rand_source
 from isingcyl.kernelcalc import (
     BOUNDARY, BULK, FieldLabel, Kernel, VertexRenorm,
-    _monomial_covariance, _sector_check,
-    antisymmetrize, expand_family, expand_to_plain_fields,
-    extract_vertex_renorm, free_source_kernels, gamma_steps,
+    _monomial_covariance, _pack, _sector_check,
+    antisymmetrize, expand_family,
+    extract_vertex_renorm, free_source_kernels,
     horizontal_translate, localize_bulk, localize_edge, localize_source,
     monomial_moment, polynomial_distance, reflect_kernel, renormalize_bulk,
     renormalize_edge, renormalize_source, rg_step, symmetrize, tilde_L,
     tilde_L_edge, tilde_L_source, tilde_R, tilde_R_edge, tilde_R_source,
-    truncated_expectation, weighted_norm, z_boundary,
+    truncated_expectation, weighted_norm,
 )
 from isingcyl.lattice import (
-    CylinderGeometry, Edge, antiperiodic_wrap, tree_distance,
+    CylinderGeometry, Edge, antiperiodic_wrap, gamma_steps, tree_distance,
+    z_boundary,
 )
 from isingcyl.propagators import (
     LazyCriticalTable, ModelParams, PropagatorTable, critical_propagator_fourier,
@@ -87,6 +88,14 @@ class TestKernelBasics:
             FieldLabel(1, (0, 0), (1, geom.M + 2)).validate(geom)
         # vertical overhang of the difference window is allowed
         FieldLabel(1, (0, 2), (1, geom.M)).validate(geom)
+        # entries must be integers: no floats, no bools
+        with pytest.raises(ValueError):
+            FieldLabel(1, (0, 0), (1.5, 2)).validate(geom)
+        with pytest.raises(ValueError):
+            FieldLabel(True, (0, 0), (1, 1)).validate()
+        half = (FieldLabel(1, (0, 0), (1.5, 2)), FieldLabel(-1, (0, 0), (3, 2)))
+        with pytest.raises(ValueError):
+            Kernel(geom, 2, 0, 0, {(half, ()): 1.0})
 
     def test_kernel_validation(self, geom):
         l = FieldLabel(1, (0, 0), (1, 1))
@@ -109,6 +118,31 @@ class TestKernelBasics:
             a + Kernel(CylinderGeometry(4, 5), 2, 0, 0, {})
         with pytest.raises(TypeError):
             a + 1.0
+
+    def test_round_trip(self, geom):
+        # the arrays decode to the dict they were built from, exactly
+        kernels = [k for m in (0, 1, 2)
+                   for k in _oracle_inputs(geom, ALL_SECTORS, m)]
+        kernels.append(free_source_kernels(ModelParams.critical(0.5)))
+        assert min(k.labels[..., 3].min() for k in kernels) < -50
+        for k in kernels:
+            assert Kernel(k.geom, k.n, k.p, k.m, k.coeffs).coeffs == k.coeffs
+        # input keys keep their order and their edge order
+        two = _oracle_inputs(geom, [(2, 1)], 2)[0]
+        assert [e.direction for (_, es) in two.coeffs for e in es] == \
+            ["h", "v"] * len(two.values)
+
+    def test_pack_orders_wide_rows(self):
+        # rows far wider than 63 bits: the codes still order the rows
+        # lexicographically and are equal exactly for equal rows
+        rng = np.random.default_rng(9)
+        rows = rng.integers(-2 ** 20, 2 ** 20, (400, 6))
+        rows[200:] = rows[rng.permutation(200)]
+        order = np.lexsort(rows.T[::-1])
+        step = np.diff(_pack(rows)[order])
+        assert (step >= 0).all()
+        assert ((step == 0) == (np.diff(rows[order], axis=0) == 0).all(
+            axis=1)).all()
 
     def test_algebra(self, geom):
         rng = np.random.default_rng(0)
@@ -149,21 +183,34 @@ class TestExpansion:
             k = Kernel(geom, 2, 0, 0, {
                 ((FieldLabel(omega, (0, 0), (2, row)),
                   FieldLabel(1, (0, 0), (5, 2))), ()): 1.0})
-            assert expand_to_plain_fields(k) == {}
+            assert expand_family(k) == {}
 
     def test_vertical_overhang_drops(self, geom):
         # D2^2 at row M: the term above the closure is zero-extended away
         k = Kernel(geom, 2, 2, 0, {
             ((FieldLabel(1, (0, 2), (2, geom.M)),
               FieldLabel(-1, (0, 0), (5, 2))), ()): 1.0})
-        rows = {f[1][1] for (fields, _), _ in expand_to_plain_fields(k).items()
+        rows = {f[1][1] for (fields, _), _ in expand_family(k).items()
                 for f in fields if f[1][0] == 2}
         assert rows == {geom.M, geom.M + 1}
 
     def test_repeated_field_vanishes(self, geom):
         l = FieldLabel(1, (0, 0), (3, 3))
         k = Kernel(geom, 2, 0, 0, {((l, l), ()): 1.0})
-        assert expand_to_plain_fields(k) == {}
+        assert expand_family(k) == {}
+
+    def test_matches_oracle(self, geom):
+        # the array expansion against the one-key-at-a-time reference on
+        # every oracle input set, symmetrized kernels and an
+        # infinite-volume kernel, coefficient for coefficient
+        kernels = [k for m in (0, 1, 2)
+                   for k in _oracle_inputs(geom, ALL_SECTORS, m)]
+        kernels += [symmetrize(k) for k in kernels[::6]]
+        kernels += _wide_inputs(2)
+        kernels.append(free_source_kernels(ModelParams.critical(0.5)))
+        for k in kernels:
+            assert expand_family(k) == \
+                kernel_oracle.expand_to_plain_fields(k)
 
     def test_ordering_sign(self, geom):
         l1 = FieldLabel(1, (0, 0), (3, 3))
@@ -173,34 +220,51 @@ class TestExpansion:
         assert polynomial_distance(a, b) == 0.0
 
 
+def _closure_pairs(geom):
+    # every ordered pair of closure sites, as two (N, 2) arrays
+    sites = [(x1, x2) for x2 in range(geom.M + 2)
+             for x1 in range(1, geom.L + 1)]
+    z, zp = zip(*itertools.product(sites, repeat=2))
+    return np.array(z), np.array(zp)
+
+
 class TestGammaSteps:
-    @given(st.integers(1, 12), st.integers(1, 12),
-           st.integers(0, 6), st.integers(0, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_telescoping(self, x1, xp1, y, yp):
-        geom = CylinderGeometry(12, 5)
+    def test_telescoping(self, geom):
+        def f(x1, x2):
+            return np.cos(2 * np.pi * x1 / geom.L) + 0.3 * x2 ** 2
 
-        def f(z):
-            return math.cos(2 * math.pi * z[0] / geom.L) + 0.3 * z[1] ** 2
+        z, zp = _closure_pairs(geom)
+        row, sigma, site, unit = gamma_steps(z, zp, geom)
+        nxt = site + unit
+        tot = np.bincount(row, sigma * (f((nxt[:, 0] - 1) % geom.L + 1,
+                                          nxt[:, 1])
+                                        - f(site[:, 0], site[:, 1])),
+                          len(z))
+        assert np.abs(tot - (f(*zp.T) - f(*z.T))).max() < 1e-12
 
-        tot = 0.0
-        for sigma, site, unit in gamma_steps((x1, y), (xp1, yp), geom):
-            nxt = (geom.wrap_x1(site[0] + unit[0]), site[1] + unit[1])
-            tot += sigma * (f(nxt) - f(site))
-        assert tot == pytest.approx(f((xp1, yp)) - f((x1, y)), abs=1e-12)
+    def test_matches_oracle_paths(self, geom):
+        # every path on the closure, step by step, as the scalar walk
+        z, zp = _closure_pairs(geom)
+        row, sigma, site, unit = gamma_steps(z, zp, geom)
+        got = [[] for _ in range(len(z))]
+        for r, s, x, u in zip(row.tolist(), sigma.tolist(), site.tolist(),
+                              unit.tolist()):
+            got[r].append((s, tuple(x), tuple(u)))
+        assert got == [kernel_oracle.gamma_steps(tuple(a), tuple(b), geom)
+                       for a, b in zip(z.tolist(), zp.tolist())]
 
     def test_path_shape(self, geom):
-        steps = gamma_steps((3, 1), (5, 4), geom)
+        _, _, _, unit = gamma_steps(np.array([(3, 1)]), np.array([(5, 4)]),
+                                    geom)
         # vertical first, then horizontal
-        kinds = [s[2] for s in steps]
-        assert kinds == [(0, 1)] * 3 + [(1, 0)] * 2
+        assert unit.tolist() == [[0, 1]] * 3 + [[1, 0]] * 2
 
     def test_half_circumference_tie_break(self, geom):
         # at horizontal distance L/2 the path stays inside the raw
         # coordinate interval, in both directions
-        for z, zp in [((2, 3), (8, 3)), ((8, 3), (2, 3))]:
-            xs = [s[1][0] for s in gamma_steps(z, zp, geom)]
-            assert all(2 <= x <= 8 for x in xs)
+        _, _, site, _ = gamma_steps(np.array([(2, 3), (8, 3)]),
+                                    np.array([(8, 3), (2, 3)]), geom)
+        assert ((2 <= site[:, 0]) & (site[:, 0] <= 8)).all()
 
 
 class TestTildeOperators:
@@ -271,11 +335,28 @@ def _oracle_inputs(geom, sectors, m):
             for sec in sectors for base in range(1, geom.L + 1)]
 
 
+def _wide_inputs(m):
+    # a 256 x 64 cylinder: windows of three columns on both sides of the
+    # seam (L, 1, 2), rows anywhere in 1..M, probe edges at the seam and at
+    # both ends of the rows -- coordinates wide enough that a narrow dtype
+    # or an overflowing packing of whole keys would show
+    wide = CylinderGeometry(256, 64)
+    rng = np.random.default_rng(256 + m)
+    edges = ((), (Edge((wide.L, 1), "h"),),
+             (Edge((wide.L, wide.M), "h"), Edge((1, wide.M - 1), "v")))[m]
+    out = []
+    for sec in ALL_SECTORS:
+        k = rand_kernel(rng, wide, *sec, nkeys=8, base=wide.L, width=3)
+        out.append(Kernel(wide, *sec, m, {(labels, edges): c for
+                                          (labels, _), c in k.coeffs.items()}))
+    return out
+
+
 def assert_matches_oracle(got, ref, tol=1e-15):
     assert (got.geom, got.sector) == (ref.geom, ref.sector)
-    keys = set(got.coeffs) | set(ref.coeffs)
-    assert max((abs(got.coeffs.get(k, 0.0) - ref.coeffs.get(k, 0.0))
-                for k in keys), default=0.0) <= tol
+    gc, rc = got.coeffs, ref.coeffs
+    assert max((abs(gc.get(k, 0.0) - rc.get(k, 0.0)) for k in gc.keys() | rc),
+               default=0.0) <= tol
     assert polynomial_distance(got, ref) <= tol
 
 
@@ -297,6 +378,27 @@ class TestAgainstOracle:
         for k in _oracle_inputs(geom, ALL_SECTORS, m):
             assert_matches_oracle(globals()[name](k, *args),
                                   getattr(kernel_oracle, name)(k, *args))
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_wide_cylinder(self, m):
+        for k in _wide_inputs(m):
+            for name, args in [("antisymmetrize", ()), ("symmetrize", ()),
+                               ("reflect_kernel", (1,)),
+                               ("reflect_kernel", (2,)),
+                               ("horizontal_translate", (-129,)),
+                               ("horizontal_translate", (300,))]:
+                assert_matches_oracle(globals()[name](k, *args),
+                                      getattr(kernel_oracle, name)(k, *args))
+            for name, sectors, mm in [
+                    ("tilde_L", [(2, 0), (2, 1), (4, 0)], 0),
+                    ("tilde_R", [(2, 0), (2, 1), (4, 0)], 0),
+                    ("tilde_L_edge", [(2, 0)], 0),
+                    ("tilde_R_edge", [(2, 0)], 0),
+                    ("tilde_L_source", [(2, 0)], 1),
+                    ("tilde_R_source", [(2, 0)], 1)]:
+                if k.sector[:2] in sectors and m == mm:
+                    assert_matches_oracle(globals()[name](k),
+                                          getattr(kernel_oracle, name)(k))
 
     def test_infinite_volume_antisymmetrize(self):
         k = free_source_kernels(ModelParams.critical(0.5))
@@ -324,15 +426,17 @@ class TestAgainstOracle:
                 kernel_oracle.tilde_R(kernel_oracle.tilde_R(k)))
 
     def test_symmetrize_builds_two_kernels(self, geom, monkeypatch):
+        # one validation per derived array: the antisymmetrized kernel and
+        # the sum of its four reflection images
         builds = []
-        post_init = Kernel.__post_init__
+        validate = Kernel._validate
 
         def counting(self):
             builds.append(self.sector)
-            post_init(self)
+            validate(self)
         rng = np.random.default_rng(41)
         k = rand_kernel(rng, geom, 4, 1, base=10)
-        monkeypatch.setattr(Kernel, "__post_init__", counting)
+        monkeypatch.setattr(Kernel, "_validate", counting)
         symmetrize(k)
         assert builds == [(4, 1, 0), (4, 1, 0)]
 
@@ -352,9 +456,8 @@ FLAVORS = {
 
 def assert_same_kernel(got, ref):
     assert (got.geom, got.sector) == (ref.geom, ref.sector)
-    keys = set(got.coeffs) | set(ref.coeffs)
-    assert all(got.coeffs.get(k, 0.0) == ref.coeffs.get(k, 0.0)
-               for k in keys)
+    gc, rc = got.coeffs, ref.coeffs
+    assert all(gc.get(k, 0.0) == rc.get(k, 0.0) for k in gc.keys() | rc)
 
 
 def assert_same_family(got, ref):
@@ -504,9 +607,11 @@ class TestBulkOperators:
 
 class TestEdgeOperators:
     def test_z_boundary(self, geom):
-        assert z_boundary((3, 1), geom) == (3, 0)
-        assert z_boundary((3, geom.M // 2), geom) == (3, 0)
-        assert z_boundary((3, geom.M // 2 + 1), geom) == (3, geom.M + 1)
+        zs = [(3, 1), (3, geom.M // 2), (3, geom.M // 2 + 1)]
+        assert z_boundary(np.array(zs), geom).tolist() == [
+            [3, 0], [3, 0], [3, geom.M + 1]]
+        assert [kernel_oracle.z_boundary(z, geom) for z in zs] == [
+            (3, 0), (3, 0), (3, geom.M + 1)]
 
     def test_edge_localization_vanishes(self, geom):
         # both fields on the same closure row: one of the two species is
