@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .freecorr import (
-    CorrelationRequest, FreeCorrelator, enumerate_cumulant, enumerate_gibbs,
+    CorrelationRequest, FreeCorrelator, enumerate_gibbs,
     log_partition_function_free,
 )
 from .lattice import CylinderGeometry, Edge
@@ -40,6 +40,7 @@ from .propagators import (
     critical_propagator_fourier, massive_propagator, massive_propagator_direct,
     max_block_difference, scaling_series,
 )
+from .skewlinalg import moments_to_cumulants
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -190,20 +191,31 @@ def cmd_propagator(args):
     return EXIT_OK
 
 
+def _exp_or_none(log_value):
+    """exp(log_value) where it fits a float, else None (JSON null)."""
+    return (math.exp(log_value)
+            if log_value <= math.log(sys.float_info.max) else None)
+
+
+def _enumeration_counts(rec):
+    return {"enumeration_configurations": rec.configurations,
+            "enumeration_levels": rec.levels}
+
+
 def cmd_partition(args):
     geom = CylinderGeometry(args.L, args.M)
     log_z = log_partition_function_free(geom, args.beta, args.J1, args.J2)
-    # Z only where it fits a float; log Z always does
-    z = math.exp(log_z) if log_z <= math.log(sys.float_info.max) else None
     config = {"command": "partition", "L": args.L, "M": args.M,
               "beta": args.beta, "J1": args.J1, "J2": args.J2}
+    # Z only where it fits a float; log Z always does
     report = {"metadata": _metadata(config, {"verify": args.tol}),
-              "Z": z, "log_Z": log_z}
+              "Z": _exp_or_none(log_z), "log_Z": log_z}
     if args.verify:
-        z_enum = enumerate_gibbs(geom, args.beta, args.J1, args.J2).Z
-        delta = abs(math.expm1(log_z - math.log(z_enum)))
-        report["Z_enumeration"] = z_enum
-        report["delta_rel"] = delta
+        rec = enumerate_gibbs(geom, args.beta, args.J1, args.J2)
+        delta = abs(math.expm1(log_z - rec.log_Z))
+        report.update(Z_enumeration=_exp_or_none(rec.log_Z),
+                      log_Z_enumeration=rec.log_Z, delta_rel=delta,
+                      **_enumeration_counts(rec))
         if not delta <= args.tol:
             _emit_json(report, args.output)
             raise VerificationError(
@@ -249,14 +261,12 @@ def cmd_correlate(args):
               "variant": "pfaffian-cumulant"}
     if args.verify:
         beta, J1, J2 = _beta_for(request.params)
-        if request.mode == "truncated":
-            oracle = enumerate_cumulant(request.geom, beta, J1, J2,
-                                        request.edges)
-        else:
-            rec = enumerate_gibbs(request.geom, beta, J1, J2, request.edges)
-            oracle = rec.moments[frozenset(range(len(request.edges)))]
-        report["oracle"] = oracle
-        report["oracle_delta"] = abs(value - oracle)
+        rec = enumerate_gibbs(request.geom, beta, J1, J2, request.edges)
+        oracle = (rec.moments if request.mode == "moment"
+                  else moments_to_cumulants(rec.moments))[
+                      frozenset(range(len(request.edges)))]
+        report.update(oracle=oracle, oracle_delta=abs(value - oracle),
+                      **_enumeration_counts(rec))
         if not report["oracle_delta"] <= args.tol:
             _emit_json(report, args.output)
             raise VerificationError(

@@ -13,7 +13,9 @@ This module evaluates
   set-partition inversion;
 * the explicit continuum scaling limit of the energy correlations;
 * the exhaustive Gibbs enumeration oracle that every Pfaffian-route value
-  is cross-checked against in the tests.
+  is cross-checked against: all 2^(LM) spin configurations counted exactly
+  into a histogram of energy levels, weighted only at the end and in
+  log space, independent of the Pfaffian route.
 
 Horizontal bilinears involve the mixed field
 ``H_{w,z} = xi_{w,z} + sum_y s_w(z1 - y) (phi_{+,(y,z2)} - w phi_{-,(y,z2)})``;
@@ -80,9 +82,24 @@ class CorrelationRequest:
 
 @dataclass(frozen=True)
 class GibbsRecord:
-    Z: float
-    means: dict      # Edge -> <sigma sigma>
-    moments: dict    # frozenset of observable positions -> moment
+    log_Z: float
+    means: dict           # Edge -> <sigma sigma>
+    moments: dict         # frozenset of observable positions -> moment
+    configurations: int   # the configurations counted: 2^(LM)
+    levels: int           # occupied (horizontal, vertical) energy levels
+
+    @property
+    def Z(self):
+        """exp(log_Z); OverflowError where Z does not fit a float."""
+        return math.exp(self.log_Z)
+
+
+# set bits of every 12-bit integer; two lookups cover the 24-spin cap
+_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 12)])
+
+
+def _popcount(x):
+    return _POPCOUNT[x & 0xFFF] + _POPCOUNT[x >> 12]
 
 
 def enumerate_gibbs(geom, beta, J1=1.0, J2=1.0, observables=()):
@@ -90,51 +107,64 @@ def enumerate_gibbs(geom, beta, J1=1.0, J2=1.0, observables=()):
 
     Horizontal bonds are periodic, the rows above M and below 1 carry no
     spins (free vertical boundaries).  ``observables`` is a tuple of edges;
-    the record carries Z, the mean of each observable, and the moments of
-    every nonempty sub-tuple of observables (keyed by position sets).
-    Configuration chunks are reduced in a fixed order, so results are
-    bit-stable.
+    the record carries log Z, the mean of each observable, and the moments
+    of every nonempty sub-tuple of observables (keyed by position sets).
+
+    Spin i is bit i of the configuration index, rows of L bits in
+    row-major order.  Every configuration is counted into one histogram of
+    exact integers keyed by its disagreeing horizontal bonds a (bits of
+    the index XOR its rows rotated by one), its disagreeing vertical bonds
+    b (bits of the index XOR itself shifted by one row) and one bit per
+    observable whose two spins disagree.  The Boltzmann weights
+    exp(beta (J1 (LM - 2a) + J2 (L(M-1) - 2b))) enter only afterwards, at
+    the occupied (a, b) levels and shifted by their maximum, so the sums
+    neither depend on the order of the configurations nor overflow.
     """
-    n = geom.L * geom.M
+    L, M = geom.L, geom.M
+    n = L * M
     if n > ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at {ENUMERATION_CAP} spins, got {n}")
-
-    bonds = []
-    for e in geom.edges():
-        a, b = e.endpoints(geom)
-        bonds.append((geom.site_index(a), geom.site_index(b),
-                      J1 if e.direction == "h" else J2))
     obs_pairs = []
     for e in observables:
         e.validate(geom)
-        a, b = e.endpoints(geom)
-        obs_pairs.append((geom.site_index(a), geom.site_index(b)))
+        obs_pairs.append([geom.site_index(z) for z in e.endpoints(geom)])
 
-    subsets = [frozenset(s) for r in range(1, len(observables) + 1)
-               for s in combinations(range(len(observables)), r)]
-    z_total = 0.0
-    sums = {s: 0.0 for s in subsets}
-    bit = np.arange(n, dtype=np.int64)
+    nh, nv, k = n, n - L, len(obs_pairs)
+    first = sum(1 << (r * L) for r in range(M))  # bit 0 of every row
+    last = first << (L - 1)                      # bit L-1 of every row
+    inner = (1 << nv) - 1                        # the rows 1..M-1
+    levels = (nv + 1) * (nh + 1)
+    hist = np.zeros(levels << k, dtype=np.int64)
     for start in range(0, 1 << n, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, 1 << n), dtype=np.int64)
-        spins = 1 - 2 * ((idx[:, None] >> bit) & 1)
-        energy = np.zeros(len(idx))
-        for ia, ib, J in bonds:
-            energy += J * (spins[:, ia] * spins[:, ib])
-        w = np.exp(beta * energy)
-        z_total += float(w.sum())
-        if obs_pairs:
-            eps = [spins[:, ia] * spins[:, ib] for ia, ib in obs_pairs]
-            for s in subsets:
-                prod = w
-                for i in s:
-                    prod = prod * eps[i]
-                sums[s] += float(prod.sum())
+        idx = np.arange(start, min(start + _ENUM_CHUNK, 1 << n))
+        rotated = ((idx >> 1) & ~last) | ((idx & first) << (L - 1))
+        key = _popcount(idx ^ rotated) + (nh + 1) * _popcount(
+            (idx ^ (idx >> L)) & inner)
+        for i, (ia, ib) in enumerate(obs_pairs):
+            key += (((idx >> ia) ^ (idx >> ib)) & 1) * (levels << i)
+        hist += np.bincount(key, minlength=len(hist))
 
-    moments = {s: sums[s] / z_total for s in subsets}
-    means = {observables[i]: moments[frozenset([i])]
-             for i in range(len(observables))}
-    return GibbsRecord(Z=z_total, means=means, moments=moments)
+    counts = hist.reshape(1 << k, nv + 1, nh + 1)
+    occupied = counts.any(axis=0)
+    b, a = np.indices(occupied.shape)
+    log_w = beta * (J1 * (nh - 2 * a) + J2 * (nv - 2 * b))
+    shift = log_w[occupied].max()
+    w = np.exp(np.where(occupied, log_w - shift, -np.inf))
+    sums = counts.reshape(1 << k, -1) @ w.ravel()  # per observable pattern
+    z_shifted = sums.sum()
+
+    subsets = [frozenset(s) for r in range(1, k + 1)
+               for s in combinations(range(k), r)]
+    patterns = np.arange(1 << k)
+    moments = {}
+    for s in subsets:
+        sign = 1 - 2 * (_popcount(patterns & sum(1 << i for i in s)) & 1)
+        moments[s] = float(sign @ sums / z_shifted)
+    means = {observables[i]: moments[frozenset([i])] for i in range(k)}
+    return GibbsRecord(log_Z=float(shift + math.log(z_shifted)),
+                       means=means, moments=moments,
+                       configurations=int(hist.sum()),
+                       levels=int(occupied.sum()))
 
 
 def enumerate_cumulant(geom, beta, J1, J2, observables):

@@ -44,7 +44,7 @@ from .lattice import (
     Edge, _require_integers, alpha_sign, antiperiodic_wrap,
     edge_tree_distance, gamma_steps, tree_distance, z_boundary,
 )
-from .skewlinalg import joint_cumulant, pfaffian
+from .skewlinalg import joint_cumulant, moments_to_cumulants, pfaffian
 
 _SITE = slice(3, 5)  # the (x1, x2) columns of a label row
 _DIRECTIONS = ("h", "v")
@@ -760,45 +760,74 @@ def rg_step(family, table, s_max=2, *, term_budget=500000):
     constant contributions (no external field) are dropped.
 
     ``family`` is a dict of sector Kernels; returns a dict keyed by
-    (n, p, m).
+    (n, p, m).  One products matrix K of all distinct labels of the
+    entries is built per call.  The moment of any contracted fields is
+    the Pfaffian of the skew part of the principal submatrix of K at
+    their indices (a label picked twice reads its diagonal entry): the
+    covariance that :func:`truncated_expectation` would build for them.
+    The moment of each entry's contracted part is taken once per split,
+    and the truncated expectation of s parts follows from the moments of
+    their sub-collections.
     """
     entries, geom = [], None
     for k in family.values():
         geom = k.geom
         entries += [(*key, c) for key, c in k.coeffs.items()]
+    index = {}
+    for labels, _, _ in entries:
+        for l in labels:
+            index.setdefault(l, len(index))
+    K = table.products([_covariance_row(l, geom) for l in index])
+
+    def moment(idx):
+        G = np.triu(K[np.ix_(idx, idx)], 1)
+        return pfaffian(G - G.T)
+
+    # each entry's splits: (external labels, contracted indices into K,
+    # sign of moving the externals first, moment of the contracted part);
+    # contracted parts are even, so the sign of a term is the product of
+    # its entries' signs
+    splits = []
+    for labels, _, _ in entries:
+        splits.append([])
+        for ext in _even_subsets(len(labels)):
+            rest = tuple(i for i in range(len(labels)) if i not in ext)
+            idx = [index[labels[i]] for i in rest]
+            splits[-1].append((tuple(labels[i] for i in ext), idx,
+                               _parity(ext + rest), moment(idx)))
+
+    def cumulant(parts):
+        moments = {frozenset([i]): part[3] for i, part in enumerate(parts)}
+        for r in range(2, len(parts) + 1):
+            for sub in itertools.combinations(range(len(parts)), r):
+                moments[frozenset(sub)] = moment(
+                    [j for i in sub for j in parts[i][1]])
+        return moments_to_cumulants(moments)[frozenset(range(len(parts)))]
+
     acc = defaultdict(complex)
     count = 0
     for s in range(1, s_max + 1):
         fact = math.factorial(s)
-        for combo in itertools.product(entries, repeat=s):
-            split_choices = [
-                _even_subsets(len(labels)) for labels, _, _ in combo]
-            for ext_sets in itertools.product(*split_choices):
+        for combo in itertools.product(range(len(entries)), repeat=s):
+            edges = tuple(sorted(itertools.chain.from_iterable(
+                entries[e][1] for e in combo), key=_edge_sort_key))
+            for parts in itertools.product(*(splits[e] for e in combo)):
                 count += 1
                 if count > term_budget:
                     raise RuntimeError(
                         f"term budget {term_budget} exceeded in rg_step")
-                internals = [
-                    tuple(l for i, l in enumerate(labels) if i not in ext)
-                    for (labels, _, _), ext in zip(combo, ext_sets)]
-                # every field of the combination: (external?, label)
-                slots = [(i in ext, l) for (labels, _, _), ext in zip(
-                    combo, ext_sets) for i, l in enumerate(labels)]
-                ext_labels = [l for e, l in slots if e]
-                if (s > 1 and not all(internals)) or not ext_labels:
+                ext_labels = tuple(itertools.chain.from_iterable(
+                    part[0] for part in parts))
+                if (s > 1 and not all(part[1] for part in parts)) \
+                        or not ext_labels:
                     continue
-                val = truncated_expectation(internals, table)
+                val = parts[0][3] if s == 1 else cumulant(parts)
                 if val == 0.0:
                     continue
-                sign = _parity(sorted(range(len(slots)),
-                                      key=lambda j: not slots[j][0]))
-                coeff = sign * val / fact
-                for _, _, c in combo:
-                    coeff *= c
-                edges = tuple(sorted(
-                    itertools.chain.from_iterable(e for _, e, _ in combo),
-                    key=_edge_sort_key))
-                acc[(tuple(ext_labels), edges)] += coeff
+                coeff = math.prod(part[2] for part in parts) * val / fact
+                for e in combo:
+                    coeff *= entries[e][2]
+                acc[(ext_labels, edges)] += coeff
     sectors = defaultdict(dict)
     for (labels, edges), c in acc.items():
         if c != 0:

@@ -236,16 +236,29 @@ class PropagatorTable:
     def block(self, z, zp):
         raise NotImplementedError
 
-    def covariance(self, rows):
-        """Skew covariance matrix of linear combinations of fields.
+    def products(self, rows):
+        """Matrix of the field products of linear combinations of fields.
 
         A row is a sequence of ``(coeff, omega, site)`` terms, omega 0 for
-        '+' and 1 for '-'.  Entry (i, j), i < j, is
-        ``sum c c' g_{omega omega'}(site, site')`` over the terms of rows i
-        and j; the diagonal is zero and the lower triangle the negated
-        upper one.  It costs at most one block per distinct ordered pair
-        of sites: pairs that only the lower triangle reads are skipped.
+        '+' and 1 for '-'.  Entry (i, j) is ``sum c c' g_{omega omega'}(site,
+        site')`` over the terms of rows i and j, for every i and j: the
+        diagonal reads g at coincident sites, so a principal submatrix
+        that repeats an index is the covariance of a repeated row.  It
+        costs one block per ordered pair of the sites named, a site paired
+        with itself included.
         """
+        return self._products(rows, upper=False)
+
+    def covariance(self, rows):
+        """Skew covariance matrix of linear combinations of fields: the
+        upper triangle of :meth:`products`, the diagonal zero and the lower
+        triangle the negated upper one.  Blocks that only the lower
+        triangle reads are skipped.
+        """
+        G = np.triu(self._products(rows, upper=True), 1)
+        return G - G.T
+
+    def _products(self, rows, upper):
         first, last = {}, {}
         for i, row in enumerate(rows):
             for _, _, z in row:
@@ -260,10 +273,9 @@ class PropagatorTable:
         P = np.zeros((n, 2, n, 2), dtype=complex)
         for z, a in index.items():
             for zp, b in index.items():
-                if first[z] < last[zp]:
+                if not upper or first[z] < last[zp]:
                     P[a, :, b, :] = self.block(z, zp)
-        G = np.triu(C @ P.reshape(2 * n, 2 * n) @ C.T, 1)
-        return G - G.T
+        return C @ P.reshape(2 * n, 2 * n) @ C.T
 
 
 class TranslationInvariantTable(PropagatorTable):

@@ -1,6 +1,7 @@
 """Reference covariances of linear field combinations: the pairwise double
-loops that :meth:`isingcyl.propagators.PropagatorTable.covariance` replaces,
-kept as its oracle.
+loops that :meth:`isingcyl.propagators.PropagatorTable.covariance` and
+:meth:`~isingcyl.propagators.PropagatorTable.products` replace, kept as
+their oracle.
 
 Every entry of a covariance matrix is summed term by term, one table block
 per pair of plain fields, and the skew matrix is filled entry by entry, so
@@ -81,6 +82,18 @@ def row_covariance(rows, table):
               for row in rows]
     return skew_matrix(len(fields), lambda i, j: field_covariance(
         table, None, fields[i], fields[j]))
+
+
+def row_products(rows, table):
+    """Every entry (i, j) of the field products of ``(coeff, omega, site)``
+    rows against one table, the diagonal and i > j included."""
+    fields = [[(c, ObservableField("phi", w, z)) for c, w, z in row]
+              for row in rows]
+    G = np.zeros((len(fields), len(fields)), dtype=complex)
+    for i, Fi in enumerate(fields):
+        for j, Fj in enumerate(fields):
+            G[i, j] = field_covariance(table, None, Fi, Fj)
+    return G
 
 
 def bilinear_covariance(gc, gm, edges, geom, params):

@@ -11,13 +11,16 @@ key at a time; only the seam-crossing sign and the antiperiodic wrap come
 from :mod:`isingcyl.lattice`.  Kernels enter and leave through the dict
 form (``Kernel(geom, n, p, m, coeffs)`` and ``kernel.coeffs``).
 
-The family operators at the end (localization and renormalization of a
-dict of sector kernels, in the bulk, edge and source flavors) list their
-sectors by hand and call the library's kernel operators, so their outputs
-compare exactly with the library's power-counting rule.
+The family operators (localization and renormalization of a dict of
+sector kernels, in the bulk, edge and source flavors) list their sectors
+by hand and call the library's kernel operators, so their outputs compare
+exactly with the library's power-counting rule.  The one-step RG map at
+the end builds one covariance per term, where the library reads every
+term from one products matrix.
 """
 
 import itertools
+import math
 from collections import defaultdict
 from functools import lru_cache
 
@@ -463,3 +466,54 @@ def renormalize_source(family):
     _source_check(family)
     return _renormalize_quadratic(family, kc.tilde_R_source)
 
+
+
+# ---------------------------------------------------------------------------
+# The one-step RG map, one truncated expectation per term.
+# ---------------------------------------------------------------------------
+
+
+def rg_step(family, table, s_max=2):
+    """:func:`isingcyl.kernelcalc.rg_step` with a covariance built for
+    every term by :func:`isingcyl.kernelcalc.truncated_expectation`."""
+    entries, geom = [], None
+    for k in family.values():
+        geom = k.geom
+        entries += [(*key, c) for key, c in k.coeffs.items()]
+    acc = defaultdict(complex)
+    for s in range(1, s_max + 1):
+        fact = math.factorial(s)
+        for combo in itertools.product(entries, repeat=s):
+            # the even subsets of each entry's slots, by increasing mask
+            splits = [[tuple(i for i in range(len(labels)) if mask >> i & 1)
+                       for mask in range(1 << len(labels))
+                       if bin(mask).count("1") % 2 == 0]
+                      for labels, _, _ in combo]
+            for ext_sets in itertools.product(*splits):
+                internals = [
+                    tuple(l for i, l in enumerate(labels) if i not in ext)
+                    for (labels, _, _), ext in zip(combo, ext_sets)]
+                slots = [(i in ext, l) for (labels, _, _), ext in zip(
+                    combo, ext_sets) for i, l in enumerate(labels)]
+                ext_labels = [l for e, l in slots if e]
+                if (s > 1 and not all(internals)) or not ext_labels:
+                    continue
+                val = kc.truncated_expectation(internals, table)
+                if val == 0.0:
+                    continue
+                # externals first, each group in slot order
+                order = ([j for j, (e, _) in enumerate(slots) if e]
+                         + [j for j, (e, _) in enumerate(slots) if not e])
+                coeff = _sign(order) * val / fact
+                for _, _, c in combo:
+                    coeff *= c
+                edges = tuple(sorted(
+                    itertools.chain.from_iterable(e for _, e, _ in combo),
+                    key=_edge_sort_key))
+                acc[(tuple(ext_labels), edges)] += coeff
+    sectors = defaultdict(dict)
+    for (labels, edges), c in acc.items():
+        if c != 0:
+            sectors[(len(labels), sum(sum(l.D) for l in labels),
+                     len(edges))][(labels, edges)] = c
+    return {sec: Kernel(geom, *sec, coeffs) for sec, coeffs in sectors.items()}

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+import gibbs_oracle
 import isingcyl
 from isingcyl import cli
 from isingcyl.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, build_parser, main,
 )
+from isingcyl.lattice import CylinderGeometry
 
 
 def run(capsys, *argv):
@@ -26,6 +28,13 @@ def rejected(capsys, *argv):
     err = capsys.readouterr().err
     return (code == EXIT_CONFIG and err.startswith("configuration error")
             and "Traceback" not in err)
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"invalid JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def write_request(tmp_path, mode="truncated", edges=None):
@@ -51,6 +60,30 @@ class TestPartition:
         assert doc["delta_rel"] < 1e-10
         assert doc["metadata"]["version"]
         assert doc["metadata"]["config_hash"]
+
+    def test_verify_reports_the_enumeration(self, capsys):
+        code, out = run(capsys, "partition", "--L", "4", "--M", "2",
+                        "--beta", "0.44")
+        assert set(json.loads(out)) == {"metadata", "Z", "log_Z"}
+        code, out = run(capsys, "partition", "--L", "4", "--M", "2",
+                        "--beta", "0.44", "--verify")
+        doc = json.loads(out)
+        assert doc["enumeration_configurations"] == 2 ** 8
+        _, _, levels = gibbs_oracle.gibbs_sums(CylinderGeometry(4, 2), 0.44)
+        assert doc["enumeration_levels"] == len(levels)
+        assert doc["Z_enumeration"] == pytest.approx(doc["Z"], rel=1e-12)
+
+    def test_verify_when_z_overflows(self, capsys):
+        # the enumerated weights overflow a float at beta 17: the gate
+        # compares log Z and the JSON holds no Infinity
+        code, out = run(capsys, "partition", "--L", "6", "--M", "4",
+                        "--beta", "17", "--verify")
+        assert code == EXIT_OK
+        doc = strict_json(out)
+        assert doc["Z"] is None and doc["Z_enumeration"] is None
+        assert doc["log_Z_enumeration"] == pytest.approx(doc["log_Z"],
+                                                         rel=1e-12)
+        assert doc["delta_rel"] <= 1e-10
 
     def test_verify_failure_exit_code(self, capsys):
         # an unattainable tolerance must trip the verification exit code
@@ -188,6 +221,23 @@ class TestCorrelate:
                         write_request(tmp_path, mode="moment"), "--verify")
         assert code == EXIT_OK
         assert json.loads(out)["oracle_delta"] < 1e-9
+
+    def test_verify_when_weights_overflow(self, capsys, tmp_path):
+        # 24 spins with tanh(beta J) = 1 - 1e-15: exp(beta * energy)
+        # overflows a float, the oracle moments stay finite
+        path = tmp_path / "cold.json"
+        path.write_text(json.dumps({
+            "params": {"L": 6, "M": 4, "t1": 1 - 1e-15, "t2": 1 - 1e-15,
+                       "critical": False},
+            "mode": "moment",
+            "edges": [{"x1": 1, "x2": 1, "dir": "h"},
+                      {"x1": 3, "x2": 2, "dir": "v"}]}))
+        code, out = run(capsys, "correlate", "--request", str(path),
+                        "--verify")
+        assert code == EXIT_OK
+        doc = strict_json(out)
+        assert doc["oracle"] == pytest.approx(1.0, abs=1e-9)
+        assert doc["enumeration_configurations"] == 2 ** 24
 
     def test_minimum_order(self, capsys, tmp_path):
         # one edge has a moment but no truncated correlation
@@ -410,8 +460,8 @@ class TestNanResiduals:
         assert code == EXIT_VERIFY
 
     def test_correlate_gate_fails(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "enumerate_cumulant",
-                            lambda *a, **k: math.nan)
+        monkeypatch.setattr(cli, "moments_to_cumulants",
+                            lambda moments: dict.fromkeys(moments, math.nan))
         code, _ = run(capsys, "correlate", "--request",
                       write_request(tmp_path), "--verify")
         assert code == EXIT_VERIFY

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gaussian_oracle as oracle
+import gibbs_oracle
 import partition_oracle
 from isingcyl import freecorr, propagators, skewlinalg
 from isingcyl.lattice import CylinderGeometry, Edge
@@ -60,6 +61,44 @@ class TestEnumeration:
         obs = (Edge((1, 1), "h"), Edge((1, 1), "v"), Edge((3, 2), "h"))
         rec = enumerate_gibbs(geom, 0.25, observables=obs)
         assert len(rec.moments) == 7
+
+
+    @pytest.mark.parametrize("LM, beta, J1, J2, obs", [
+        # L = 2: each row's two horizontal bonds join the same two spins
+        ((2, 1), 0.3, 1.0, 1.0, (Edge((2, 1), "h"), Edge((1, 1), "h"))),
+        ((2, 3), 0.7, 0.6, -1.1,
+         (Edge((2, 2), "h"), Edge((1, 1), "v"), Edge((1, 2), "v"))),
+        # M = 1: no vertical bonds
+        ((4, 1), 0.5, -0.8, 1.0, (Edge((4, 1), "h"), Edge((1, 1), "h"))),
+        ((4, 3), 0.44, 1.3, 0.7,
+         (Edge((4, 2), "h"), Edge((1, 2), "v"), Edge((4, 1), "v"))),
+    ])
+    def test_matches_per_configuration_sum(self, LM, beta, J1, J2, obs):
+        # wrapping horizontal edges (x1 = L) and edges sharing a site
+        geom = CylinderGeometry(*LM)
+        rec = enumerate_gibbs(geom, beta, J1, J2, obs)
+        log_z, moments, levels = gibbs_oracle.gibbs_sums(geom, beta, J1, J2,
+                                                         obs)
+        assert rec.configurations == 2 ** (geom.L * geom.M)
+        assert rec.levels == len(levels)
+        assert abs(rec.log_Z - log_z) <= 1e-12
+        assert rec.moments.keys() == moments.keys()
+        for s, m in moments.items():
+            assert abs(rec.moments[s] - m) <= 1e-12
+        for i, e in enumerate(obs):
+            assert rec.means[e] == rec.moments[frozenset([i])]
+
+    def test_overflowing_weights(self):
+        # exp(beta * energy) exceeds a float; log Z and the moments do not
+        geom = CylinderGeometry(4, 3)
+        obs = (Edge((1, 1), "h"), Edge((2, 2), "v"))
+        rec = enumerate_gibbs(geom, 40.0, observables=obs)
+        # the two ground states dominate: log Z = 20 beta + log 2
+        assert rec.log_Z == pytest.approx(800.0 + math.log(2.0), rel=1e-15)
+        assert all(m == pytest.approx(1.0, abs=1e-15)
+                   for m in rec.moments.values())
+        with pytest.raises(OverflowError):
+            rec.Z
 
 
 class TestPartitionFunction:

@@ -965,6 +965,34 @@ class TestRGStep:
                for sec, k in rg_step(fam, table, s_max=2).items()}
         assert polynomial_distance(lhs, rhs) < 1e-12
 
+    @pytest.mark.parametrize("s_max", [1, 2])
+    @pytest.mark.parametrize("seed", [44, 45, 46])
+    def test_matches_per_term_oracle(self, geom, table, s_max, seed):
+        # at s_max 2 every entry is also paired with itself: the repeated
+        # labels read the diagonal of the products matrix
+        rng = np.random.default_rng(seed)
+        fam = {(2, 1): rand_kernel(rng, geom, 2, 1, nkeys=2),
+               (4, 0): rand_kernel(rng, geom, 4, 0, nkeys=2),
+               (2, 0, 1): rand_source(rng, geom, 2, 0, nkeys=2)}
+        got = rg_step(fam, table, s_max=s_max)
+        ref = kernel_oracle.rg_step(fam, table, s_max=s_max)
+        assert set(got) == set(ref)
+        assert polynomial_distance(got, ref) <= 1e-14
+
+    def test_one_products_matrix_per_call(self, geom, table, monkeypatch):
+        calls = []
+        products = PropagatorTable.products
+
+        def counting(self, rows):
+            calls.append(len(rows))
+            return products(self, rows)
+        monkeypatch.setattr(PropagatorTable, "products", counting)
+        monkeypatch.setattr(PropagatorTable, "covariance", None)
+        rng = np.random.default_rng(47)
+        v = rand_kernel(rng, geom, 4, 0, nkeys=2)
+        rg_step({v.sector: v}, table, s_max=2)
+        assert calls == [len({l for labels, _ in v.coeffs for l in labels})]
+
     def test_free_theory_is_empty(self, table):
         # with no interaction there is nothing to contract
         assert rg_step({}, table, s_max=2) == {}

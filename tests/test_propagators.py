@@ -351,6 +351,27 @@ class TestCovariance:
             assert np.max(np.abs(got - ref)) < 1e-13 * max(
                 1.0, np.max(np.abs(ref)))
 
+    @pytest.mark.parametrize("kind", ["full", "lazy", "dense", "massive"])
+    def test_products_against_oracle(self, kind):
+        # every entry, the diagonal and repeated rows included; the
+        # covariance is the skew part of the upper triangle
+        geom = CylinderGeometry(6, 4)
+        table = _covariance_table(kind, geom)
+        rng = np.random.default_rng(42)
+        rows = [[(complex(*rng.normal(size=2)), int(rng.integers(2)),
+                  (int(rng.integers(1, geom.L + 1)),
+                   int(rng.integers(1, geom.M + 1))))
+                 for _ in range(int(rng.integers(1, 5)))]
+                for _ in range(6)]
+        rows += [rows[2], []]
+        got = table.products(rows)
+        ref = oracle.row_products(rows, table)
+        scale = max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(got - ref)) < 1e-13 * scale
+        upper = np.triu(got, 1)
+        assert np.max(np.abs(table.covariance(rows) - (upper - upper.T))) \
+            < 1e-15 * scale
+
     def test_blocks_read_by_the_upper_triangle_only(self):
         geom = CylinderGeometry(6, 4)
         table = _covariance_table("full", geom)
