@@ -327,7 +327,7 @@ def check_norm_battery(seed=0, runs=50):
                                    kappa + eps) / eps)
         violation = max(violation, lhs - rhs)
     return _record(9, "remainder norm inequality battery",
-                   max(violation, 0.0), 1e-9, t0,
+                   max(violation, 0.0), 1e-9, t0, time_cap=10.0,
                    detail=f"{runs} runs per inequality at "
                           f"kappa={kappa}, eps={eps}")
 

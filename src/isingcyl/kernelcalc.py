@@ -41,8 +41,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
-    Edge, _require_integers, alpha_sign, antiperiodic_wrap,
-    edge_tree_distance, gamma_steps, tree_distance, z_boundary,
+    Edge, _pack, _require_integers, alpha_sign, antiperiodic_wrap,
+    edge_tree_distance, gamma_steps, tree_distance, tree_distances,
+    z_boundary,
 )
 from .skewlinalg import joint_cumulant, moments_to_cumulants, pfaffian
 
@@ -180,26 +181,6 @@ def kernel_sum(kernels):
     return _reduced(k.geom, *k.sector, *(
         np.concatenate([getattr(q, a) for q in kernels])
         for a in ("labels", "edges", "values")))
-
-
-def _pack(rows):
-    """One int64 code per integer row (last axis), ordered as the rows: the
-    columns folded in mixed radix, the partial codes replaced by their
-    dense ranks where the next column would overflow 63 bits."""
-    code = np.zeros(rows.shape[:-1], dtype=np.int64)
-    span = 1
-    for j in range(rows.shape[-1] if code.size else 0):
-        col = rows[..., j]
-        lo = int(col.min())
-        s = int(col.max()) - lo + 1
-        if span * s >= 2 ** 63:
-            code = np.unique(code, return_inverse=True)[1].reshape(code.shape)
-            span = int(code.max()) + 1
-        code *= s
-        code += col
-        code -= lo
-        span *= s
-    return code
 
 
 def _edge_sort_key(e):
@@ -654,7 +635,13 @@ def renormalize_source(family):
 # Weighted norms.
 # ---------------------------------------------------------------------------
 
-NORM_FLAVORS = ("bulk", "edge", "source-bulk", "source-edge")
+# The per-key distance of each norm flavor: ``delta`` or ``delta_E``.
+# weighted_norm computes it for all keys of a kernel in one
+# tree_distances call.
+NORM_DISTANCES = {"bulk": tree_distance, "edge": edge_tree_distance,
+                  "source-bulk": tree_distance,
+                  "source-edge": edge_tree_distance}
+NORM_FLAVORS = tuple(NORM_DISTANCES)
 
 
 def weighted_norm(kernel, flavor, kappa):
@@ -665,15 +652,24 @@ def weighted_norm(kernel, flavor, kappa):
     its column is pinned) and the boundary-seeking tree distance weights
     the terms; the ``source-*`` variants pin the probe edges instead and
     measure distances to them.  Keys whose labels vanish identically or
-    leave the closure do not contribute.
+    reach off the closure rows 0..M+1 (a window [x2, x2 + d2] overhanging
+    either end) do not contribute.
+
+    The distances of all keys come from one :func:`lattice.tree_distances`
+    call: keys equal up to a horizontal translation share one canonical
+    row, and the rows of one terminal count share one batched
+    Dreyfus-Wagner, in chunks of at most 8 MB per temporary; nothing is
+    kept after the call.  Each distinct distance ``d`` gives one weight
+    factor ``exp(kappa * d)``.
     """
     if flavor not in NORM_FLAVORS:
         raise ValueError(f"unknown norm flavor {flavor!r}")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
     geom, labels = kernel.geom, kernel.labels
     rows = np.flatnonzero(
         _label_terms(labels, geom)[3].any(axis=-1).all(axis=-1)
+        & (labels[..., 4].min(axis=-1, initial=0) >= 0)
         & (labels[..., 4] + labels[..., 2] <= geom.M + 1).all(axis=-1))
     labels, edges = labels[rows], kernel.edges[rows]
     first, group = _groups(labels[..., [0, 3, 4]], edges)
@@ -681,15 +677,15 @@ def weighted_norm(kernel, flavor, kappa):
     np.maximum.at(top, group, _modulus(kernel.values[rows]))
     labels, edges = labels[first], edges[first]
     source = flavor.startswith("source")
-    dist = edge_tree_distance if flavor.endswith("edge") else tree_distance
-    weights = [math.exp(kappa * dist(zs, xs if source else (), geom)) * v
-               for zs, xs, v in zip(_decoded(labels[..., _SITE], lambda *z: z),
-                                    _decoded(edges, _edge), top.tolist())]
+    dist, key = np.unique(tree_distances(
+        labels[..., _SITE], edges if source else edges[:, :0], geom,
+        boundary=flavor.endswith("edge")), return_inverse=True)
+    factor = np.array([math.exp(kappa * d) for d in dist.tolist()])
     # pinned with the species: the probe edges or the first site (column)
     anchor = (edges if source else labels[:, :1, 3:4] if flavor == "edge"
               else labels[:, :1, _SITE])
     _, bucket = _groups(labels[..., :1], anchor)
-    return float(np.bincount(bucket, weights).max(initial=0.0))
+    return float(np.bincount(bucket, factor[key] * top).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

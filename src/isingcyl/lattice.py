@@ -13,7 +13,8 @@ representation live.  This module collects everything purely geometric:
   on integer arrays of sites),
 * the tree distance ``delta`` (size of the smallest connected edge set
   touching a tuple of sites and containing a tuple of edges) and its
-  boundary-aware variant ``delta_E``, which weight all kernel norms.
+  boundary-aware variant ``delta_E``, which weight all kernel norms: one
+  key at a time, or a whole batch of keys as integer arrays.
 
 Sites are plain ``(x1, x2)`` tuples with ``x1`` in ``1..L`` and ``x2`` in
 ``0..M+1``.  Edges are :class:`Edge` instances.
@@ -35,6 +36,26 @@ def _require_integers(values, what):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{what} must be integers, got {v!r}")
     return values
+
+
+def _pack(rows):
+    """One int64 code per integer row (last axis), ordered as the rows: the
+    columns folded in mixed radix, the partial codes replaced by their
+    dense ranks where the next column would overflow 63 bits."""
+    code = np.zeros(rows.shape[:-1], dtype=np.int64)
+    span = 1
+    for j in range(rows.shape[-1] if code.size else 0):
+        col = rows[..., j]
+        lo = int(col.min())
+        s = int(col.max()) - lo + 1
+        if span * s >= 2 ** 63:
+            code = np.unique(code, return_inverse=True)[1].reshape(code.shape)
+            span = int(code.max()) + 1
+        code *= s
+        code += col
+        code -= lo
+        span *= s
+    return code
 
 
 @dataclass(frozen=True)
@@ -179,9 +200,17 @@ def gamma_steps(z, zp, geom):
 # (rows 0..M+1) so that tuples touching the ghost rows, and the boundary
 # condition of delta_E, are meaningful.  Edge weights are 1; required edges
 # are forced into the solution by zeroing their weight, declaring their
-# endpoints terminals and adding their count back afterwards.  Every solver
-# below reads the all-pairs distance matrix of that graph.
+# bases terminals and adding their count back afterwards (the other
+# endpoint is at distance zero from the base, so every tree through the
+# base reaches it at no cost).  One batched Dreyfus-Wagner over the
+# all-pairs distance matrix of that graph serves every caller: a batch of
+# keys is reduced to its distinct canonical rows, and the rows of one
+# terminal count share every mask of the program.
 # ---------------------------------------------------------------------------
+
+# Bytes of one chunk of rows of the batched program (their metrics and
+# masks) and of each min-plus temporary.  One (nv, nv) block is the floor.
+_CHUNK_BYTES = 1 << 23
 
 
 @lru_cache(maxsize=8)
@@ -200,78 +229,222 @@ def _closure_metric(L, M):
     return D
 
 
-def _vid(z, L):
-    return (z[0] - 1) % L + L * z[1]
+def _integer_array(a, width, what):
+    """``a`` as int64 rows (K, k, width); raise unless its entries are
+    integers (by dtype, or one by one for an object array)."""
+    a = np.asarray(a)
+    if a.ndim != 3 or a.shape[2] != width:
+        raise ValueError(f"{what} must be an array (K, k, {width})")
+    if a.dtype == object:
+        _require_integers(a.ravel().tolist(), what)
+    elif a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {a.dtype}")
+    return a.astype(np.int64)
 
 
-def _terminals_and_metric(zs, xs, geom):
-    """Sorted terminal ids and the closure metric with the required edges
-    ``xs`` at weight zero."""
-    L = geom.L
-    terms = {_vid(z, L) for z in zs}
-    D = _closure_metric(L, geom.M)
-    if not xs:
-        return sorted(terms), D
-    D = D.copy()
-    ends = set()
-    for x in xs:
-        a, b = (_vid(z, L) for z in x.endpoints(geom))
-        D[a, b] = D[b, a] = 0
-        ends.update((a, b))
+def _canonical_rows(sites, edges, geom):
+    """The distinct canonical rows of K keys, and the row of each key.
+
+    A key's row lists its terminal ids (its sites and the bases of its
+    required edges), sorted and distinct and padded with ``nv = L*(M+2)``,
+    then its required-edge codes ``2*id(base) + vertical``, sorted.  Each
+    occupied column in turn is shifted to column 1, every site and edge
+    base alike; the least of these rows is canonical, so translates share
+    it.  The closure metric and the required edges move together under the
+    shift, so keys with equal rows have equal distances.
+    """
+    L, nv = geom.L, geom.L * (geom.M + 2)
+    n, m = sites.shape[1], edges.shape[1]
+    vertical = edges[..., 2]
+    cols = np.concatenate([sites[..., 0], edges[..., 0]], axis=1) - 1
+    rows = np.concatenate([sites[..., 1], edges[..., 1]], axis=1)
+    shifted = (cols[:, None, :] - cols[:, :, None]) % L  # (K, anchor, slot)
+    ids = np.sort(shifted + L * rows[:, None, :], axis=-1)
+    ids[..., 1:][ids[..., 1:] == ids[..., :-1]] = nv
+    ids.sort(axis=-1)
+    codes = np.sort(2 * (shifted[..., n:n + m] + L * edges[:, None, :, 1])
+                    + vertical[:, None, :], axis=-1)
+    packed = np.concatenate([ids, codes], axis=-1)
+    code = _pack(packed)
+    anchor = code.argmin(axis=1)
+    _, first, key_row = np.unique(code[np.arange(len(code)), anchor],
+                                  return_index=True, return_inverse=True)
+    return packed[first, anchor[first]], key_row.reshape(-1)
+
+
+def _zero_edge_metrics(D, codes, L):
+    """The closure metric ``D`` of each row (k, nv, nv), with the row's
+    required edges (codes (k, m)) at weight zero."""
+    a, vertical = codes >> 1, codes & 1
+    b = np.where(vertical, a + L, a - a % L + (a + 1) % L)
+    metric = np.repeat(D[None], len(codes), axis=0)
+    r = np.arange(len(codes))
+    metric[r[:, None], a, b] = metric[r[:, None], b, a] = 0
     # A shortest path alternates unit-weight stretches with zero edges, so
     # Floyd-Warshall through the zero-edge endpoints alone is exact.
-    for k in sorted(ends):
-        np.minimum(D, D[:, k, None] + D[k], out=D)
-    return sorted(terms | ends), D
+    for v in np.concatenate([a, b], axis=1).T:
+        np.minimum(metric, metric[r, :, v][:, :, None] + metric[r, v][:, None],
+                   out=metric)
+    return metric
 
 
-def _relax(merge, D):
-    """One min-plus step ``min_w merge[..., w] + D[w, :]``, holding one
-    (nv, nv) temporary at a time."""
-    if merge.ndim == 1:
-        return (merge[:, None] + D).min(axis=0)
-    return np.stack([(m[:, None] + D).min(axis=0) for m in merge])
+def _relax(merge, metric):
+    """One min-plus step ``min_w merge[i, j, w] + metric[i, w, :]`` for
+    ``merge`` (k, f, nv) over a shared (1, nv, nv) or a per-row (k, nv,
+    nv) metric, ``_CHUNK_BYTES`` of temporaries at a time."""
+    k, f, nv = merge.shape
+    flat = merge.reshape(k * f, nv)
+    out = np.empty_like(flat)
+    step = max(1, _CHUNK_BYTES // metric[0].nbytes)
+    for s in range(0, k * f, step):
+        e = min(s + step, k * f)
+        D = metric if len(metric) == 1 else metric[np.arange(s, e) // f]
+        out[s:e] = (flat[s:e, :, None] + D).min(axis=1)
+    return out.reshape(k, f, nv)
 
 
-def _dreyfus_wagner(D, rows, dp=None):
-    """Dreyfus-Wagner dynamic program over the metric ``D``.
+def _dreyfus_wagner(metric, rows, dp=None):
+    """Batched Dreyfus-Wagner dynamic program.
 
-    ``rows[i]`` holds the distances of all vertices to terminal ``i``.  A
-    row with a leading axis is a family of terminal groups, each reached
-    through its nearest member; masks holding such a row carry that axis.
-    Returns ``dp``, where ``dp[mask][..., v]`` is the minimal weight of a
-    connected subgraph spanning the terminals in ``mask`` and vertex ``v``.
-    A ``dp`` computed for a prefix of ``rows`` is extended, not recomputed.
+    ``rows[i]`` (k, f, nv) holds the distances of all vertices to terminal
+    ``i`` of each of k rows; ``f > 1`` is a family of terminal groups, each
+    reached through its nearest member, and masks holding it carry that
+    axis.  Returns ``dp``, where ``dp[mask][..., v]`` is the minimal weight
+    of a connected subgraph spanning the terminals in ``mask`` and vertex
+    ``v``, for every mask but the full one, and the full mask's merge
+    before its min-plus step: ``min_w merge[..., w] + d(w, X)`` is the
+    cheapest such subgraph that also touches the vertex set ``X``.  A
+    ``dp`` computed for a prefix of ``rows`` is extended, not recomputed.
     """
     dp = list(dp or [None])
-    for mask in range(len(dp), 1 << len(rows)):
+    full = (1 << len(rows)) - 1
+    for mask in range(len(dp), full + 1):
         low = mask & -mask
         rest = mask ^ low
         if not rest:
-            dp.append(rows[low.bit_length() - 1])
+            merge = rows[low.bit_length() - 1]
+        else:
+            merge = dp[low] + dp[rest]
+            sub = (rest - 1) & rest
+            while sub:
+                np.minimum(merge, dp[low | sub] + dp[rest ^ sub], out=merge)
+                sub = (sub - 1) & rest
+        if mask == full:
+            return dp, merge
+        dp.append(_relax(merge, metric) if rest else merge)
+
+
+def _plain_tree(metric, terms):
+    """``delta`` without the required edges of rows of t >= 2 terminals
+    (k, t): the program over all but the last terminal, read there."""
+    sel = np.arange(len(terms)) if len(metric) > 1 else 0
+    rows = [metric[sel, v][:, None] for v in terms[:, :-1].T]
+    _, last = _dreyfus_wagner(metric, rows)
+    return (last[:, 0] + metric[sel, terms[:, -1]]).min(axis=1)
+
+
+def _edge_tree(metric, terms, geom):
+    """``delta_E`` without the required edges of rows of t >= 1 terminals
+    (k, t): the boundary option, and the winding option where it can win."""
+    L, M = geom.L, geom.M
+    sel = np.arange(len(terms)) if len(metric) > 1 else 0
+    rows = [metric[sel, v][:, None] for v in terms.T]
+    dp, last = _dreyfus_wagner(metric, rows)
+    to_boundary = np.minimum(metric[..., :L].min(-1), metric[..., -L:].min(-1))
+    best = (last[:, 0] + to_boundary[sel]).min(axis=1)
+    # Winding option: along a path between two points more than L/3 apart
+    # the horizontal distance from the first point takes every value up to
+    # sep = floor(L/3) + 1 <= L/2, so the set touches some column c and
+    # column c + sep.  It then has at least sep edges and can only beat the
+    # boundary option if the latter exceeds sep.
+    sep = floor(L / 3) + 1
+    wind = np.flatnonzero(best > sep)
+    if wind.size:
+        # Column c as one more terminal group, for every c at once, read
+        # at column c + sep; the masks without it are those of the plain
+        # program.
+        metric = metric[wind] if len(metric) > 1 else metric
+        col = metric.reshape(len(metric), M + 2, L, -1).min(axis=1)
+        dp = [None] + [d[wind] for d in dp[1:]] + [_relax(last[wind], metric)]
+        _, last = _dreyfus_wagner(metric, [r[wind] for r in rows] + [col], dp)
+        wound = (last + np.roll(col, -sep, axis=1)).min(axis=(1, 2))
+        best[wind] = np.minimum(best[wind], wound)
+    return best
+
+
+def tree_distances(sites, edges, geom, boundary=False):
+    """Tree distances of K keys at once: ``delta``, or ``delta_E`` with
+    ``boundary`` (see :func:`tree_distance`, :func:`edge_tree_distance`).
+
+    ``sites`` (K, n, 2) holds each key's sites (x1, x2) and ``edges`` (K,
+    m, 3) its required edges (b1, b2, 0 for "h" / 1 for "v"); columns wrap
+    mod L, and every site and edge endpoint must lie on the closure rows
+    0..M+1.  Each distinct canonical row (keys equal up to a horizontal
+    translation share one) is solved once, and the rows of one terminal
+    count share one batched Dreyfus-Wagner whose chunks of rows hold at
+    most ``_CHUNK_BYTES`` (8 MB) per temporary, or one (nv, nv) metric
+    where that is larger.  Nothing is kept between calls.  Returns int64
+    distances (K,).
+    """
+    L, M = geom.L, geom.M
+    sites = _integer_array(sites, 2, "site coordinates")
+    edges = _integer_array(edges, 3, "edge coordinates")
+    if len(sites) != len(edges):
+        raise ValueError("sites and edges of different key counts")
+    x2 = sites[..., 1]
+    b2, vertical = edges[..., 1], edges[..., 2]
+    if ((x2 < 0) | (x2 > M + 1)).any():
+        raise ValueError(f"site row outside the closure rows 0..{M + 1}")
+    if ((vertical != 0) & (vertical != 1)).any() or (
+            (b2 < 0) | (b2 + vertical > M + 1)).any():
+        raise ValueError(f"edge outside the closure rows 0..{M + 1}")
+    K, n, m = len(sites), sites.shape[1], edges.shape[1]
+    dist = np.full(K, m, dtype=np.int64)
+    if not K or not n + m:
+        return dist
+    rows, key_row = _canonical_rows(sites, edges, geom)
+    D = _closure_metric(L, M)
+    slots = n + m
+    counts = (rows[:, :slots] < len(D)).sum(axis=1)
+    out = np.zeros(len(rows), dtype=np.int64)
+    for t in np.unique(counts).tolist():
+        if t == 1 and not boundary:  # one vertex spans itself
             continue
-        merge = dp[low] + dp[rest]
-        sub = (rest - 1) & rest
-        while sub:
-            np.minimum(merge, dp[low | sub] + dp[rest ^ sub], out=merge)
-            sub = (sub - 1) & rest
-        dp.append(_relax(merge, D))
-    return dp
+        which = np.flatnonzero(counts == t)
+        # per row: its metric, if it has required edges, and the masks of
+        # the program and of the winding pass
+        row_bytes = D.itemsize * len(D) * ((len(D) if m else 0)
+                                           + (1 << t) * (1 + boundary * L))
+        step = max(1, _CHUNK_BYTES // row_bytes)
+        for s in range(0, len(which), step):
+            chunk = rows[which[s:s + step]]
+            metric = (_zero_edge_metrics(D, chunk[:, slots:], L) if m
+                      else D[None])
+            out[which[s:s + step]] = (
+                _edge_tree(metric, chunk[:, :t], geom) if boundary
+                else _plain_tree(metric, chunk[:, :t]))
+    return dist + out[key_row]
+
+
+def _one_key(zs, xs):
+    """Site and edge arrays of one key, as object arrays, so that
+    :func:`tree_distances` checks the Python values (numpy would read a
+    bool as an integer and cast a float)."""
+    return (np.array(zs, dtype=object).reshape(1, -1, 2),
+            np.array([(*x.base, int(x.direction == "v")) for x in xs],
+                     dtype=object).reshape(1, -1, 3))
 
 
 def tree_distance(zs, xs, geom):
     """Tree distance ``delta``: edge count of the smallest connected subset
     of the cylinder edge graph containing all edges ``xs`` and touching all
-    sites ``zs``.
+    sites ``zs`` (rows 0..M+1).
 
     Exact (Dreyfus-Wagner) at every terminal count: ``k`` distinct terminal
-    vertices on ``n`` closure vertices cost ``O(3^k n + 2^k n^2)``.
+    vertices on ``n`` closure vertices cost ``O(3^k n + 2^k n^2)``.  One
+    key of :func:`tree_distances`.
     """
-    terms, D = _terminals_and_metric(zs, xs, geom)
-    base = len(xs)
-    if len(terms) <= 1:
-        return base
-    return int(_dreyfus_wagner(D, list(D[terms]))[-1].min()) + base
+    return int(tree_distances(*_one_key(zs, xs), geom)[0])
 
 
 def edge_tree_distance(zs, xs, geom):
@@ -280,30 +453,10 @@ def edge_tree_distance(zs, xs, geom):
     Same as :func:`tree_distance`, but the connected set must in addition
     either touch the boundary rows 0 / M+1 of the cylinder or contain two
     points whose horizontal coordinates differ by more than L/3 (winding
-    option).  Empty input tuples give 0.
+    option).  Empty input tuples give 0.  One key of
+    :func:`tree_distances`.
     """
-    terms, D = _terminals_and_metric(zs, xs, geom)
-    base = len(xs)
-    if not terms:
-        return base
-    L, M = geom.L, geom.M
-    boundary = np.r_[0:L, L * (M + 1):L * (M + 2)]
-    # Winding option: along a path between two points more than L/3 apart
-    # the horizontal distance from the first point takes every value up to
-    # sep = floor(L/3) + 1 <= L/2, so the set touches some column c and
-    # column c + sep.  It then has at least sep edges and can only beat the
-    # boundary option if the latter exceeds sep.
-    sep = floor(L / 3) + 1
-    rows = list(D[terms])
-    dp = _dreyfus_wagner(D, rows)
-    best = dp[-1][boundary].min()
-    if best > sep:
-        # Columns c and c + sep as two terminal groups, for every c at
-        # once; the masks without them are those of the plain DP.
-        col = D.reshape(M + 2, L, -1).min(axis=0)
-        dp = _dreyfus_wagner(D, rows + [col, np.roll(col, -sep, axis=0)], dp)
-        best = min(best, dp[-1].min())
-    return int(best) + base
+    return int(tree_distances(*_one_key(zs, xs), geom, boundary=True)[0])
 
 
 def d_edge_pair(z, zp, geom):

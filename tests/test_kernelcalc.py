@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import gaussian_oracle as oracle
 import kernel_oracle
+import steiner_percall_oracle as percall
+from isingcyl import kernelcalc
 from isingcyl.acceptance import _rand_kernel, _rand_source
 from isingcyl.kernelcalc import (
-    BOUNDARY, BULK, FieldLabel, Kernel, VertexRenorm,
-    _monomial_covariance, _pack, _sector_check,
+    BOUNDARY, BULK, NORM_DISTANCES, NORM_FLAVORS, FieldLabel, Kernel,
+    VertexRenorm, _monomial_covariance, _pack, _sector_check,
     antisymmetrize, expand_family,
     extract_vertex_renorm, free_source_kernels,
     horizontal_translate, localize_bulk, localize_edge, localize_source,
@@ -687,6 +689,39 @@ class TestSourceOperators:
             assert polynomial_distance(both, fam) < 1e-12
 
 
+# the per-call engines, memoized across the kappas of one test
+_PER_CALL = {"plain": functools.lru_cache(None)(percall.tree_distance),
+             "edge": functools.lru_cache(None)(percall.edge_tree_distance)}
+
+
+def _per_key_norm(kernel, flavor, kappa):
+    """``weighted_norm`` with one per-call Dreyfus-Wagner per key and the
+    weights ``exp(kappa * d) * v`` as Python floats, summed in the same
+    ``np.bincount`` order."""
+    geom, labels = kernel.geom, kernel.labels
+    rows = np.flatnonzero(
+        kernelcalc._label_terms(labels, geom)[3].any(axis=-1).all(axis=-1)
+        & (labels[..., 4] >= 0).all(axis=-1)
+        & (labels[..., 4] + labels[..., 2] <= geom.M + 1).all(axis=-1))
+    labels, edges, values = labels[rows], kernel.edges[rows], kernel.values
+    first, group = kernelcalc._groups(labels[..., [0, 3, 4]], edges)
+    top = np.zeros(len(first))
+    np.maximum.at(top, group, [abs(v) for v in values[rows].tolist()])
+    labels, edges = labels[first], edges[first]
+    source = flavor.startswith("source")
+    dist = _PER_CALL["edge" if flavor.endswith("edge") else "plain"]
+    weights = []
+    for zs, xs, v in zip(labels[..., 3:5].tolist(), edges.tolist(),
+                         top.tolist()):
+        xs = tuple(Edge((b1, b2), "hv"[d]) for b1, b2, d in xs)
+        d = dist(tuple(map(tuple, zs)), xs if source else (), geom)
+        weights.append(math.exp(kappa * d) * v)
+    anchor = (edges if source else labels[:, :1, 3:4] if flavor == "edge"
+              else labels[:, :1, 3:5])
+    _, bucket = kernelcalc._groups(labels[..., :1], anchor)
+    return float(np.bincount(bucket, weights).max(initial=0.0))
+
+
 class TestWeightedNorm:
     def test_single_pair(self, geom):
         zs = ((3, 2), (5, 3))
@@ -718,6 +753,37 @@ class TestWeightedNorm:
         k = Kernel(geom, 2, 0, 0, {(labels, ()): 7.0})
         assert weighted_norm(k, "bulk", 0.1) == 0.0
 
+    @pytest.mark.parametrize("flavor", NORM_FLAVORS)
+    def test_single_key_weight_is_the_flavor_distance(self, geom, flavor):
+        # NORM_DISTANCES names the scalar distance each flavor weighs by;
+        # the source flavors measure it to the probe edge
+        zs, xs = ((2, 1), (7, 3)), (Edge((11, 2), "v"),)
+        labels = (FieldLabel(1, (0, 0), zs[0]), FieldLabel(-1, (0, 0), zs[1]))
+        k = Kernel(geom, 2, 0, 1, {(labels, xs): -2.0})
+        d = NORM_DISTANCES[flavor](
+            zs, xs if flavor.startswith("source") else (), geom)
+        assert weighted_norm(k, flavor, 0.3) == 2.0 * math.exp(0.3 * d)
+
+    @pytest.mark.parametrize("flavor", NORM_FLAVORS)
+    def test_overhanging_labels_do_not_contribute(self, geom, flavor):
+        # a label window [x2, x2 + d2] reaching below row 0 or above row
+        # M+1 leaves the closure: the key is dropped at either end, also
+        # where the vertical reflection of symmetrize creates it (x2 = M+1
+        # reflects to x2 = -1); below row 0 it used to reach the Steiner
+        # engine, which rejects such rows
+        M, xs = geom.M, (Edge((4, 2), "h"),)
+        inside = (FieldLabel(1, (0, 1), (3, 2)), FieldLabel(-1, (0, 0), (5, 2)))
+        ref = weighted_norm(Kernel(geom, 2, 1, 1, {(inside, xs): 1.0}),
+                            flavor, 0.1)
+        assert ref > 0.0
+        for z in ((3, -1), (3, M + 1)):
+            off = (FieldLabel(-1, (0, 1), z), FieldLabel(1, (0, 0), (5, 2)))
+            k = Kernel(geom, 2, 1, 1, {(off, xs): 5.0, (inside, xs): 1.0})
+            assert weighted_norm(k, flavor, 0.1) == ref
+            sym = symmetrize(Kernel(geom, 2, 1, 1, {(off, xs): 5.0}))
+            assert (sym.labels[..., 4] < 0).any()
+            assert weighted_norm(sym, flavor, 0.1) == 0.0
+
     def test_validation(self, geom):
         rng = np.random.default_rng(21)
         k = rand_kernel(rng, geom, 2, 0)
@@ -725,6 +791,42 @@ class TestWeightedNorm:
             weighted_norm(k, "boundary", 0.1)
         with pytest.raises(ValueError):
             weighted_norm(k, "bulk", -0.1)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_kappa(self, geom, kappa):
+        # a NaN kappa used to give a NaN norm, and an infinite one inf, or
+        # NaN on a key at distance 0
+        labels = (FieldLabel(1, (0, 0), (3, 2)),
+                  FieldLabel(-1, (0, 0), (3, 2)))
+        k = Kernel(geom, 2, 0, 0, {(labels, ()): 1.0})
+        for flavor in NORM_FLAVORS:
+            with pytest.raises(ValueError, match="kappa"):
+                weighted_norm(k, flavor, kappa)
+
+    @pytest.mark.parametrize("flavor", NORM_FLAVORS)
+    def test_matches_per_key_reference(self, geom, flavor):
+        # bit for bit: one distance per key from the per-call engine, the
+        # weights summed in the same order
+        rng = np.random.default_rng(28)
+        kernels = []
+        for _ in range(2):
+            base = int(rng.integers(1, geom.L + 1))
+            fams = [(renormalize_source, rand_source, [(2, 0), (2, 1)])]
+            if not flavor.startswith("source"):
+                fams += [(renormalize_bulk, rand_kernel,
+                          [(2, 0), (2, 1), (2, 2)]),
+                         (renormalize_edge, rand_kernel, [(2, 0), (2, 1)])]
+            if flavor == "bulk":
+                # four fields: the per-call delta_E is too slow here
+                fams += [(renormalize_bulk, rand_kernel, [(4, 0), (4, 1)])]
+            for renormalize, make, sectors in fams:
+                fam = {sec: make(rng, geom, *sec, base=base)
+                       for sec in sectors}
+                kernels += [*fam.values(), *renormalize(fam).values()]
+        for k in kernels:
+            for kappa in (0.0, 0.1, 0.35):
+                assert (weighted_norm(k, flavor, kappa)
+                        == _per_key_norm(k, flavor, kappa))
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=20, deadline=None)

@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 from isingcyl import lattice
 from isingcyl.lattice import (
     CylinderGeometry, Edge, per_L, alpha_sign, antiperiodic_wrap,
-    tree_distance, edge_tree_distance, d_edge_pair,
+    tree_distance, tree_distances, edge_tree_distance, d_edge_pair,
 )
 
 import steiner_oracle as oracle
+import steiner_percall_oracle as percall
 
 
 class TestPerL:
@@ -231,7 +232,10 @@ class TestAgainstOracle:
         rng = np.random.default_rng(L * 100 + M)
         for n_edges in (0, 1, 3):
             xs = tuple(_random_edge(rng, geom) for _ in range(n_edges))
-            _, D = lattice._terminals_and_metric((), xs, geom)
+            codes = np.array([[2 * oracle.vid(x.base, L) + (x.direction == "v")
+                               for x in xs]], dtype=np.int64)
+            D = lattice._zero_edge_metrics(lattice._closure_metric(L, M),
+                                           codes, L)[0]
             _, zero = oracle.terminals_and_zero_edges((), xs, geom)
             for v in range(L * (M + 2)):
                 assert D[v].tolist() == oracle.bfs_dist(geom, v, zero)
@@ -278,6 +282,171 @@ class TestAgainstOracle:
             assert d == oracle.edge_tree_distance(zs, xs, geom)
             wound += d < boundary
         assert wound > 0
+
+
+def _keys(rng, geom, K, n, m, feature):
+    """K seeded keys of n sites and m required edges, as (sites, edges)
+    arrays, shaped by one feature: sites anywhere on the closure, a
+    duplicated site, ghost-row sites, seam-crossing columns with a
+    horizontal required edge at x1 = L, or sites on the middle rows spread
+    over the circumference (delta_E's winding option)."""
+    L, M = geom.L, geom.M
+    x1 = rng.integers(1, L + 1, (K, n))
+    x2 = rng.integers(0, M + 2, (K, n))
+    if feature == "duplicate" and n >= 2:
+        x1[:, -1], x2[:, -1] = x1[:, 0], x2[:, 0]
+    elif feature == "ghost":
+        x2 = np.where(rng.integers(2, size=(K, n)) == 1, 0, M + 1)
+    elif feature == "seam":
+        x1 = rng.choice([1, 2, L - 1, L], (K, n))
+    elif feature == "winding":
+        x2 = rng.integers(M // 2, M // 2 + 2, (K, n))
+    vertical = rng.integers(2, size=(K, m))
+    b1 = rng.integers(1, L + 1, (K, m))
+    b2 = rng.integers(0, M + 2 - vertical)
+    if feature == "seam" and m:
+        b1[:, 0], b2[:, 0], vertical[:, 0] = L, rng.integers(0, M + 2, K), 0
+    return (np.stack([x1, x2], axis=-1),
+            np.stack([b1, b2, vertical], axis=-1))
+
+
+def _decode(sites, edges):
+    return [(tuple(map(tuple, zs.tolist())),
+             tuple(Edge((b1, b2), "hv"[v]) for b1, b2, v in xs.tolist()))
+            for zs, xs in zip(sites, edges)]
+
+
+FEATURES = ("closure", "duplicate", "ghost", "seam", "winding")
+
+
+class TestBatchedEngine:
+    """``tree_distances`` on whole batches against the per-call engine it
+    replaced and the pure-Python Dreyfus-Wagner."""
+
+    @pytest.mark.parametrize("L, M", [(12, 5), (16, 8)])
+    def test_matches_oracles(self, L, M):
+        geom = CylinderGeometry(L, M)
+        rng = np.random.default_rng(L * 100 + M)
+        wound = 0
+        # per-call terminals (sites and both ends of each edge): 0..6
+        for n, m in [(n, m) for m in range(3) for n in range(7 - 2 * m)]:
+            for feature in FEATURES:
+                sites, edges = _keys(rng, geom, 24 // L, n, m, feature)
+                keys = _decode(sites, edges)
+                plain = tree_distances(sites, edges, geom)
+                edge = tree_distances(sites, edges, geom, boundary=True)
+                assert plain.tolist() == [
+                    percall.tree_distance(zs, xs, geom) for zs, xs in keys]
+                assert edge.tolist() == [
+                    percall.edge_tree_distance(zs, xs, geom)
+                    for zs, xs in keys]
+                for (zs, xs), d, de in zip(keys, plain, edge):
+                    terms, D = percall.terminals_and_metric(zs, xs, geom)
+                    if not terms:
+                        continue
+                    dp = percall.dreyfus_wagner(D, list(D[terms]))
+                    boundary = min(dp[-1][:L].min(), dp[-1][-L:].min())
+                    wound += bool(de < boundary + len(xs))
+                    # the pure-Python oracle, where it is fast: its
+                    # winding option takes one program per vertex
+                    if len(terms) <= 3:
+                        assert d == oracle.tree_distance(zs, xs, geom)
+                        if boundary <= L // 3 + 1:
+                            assert de == oracle.edge_tree_distance(
+                                zs, xs, geom)
+        assert wound > 0
+
+    def test_scalar_calls_match_the_batch(self):
+        geom = CylinderGeometry(12, 5)
+        rng = np.random.default_rng(3)
+        sites, edges = _keys(rng, geom, 40, 3, 1, "seam")
+        keys = _decode(sites, edges)
+        assert tree_distances(sites, edges, geom).tolist() == [
+            tree_distance(zs, xs, geom) for zs, xs in keys]
+        assert tree_distances(sites, edges, geom, boundary=True).tolist() == [
+            edge_tree_distance(zs, xs, geom) for zs, xs in keys]
+
+    @pytest.mark.parametrize("n, m", [(4, 0), (2, 1), (3, 2)])
+    def test_canonical_rows_are_translation_invariant(self, n, m):
+        geom = CylinderGeometry(12, 5)
+        rng = np.random.default_rng(10 * n + m)
+        sites, edges = _keys(rng, geom, 30, n, m, "seam")
+        rows, key_row = lattice._canonical_rows(sites, edges, geom)
+        # nor does the order of the sites or of the edges matter
+        swapped, swapped_row = lattice._canonical_rows(
+            sites[:, ::-1], edges[:, ::-1], geom)
+        assert np.array_equal(swapped[swapped_row], rows[key_row])
+        for a in (1, 5, 11):
+            moved_sites, moved_edges = sites.copy(), edges.copy()
+            moved_sites[..., 0] = (sites[..., 0] - 1 + a) % geom.L + 1
+            moved_edges[..., 0] = (edges[..., 0] - 1 + a) % geom.L + 1
+            moved, moved_row = lattice._canonical_rows(
+                moved_sites, moved_edges, geom)
+            assert np.array_equal(moved[moved_row], rows[key_row])
+            # a key and its translate in one batch share one row
+            both, both_row = lattice._canonical_rows(
+                np.concatenate([sites, moved_sites]),
+                np.concatenate([edges, moved_edges]), geom)
+            assert len(both) == len(rows)
+            assert np.array_equal(both_row[:30], both_row[30:])
+
+    def test_chunked_batches_match(self, monkeypatch):
+        # chunks of one row, one min-plus vector at a time
+        geom = CylinderGeometry(12, 5)
+        rng = np.random.default_rng(8)
+        sites, edges = _keys(rng, geom, 12, 3, 1, "winding")
+        want = [tree_distances(sites, edges, geom, boundary=b)
+                for b in (False, True)]
+        monkeypatch.setattr(lattice, "_CHUNK_BYTES", 1)
+        got = [tree_distances(sites, edges, geom, boundary=b)
+               for b in (False, True)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_empty_batches(self):
+        geom = CylinderGeometry(12, 5)
+        none = np.zeros((0, 2, 2), dtype=int), np.zeros((0, 1, 3), dtype=int)
+        assert tree_distances(*none, geom).shape == (0,)
+        bare = np.zeros((3, 0, 2), dtype=int), np.zeros((3, 0, 3), dtype=int)
+        assert tree_distances(*bare, geom, boundary=True).tolist() == [0] * 3
+
+
+class TestClosureValidation:
+    """Sites and edges off the closure rows 0..M+1, or with non-integer
+    coordinates, raise instead of wrapping onto another row."""
+
+    @pytest.mark.parametrize("dist", [tree_distance, edge_tree_distance])
+    @pytest.mark.parametrize("zs, xs", [
+        (((1, -1), (1, 1)), ()),
+        (((1, 7), (1, 1)), ()),
+        (((1.0, 2), (3, 2)), ()),
+        (((1, 2.5),), ()),
+        (((True, 2),), ()),
+        (((1, 2),), (Edge((1, 6), "v"),)),
+        (((1, 2),), (Edge((1, -1), "h"),)),
+        (((1, 2),), (Edge((1.0, 2), "h"),)),
+    ])
+    def test_rejects(self, dist, zs, xs):
+        with pytest.raises(ValueError):
+            dist(zs, xs, CylinderGeometry(12, 5))
+
+    def test_ghost_rows_are_accepted(self):
+        geom = CylinderGeometry(12, 5)
+        assert tree_distance(((1, 0), (1, 6)), (), geom) == 6
+        assert edge_tree_distance((), (Edge((12, 6), "h"),), geom) == 1
+        assert tree_distance((), (Edge((3, 5), "v"),), geom) == 1
+
+    def test_batched_arrays(self):
+        geom = CylinderGeometry(12, 5)
+        edges = np.zeros((2, 0, 3), dtype=int)
+        with pytest.raises(ValueError, match="integers"):
+            tree_distances(np.ones((2, 1, 2)), edges, geom)
+        with pytest.raises(ValueError):
+            tree_distances(np.ones((2, 1, 3), dtype=int), edges, geom)
+        with pytest.raises(ValueError):
+            tree_distances(np.ones((3, 1, 2), dtype=int), edges, geom)
+        bad = np.array([[[1, 2, 2]]])
+        with pytest.raises(ValueError):
+            tree_distances(np.ones((1, 1, 2), dtype=int), bad, geom)
 
 
 class TestDEdgePair:
