@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import CylinderGeometry, antiperiodic_wrap
+from .lattice import CylinderGeometry, _require_integers, antiperiodic_wrap
 
 
 class NumericalError(ArithmeticError):
@@ -95,9 +96,10 @@ def coeff_Delta(k1, params):
 
 
 def coeff_B(k1, params):
-    """B(k1) = t2 |1 + t1 e^{i k1}|^2/(1 - t1^2)."""
+    """B(k1) = t2 |1 + t1 e^{i k1}|^2/(1 - t1^2), through cos k1 so that
+    B(-k1) equals B(k1) to the bit."""
     t1, t2 = params.t1, params.t2
-    return t2 * np.abs(1.0 + t1 * np.exp(1j * np.asarray(k1))) ** 2 / (1.0 - t1 ** 2)
+    return t2 * (1.0 + t1 * (t1 + 2.0 * np.cos(k1))) / (1.0 - t1 ** 2)
 
 
 def coeff_D(k1, k2, params):
@@ -156,8 +158,10 @@ def solve_k2_roots(k1, M, params):
     tests.  On the critical line B(k1) <= 1, and the condition divided by
     sin k2 is a degree-M polynomial in cos k2 whose sign alternates at the
     points pi j/M; so exactly one positive root lies in each bracket
-    (pi j/M, pi (j+1)/M), j = 0..M-1 (McCoy-Wu 1973).  Each bracket is
-    bisected, all k1 at once, and the roots are Newton-polished.
+    (pi j/M, pi (j+1)/M), j = 0..M-1 (McCoy-Wu 1973).  Every bracket of
+    every k1 is bisected at once to a width of 1e-7/(M+1), where Newton's
+    method converges quadratically, and Newton steps clipped to the bracket
+    then reach machine precision.
     """
     B = np.asarray(coeff_B(k1, params), dtype=float)[..., None]
     if np.any(B > 1.0 + 1e-9):
@@ -168,25 +172,24 @@ def solve_k2_roots(k1, M, params):
     def f(k2):
         return np.sin(k2 * (M + 1)) - B * np.sin(k2 * M)
 
-    edges = np.pi * np.arange(M + 1) / M
-    lo = np.broadcast_to(edges[:-1], B.shape[:-1] + (M,))
-    hi = np.broadcast_to(edges[1:], lo.shape)
-    # the sign of f just right of pi j/M is (-1)^j
+    # every bracket [lo, lo + width] halves at each step; the sign of f
+    # just right of pi j/M is (-1)^j
+    lo = np.pi * np.arange(M) / M + np.zeros(B.shape)
     sign = 1.0 - 2.0 * (np.arange(M) % 2)
-    while np.max(hi - lo) > 1e-13:
-        mid = 0.5 * (lo + hi)
-        right = f(mid) * sign > 0.0
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    roots = 0.5 * (lo + hi)
-    # polish to machine precision: bisection stops at 1e-13, which leaves
-    # the quantization identity satisfied only to ~1e-12
-    for _ in range(3):
+    width = np.pi / M
+    while width > 1e-7 / (M + 1):
+        width *= 0.5
+        lo += width * (f(lo + width) * sign > 0.0)
+    hi = lo + width
+    # f''/f' is at most O((M+1)^2): from the bracket midpoint the Newton
+    # error falls to ~1e-15 after one step and to roundoff after two
+    roots = lo + 0.5 * width
+    for _ in range(2):
         fr = f(roots)
         dfr = (M + 1) * np.cos(roots * (M + 1)) - B * M * np.cos(roots * M)
         step = np.where(np.abs(dfr) > 1e-8, fr / np.where(dfr == 0, 1, dfr),
                         0.0)
-        roots = roots - step
+        roots = np.clip(roots - step, lo, hi)
     # the condition's slope is O(M+1), so the attainable residual scales
     # with it
     if np.any(np.abs(f(roots)) > 1e-12 * (M + 1)):
@@ -197,17 +200,13 @@ def solve_k2_roots(k1, M, params):
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """All (k1, k2) pairs of the critical Fourier sum, flattened."""
+    """The momenta of the critical Fourier sum: the L horizontal momenta
+    and, by row, the M+1 nonnegative k2 roots of each (0 first).  The
+    negative roots mirror the positive ones."""
 
     geom: CylinderGeometry
     k1_values: np.ndarray
-    k2_roots: np.ndarray  # shape (L, 2M+1): the roots of each k1, by row
-
-    @property
-    def pairs(self):
-        """(k1_flat, k2_flat) arrays over all momentum pairs."""
-        k1s = np.repeat(self.k1_values, self.k2_roots.shape[1])
-        return k1s, self.k2_roots.ravel()
+    k2_roots: np.ndarray  # shape (L, M+1)
 
 
 @lru_cache(maxsize=16)
@@ -215,8 +214,11 @@ def _momentum_grid_cached(L, M, t1, t2):
     geom = CylinderGeometry(L, M)
     params = ModelParams(t1=t1, t2=t2)
     k1v = horizontal_momenta(L)
+    # B depends on k1 only through cos k1, and k1v[i] = -k1v[L-1-i]: the
+    # roots are solved for the L/2 positive momenta and mirrored
+    half = solve_k2_roots(k1v[L // 2:], M, params)[:, M:]
     return MomentumGrid(geom=geom, k1_values=k1v,
-                        k2_roots=solve_k2_roots(k1v, M, params))
+                        k2_roots=np.concatenate([half[::-1], half]))
 
 
 def momentum_grid(geom, params):
@@ -283,7 +285,9 @@ class TranslationInvariantTable(PropagatorTable):
 
     ``d1 = z1 - z'1`` enters only through the stored residue, with the
     antiperiodic sign ``s = (-1)^q`` for a wrap of ``q`` periods; rows run
-    over 0..M+1 (the closure) unless restricted.
+    over 0..M+1 (the closure) unless restricted.  A block of a row outside
+    the stored ones, or of coordinates that are not integers, raises
+    ``ValueError``.
     """
 
     def __init__(self, geom, variant, data, row_offset=0):
@@ -294,8 +298,18 @@ class TranslationInvariantTable(PropagatorTable):
 
     def block(self, z, zp):
         m, sign = antiperiodic_wrap(z[0] - zp[0], self.geom.L)
-        return sign * self.data[m, z[1] - self.row_offset,
-                                zp[1] - self.row_offset]
+        a, b = z[1] - self.row_offset, zp[1] - self.row_offset
+        # numpy would read a negative row from the far end; a row past
+        # the last one or a coordinate that is not an integer raises
+        # IndexError
+        if a >= 0 <= b:
+            try:
+                return sign * self.data[m, a, b]
+            except IndexError:
+                pass
+        raise ValueError(f"sites {z} and {zp}: integer coordinates with rows "
+                         f"in {self.row_offset}.."
+                         f"{self.row_offset + self.data.shape[1] - 1} needed")
 
 
 class DenseTable(PropagatorTable):
@@ -369,81 +383,124 @@ def massive_propagator(geom, params):
 # ---------------------------------------------------------------------------
 
 
-def _critical_modes(geom, params, weight):
-    """The critical Fourier sum's phases and weighted mode matrices.
+class _Modes(NamedTuple):
+    """The per-k1 data of the critical Fourier sum (see
+    :func:`_critical_modes`)."""
 
-    Returns the (L x L) k1 phase matrix ``E1[d1, k1] = e^{-i k1 d1}``,
-    d1 = 0..L-1, the (L, 2M+1) k2 roots of each k1, and the direct and
-    reflected 2x2 mode matrices ``c G`` and ``c R`` of shape
-    (L, 2M+1, 2, 2), grouped by k1."""
+    phase: np.ndarray  # (L, L): e^{-i k1 d1}, k1 by row, d1 = 0..L-1
+    k2: np.ndarray     # (L, M+1): the nonnegative roots of each k1
+    w: np.ndarray      # (L, M+1): real weights, +-k2 multiplicity folded in
+    s1: np.ndarray     # (L,): 2 i t1 sin k1
+    B: np.ndarray      # (L,): B(k1)
+    c: float           # 1 - t1^2
+
+
+def _critical_modes(geom, params, weight):
+    """The critical Fourier sum reduced to real per-k1 data.
+
+    A mode contributes ``w(k1, k2) D ghat(k1, k2)`` times its k2 phases,
+    with ``w = weight/(2 L N_M D)`` real and even in k2, and the numerators
+    ``D ghat`` are affine in ``e^{+-i k2}`` with the k1 coefficients
+    ``s1``, ``1 - t1^2`` and ``B``.  So only the nonnegative roots are
+    kept, with ``w`` doubled at every positive one.  ``weight`` (or None)
+    is evaluated at the roots and at their mirrors; a weight that is not
+    even in k2 raises ``ValueError``."""
     if not params.is_critical:
         raise ValueError("Fourier representation requires critical parameters")
     L, M = geom.L, geom.M
     grid = momentum_grid(geom, params)
-    k1s, k2s = grid.pairs
-    c = 1.0 / (2.0 * L * normalization_N(k1s, k2s, params, M))
+    k1, k2 = grid.k1_values, grid.k2_roots
+    w = 1.0 / (2.0 * L * normalization_N(k1[:, None], k2, params, M)
+               * coeff_D(k1[:, None], k2, params))
     if weight is not None:
-        c = c * weight(k1s, k2s)
-    G = ghat_matrix(k1s, k2s, params)
-    # reflection matrix: (+,-) entry at -k2, (-,-) entry carries the extra
-    # phase e^{2 i k2 (M+1)}
-    R = G.copy()
-    R[:, 0, 1] = ghat_matrix(k1s, -k2s, params)[:, 0, 1]
-    R[:, 1, 1] = np.exp(2j * k2s * (M + 1)) * G[:, 1, 1]
-    shape = grid.k2_roots.shape + (2, 2)
-    E1 = np.exp(-1j * np.outer(np.arange(L), grid.k1_values))
-    return (E1, grid.k2_roots,
-            (c[:, None, None] * G).reshape(shape),
-            (c[:, None, None] * R).reshape(shape))
+        k1s = np.broadcast_to(k1[:, None], k2.shape)
+        wk = weight(k1s, k2)
+        if not np.array_equal(wk, weight(k1s, -k2)):
+            raise ValueError("the momentum weight must be even in k2: "
+                             "weight(k1, -k2) == weight(k1, k2)")
+        w = w * wk
+    w[:, 1:] *= 2.0
+    return _Modes(np.exp(-1j * np.outer(k1, np.arange(L))), k2, w,
+                  2j * params.t1 * np.sin(k1), coeff_B(k1, params),
+                  1.0 - params.t1 ** 2)
 
 
-def _row_profiles(E1, k2_roots, cG, cR, z2, zp2):
-    """``g((d1, z2[i]), (0, zp2[i]))`` for every residue d1 = 0..L-1: the
-    critical Fourier series at the row pairs ``(z2[i], zp2[i])``, shape
-    (L, n, 2, 2), from the phases and modes of :func:`_critical_modes`.
+def _k2_columns(modes, n):
+    """``C(k1; n) = sum_{k2} w cos(k2 n)`` over the roots of each k1, at
+    the integer offsets ``n``: one real reduction, shape (len(n), L).  C is
+    even in n."""
+    return np.einsum("lk,nlk->nl", modes.w,
+                     np.cos(np.asarray(n)[:, None, None] * modes.k2))
 
-    The series is summed k2 first, over each k1's own roots, at the
-    distinct vertical differences and sums of the row pairs (O(L M) each),
-    then over k1 for all of them by one (L x L) matmul.
-    """
-    L, K = k2_roots.shape
 
-    def series(modes, offsets):
-        offsets, inverse = np.unique(offsets, return_inverse=True)
-        phase = np.exp(-1j * k2_roots[:, None, :] * offsets[:, None])
-        F = phase @ modes.reshape(L, K, 4)
-        T = (E1 @ F.reshape(L, -1)).reshape(L, len(offsets), 2, 2)
-        return T[:, inverse.ravel()]
+def _k1_sums(modes, C, n, d, s):
+    """The rows ``S(n) = s1 C(n)``, ``X(d) = c (B C(|d+1|) - C(|d|))`` and
+    ``V(s) = c (C(s) - B C(|s-1|))`` summed over k1 with the phases
+    e^{-i k1 d1}, d1 on the last axis; ``C`` holds the k2 columns by offset
+    on axis 0.  X and V cancel within each k1, before the sum."""
+    c, B, d, s = modes.c, modes.B, np.asarray(d), np.asarray(s)
+    rows = np.concatenate([modes.s1 * C[n],
+                           c * (B * C[np.abs(d + 1)] - C[np.abs(d)]),
+                           c * (C[s] - B * C[np.abs(s - 1)])])
+    return np.split(rows @ modes.phase, [len(n), len(n) + len(d)])
 
-    z2, zp2 = np.asarray(z2), np.asarray(zp2)
-    return series(cG, z2 - zp2) - series(cR, z2 + zp2)
+
+def _two_by_two(a, b, c, d):
+    """The blocks ``[[a, b], [c, d]]`` of four arrays of a common shape."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)],
+                    axis=-2)
 
 
 def critical_propagator_fourier(geom, params, weight=None, variant="critical"):
     """The critical cylinder propagator from the explicit momentum sum.
 
-    ``weight``, if given, is a vectorized function of flat (k1, k2) arrays
-    multiplying each momentum summand -- the hook used by the multiscale
-    decomposition.  Rows cover the closure 0..M+1, where the formula
-    extends and exhibits its boundary cancellations.  Assembly costs
-    O(L M^2 + L^2 M): every vertical difference and sum is a closure row
-    pair's.
+    ``weight``, if given, is a vectorized function of (k1, k2) arrays of a
+    common shape multiplying each momentum summand -- the hook used by the
+    multiscale decomposition.  The sum is folded onto the nonnegative k2
+    roots, so the weight must be even in k2 to the bit (``ValueError``
+    otherwise); every :class:`~isingcyl.multiscale.CutoffWeight` is, as it
+    depends on k2 only through D.  Rows cover the closure 0..M+1, where the
+    formula extends and exhibits its boundary cancellations.
+
+    The block of a row pair is ``g(d) - r(s)`` with ``d = z2 - z'2``,
+    ``s = z2 + z'2``, ``g(d) = [[-S(|d|), X(d)], [-X(-d), S(|d|)]]`` and
+    ``r(s) = [[-S(s), -V(s)], [V(s), S(2M+2-s)]]`` (see :func:`_k1_sums`).
+    The real k2 columns ``C(k1; n)`` are formed at every offset
+    n = 0..2M+2 in one reduction (O(L M^2)) and combined and summed over k1
+    by one matmul (O(L^2 M)); g and r are then laid out over the row pairs
+    as Toeplitz and Hankel windows (O(L M^2)).
     """
     L, M = geom.L, geom.M
-    z2, zp2 = np.indices((M + 2, M + 2)).reshape(2, -1)
-    data = _row_profiles(*_critical_modes(geom, params, weight), z2, zp2)
-    return TranslationInvariantTable(geom, variant,
-                                     data.reshape(L, M + 2, M + 2, 2, 2))
+    modes = _critical_modes(geom, params, weight)
+    n = np.arange(2 * M + 3)
+    d = n - (M + 1)
+    S, X, V = _k1_sums(modes, _k2_columns(modes, n), n, d, n)
+    Sd = S[np.abs(d)]
+    g = _two_by_two(-Sd, X, -X[::-1], Sd)
+    r = _two_by_two(-S, -V, V, S[::-1])
+    # windows [z2, d1, a, b, z'2] of g[M + 1 + z2 - z'2] and r[z2 + z'2]
+    window = np.lib.stride_tricks.sliding_window_view
+    G = window(g[::-1], M + 2, axis=0)[::-1]
+    R = window(r, M + 2, axis=0)
+    data = np.empty((L, M + 2, M + 2, 2, 2), dtype=complex)
+    order = (1, 0, 4, 2, 3)
+    np.subtract(G.transpose(order), R.transpose(order), out=data)
+    return TranslationInvariantTable(geom, variant, data)
 
 
 class LazyCriticalTable(PropagatorTable):
     """Pointwise critical propagator: the same momentum sum as
     :func:`critical_propagator_fourier`, evaluated one row pair at a time.
 
-    The k1 phase matrix is formed once, with the modes.  The first block
-    of a row pair ``(z2, z'2)`` computes and caches its profile over all L
-    residues of d1 (O(L M + L^2)); every later block of that row pair is
-    a lookup.
+    The k1 phases and the root weights are formed once.  Every offset n
+    that a row pair reads (|d|, |d +- 1|, s, |s - 1| and 2M + 2 - s, for
+    d = z2 - z'2 and s = z2 + z'2) has its real k2 column C(k1; n) formed
+    the first time some row pair needs it (O(L M)), and kept.  The first
+    block of a row pair combines its columns within each k1 and sums them
+    over k1 (O(L^2)) into the profile over all L residues of d1, which is
+    kept too, so every later block of that row pair is a lookup.  A row
+    pair is checked when it is first asked for: rows outside 0..M+1 and
+    coordinates that are not integers raise ``ValueError``.
     """
 
     variant = "critical-lazy"
@@ -451,6 +508,8 @@ class LazyCriticalTable(PropagatorTable):
     def __init__(self, geom, params):
         self.geom = geom
         self._modes = _critical_modes(geom, params, None)
+        self._columns = np.zeros((2 * geom.M + 3, geom.L))
+        self._known = np.zeros(2 * geom.M + 3, dtype=bool)
         self._profiles = {}
 
     def block(self, z, zp):
@@ -458,9 +517,32 @@ class LazyCriticalTable(PropagatorTable):
         rows = (z[1], zp[1])
         profile = self._profiles.get(rows)
         if profile is None:
-            profile = _row_profiles(*self._modes, [z[1]], [zp[1]])[:, 0]
-            self._profiles[rows] = profile
-        return sign * profile[m]
+            profile = self._profiles[rows] = self._profile(z, zp)
+        try:
+            return sign * profile[m]
+        except IndexError:
+            raise ValueError(f"site coordinates must be integers, got {z} "
+                             f"and {zp}") from None
+
+    def _profile(self, z, zp):
+        M = self.geom.M
+        for site in (z, zp):
+            _require_integers(site, "site coordinates")
+            if not 0 <= site[1] <= M + 1:
+                raise ValueError(f"row of {site} outside the closure "
+                                 f"0..{M + 1}")
+        d, s = z[1] - zp[1], z[1] + zp[1]
+        r = 2 * M + 2 - s
+        need = np.zeros_like(self._known)
+        need[[abs(d), abs(d + 1), abs(d - 1), s, abs(s - 1), r]] = True
+        new = np.flatnonzero(need & ~self._known)
+        if new.size:
+            self._columns[new] = _k2_columns(self._modes, new)
+            self._known[new] = True
+        (Sd, Ss, Sr), (Xd, Xm), (V,) = _k1_sums(
+            self._modes, self._columns, [abs(d), s, r], [d, -d], [s])
+        return (_two_by_two(-Sd, Xd, -Xm, Sd)
+                - _two_by_two(-Ss, -V, V, Sr))
 
 
 def boundary_residual(table, sites, columns):

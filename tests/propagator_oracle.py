@@ -17,14 +17,18 @@ import numpy as np
 
 from isingcyl.lattice import antiperiodic_wrap
 from isingcyl.propagators import (
-    ghat_matrix, gscal_scalar, momentum_grid, normalization_N,
+    ghat_matrix, gscal_scalar, horizontal_momenta, normalization_N,
+    solve_k2_roots,
 )
 
 
 def flat_modes(geom, params, weight=None):
-    """The flat momentum pairs with their weighted ``c G`` and ``c R``."""
+    """The flat momentum pairs -- every k1 with all 2M+1 of its roots,
+    each solved on its own -- with their weighted ``c G`` and ``c R``."""
     M = geom.M
-    k1s, k2s = momentum_grid(geom, params).pairs
+    k1v = horizontal_momenta(geom.L)
+    k2s = solve_k2_roots(k1v, M, params).ravel()
+    k1s = np.repeat(k1v, 2 * M + 1)
     c = 1.0 / (2.0 * geom.L * normalization_N(k1s, k2s, params, M))
     if weight is not None:
         c = c * weight(k1s, k2s)

@@ -99,7 +99,8 @@ class TestMomenta:
             r = solve_k2_roots(k1, 128, p)
             assert len(r) == 257
 
-    @pytest.mark.parametrize("case", ["B=1", "B~0", "M=1", "n=256"])
+    @pytest.mark.parametrize("case", ["B=1", "B~0", "M=1", "n=256",
+                                      "n=512"])
     def test_roots_interlace(self, case):
         # one positive root in each bracket (pi j/M, pi (j+1)/M)
         k1, M, p = {
@@ -107,6 +108,8 @@ class TestMomenta:
             "B~0": (0.1, 4, ModelParams(t1=0.5, t2=1e-12)),
             "M=1": (horizontal_momenta(8), 1, critical_params(0.3)),
             "n=256": (horizontal_momenta(256), 256, critical_params(0.5)),
+            # B -> 1 at k1 = pi/L: the first root nears pi/(2M+1)
+            "n=512": (horizontal_momenta(512), 512, critical_params(0.5)),
         }[case]
         r = solve_k2_roots(k1, M, p)
         assert r.shape == np.shape(k1) + (2 * M + 1,)
@@ -136,8 +139,21 @@ class TestMomenta:
         g = CylinderGeometry(4, 3)
         p = critical_params(0.5)
         assert momentum_grid(g, p) is momentum_grid(g, p)
-        k1s, k2s = momentum_grid(g, p).pairs
-        assert len(k1s) == len(k2s) == 4 * (2 * 3 + 1)
+        assert momentum_grid(g, p).k2_roots.shape == (4, 3 + 1)
+
+    @pytest.mark.parametrize("LM", [(2, 1), (8, 5), (34, 3), (64, 64)])
+    def test_momentum_grid_mirrors_the_roots(self, LM):
+        # the grid solves the L/2 positive k1 only; B is a function of
+        # cos k1, so solving every k1 gives the mirrored rows to the bit
+        L, M = LM
+        p = critical_params(0.3)
+        k1 = horizontal_momenta(L)
+        assert np.array_equal(coeff_B(k1, p), coeff_B(-k1, p))
+        every = solve_k2_roots(k1, M, p)
+        assert np.array_equal(every, every[::-1])
+        grid = momentum_grid(CylinderGeometry(L, M), p)
+        assert np.array_equal(grid.k1_values, k1)
+        assert np.array_equal(grid.k2_roots, every[:, M:])
 
 
 class TestMomentumSymmetries:
@@ -276,10 +292,28 @@ class TestAgainstFlatSum:
                     assert np.max(np.abs(lazy.block(z, zp)
                                          - flat.block(z, zp))) <= 1e-14
 
+    def test_lazy_blocks_at_the_extreme_offsets(self):
+        # closure rows 0 and M+1 against each other and against rows 1 and
+        # M: the offsets read reach both ends, n = 0 and n = 2M + 2
+        L = M = 256
+        geom = CylinderGeometry(L, M)
+        p = critical_params(0.5)
+        lazy = LazyCriticalTable(geom, p)
+        flat = propagator_oracle.FlatLazyTable(geom, p)
+        rows = (0, 1, M, M + 1)
+        for z2 in rows:
+            for zp2 in rows:
+                for x in (1, 2, L // 2 + 1, L):
+                    z, zp = (x, z2), (1, zp2)
+                    assert np.max(np.abs(lazy.block(z, zp)
+                                         - flat.block(z, zp))) <= 1e-14
+        assert lazy._known[0] and lazy._known[2 * M + 2]
+
 
 class TestCriticalTable:
-    """Full tables and lazy blocks are one series: both read the row
-    profiles of ``propagators._row_profiles``."""
+    """Full tables and lazy blocks are one series: both read the k2 columns
+    of ``propagators._k2_columns`` and combine and sum them over k1 by
+    ``_k1_sums``."""
 
     @pytest.mark.parametrize("LM", [(8, 5), (32, 32), (34, 3)])
     def test_lazy_blocks_equal_full_table(self, LM):
@@ -294,6 +328,72 @@ class TestCriticalTable:
         assert np.max(np.abs(blocks - full)) <= 1e-15
         # one cached profile per distinct row pair, whatever d1 asked for
         assert len(lazy._profiles) == (M + 2) ** 2
+
+    def test_lazy_columns_are_shared_by_row_pairs(self, monkeypatch):
+        # a row pair (z2, z'2) reads the offsets |d|, |d +- 1|, s, |s - 1|
+        # and 2M + 2 - s; each is formed once, for the first pair that
+        # reads it
+        geom = CylinderGeometry(16, 12)
+        p = critical_params(0.5)
+        formed = []
+        columns = propagators._k2_columns
+
+        def recording(modes, n):
+            formed.append(sorted(np.asarray(n).tolist()))
+            return columns(modes, n)
+        monkeypatch.setattr(propagators, "_k2_columns", recording)
+        lazy = LazyCriticalTable(geom, p)
+        pairs = [((1, 3), (1, 5)),   # d = -2, s = 8
+                 ((1, 4), (1, 6)),   # same difference, s = 10
+                 ((1, 6), (1, 2)),   # d = 4, same sum as the first
+                 ((1, 5), (1, 3)),   # both offsets seen before
+                 ((3, 5), (1, 3))]   # a known row pair
+        blocks = [lazy.block(z, zp) for z, zp in pairs]
+        assert formed == [[1, 2, 3, 7, 8, 18], [9, 10, 16], [4, 5]]
+        assert len(lazy._profiles) == 4
+        full = critical_propagator_fourier(geom, p)
+        for (z, zp), blk in zip(pairs, blocks):
+            assert np.max(np.abs(blk - full.block(z, zp))) <= 1e-15
+
+    @pytest.mark.parametrize("z, zp", [
+        ((1, -1), (2, 3)),    # numpy would read row M + 1
+        ((1, 7), (2, 3)),     # one row past M + 1
+        ((2, 3), (1, -1)),
+        ((2, 3), (1, 7)),
+        ((1, 2.5), (2, 3)),   # not an integer
+        ((1, 2.0), (2, 3)),
+        ((1.5, 2), (2, 3)),
+        ((1, 2), (np.float64(2), 3))])
+    @pytest.mark.parametrize("kind", ["full", "lazy"])
+    def test_sites_outside_the_closure_raise(self, kind, z, zp):
+        geom = CylinderGeometry(8, 5)
+        p = critical_params(0.5)
+        table = (critical_propagator_fourier(geom, p) if kind == "full"
+                 else LazyCriticalTable(geom, p))
+        with pytest.raises(ValueError):
+            table.block(z, zp)
+        if kind == "lazy":
+            assert table._profiles == {} and not table._known.any()
+
+    def test_lazy_column_checked_on_a_known_row_pair(self):
+        # rows are checked once per row pair; a horizontal coordinate that
+        # is not an integer still raises on a later lookup
+        table = LazyCriticalTable(CylinderGeometry(8, 5), critical_params(0.5))
+        table.block((1, 2), (2, 3))
+        for z, zp in (((1.5, 2), (2, 3)), ((1, 2), (2.25, 3))):
+            with pytest.raises(ValueError, match="integers"):
+                table.block(z, zp)
+
+    def test_weight_must_be_even_in_k2(self):
+        # the sum is folded onto the nonnegative roots
+        geom = CylinderGeometry(8, 5)
+        p = critical_params(0.5)
+        with pytest.raises(ValueError, match="even in k2"):
+            critical_propagator_fourier(
+                geom, p, weight=lambda k1, k2: 1.0 + 0.1 * np.sin(k2))
+        unit = critical_propagator_fourier(
+            geom, p, weight=lambda k1, k2: np.ones_like(k2)).data
+        assert np.array_equal(unit, critical_propagator_fourier(geom, p).data)
 
 
 class TestBoundaryResidual:
