@@ -5,20 +5,23 @@ Each criterion compares a computed quantity against an independent oracle
 identities) and reports the measured residual, its tolerance, and the
 elapsed time.  :func:`run_acceptance` executes all of them and returns one
 record per criterion; the CLI ``selftest`` verb and the acceptance test
-suite both consume it.
+suite both consume it.  Each oracle comparison is computed in one function
+here, called by its criterion and, through a ``*_report`` that returns the
+fields it emits, by the CLI verb of its name.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 
 import numpy as np
 
 from .freecorr import (
-    FreeCorrelator, enumerate_cumulant, enumerate_gibbs,
-    partition_function_free, scaling_correlation,
+    CorrelationRequest, FreeCorrelator, enumerate_gibbs,
+    log_partition_function_free, scaling_correlation,
 )
 from .kernelcalc import (
     FieldLabel, Kernel, expand_family, extract_vertex_renorm,
@@ -35,9 +38,10 @@ from .multiscale import (
 from .propagators import (
     ModelParams, boundary_residual, critical_propagator_direct,
     critical_propagator_fourier, ghat_matrix, horizontal_momenta,
-    max_block_difference, scaling_series, solve_k2_roots,
+    massive_propagator, massive_propagator_direct, max_block_difference,
+    scaling_series, solve_k2_roots,
 )
-from .skewlinalg import pfaffian, pfaffian_bruteforce
+from .skewlinalg import moments_to_cumulants, pfaffian, pfaffian_bruteforce
 
 GEOMS = [(4, 3), (8, 3), (4, 5), (8, 5)]
 T1S = (0.3, 0.5, math.sqrt(2.0) - 1.0)
@@ -56,6 +60,111 @@ def _record(cid, name, residual, tol, t0, time_cap=None, ok=True, detail=""):
             "tolerance": float(tol), "margin": _margin(tol, residual),
             "seconds": round(seconds, 3), "time_cap": time_cap,
             "passed": bool(passed), "detail": detail}
+
+
+def _oracle_residual(table, geom, params, variant):
+    """Entrywise distance of ``table`` from the dense inversion."""
+    oracle = (critical_propagator_direct if variant == "critical"
+              else massive_propagator_direct)(geom, params)
+    return max_block_difference(table, oracle, geom.sites())
+
+
+def _closure_residual(table, geom):
+    """Closure-row residual at (1, 1), (1, 2), (L, 1) and (L, M)."""
+    L, M = geom.L, geom.M
+    return boundary_residual(table, [(1, 1), (1, min(2, M)), (L, 1), (L, M)],
+                             range(1, L + 1))
+
+
+def propagator_report(geom, params, variant, *, verify):
+    """The critical Fourier or massive table; with ``verify`` its distance
+    from the dense inversion and, if critical, its closure-row residual."""
+    table = (critical_propagator_fourier if variant == "critical"
+             else massive_propagator)(geom, params)
+    report = {"variant": table.variant, "table": table}
+    if verify:
+        report["oracle_residual"] = _oracle_residual(table, geom, params,
+                                                     variant)
+        if variant == "critical":
+            report["boundary_residual"] = _closure_residual(table, geom)
+    return report
+
+
+def _exp_or_none(log_value):
+    """exp(log_value) where it fits a float, else None (JSON null)."""
+    return (math.exp(log_value)
+            if log_value <= math.log(sys.float_info.max) else None)
+
+
+def partition_report(geom, beta, J1, J2, *, verify):
+    """log Z by momentum factorization (Z where it fits a float); with
+    ``verify`` the enumeration's too, and |Z / Z_enum - 1| from the logs."""
+    log_z = log_partition_function_free(geom, beta, J1, J2)
+    report = {"Z": _exp_or_none(log_z), "log_Z": log_z}
+    if verify:
+        rec = enumerate_gibbs(geom, beta, J1, J2)
+        report.update(Z_enumeration=_exp_or_none(rec.log_Z),
+                      log_Z_enumeration=rec.log_Z,
+                      delta_rel=abs(math.expm1(log_z - rec.log_Z)),
+                      enumeration_configurations=rec.configurations,
+                      enumeration_levels=rec.levels)
+    return report
+
+
+def correlation_report(request, *, verify):
+    """The request's energy moment or cumulant by the Pfaffian route; with
+    ``verify`` the enumeration's value and the distance between them."""
+    corr = FreeCorrelator(request.geom, request.params)
+    moment = request.mode == "moment"
+    value = (corr.energy_moment(request.edges) if moment
+             else corr.energy_cumulant(request.edges))
+    report = {"mode": request.mode, "value": value,
+              "variant": "pfaffian-cumulant"}
+    if verify:
+        # the spin model's (beta, J1 = 1, J2) at the request's (t1, t2)
+        beta = math.atanh(request.params.t1)
+        rec = enumerate_gibbs(request.geom, beta, 1.0, math.atanh(
+            request.params.t2) / beta, request.edges)
+        oracle = (rec.moments if moment else moments_to_cumulants(
+            rec.moments))[frozenset(range(len(request.edges)))]
+        report.update(oracle=oracle, oracle_delta=abs(value - oracle),
+                      enumeration_configurations=rec.configurations,
+                      enumeration_levels=rec.levels)
+    return report
+
+
+def _strictly_decreasing(values):
+    return all(a > b for a, b in zip(values, values[1:]))
+
+
+def scaling_report(z, zp, params, sizes):
+    """The continuum block between ``z`` and ``z'``, the error series of
+    the rescaled n x n lattice blocks and whether it falls strictly."""
+    target, errors = scaling_series(z, zp, params, sizes)
+    return {"target_block": target.tolist(),
+            "series": [{"a": 1.0 / n, "n": n, "error": err}
+                       for n, err in zip(sizes, errors)],
+            "strictly_decreasing": _strictly_decreasing(errors)}
+
+
+def multiscale_report(geom, params, h, bin_width):
+    """Telescoping residual of the scale tables; at scale ``h`` (None:
+    the lowest) the bulk/edge split residual and the edge decay profile
+    (distances, norms) with its envelope fit in bins of ``bin_width``."""
+    cut = ScaleCutoff.for_geometry(geom)
+    reconstruction = telescoping_residual(geom, params, cut)
+    if h is None:
+        h = min(cut.scales, default=0)
+    split = bulk_edge_split(h, geom, params, cut)
+    d, nrm = edge_decay_profile(h, geom, params, cut, split=split)
+    if bin_width is None:
+        # at least four envelope bins across the sampled distance range
+        bin_width = max(1, int(np.ptp(d) // 4))
+    return {"h": h, "h_star": cut.h_star,
+            "reconstruction_residual": reconstruction,
+            "bulk_edge_residual": split_residual(split),
+            "edge_decay_fit": envelope_decay_fit(d, nrm, bin_width=bin_width),
+            "edge_decay_profile": (d, nrm)}
 
 
 def check_pfaffian(seed=0):
@@ -84,13 +193,10 @@ def check_partition(seed=0):
     """Momentum-factorized partition function vs exhaustive Gibbs sums."""
     t0 = time.perf_counter()
     beta_c = math.atanh(math.sqrt(2.0) - 1.0)
-    worst = 0.0
-    for (L, M) in [(2, 1), (4, 2), (4, 3)]:
-        geom = CylinderGeometry(L, M)
-        for beta in (0.3, beta_c, 0.6):
-            z_pf = partition_function_free(geom, beta)
-            z_enum = enumerate_gibbs(geom, beta).Z
-            worst = max(worst, abs(z_pf - z_enum) / z_enum)
+    worst = max(partition_report(CylinderGeometry(L, M), beta, 1.0, 1.0,
+                                 verify=True)["delta_rel"]
+                for (L, M) in [(2, 1), (4, 2), (4, 3)]
+                for beta in (0.3, beta_c, 0.6))
     return _record(2, "partition function vs enumeration", worst, 1e-10,
                    t0, time_cap=10.0)
 
@@ -103,9 +209,8 @@ def check_propagator_oracle(seed=0):
         geom = CylinderGeometry(L, M)
         for t1 in T1S:
             p = ModelParams.critical(t1)
-            tf = critical_propagator_fourier(geom, p)
-            td = critical_propagator_direct(geom, p)
-            worst = max(worst, max_block_difference(tf, td, geom.sites()))
+            worst = max(worst, _oracle_residual(
+                critical_propagator_fourier(geom, p), geom, p, "critical"))
     return _record(3, "Fourier propagator vs dense inversion", worst, 1e-10,
                    t0, time_cap=30.0)
 
@@ -116,9 +221,8 @@ def check_boundary_and_symmetries(seed=0):
     worst = 0.0
     for (L, M) in GEOMS:
         geom = CylinderGeometry(L, M)
-        tf = critical_propagator_fourier(geom, ModelParams.critical(0.5))
-        worst = max(worst, boundary_residual(tf, [(1, 2), (L, 1)],
-                                             range(1, L + 1)))
+        worst = max(worst, _closure_residual(critical_propagator_fourier(
+            geom, ModelParams.critical(0.5)), geom))
     for t1 in T1S:
         p = ModelParams.critical(t1)
         for (L, M) in GEOMS:
@@ -144,22 +248,18 @@ def check_energy_cumulants(seed=0):
     t0 = time.perf_counter()
     geom = CylinderGeometry(4, 3)
     t1 = math.sqrt(2.0) - 1.0
-    beta = math.atanh(t1)
     params = ModelParams.critical(t1)
-    corr = FreeCorrelator(geom, params)
     tuples = [
-        [Edge((1, 1), "h"), Edge((3, 2), "h")],
-        [Edge((1, 1), "v"), Edge((3, 2), "v")],
-        [Edge((1, 1), "h"), Edge((3, 2), "v")],
-        [Edge((1, 1), "h"), Edge((2, 3), "h"), Edge((4, 2), "h")],
-        [Edge((1, 1), "v"), Edge((2, 2), "v"), Edge((4, 1), "v")],
-        [Edge((1, 1), "h"), Edge((2, 2), "v"), Edge((4, 2), "h")],
+        (Edge((1, 1), "h"), Edge((3, 2), "h")),
+        (Edge((1, 1), "v"), Edge((3, 2), "v")),
+        (Edge((1, 1), "h"), Edge((3, 2), "v")),
+        (Edge((1, 1), "h"), Edge((2, 3), "h"), Edge((4, 2), "h")),
+        (Edge((1, 1), "v"), Edge((2, 2), "v"), Edge((4, 1), "v")),
+        (Edge((1, 1), "h"), Edge((2, 2), "v"), Edge((4, 2), "h")),
     ]
-    worst = 0.0
-    for edges in tuples:
-        got = corr.energy_cumulant(edges)
-        oracle = enumerate_cumulant(geom, beta, 1.0, 1.0, edges)
-        worst = max(worst, abs(got - oracle))
+    worst = max(correlation_report(
+        CorrelationRequest(geom, edges, "truncated", params),
+        verify=True)["oracle_delta"] for edges in tuples)
     return _record(5, "energy cumulants vs enumeration", worst, 1e-9, t0,
                    time_cap=60.0)
 
@@ -171,18 +271,16 @@ def check_scaling_limit(seed=0):
     # dyadic points: the rescaled lattice sites z*n are exact integers at
     # every halving, so the error sequence is free of rounding jitter
     z, zp = (0.25, 0.5), (0.625, 0.375)
-    _, prop_errs = scaling_series(z, zp, p, (16, 32, 64, 128, 256))
+    series = scaling_report(z, zp, p, (16, 32, 64, 128, 256))
+    prop_errs = [row["error"] for row in series["series"]]
     corr_target = scaling_correlation([z, zp], (2, 2), 1.0, 1.0, p)
     corr_errs = []
     for n in (8, 16, 32):
-        geom = CylinderGeometry(n, n)
-        corr = FreeCorrelator(geom, p)
-        cum = corr.energy_cumulant(
+        cum = FreeCorrelator(CylinderGeometry(n, n), p).energy_cumulant(
             [Edge((int(z[0] * n), int(z[1] * n)), "v"),
              Edge((int(zp[0] * n), int(zp[1] * n)), "v")])
         corr_errs.append(abs(cum * n ** 2 - corr_target))
-    ok = (all(a > b for a, b in zip(prop_errs, prop_errs[1:]))
-          and all(a > b for a, b in zip(corr_errs, corr_errs[1:])))
+    ok = series["strictly_decreasing"] and _strictly_decreasing(corr_errs)
     detail = (f"propagator errors {['%.2e' % e for e in prop_errs]}, "
               f"correlation errors {['%.2e' % e for e in corr_errs]}")
     return _record(6, "scaling limit convergence", prop_errs[-1], 1.0, t0,
@@ -194,15 +292,13 @@ def check_multiscale(seed=0):
     t0 = time.perf_counter()
     geom = CylinderGeometry(32, 32)
     p = ModelParams.critical(0.5)
-    cut = ScaleCutoff.for_geometry(geom)
-    worst = telescoping_residual(geom, p, cut)
-    for h in (cut.h_star + 1, -2, 0):
+    report = multiscale_report(geom, p, h=-2, bin_width=8)
+    worst = max(report["reconstruction_residual"],
+                report["bulk_edge_residual"])
+    for h in (report["h_star"] + 1, -2, 0):
         worst = max(worst, boundary_residual(
-            scale_propagator(h, geom, p, cut), [(1, 3), (5, 8)], (1, 7)))
-    sp = bulk_edge_split(-2, geom, p, cut)
-    worst = max(worst, split_residual(sp))
-    d, nrm = edge_decay_profile(-2, geom, p, cut, split=sp)
-    fit = envelope_decay_fit(d, nrm, bin_width=8)
+            scale_propagator(h, geom, p), [(1, 3), (5, 8)], (1, 7)))
+    fit = report["edge_decay_fit"]
     ok = fit["rate"] > 0 and fit["r_squared"] > 0.9
     detail = (f"edge decay rate {fit['rate']:.3f}, "
               f"R^2 {fit['r_squared']:.3f}")
@@ -326,8 +422,9 @@ def check_norm_battery(seed=0, runs=50):
                + 2 * weighted_norm(fam[(2, 0)], "source-bulk",
                                    kappa + eps) / eps)
         violation = max(violation, lhs - rhs)
+    # 0.2 s per run: 10 s at selftest's 50 runs
     return _record(9, "remainder norm inequality battery",
-                   max(violation, 0.0), 1e-9, t0, time_cap=10.0,
+                   max(violation, 0.0), 1e-9, t0, time_cap=runs / 5,
                    detail=f"{runs} runs per inequality at "
                           f"kappa={kappa}, eps={eps}")
 

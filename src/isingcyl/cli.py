@@ -1,8 +1,9 @@
 """Command-line interface: batch experiment runner and verification harness.
 
-Every verb computes a library quantity, optionally verifies it against its
-independent oracle, and emits machine-readable output (JSON for structured
-results, CSV for tabular data) with a metadata header carrying the package
+Every verb takes a library quantity, optionally verified against its
+independent oracle, from a report function or criteria of
+:mod:`isingcyl.acceptance`, and emits it as machine-readable output (JSON,
+or CSV for tabular data) with a metadata header carrying the package
 version, a hash of the effective configuration and the tolerances in
 force.
 
@@ -26,21 +27,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .freecorr import (
-    CorrelationRequest, FreeCorrelator, enumerate_gibbs,
-    log_partition_function_free,
+from .acceptance import (
+    CHECKS, check_kernel_cancellations, check_norm_battery, check_rg_step,
+    correlation_report, multiscale_report, partition_report,
+    propagator_report, run_acceptance, scaling_report,
 )
+from .freecorr import CorrelationRequest
 from .lattice import CylinderGeometry, Edge
-from .multiscale import (
-    ScaleCutoff, bulk_edge_split, edge_decay_profile, envelope_decay_fit,
-    scale_norm_profile, split_residual, telescoping_residual,
-)
-from .propagators import (
-    ModelParams, boundary_residual, critical_propagator_direct,
-    critical_propagator_fourier, massive_propagator, massive_propagator_direct,
-    max_block_difference, scaling_series,
-)
-from .skewlinalg import moments_to_cumulants
+from .multiscale import scale_norm_profile
+from .propagators import ModelParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -91,16 +86,7 @@ def _metadata(config, tolerances):
     }
 
 
-def _emit_json(doc, path):
-    text = json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(metadata, header, rows, path, residuals=None):
+def _csv_text(metadata, header, rows, residuals):
     out = io.StringIO()
     for key in ("version", "config_hash"):
         out.write(f"# {key}: {metadata[key]}\n")
@@ -110,11 +96,29 @@ def _emit_csv(metadata, header, rows, path, residuals=None):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(out.getvalue())
+    return out.getvalue()
+
+
+def _emit_and_gate(args, report, gated=(), csv=None):
+    """Write ``report`` to ``--output`` (stdout by default) as JSON, or as
+    the CSV ``(header, rows)`` under its metadata and residuals; then, with
+    ``--verify``, fail if a residual named in ``gated`` exceeds ``--tol``."""
+    residuals = {k: report[k] for k in gated if k in report}
+    text = (json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
+            if csv is None
+            else _csv_text(report["metadata"], *csv, residuals))
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(out.getvalue())
+        sys.stdout.write(text)
+    # "not <=" so that a NaN residual fails the gate
+    failed = [f"{k} {r:.3e}" for k, r in residuals.items()
+              if not r <= args.tol]
+    if failed and args.verify:
+        raise VerificationError(
+            f"{args.command}: {', '.join(failed)} above {args.tol}")
+    return EXIT_OK
 
 
 def _build_params(args):
@@ -133,12 +137,6 @@ def _build_params(args):
     return ModelParams(t1=args.t1, t2=args.t2)
 
 
-def _beta_for(params):
-    """(beta, J1, J2) reproducing (t1, t2) in the spin model."""
-    beta = math.atanh(params.t1)
-    return beta, 1.0, math.atanh(params.t2) / beta
-
-
 # ---------------------------------------------------------------------------
 # Verbs.
 # ---------------------------------------------------------------------------
@@ -147,81 +145,37 @@ def _beta_for(params):
 def cmd_propagator(args):
     geom = CylinderGeometry(args.L, args.M)
     params = _build_params(args)
-    if args.variant == "critical":
-        if not params.is_critical:
-            raise ConfigError("the critical variant requires critical "
-                              "parameters (--critical with --t1)")
-        table = critical_propagator_fourier(geom, params)
-    else:
-        table = massive_propagator(geom, params)
-
+    if args.variant == "critical" and not params.is_critical:
+        raise ConfigError("the critical variant requires critical "
+                          "parameters (--critical with --t1)")
+    report = propagator_report(geom, params, args.variant,
+                               verify=args.verify)
+    table = report.pop("table")
+    entries = [([1, x2], [x1p, x2p], table.block((1, x2), (x1p, x2p)))
+               for x2 in range(args.M + 2) for x1p in range(1, args.L + 1)
+               for x2p in range(args.M + 2)]
     config = {"command": "propagator", "L": args.L, "M": args.M,
               "t1": params.t1, "t2": params.t2, "variant": args.variant}
-    meta = _metadata(config, {"verify": args.tol})
-
-    residuals = {}
-    if args.verify:
-        direct = (critical_propagator_direct(geom, params)
-                  if args.variant == "critical"
-                  else massive_propagator_direct(geom, params))
-        residuals["oracle_residual"] = max_block_difference(
-            table, direct, geom.sites())
-        if args.variant == "critical":
-            residuals["boundary_residual"] = boundary_residual(
-                table, [(1, 1), (geom.L, geom.M)], range(1, geom.L + 1))
-
-    entries = [([1, x2], [x1p, x2p], table.block((1, x2), (x1p, x2p)))
-               for x2 in range(0, geom.M + 2)
-               for x1p in range(1, geom.L + 1)
-               for x2p in range(0, geom.M + 2)]
-    if args.format == "json":
-        _emit_json({"metadata": meta, "variant": table.variant, **residuals,
-                    "entries": [{"z": z, "zp": zp,
-                                 "block": np.real(blk).tolist()}
-                                for z, zp, blk in entries]}, args.output)
-    else:
+    report["metadata"] = _metadata(config, {"verify": args.tol})
+    gated = ("oracle_residual", "boundary_residual")
+    if args.format == "csv":
         rows = [[*z, *zp, w, wp, f"{blk[w, wp].real:.17g}",
                  f"{blk[w, wp].imag:.17g}"]
                 for z, zp, blk in entries for w in (0, 1) for wp in (0, 1)]
-        _emit_csv(meta, ["z1", "z2", "z1p", "z2p", "omega", "omegap",
-                         "re", "im"], rows, args.output, residuals)
-    # "not <=" so that a NaN residual fails the gate
-    if any(not r <= args.tol for r in residuals.values()):
-        raise VerificationError(f"propagator residual above {args.tol}")
-    return EXIT_OK
-
-
-def _exp_or_none(log_value):
-    """exp(log_value) where it fits a float, else None (JSON null)."""
-    return (math.exp(log_value)
-            if log_value <= math.log(sys.float_info.max) else None)
-
-
-def _enumeration_counts(rec):
-    return {"enumeration_configurations": rec.configurations,
-            "enumeration_levels": rec.levels}
+        return _emit_and_gate(args, report, gated, csv=(
+            ["z1", "z2", "z1p", "z2p", "omega", "omegap", "re", "im"], rows))
+    report["entries"] = [{"z": z, "zp": zp, "block": np.real(blk).tolist()}
+                         for z, zp, blk in entries]
+    return _emit_and_gate(args, report, gated)
 
 
 def cmd_partition(args):
-    geom = CylinderGeometry(args.L, args.M)
-    log_z = log_partition_function_free(geom, args.beta, args.J1, args.J2)
+    report = partition_report(CylinderGeometry(args.L, args.M), args.beta,
+                              args.J1, args.J2, verify=args.verify)
     config = {"command": "partition", "L": args.L, "M": args.M,
               "beta": args.beta, "J1": args.J1, "J2": args.J2}
-    # Z only where it fits a float; log Z always does
-    report = {"metadata": _metadata(config, {"verify": args.tol}),
-              "Z": _exp_or_none(log_z), "log_Z": log_z}
-    if args.verify:
-        rec = enumerate_gibbs(geom, args.beta, args.J1, args.J2)
-        delta = abs(math.expm1(log_z - rec.log_Z))
-        report.update(Z_enumeration=_exp_or_none(rec.log_Z),
-                      log_Z_enumeration=rec.log_Z, delta_rel=delta,
-                      **_enumeration_counts(rec))
-        if not delta <= args.tol:
-            _emit_json(report, args.output)
-            raise VerificationError(
-                f"partition delta {delta:.3e} above {args.tol}")
-    _emit_json(report, args.output)
-    return EXIT_OK
+    report["metadata"] = _metadata(config, {"verify": args.tol})
+    return _emit_and_gate(args, report, ("delta_rel",))
 
 
 def _load_request(path):
@@ -248,32 +202,14 @@ def _load_request(path):
 
 def cmd_correlate(args):
     request = _load_request(args.request)
-    corr = FreeCorrelator(request.geom, request.params)
-    value = (corr.energy_moment(request.edges) if request.mode == "moment"
-             else corr.energy_cumulant(request.edges))
+    report = correlation_report(request, verify=args.verify)
     config = {"command": "correlate", "L": request.geom.L,
               "M": request.geom.M, "t1": request.params.t1,
               "t2": request.params.t2, "mode": request.mode,
               "edges": [[e.base[0], e.base[1], e.direction]
                         for e in request.edges]}
-    report = {"metadata": _metadata(config, {"verify": args.tol}),
-              "mode": request.mode, "value": value,
-              "variant": "pfaffian-cumulant"}
-    if args.verify:
-        beta, J1, J2 = _beta_for(request.params)
-        rec = enumerate_gibbs(request.geom, beta, J1, J2, request.edges)
-        oracle = (rec.moments if request.mode == "moment"
-                  else moments_to_cumulants(rec.moments))[
-                      frozenset(range(len(request.edges)))]
-        report.update(oracle=oracle, oracle_delta=abs(value - oracle),
-                      **_enumeration_counts(rec))
-        if not report["oracle_delta"] <= args.tol:
-            _emit_json(report, args.output)
-            raise VerificationError(
-                f"correlation delta {report['oracle_delta']:.3e} "
-                f"above {args.tol}")
-    _emit_json(report, args.output)
-    return EXIT_OK
+    report["metadata"] = _metadata(config, {"verify": args.tol})
+    return _emit_and_gate(args, report, ("oracle_delta",))
 
 
 _POINT_RE = re.compile(r"\(\s*([0-9.eE+-]+)\s*,\s*([0-9.eE+-]+)\s*\)")
@@ -287,108 +223,73 @@ def _parse_points(text):
 
 
 def cmd_scaling(args):
-    params = ModelParams.critical(args.t1)
     z, zp = _parse_points(args.points)
     sizes = [args.start * 2 ** i for i in range(args.halvings + 1)]
-    target, errors = scaling_series(z, zp, params, sizes)
-    rows = [{"a": 1.0 / n, "n": n, "error": err}
-            for n, err in zip(sizes, errors)]
+    report = scaling_report(z, zp, ModelParams.critical(args.t1), sizes)
     config = {"command": "scaling", "t1": args.t1, "points": [z, zp],
               "halvings": args.halvings, "start": args.start}
-    report = {"metadata": _metadata(config, {}),
-              "target_block": target.tolist(), "series": rows,
-              "strictly_decreasing": all(
-                  a > b for a, b in zip(errors, errors[1:]))}
+    report["metadata"] = _metadata(config, {})
+    # the gate is the strict decrease itself: no residual, no --tol
+    _emit_and_gate(args, report)
     if args.verify and not report["strictly_decreasing"]:
-        _emit_json(report, args.output)
         raise VerificationError("error column is not strictly decreasing")
-    _emit_json(report, args.output)
     return EXIT_OK
 
 
 def cmd_multiscale(args):
     geom = CylinderGeometry(args.L, args.M)
     params = ModelParams.critical(args.t1)
-    cut = ScaleCutoff.for_geometry(geom)
-    reconstruction = telescoping_residual(geom, params, cut)
-
-    h_fit = args.h if args.h is not None else min(cut.scales, default=0)
-    split = bulk_edge_split(h_fit, geom, params, cut)
-    residual = split_residual(split)
-    d, nrm = edge_decay_profile(h_fit, geom, params, cut, split=split)
-    bin_width = args.bin_width
-    if bin_width is None:
-        # at least four envelope bins across the sampled distance range
-        bin_width = max(1, int(np.ptp(d) // 4))
-    fit = envelope_decay_fit(d, nrm, bin_width=bin_width)
-
+    report = multiscale_report(geom, params, args.h, args.bin_width)
+    d, nrm = report.pop("edge_decay_profile")
     config = {"command": "multiscale", "L": args.L, "M": args.M,
-              "t1": args.t1, "h": h_fit}
-    meta = _metadata(config, {"reconstruction": args.tol})
-    profile = scale_norm_profile(geom, params, cut)
-    residuals = {"reconstruction_residual": reconstruction,
-                 "bulk_edge_residual": residual}
-    report = {
-        "metadata": meta,
-        "h_star": cut.h_star,
-        **residuals,
-        "scale_norm_profile": {str(h): v for h, v in profile.items()},
-        "edge_decay_fit": fit,
-    }
+              "t1": args.t1, "h": report.pop("h")}
+    report["metadata"] = _metadata(config, {"reconstruction": args.tol})
+    gated = ("reconstruction_residual", "bulk_edge_residual")
     if args.format == "csv":
-        rows = [[h_fit, float(di), f"{ni:.17g}"] for di, ni in zip(d, nrm)]
-        _emit_csv(meta, ["h", "d_edge", "norm"], rows, args.output,
-                  residuals)
-    else:
-        report["edge_decay_profile"] = [
-            {"d_edge": float(di), "norm": float(ni)}
-            for di, ni in zip(d, nrm)]
-        _emit_json(report, args.output)
-    if args.verify and not (reconstruction <= args.tol
-                            and residual <= args.tol):
-        raise VerificationError(
-            f"multiscale residual above {args.tol}")
-    return EXIT_OK
+        rows = [[config["h"], float(di), f"{ni:.17g}"]
+                for di, ni in zip(d, nrm)]
+        return _emit_and_gate(args, report, gated,
+                              csv=(["h", "d_edge", "norm"], rows))
+    report["scale_norm_profile"] = {
+        str(h): v for h, v in scale_norm_profile(geom, params).items()}
+    report["edge_decay_profile"] = [{"d_edge": float(di), "norm": float(ni)}
+                                    for di, ni in zip(d, nrm)]
+    return _emit_and_gate(args, report, gated)
+
+
+def _emit_records(args, config, key, records):
+    """Emit the records of an acceptance battery under ``key``; True if
+    every one passed."""
+    report = {
+        "metadata": _metadata(config, {r["name"]: r["tolerance"]
+                                       for r in records}),
+        key: records,
+        "all_passed": all(r["passed"] for r in records),
+    }
+    _emit_and_gate(args, report)
+    return report["all_passed"]
 
 
 def cmd_kernels(args):
-    from .acceptance import (
-        check_kernel_cancellations, check_norm_battery, check_rg_step,
-    )
     records = [
         check_kernel_cancellations(seed=args.seed),
         check_norm_battery(seed=args.seed, runs=args.runs),
         check_rg_step(seed=args.seed),
     ]
     config = {"command": "kernels", "seed": args.seed, "runs": args.runs}
-    report = {
-        "metadata": _metadata(config, {r["name"]: r["tolerance"]
-                                       for r in records}),
-        "checks": records,
-        "all_passed": all(r["passed"] for r in records),
-    }
-    _emit_json(report, args.output)
-    if args.verify and not report["all_passed"]:
+    if not _emit_records(args, config, "checks", records) and args.verify:
         raise VerificationError("a kernel-calculus check failed")
     return EXIT_OK
 
 
 def cmd_selftest(args):
-    from .acceptance import CHECKS, run_acceptance
     only = set(args.only) if args.only else None
     if only and not only <= set(range(1, len(CHECKS) + 1)):
         raise ConfigError(f"--only ids must lie in 1..{len(CHECKS)}")
     records = run_acceptance(seed=args.seed, only=only)
     config = {"command": "selftest", "seed": args.seed,
               "only": sorted(only) if only else None}
-    report = {
-        "metadata": _metadata(config, {r["name"]: r["tolerance"]
-                                       for r in records}),
-        "criteria": records,
-        "all_passed": all(r["passed"] for r in records),
-    }
-    _emit_json(report, args.output)
-    if not report["all_passed"]:
+    if not _emit_records(args, config, "criteria", records):
         raise VerificationError("acceptance criteria failed: " + ", ".join(
             str(r["criterion"]) for r in records if not r["passed"]))
     return EXIT_OK

@@ -37,9 +37,7 @@ from .propagators import (
     horizontal_momenta, massive_propagator, s_eval, s_weights,
     scaling_propagator,
 )
-from .skewlinalg import (
-    block_pfaffians, joint_cumulant, moments_to_cumulants, pfaffian,
-)
+from .skewlinalg import block_pfaffians, joint_cumulant, pfaffian
 
 ENUMERATION_CAP = 24
 _ENUM_CHUNK = 1 << 16
@@ -165,13 +163,6 @@ def enumerate_gibbs(geom, beta, J1=1.0, J2=1.0, observables=()):
                        means=means, moments=moments,
                        configurations=int(hist.sum()),
                        levels=int(occupied.sum()))
-
-
-def enumerate_cumulant(geom, beta, J1, J2, observables):
-    """Order-m joint cumulant of the observables from the enumeration."""
-    rec = enumerate_gibbs(geom, beta, J1, J2, observables)
-    cums = moments_to_cumulants(rec.moments)
-    return cums[frozenset(range(len(observables)))]
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,8 @@ class TranslationInvariantTable(PropagatorTable):
 
 
 class DenseTable(PropagatorTable):
-    """Full (2LM)x(2LM) table from a dense inversion; rows 1..M only."""
+    """Full (2LM)x(2LM) table from a dense inversion: a block of a site
+    outside columns 1..L, rows 1..M or not on integers raises ValueError."""
 
     def __init__(self, geom, variant, matrix):
         self.geom = geom
@@ -321,8 +322,17 @@ class DenseTable(PropagatorTable):
         self.matrix = np.asarray(matrix, dtype=complex)
 
     def block(self, z, zp):
-        i, j = 2 * self.geom.site_index(z), 2 * self.geom.site_index(zp)
-        return self.matrix[i:i + 2, j:j + 2].copy()
+        (x1, x2), (y1, y2) = z, zp
+        L, M = self.geom.L, self.geom.M
+        # a slice with a coordinate that is not an integer raises TypeError
+        if 1 <= x1 <= L and 1 <= y1 <= L and 1 <= x2 <= M and 1 <= y2 <= M:
+            i, j = 2 * self.geom.site_index(z), 2 * self.geom.site_index(zp)
+            try:
+                return self.matrix[i:i + 2, j:j + 2].copy()
+            except TypeError:
+                pass
+        raise ValueError(f"sites {z} and {zp}: integer coordinates in "
+                         f"columns 1..{L} and rows 1..{M} needed")
 
 
 def max_block_difference(ta, tb, sites):

@@ -1,9 +1,12 @@
 """Acceptance battery: one test (and one printed pass/fail line) per
 criterion.  The heavy computations run once in a module-scoped fixture."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from isingcyl.acceptance import CHECKS, run_acceptance
+from isingcyl import acceptance
+from isingcyl.acceptance import CHECKS, check_norm_battery, run_acceptance
 
 NAMES = [
     "pfaffian-vs-determinant",
@@ -49,4 +52,19 @@ def test_margins(records):
         else:
             assert rec["margin"] == rec["tolerance"] / rec["residual"]
     assert records[9]["residual"] == 0.0   # exact tree-distance bound
+    assert records[9]["time_cap"] == 10.0  # 0.2 s for each of 50 runs
     assert records[7]["r2_margin"] > 1.0
+
+
+@pytest.mark.parametrize("runs, seconds, passed", [
+    (1, 0.19, True), (1, 0.21, False), (3, 0.59, True), (3, 0.61, False)])
+def test_norm_battery_time_cap_is_per_run(monkeypatch, runs, seconds,
+                                          passed):
+    # a patched clock: the battery starts at 100 s and ends ``seconds`` on
+    ticks = iter([100.0, 100.0 + seconds])
+    monkeypatch.setattr(acceptance, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+    rec = check_norm_battery(seed=0, runs=runs)
+    assert rec["time_cap"] == pytest.approx(0.2 * runs)
+    assert rec["residual"] == 0.0
+    assert rec["passed"] is passed

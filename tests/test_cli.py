@@ -9,7 +9,7 @@ import pytest
 
 import gibbs_oracle
 import isingcyl
-from isingcyl import cli
+from isingcyl import acceptance
 from isingcyl.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, build_parser, main,
 )
@@ -127,7 +127,8 @@ class TestPropagator:
         # a table too large for the machine: exit 3 with a one-line message
         def oversized(geom, params):
             raise MemoryError
-        monkeypatch.setattr(cli, "critical_propagator_fourier", oversized)
+        monkeypatch.setattr(acceptance, "critical_propagator_fourier",
+                            oversized)
         code = main(["propagator", "--L", "4", "--M", "3", "--t1", "0.5"])
         captured = capsys.readouterr()
         assert code == EXIT_NUMERIC
@@ -347,6 +348,14 @@ class TestMultiscale:
         assert set(json.loads(res[0][len("# residuals: "):])) == {
             "reconstruction_residual", "bulk_edge_residual"}
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_residuals_gate_only_under_verify(self, capsys, fmt):
+        # the residuals are reported (nonzero at 8x8) but not gated
+        code, out = run(capsys, "multiscale", "--L", "8", "--M", "8",
+                        "--t1", "0.5", "--format", fmt, "--tol", "0")
+        assert code == EXIT_OK
+        assert "reconstruction_residual" in out
+
     @pytest.mark.parametrize("width", ["0", "-2"])
     def test_bin_width_at_least_one(self, capsys, width):
         assert rejected(capsys, "multiscale", "--L", "8", "--M", "8",
@@ -442,7 +451,8 @@ class TestParser:
 
 
 class TestNanResiduals:
-    """A NaN residual fails every --verify gate, in any position."""
+    """A NaN residual fails every --verify gate, in any position; the
+    residuals are computed by the report functions of ``acceptance``."""
 
     @pytest.mark.parametrize("name, argv", [
         ("max_block_difference",
@@ -455,12 +465,19 @@ class TestNanResiduals:
          ["multiscale", "--L", "8", "--M", "8", "--t1", "0.5"]),
     ])
     def test_gate_fails(self, capsys, monkeypatch, name, argv):
-        monkeypatch.setattr(cli, name, lambda *a, **k: math.nan)
+        monkeypatch.setattr(acceptance, name, lambda *a, **k: math.nan)
         code, _ = run(capsys, *argv, "--verify")
         assert code == EXIT_VERIFY
 
+    def test_no_gate_without_verify(self, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "split_residual",
+                            lambda *a, **k: math.nan)
+        code, _ = run(capsys, "multiscale", "--L", "8", "--M", "8",
+                      "--t1", "0.5")
+        assert code == EXIT_OK
+
     def test_correlate_gate_fails(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "moments_to_cumulants",
+        monkeypatch.setattr(acceptance, "moments_to_cumulants",
                             lambda moments: dict.fromkeys(moments, math.nan))
         code, _ = run(capsys, "correlate", "--request",
                       write_request(tmp_path), "--verify")

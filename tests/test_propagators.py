@@ -505,6 +505,21 @@ class TestTableErrors:
             _direct_table(geom, critical_params(0.5),
                           lambda g, q: np.zeros((24, 24)), "zero")
 
+    @pytest.mark.parametrize("z, zp", [
+        ((1, 0), (2, 2)),     # used to read a row-3 block
+        ((1, 4), (2, 2)),     # used to return an empty (0, 2) array
+        ((5, 1), (1, 1)),     # used to read (1, 2) with no antiperiodic sign
+        ((1, 1), (0, 3)),
+        ((1, 1), (2, 4)),
+        ((1.0, 1), (2, 2)),   # not an integer
+        ((1, 1), (2, np.float64(2)))])
+    def test_dense_block_outside_the_lattice_raises(self, z, zp):
+        table = critical_propagator_direct(CylinderGeometry(4, 3),
+                                           critical_params(0.5))
+        with pytest.raises(ValueError, match="columns 1..4 and rows 1..3"):
+            table.block(z, zp)
+        assert table.block((1, 1), (4, 3)).shape == (2, 2)
+
     def test_error_hierarchy(self):
         assert issubclass(NumericalError, ArithmeticError)
         assert issubclass(DoublingError, NumericalError)
