@@ -150,10 +150,13 @@ def cmd_propagator(args):
                           "parameters (--critical with --t1)")
     report = propagator_report(geom, params, args.variant,
                                verify=args.verify)
-    table = report.pop("table")
-    entries = [([1, x2], [x1p, x2p], table.block((1, x2), (x1p, x2p)))
-               for x2 in range(args.M + 2) for x1p in range(1, args.L + 1)
-               for x2p in range(args.M + 2)]
+    # the critical table covers the closure rows, the massive one 1..M
+    x2s = (range(args.M + 2) if args.variant == "critical"
+           else range(1, args.M + 1))
+    z = [[1, x2] for x2 in x2s]
+    zp = [[x1, x2] for x1 in range(1, args.L + 1) for x2 in x2s]
+    entries = [(a, b, blk) for a, row in zip(
+        z, report.pop("table").blocks(z, zp)) for b, blk in zip(zp, row)]
     config = {"command": "propagator", "L": args.L, "M": args.M,
               "t1": params.t1, "t2": params.t2, "variant": args.variant}
     report["metadata"] = _metadata(config, {"verify": args.tol})

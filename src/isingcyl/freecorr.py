@@ -230,7 +230,7 @@ class FreeCorrelator:
 
     Builds the critical (phi) and massive (xi) propagator tables once; on
     the critical line the critical table is the Fourier representation,
-    evaluated one row pair at a time (:class:`LazyCriticalTable`) at every
+    evaluated at the offsets read (:class:`LazyCriticalTable`) at every
     size, otherwise the dense inversion of A_c.  A request builds the
     covariance of its 2m constituent fields once; every moment is the
     Pfaffian of a principal submatrix.
@@ -310,7 +310,7 @@ def scaling_correlation(points, labels, ell1, ell2, params):
 
     ``points`` are pairwise distinct continuum points with 0 < y < ell2;
     ``labels`` are edge directions (1 horizontal, 2 vertical).  Returns
-    ``(2 t2*)^{m1} (1 - t2*^2)^{m2} Pf(M)`` where M is the 2m x 2m matrix
+    ``(2 t2)^{m1} (1 - t2^2)^{m2} Pf(M)`` where M is the 2m x 2m matrix
     with zero diagonal blocks and the continuum propagator off-diagonal.
     """
     points = [np.asarray(p, dtype=float) for p in points]
@@ -329,8 +329,8 @@ def scaling_correlation(points, labels, ell1, ell2, params):
 
     m1 = sum(1 for l in labels if l == 1)
     m2 = m - m1
-    t2s = params.t2_star
-    pref = (2.0 * t2s) ** m1 * (1.0 - t2s ** 2) ** m2
+    t2 = params.t2
+    pref = (2.0 * t2) ** m1 * (1.0 - t2 ** 2) ** m2
 
     M = np.zeros((2 * m, 2 * m))
     for i in range(m):

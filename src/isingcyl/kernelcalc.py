@@ -841,14 +841,13 @@ def rg_step(family, table, s_max=2, *, term_budget=500000):
 class VertexRenorm:
     Z1: float
     Z2: float
-    h: int
 
     def __post_init__(self):
         if not (math.isfinite(self.Z1) and math.isfinite(self.Z2)):
             raise ValueError("vertex renormalizations must be finite")
 
 
-def extract_vertex_renorm(source_kernel, h=0):
+def extract_vertex_renorm(source_kernel):
     """Vertex renormalizations of an infinite-volume (2,0,1) source
     kernel: twice the total weight of the (+,-) slot at each unit probe
     edge."""
@@ -859,7 +858,7 @@ def extract_vertex_renorm(source_kernel, h=0):
           & (edge[:, 1] == 0))
     Z1, Z2 = np.bincount(edge[pm, 2], source_kernel.values[pm].real,
                          2).tolist()  # the "h" and the "v" edge, in order
-    return VertexRenorm(Z1=2.0 * Z1, Z2=2.0 * Z2, h=h)
+    return VertexRenorm(Z1=2.0 * Z1, Z2=2.0 * Z2)
 
 
 # weights of the free source kernel below this are dropped

@@ -216,14 +216,11 @@ def edge_decay_profile(h, geom, params, cutoff=None, split=None):
     """
     if split is None:
         split = bulk_edge_split(h, geom, params, cutoff)
-    edge = split["edge"]
-    dists, norms = [], []
-    for x in (geom.L // 8 + 1, geom.L // 4 + 1, geom.L // 2 - 1):
-        for row in range(1, geom.M // 2 + 1):
-            z, zp = (x, row), (geom.wrap_x1(x + 1), row)
-            dists.append(d_edge_pair(z, zp, geom))
-            norms.append(float(np.max(np.abs(edge.block(z, zp)))))
-    return np.asarray(dists), np.asarray(norms)
+    z = [(x, row) for x in (geom.L // 8 + 1, geom.L // 4 + 1, geom.L // 2 - 1)
+         for row in range(1, geom.M // 2 + 1)]
+    zp = [(geom.wrap_x1(x + 1), row) for x, row in z]
+    norms = np.abs(split["edge"].blocks(z, zp).diagonal()).max(axis=(0, 1))
+    return np.asarray([d_edge_pair(a, b, geom) for a, b in zip(z, zp)]), norms
 
 
 def envelope_decay_fit(distances, norms, bin_width=12):

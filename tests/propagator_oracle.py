@@ -142,12 +142,12 @@ def image_sum_propagator(z, zp, ell1, ell2, params):
     sy = float(z[1]) + float(zp[1])
 
     def g1(x, y):
-        return gscal_scalar(x / (1.0 - params.t2_star),
-                            y / (1.0 - params.t1_star), params.t2_star)
+        return gscal_scalar(x / (1.0 - params.t2),
+                            y / (1.0 - params.t1), params.t2)
 
     def g2(x, y):
-        return gscal_scalar(y / (1.0 - params.t1_star),
-                            x / (1.0 - params.t2_star), params.t2_star)
+        return gscal_scalar(y / (1.0 - params.t1),
+                            x / (1.0 - params.t2), params.t2)
 
     def term(n1, n2):
         x = dx + n1 * ell1

@@ -188,6 +188,16 @@ class TestPropagator:
         assert code == EXIT_OK
         assert json.loads(out)["oracle_residual"] < 1e-10
 
+    def test_massive_listing_covers_rows_1_to_M(self, capsys):
+        # xi has no closure rows; the listing used to read rows 0 and M+1
+        code, out = run(capsys, "propagator", "--L", "4", "--M", "3",
+                        "--t1", "0.5", "--variant", "massive")
+        assert code == EXIT_OK
+        entries = json.loads(out)["entries"]
+        assert len(entries) == 3 * 4 * 3
+        assert {e["z"][1] for e in entries} == {1, 2, 3}
+        assert {e["zp"][1] for e in entries} == {1, 2, 3}
+
     def test_beta_without_critical_flag(self, capsys):
         code, out = run(capsys, "propagator", "--L", "4", "--M", "3",
                         "--beta", "0.4", "--variant", "massive", "--verify")

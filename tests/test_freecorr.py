@@ -350,7 +350,7 @@ class TestScalingCorrelation:
         z1, z2 = (0.3, 0.4), (0.7, 0.6)
         g = scaling_propagator(z1, z2, 1.0, 1.0, p)
         # Pf of the 4x4 with zero diagonal blocks: -g++ g-- + g+- g-+
-        expect = ((1 - p.t2_star ** 2) ** 2
+        expect = ((1 - p.t2 ** 2) ** 2
                   * (-g[0, 0] * g[1, 1] + g[0, 1] * g[1, 0]))
         got = scaling_correlation([z1, z2], (2, 2), 1.0, 1.0, p)
         assert got == pytest.approx(expect, rel=1e-12)
@@ -360,7 +360,7 @@ class TestScalingCorrelation:
         pts = [(0.3, 0.4), (0.7, 0.6)]
         v22 = scaling_correlation(pts, (2, 2), 1.0, 1.0, p)
         v11 = scaling_correlation(pts, (1, 1), 1.0, 1.0, p)
-        ratio = (2 * p.t2_star) ** 2 / (1 - p.t2_star ** 2) ** 2
+        ratio = (2 * p.t2) ** 2 / (1 - p.t2 ** 2) ** 2
         assert v11 / v22 == pytest.approx(ratio, rel=1e-12)
 
     def test_rescaling_covariance_m3(self):

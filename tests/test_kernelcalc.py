@@ -1109,7 +1109,7 @@ class TestRGStep:
 class TestCouplings:
     def test_invalid_values(self):
         with pytest.raises(ValueError):
-            VertexRenorm(float("inf"), 1.0, 0)
+            VertexRenorm(float("inf"), 1.0)
 
 
 class TestVertexRenorm:

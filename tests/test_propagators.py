@@ -47,10 +47,6 @@ class TestParams:
         assert p.t1 == pytest.approx(math.tanh(0.3))
         assert p.t2 == pytest.approx(math.tanh(0.6))
 
-    def test_starred_defaults(self):
-        p = ModelParams(t1=0.4, t2=0.3)
-        assert p.t1_star == 0.4 and p.t2_star == 0.3
-
 
 class TestMomenta:
     def test_horizontal_antiperiodic(self):
@@ -307,13 +303,11 @@ class TestAgainstFlatSum:
                     z, zp = (x, z2), (1, zp2)
                     assert np.max(np.abs(lazy.block(z, zp)
                                          - flat.block(z, zp))) <= 1e-14
-        assert lazy._known[0] and lazy._known[2 * M + 2]
 
 
 class TestCriticalTable:
-    """Full tables and lazy blocks are one series: both read the k2 columns
-    of ``propagators._k2_columns`` and combine and sum them over k1 by
-    ``_k1_sums``."""
+    """Full tables and lazy blocks are one series: both read the per-offset
+    profiles g(d) and r(s) of ``propagators._offset_profiles``."""
 
     @pytest.mark.parametrize("LM", [(8, 5), (32, 32), (34, 3)])
     def test_lazy_blocks_equal_full_table(self, LM):
@@ -322,38 +316,51 @@ class TestCriticalTable:
         p = critical_params(0.5)
         full = critical_propagator_fourier(geom, p).data
         lazy = LazyCriticalTable(geom, p)
-        blocks = np.array([[[lazy.block((d1, z2), (0, zp2))
-                             for zp2 in range(M + 2)]
-                            for z2 in range(M + 2)] for d1 in range(L)])
+        # every residue d1 and row pair, in one call
+        z = [(d1, z2) for d1 in range(L) for z2 in range(M + 2)]
+        zp = [(0, zp2) for zp2 in range(M + 2)]
+        blocks = lazy.blocks(z, zp).reshape(full.shape)
         assert np.max(np.abs(blocks - full)) <= 1e-15
-        # one cached profile per distinct row pair, whatever d1 asked for
-        assert len(lazy._profiles) == (M + 2) ** 2
 
-    def test_lazy_columns_are_shared_by_row_pairs(self, monkeypatch):
-        # a row pair (z2, z'2) reads the offsets |d|, |d +- 1|, s, |s - 1|
-        # and 2M + 2 - s; each is formed once, for the first pair that
-        # reads it
+    def test_offset_profiles_are_computed_once(self, monkeypatch):
+        # a call computes, in one batch, only the differences d and sums s
+        # that no earlier call read
         geom = CylinderGeometry(16, 12)
         p = critical_params(0.5)
-        formed = []
-        columns = propagators._k2_columns
+        computed = []
+        profiles = propagators._offset_profiles
 
-        def recording(modes, n):
-            formed.append(sorted(np.asarray(n).tolist()))
-            return columns(modes, n)
-        monkeypatch.setattr(propagators, "_k2_columns", recording)
+        def recording(modes, d, s):
+            computed.append((np.asarray(d).tolist(), np.asarray(s).tolist()))
+            return profiles(modes, d, s)
+        monkeypatch.setattr(propagators, "_offset_profiles", recording)
         lazy = LazyCriticalTable(geom, p)
-        pairs = [((1, 3), (1, 5)),   # d = -2, s = 8
-                 ((1, 4), (1, 6)),   # same difference, s = 10
-                 ((1, 6), (1, 2)),   # d = 4, same sum as the first
-                 ((1, 5), (1, 3)),   # both offsets seen before
-                 ((3, 5), (1, 3))]   # a known row pair
-        blocks = [lazy.block(z, zp) for z, zp in pairs]
-        assert formed == [[1, 2, 3, 7, 8, 18], [9, 10, 16], [4, 5]]
-        assert len(lazy._profiles) == 4
+        reads = [([(1, 3)], [(1, 5)]),          # d = -2, s = 8
+                 ([(1, 4), (2, 6)], [(1, 6)]),  # d = -2, 0; s = 10, 12
+                 ([(3, 5)], [(1, 3)]),          # d = 2, s = 8
+                 ([(3, 3)], [(1, 5)])]          # both seen before
+        got = [lazy.blocks(z, zp) for z, zp in reads]
+        assert computed == [([-2], [8]), ([0], [10, 12]), ([2], [])]
         full = critical_propagator_fourier(geom, p)
-        for (z, zp), blk in zip(pairs, blocks):
-            assert np.max(np.abs(blk - full.block(z, zp))) <= 1e-15
+        for (z, zp), blocks in zip(reads, got):
+            assert np.max(np.abs(blocks - full.blocks(z, zp))) <= 1e-15
+
+    def test_memory_is_two_profiles_per_offset(self):
+        # once every row pair has been read, the table holds g(d) and r(s)
+        # at the 2M + 3 offsets each: 2 (2M + 3) L blocks of 64 bytes,
+        # 1.07 MB at 64x64 (a profile per row pair would take 17.8 MB)
+        L = M = 64
+        tracemalloc.start()
+        try:
+            lazy = LazyCriticalTable(CylinderGeometry(L, M),
+                                     critical_params(0.5))
+            before = tracemalloc.get_traced_memory()[0]
+            column = [(1, row) for row in range(M + 2)]
+            lazy.blocks(column, column)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.05 * 2 * (2 * M + 3) * L * 64
 
     @pytest.mark.parametrize("z, zp", [
         ((1, -1), (2, 3)),    # numpy would read row M + 1
@@ -372,12 +379,10 @@ class TestCriticalTable:
                  else LazyCriticalTable(geom, p))
         with pytest.raises(ValueError):
             table.block(z, zp)
-        if kind == "lazy":
-            assert table._profiles == {} and not table._known.any()
 
     def test_lazy_column_checked_on_a_known_row_pair(self):
-        # rows are checked once per row pair; a horizontal coordinate that
-        # is not an integer still raises on a later lookup
+        # a horizontal coordinate that is not an integer raises on a row
+        # pair whose profiles are already known
         table = LazyCriticalTable(CylinderGeometry(8, 5), critical_params(0.5))
         table.block((1, 2), (2, 3))
         for z, zp in (((1.5, 2), (2, 3)), ((1, 2), (2.25, 3))):
@@ -423,6 +428,57 @@ def _covariance_table(kind, geom):
     return massive_propagator(geom, critical_params(0.5))
 
 
+# sites each table type covers on 6x4 (its edge rows, and raw x1 <= 0 and
+# x1 > L where it wraps), and sites it rejects: off the table, float and
+# bool coordinates
+_CLOSURE = [(-6, 0), (0, 1), (1, 5), (3, 2), (6, 4), (7, 0), (15, 3)]
+_INTERIOR = [(-6, 1), (0, 4), (1, 2), (3, 3), (6, 1), (7, 4), (15, 3)]
+_NOT_INTEGERS = [(1.5, 2), (1, 2.0), (np.float64(2), 1), (True, 2),
+                 (1, np.True_)]
+_LOOKUPS = {
+    "full": (_CLOSURE, [(1, -1), (1, 6)] + _NOT_INTEGERS),
+    "lazy": (_CLOSURE, [(1, -1), (1, 6)] + _NOT_INTEGERS),
+    "dense": ([(1, 1), (1, 4), (6, 1), (6, 4), (3, 2)],
+              [(0, 1), (7, 1), (1, 0), (1, 5)] + _NOT_INTEGERS),
+    "massive": (_INTERIOR, [(1, 0), (1, 5)] + _NOT_INTEGERS),
+}
+
+
+class TestBlocks:
+    """``blocks`` is the one lookup of each table type; ``block`` is its
+    1x1 case."""
+
+    @pytest.mark.parametrize("kind", list(_LOOKUPS))
+    def test_blocks_equal_scalar_blocks(self, kind):
+        geom = CylinderGeometry(6, 4)
+        sites = _LOOKUPS[kind][0]
+        got = _covariance_table(kind, geom).blocks(sites, sites[::-1])
+        # a fresh table, so that the lazy one computes its profiles anew
+        table = _covariance_table(kind, geom)
+        ref = np.array([[table.block(z, zp) for zp in sites[::-1]]
+                        for z in sites])
+        assert got.shape == (len(sites), len(sites), 2, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        # unsigned site arrays are read as the same integers
+        pos = [z for z in sites if z[0] > 0]
+        assert np.array_equal(table.blocks(np.array(pos, dtype=np.uint8),
+                                           np.array(pos[::-1], np.uint16)),
+                              table.blocks(pos, pos[::-1]))
+
+    @pytest.mark.parametrize("kind", list(_LOOKUPS))
+    def test_blocks_and_block_reject_the_same_sites(self, kind):
+        geom = CylinderGeometry(6, 4)
+        table = _covariance_table(kind, geom)
+        sites, bad = _LOOKUPS[kind]
+        for z in bad:
+            for pair in ((z, sites[0]), (sites[0], z)):
+                with pytest.raises(ValueError, match="integers, in"):
+                    table.block(*pair)
+                with pytest.raises(ValueError, match="integers, in"):
+                    table.blocks([sites[1], pair[0]], [pair[1], sites[2]])
+        assert table.blocks([], sites).shape == (0, len(sites), 2, 2)
+
+
 class TestCovariance:
     """``PropagatorTable.covariance`` against the pairwise loops of
     ``gaussian_oracle`` on every table type."""
@@ -431,10 +487,11 @@ class TestCovariance:
     def test_against_oracle(self, kind):
         geom = CylinderGeometry(6, 4)
         table = _covariance_table(kind, geom)
-        # the dense table covers rows 1..M and x1 in 1..L only; the others
-        # take the closure rows and the raw seam coordinate x1 = L+1
-        rows_z = range(1, geom.M + 1) if kind == "dense" else range(
-            0, geom.M + 2)
+        # the dense and massive tables cover rows 1..M, the critical ones
+        # the closure rows too; all but the dense one take the raw seam
+        # coordinate x1 = L+1
+        rows_z = (range(1, geom.M + 1) if kind in ("dense", "massive")
+                  else range(0, geom.M + 2))
         top_x = geom.L if kind == "dense" else geom.L + 1
         rng = np.random.default_rng(41)
         for _ in range(5):
@@ -471,26 +528,6 @@ class TestCovariance:
         upper = np.triu(got, 1)
         assert np.max(np.abs(table.covariance(rows) - (upper - upper.T))) \
             < 1e-15 * scale
-
-    def test_blocks_read_by_the_upper_triangle_only(self):
-        geom = CylinderGeometry(6, 4)
-        table = _covariance_table("full", geom)
-        calls = []
-        block = table.block
-
-        def counting_block(z, zp):
-            calls.append((z, zp))
-            return block(z, zp)
-        table.block = counting_block
-        rows = [[(1.0, 0, (1, 1)), (2.0, 1, (2, 1))], [(1.0, 1, (1, 1))],
-                [(0.5, 0, (2, 1)), (1.0, 1, (3, 2))]]
-        G = table.covariance(rows)
-        # (3, 2) occurs in the last row only, so no entry (i < j) reads a
-        # block with it as first site
-        assert sorted(calls) == sorted(
-            (a, b) for a in [(1, 1), (2, 1)]
-            for b in [(1, 1), (2, 1), (3, 2)])
-        assert np.array_equal(G, -G.T)
 
     def test_no_rows_or_no_fields(self):
         table = _covariance_table("massive", CylinderGeometry(4, 3))
@@ -595,13 +632,28 @@ class TestMassivePropagator:
                     sm - ph @ (1.0 / (1.0 + t1 * np.exp(-1j * k1))))) < 1e-12
 
     def test_closure_rows_and_wrap_sign(self):
+        # xi has no closure rows: rows 0 and M+1 raise, and on rows 1..M a
+        # wrap through the seam flips the sign
         geom = CylinderGeometry(6, 4)
         tm = massive_propagator(geom, critical_params(0.5))
         sp, _ = s_weights(geom, critical_params(0.5))
-        for row in (0, 3, 5):
+        for row in (1, 3, 4):
             assert tm.block((3, row), (1, row))[0, 1] == sp[2]
             assert tm.block((1, row), (3, row))[0, 1] == -sp[4]
-        assert np.max(np.abs(tm.block((2, 0), (2, 5)))) == 0.0
+        for row in (0, 5):
+            with pytest.raises(ValueError, match="rows 1..4"):
+                tm.block((3, row), (1, row))
+
+    @pytest.mark.parametrize("z, zp", [
+        ((1, 0), (2, 0)),     # used to return a block of row 0
+        ((1, 7), (2, 7)),     # and of row 7
+        ((1.5, 1), (2, 1)),   # used to raise a raw IndexError
+        ((True, 1), (2, 1)),  # used to be read as column 1
+        ((1, 1), (2, True))])
+    def test_block_off_rows_1_to_M_or_integers_raises(self, z, zp):
+        tm = massive_propagator(CylinderGeometry(4, 3), critical_params(0.5))
+        with pytest.raises(ValueError, match="integers, in rows 1..3"):
+            tm.block(z, zp)
 
     def test_memory_is_one_block_per_offset(self):
         # only the row diagonal is stored: a few kB at 256 x 256, where the
@@ -772,7 +824,7 @@ class TestScalingPropagator:
         ((0.2, 0.6), (0.7, 0.3), 1.0, 1.0, critical_params(0.3)),
         ((0.05, 0.95), (0.9, 0.02), 1.0, 1.0, critical_params(0.5)),
         ((0.4, 1.2), (1.4, 0.6), 2.0, 1.5,
-         ModelParams(0.4, 0.5, t1_star=0.45, t2_star=0.35))])
+         ModelParams(0.45, 0.35))])
     def test_matches_scalar_image_loops(self, z, zp, ell1, ell2, p):
         ref = propagator_oracle.image_sum_propagator(z, zp, ell1, ell2, p)
         g = scaling_propagator(z, zp, ell1, ell2, p)
