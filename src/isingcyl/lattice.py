@@ -407,7 +407,7 @@ def tree_distances(sites, edges, geom, boundary=False):
     slots = n + m
     counts = (rows[:, :slots] < len(D)).sum(axis=1)
     out = np.zeros(len(rows), dtype=np.int64)
-    for t in np.unique(counts).tolist():
+    for t in np.flatnonzero(np.bincount(counts)).tolist():
         if t == 1 and not boundary:  # one vertex spans itself
             continue
         which = np.flatnonzero(counts == t)

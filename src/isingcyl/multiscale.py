@@ -228,9 +228,12 @@ def envelope_decay_fit(distances, norms, bin_width=12):
     distance and each bin contributes its maximum."""
     d = np.asarray(distances, dtype=float)
     n = np.asarray(norms, dtype=float)
+    # the bins of d // bin_width by ``return_inverse``: a plain
+    # ``np.unique`` imports numpy.ma
+    _, group = np.unique(d // bin_width, return_inverse=True)
     bd, bn = [], []
-    for b in np.unique(d // bin_width):
-        sel = d // bin_width == b
+    for g in range(group.max(initial=-1) + 1):
+        sel = group == g
         bd.append(d[sel].mean())
         bn.append(n[sel].max())
     return fit_exponential_decay(bd, bn)

@@ -17,14 +17,21 @@ import numpy as np
 def pfaffian(A):
     """Pfaffian by pivoted skew-symmetric (Parlett-Reid) elimination, O(n^3).
 
-    Dimension 0 returns 1; odd dimension returns 0.
+    Dimension 0 returns 1; odd dimension returns 0.  Dimensions 2 and 4 are
+    read off the upper triangle in closed form, with no copy.
     """
-    a = np.array(A, dtype=complex)
+    a = np.asarray(A)
     n = a.shape[0]
     if n == 0:
         return 1.0 + 0.0j
     if n % 2 != 0:
         return 0.0 + 0.0j
+    if n == 2:
+        return a[0, 1] + 0.0j
+    if n == 4:
+        return (a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3]
+                + a[0, 3] * a[1, 2] + 0.0j)
+    a = np.array(a, dtype=complex)
     pf = 1.0 + 0.0j
     for k in range(0, n - 1, 2):
         # bring the largest entry of column k below the diagonal to (k+1, k)
@@ -103,13 +110,28 @@ def set_partitions(items):
         yield ((first,),) + part
 
 
+def _small_cumulant(moments, a, b=None, c=None):
+    """The joint cumulant of one, two or three indices from their moments:
+    ``m_a``, ``m_ab - m_a m_b`` and ``m_abc - m_ab m_c - m_ac m_b -
+    m_bc m_a + 2 m_a m_b m_c``."""
+    def m(*idx):
+        return moments[frozenset(idx)]
+    if b is None:
+        return m(a)
+    if c is None:
+        return m(a, b) - m(a) * m(b)
+    return (m(a, b, c) - m(a, b) * m(c) - m(a, c) * m(b) - m(b, c) * m(a)
+            + 2.0 * m(a) * m(b) * m(c))
+
+
 def moments_to_cumulants(moments):
     """Moebius inversion of the moment-cumulant relation.
 
     ``moments`` maps every nonempty subset (frozenset) of some index set to
     a number; returns the map ``S -> joint cumulant of S``:
     ``kappa(S) = sum over partitions pi of S of
-    (-1)^(|pi|-1) (|pi|-1)! prod_B moment(B)``.
+    (-1)^(|pi|-1) (|pi|-1)! prod_B moment(B)``, written out for |S| <= 3.
+    A missing subset raises ``KeyError``.
     """
     index_sets = sorted(moments, key=lambda s: (len(s), sorted(s)))
     if not index_sets:
@@ -121,6 +143,9 @@ def moments_to_cumulants(moments):
                 raise KeyError(f"moment of subset {sub} missing")
     out = {}
     for s in index_sets:
+        if len(s) <= 3:
+            out[s] = _small_cumulant(moments, *sorted(s))
+            continue
         total = 0.0
         for part in set_partitions(sorted(s)):
             prod = 1.0

@@ -1,9 +1,14 @@
 """Reference evaluations that the summation orders of
 :mod:`isingcyl.propagators` replace, kept as their oracles.
 
-* The critical Fourier series as flat sums over all momentum pairs.  Every
-  entry is one reduction over all L(2M+1) modes at once, so a full table
-  costs O(L M^2 #modes) and a block O(#modes).
+* The k2 roots of the quantization condition by bracket bisection, and
+  their normalization N_M as the derivative-over-difference ratio of the
+  condition: the library's Newton solve on the phase equation and its
+  slope replace both.
+* The critical Fourier series as flat sums over all momentum pairs, with
+  the roots and N_M above.  Every entry is one reduction over all L(2M+1)
+  modes at once, so a full table costs O(L M^2 #modes) and a block
+  O(#modes).
 * The infinite-volume torus sum as one FFT of the whole (N, N, 2, 2) ghat
   grid, and single entries as exactly rounded ``fsum`` reductions.
 * The continuum image sum by nested scalar loops, one image at a time.
@@ -17,17 +22,73 @@ import numpy as np
 
 from isingcyl.lattice import antiperiodic_wrap
 from isingcyl.propagators import (
-    ghat_matrix, gscal_scalar, horizontal_momenta, normalization_N,
-    solve_k2_roots,
+    NumericalError, coeff_B, ghat_matrix, gscal_scalar, horizontal_momenta,
 )
+
+
+def normalization_N(k1, k2, params, M):
+    """N_M(k1, k2): derivative-over-difference normalization factor."""
+    B = coeff_B(k1, params)
+    k2 = np.asarray(k2)
+    num = B * M * np.cos(k2 * M) - (M + 1) * np.cos(k2 * (M + 1))
+    den = B * np.cos(k2 * M) - np.cos(k2 * (M + 1))
+    return num / den
+
+
+def bisect_k2_roots(k1, M, params):
+    """Roots of ``sin k2(M+1) = B(k1) sin(k2 M)`` in (-pi, pi), shaped as
+    those of :func:`isingcyl.propagators.solve_k2_roots`.
+
+    On the critical line B(k1) <= 1, and the condition divided by sin k2
+    is a degree-M polynomial in cos k2 whose sign alternates at the points
+    pi j/M; so exactly one positive root lies in each bracket (pi j/M,
+    pi (j+1)/M), j = 0..M-1 (McCoy-Wu 1973).  Every bracket of every k1 is
+    bisected at once to a width of 1e-7/(M+1), where Newton's method
+    converges quadratically, and Newton steps clipped to the bracket, in
+    extended precision, then reach the roots rounded to double.
+    """
+    B = np.asarray(coeff_B(k1, params), dtype=float)[..., None]
+    if np.any(B > 1.0 + 1e-9):
+        raise ValueError(f"B(k1) = {B.max()} > 1: not on the critical line")
+
+    def f(k2, B=B):
+        return np.sin(k2 * (M + 1)) - B * np.sin(k2 * M)
+
+    # every bracket [lo, lo + width] halves at each step; the sign of f
+    # just right of pi j/M is (-1)^j
+    lo = np.pi * np.arange(M) / M + np.zeros(B.shape)
+    sign = 1.0 - 2.0 * (np.arange(M) % 2)
+    width = np.pi / M
+    while width > 1e-7 / (M + 1):
+        width *= 0.5
+        lo += width * (f(lo + width) * sign > 0.0)
+    hi = lo + width
+    # f''/f' is at most O((M+1)^2): from the bracket midpoint the Newton
+    # error falls to ~1e-15 after one step and to roundoff after two.  The
+    # steps run in extended precision (``np.longdouble``, a 64-bit mantissa
+    # on x86): in double, f cancels near B = 1 and leaves ~1e-16 of error
+    # in the smallest roots, which N_M magnifies to ~1e-14 relative.
+    Bx = B.astype(np.longdouble)
+    roots = (lo + 0.5 * width).astype(np.longdouble)
+    for _ in range(2):
+        fr = f(roots, Bx)
+        dfr = (M + 1) * np.cos(roots * (M + 1)) - Bx * M * np.cos(roots * M)
+        step = np.where(np.abs(dfr) > 1e-8, fr / np.where(dfr == 0, 1, dfr),
+                        0.0)
+        roots = np.clip(roots - step, lo, hi)
+    roots = roots.astype(float)
+    if np.any(np.abs(f(roots)) > 1e-12 * (M + 1)):
+        raise NumericalError("root residual above 1e-12 after refinement")
+    zero = np.zeros(roots.shape[:-1] + (1,))
+    return np.concatenate([-roots[..., ::-1], zero, roots], axis=-1)
 
 
 def flat_modes(geom, params, weight=None):
     """The flat momentum pairs -- every k1 with all 2M+1 of its roots,
-    each solved on its own -- with their weighted ``c G`` and ``c R``."""
+    each bisected on its own -- with their weighted ``c G`` and ``c R``."""
     M = geom.M
     k1v = horizontal_momenta(geom.L)
-    k2s = solve_k2_roots(k1v, M, params).ravel()
+    k2s = bisect_k2_roots(k1v, M, params).ravel()
     k1s = np.repeat(k1v, 2 * M + 1)
     c = 1.0 / (2.0 * geom.L * normalization_N(k1s, k2s, params, M))
     if weight is not None:

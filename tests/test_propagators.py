@@ -16,7 +16,7 @@ from isingcyl.propagators import (
     critical_t2, ghat_matrix,
     horizontal_momenta, infinite_propagator, infinite_propagator_grid,
     gscal_scalar, massive_propagator, massive_propagator_direct,
-    max_block_difference, momentum_grid, normalization_N, s_eval,
+    max_block_difference, momentum_grid, s_eval,
     s_weights, scaling_propagator, scaling_series, solve_k2_roots,
 )
 
@@ -152,6 +152,56 @@ class TestMomenta:
         assert np.array_equal(grid.k2_roots, every[:, M:])
 
 
+ORACLE_T1S = [0.3, math.sqrt(2.0) - 1.0, 0.5, 0.6]
+ORACLE_GEOMS = [(4, 5), (8, 3), (64, 16), (256, 256), (512, 64)]
+
+
+class TestRootOracle:
+    """The Newton solve on the phase equation and its slope N_M against
+    bracket bisection of the condition and the derivative-over-difference
+    N_M of ``propagator_oracle``."""
+
+    @pytest.mark.parametrize("t1", ORACLE_T1S)
+    @pytest.mark.parametrize("LM", ORACLE_GEOMS)
+    def test_roots_match_bisection(self, t1, LM):
+        L, M = LM
+        p = critical_params(t1)
+        k1 = horizontal_momenta(L)
+        roots = solve_k2_roots(k1, M, p)
+        ref = propagator_oracle.bisect_k2_roots(k1, M, p)
+        assert np.max(np.abs(roots - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("t1", ORACLE_T1S)
+    @pytest.mark.parametrize("LM", ORACLE_GEOMS)
+    def test_normalization_matches_oracle(self, t1, LM):
+        # N_M as the table weights carry it, w = 1/(2 L N_M D) with the
+        # positive roots doubled, against the oracle's ratio at the
+        # oracle's roots
+        L, M = LM
+        geom = CylinderGeometry(L, M)
+        p = critical_params(t1)
+        modes = propagators._critical_modes(geom, p, None)
+        k1 = horizontal_momenta(L)
+        w = modes.w.copy()
+        w[:, 1:] /= 2.0
+        N = 1.0 / (2.0 * L * w * coeff_D(k1[:, None], modes.k2, p))
+        roots = propagator_oracle.bisect_k2_roots(k1, M, p)[:, M:]
+        ref = propagator_oracle.normalization_N(k1[:, None], roots, p, M)
+        assert np.max(np.abs(N / ref - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("M", [1, 3, 64, 256])
+    def test_b_equals_one_raises_no_floating_point_error(self, M):
+        # k1 = 0 gives B = 1, q = 0: atan2 and the slope need no special
+        # case
+        p = critical_params(0.5)
+        assert coeff_B(0.0, p) == 1.0
+        k1 = np.array([0.0, np.pi / 7])
+        with np.errstate(all="raise"):
+            roots = solve_k2_roots(k1, M, p)
+        ref = propagator_oracle.bisect_k2_roots(k1, M, p)
+        assert np.max(np.abs(roots - ref)) <= 1e-13
+
+
 class TestMomentumSymmetries:
     """Identities of the momentum-space density at quantized momenta."""
 
@@ -234,8 +284,8 @@ class TestCriticalPropagator:
         p = critical_params(0.5)
         roots = solve_k2_roots(0.0, 3, p)
         for k2 in roots[roots > 0]:
-            assert normalization_N(0.0, k2, p, 3) == pytest.approx(3.5,
-                                                                   rel=1e-10)
+            assert propagator_oracle.normalization_N(
+                0.0, k2, p, 3) == pytest.approx(3.5, rel=1e-10)
 
 
 class TestAgainstFlatSum:

@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,32 @@ def cumulants_to_moments(cumulants):
             total += prod
         out[s] = total
     return out
+
+
+def partition_route_cumulants(moments):
+    """``kappa(S)`` of every key by the sum over all set partitions of S,
+    the route ``moments_to_cumulants`` takes above three indices."""
+    out = {}
+    for s in moments:
+        total = 0.0
+        for part in set_partitions(sorted(s)):
+            prod = 1.0
+            for block in part:
+                prod *= moments[frozenset(block)]
+            total += (-1) ** (len(part) - 1) * factorial(len(part) - 1) * prod
+        out[s] = total
+    return out
+
+
+def random_moments(rng, n, complex_entries=False):
+    mom = {}
+    for r in range(1, n + 1):
+        for sub in combinations(range(n), r):
+            v = rng.standard_normal()
+            if complex_entries:
+                v = v + 1j * rng.standard_normal()
+            mom[frozenset(sub)] = v
+    return mom
 
 
 class TestPfaffian:
@@ -72,6 +101,21 @@ class TestPfaffian:
             swapped[:, [i, j]] = swapped[:, [j, i]]
             assert pfaffian(swapped) == pytest.approx(-pfaffian(m), rel=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_closed_forms_match_bruteforce(self, n, complex_entries):
+        rng = np.random.default_rng(100 + n + complex_entries)
+        for _ in range(200):
+            m = random_skew(rng, n, complex_entries)
+            bf = pfaffian_bruteforce(m)
+            assert abs(pfaffian(m) - bf) <= 4e-16 * max(1.0, abs(bf)) * n
+        # the closed forms read the upper triangle only, and return a
+        # complex number for real input
+        m = np.triu(random_skew(rng, n), 1)
+        assert np.iscomplexobj(pfaffian(m))
+        assert pfaffian(m) == pytest.approx(
+            pfaffian_bruteforce(m - m.T), rel=1e-14)
+
     def test_singular_matrix(self):
         # rank-deficient skew matrix has Pfaffian 0
         a = np.zeros((4, 4))
@@ -109,6 +153,27 @@ class TestMomentsCumulants:
     def test_missing_subset_errors(self):
         with pytest.raises(KeyError):
             moments_to_cumulants({frozenset([1, 2]): 1.0, frozenset([1]): 1.0})
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_matches_partition_route(self, n, complex_entries):
+        # one to three indices take the written-out formulas; the keys of
+        # four and five indices mix both routes
+        rng = np.random.default_rng(200 + n + complex_entries)
+        for _ in range(20):
+            mom = random_moments(rng, n, complex_entries)
+            cum = moments_to_cumulants(mom)
+            ref = partition_route_cumulants(mom)
+            assert cum.keys() == ref.keys()
+            for k in ref:
+                assert abs(cum[k] - ref[k]) <= 1e-13 * max(1.0, abs(ref[k]))
+
+    @pytest.mark.parametrize("missing", [(0,), (1, 2), (0, 1, 2)])
+    def test_missing_subset_of_three_errors(self, missing):
+        mom = random_moments(np.random.default_rng(3), 3)
+        del mom[frozenset(missing)]
+        with pytest.raises(KeyError):
+            moments_to_cumulants(mom)
 
     def test_log_generating_function_oracle_m3(self):
         # compare against numerical third derivative of log E[e^{sum a_i X_i}]

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import isingcyl
@@ -17,6 +20,33 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# bins a distance list and solves tree distances of both flavors, then
+# reports whether numpy.ma was imported
+BINNING = """
+import sys
+import numpy as np
+from isingcyl.lattice import CylinderGeometry, tree_distances
+from isingcyl.multiscale import envelope_decay_fit
+sites = np.array([[(1, 1), (3, 2)], [(2, 2), (5, 3)], [(1, 0), (1, 0)]])
+edges = np.zeros((3, 0, 3), dtype=int)
+for boundary in (False, True):
+    tree_distances(sites, edges, CylinderGeometry(6, 4), boundary=boundary)
+d = np.arange(60.0)
+envelope_decay_fit(d, np.exp(-0.1 * d) * (1.0 + 0.3 * np.cos(d)))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_binning_leaves_numpy_ma_unloaded():
+    # a plain ``np.unique`` (no return_index/inverse/counts) imports
+    # numpy.ma, 10-13 ms of a fresh process
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", BINNING],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_no_unused_module_imports():
