@@ -112,14 +112,14 @@ def partition_report(geom, beta, J1, J2, *, verify):
 
 
 def correlation_report(request, *, verify):
-    """The request's energy moment or cumulant by the Pfaffian route; with
-    ``verify`` the enumeration's value and the distance between them."""
+    """The request's energy moment or cumulant by the route named in
+    ``variant``; with ``verify`` the enumeration's value and the distance."""
     corr = FreeCorrelator(request.geom, request.params)
     moment = request.mode == "moment"
     value = (corr.energy_moment(request.edges) if moment
              else corr.energy_cumulant(request.edges))
     report = {"mode": request.mode, "value": value,
-              "variant": "pfaffian-cumulant"}
+              "variant": "pfaffian" if moment else "connected-loops"}
     if verify:
         # the spin model's (beta, J1 = 1, J2) at the request's (t1, t2)
         beta = math.atanh(request.params.t1)

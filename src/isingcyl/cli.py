@@ -7,10 +7,10 @@ or CSV for tabular data) with a metadata header carrying the package
 version, a hash of the effective configuration and the tolerances in
 force.
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure,
-3 numerical failure (any ArithmeticError: root residual, singular
-inversion, non-converged sums, a non-real Pfaffian, float overflow; or
-running out of memory).
+Exit codes: 0 success, 1 configuration error (a bad ``--output`` too),
+2 verification failure, 3 numerical failure (any ArithmeticError: root
+residual, singular inversion, non-converged sums, a non-real Pfaffian,
+float overflow; or running out of memory).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -398,8 +399,13 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # refuse an output path that cannot be a file before computing
+        out = args.output and os.path.abspath(args.output)
+        if out and (os.path.isdir(out) or not os.path.isdir(
+                os.path.dirname(out))):
+            raise ConfigError(f"cannot write output to {args.output}")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except VerificationError as exc:

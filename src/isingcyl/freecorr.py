@@ -8,9 +8,8 @@ This module evaluates
   ``Z = 2^{LM} (cosh bJ1)^{LM} (cosh bJ2)^{L(M-1)} Pf(A_c) Pf(A_m)``;
 * multipoint energy correlations: each energy observable (the product of
   the two spins adjacent to an edge) equals ``t_j + (1 - t_j^2) E_x`` in
-  fermionic variables, with ``E_x`` a field bilinear, so moments reduce to
-  Pfaffians of pairwise covariance matrices and cumulants follow by
-  set-partition inversion;
+  fermionic variables, with ``E_x`` a field bilinear, so a moment is one
+  Pfaffian and a cumulant a sum over connected loops;
 * the explicit continuum scaling limit of the energy correlations;
 * the exhaustive Gibbs enumeration oracle that every Pfaffian-route value
   is cross-checked against: all 2^(LM) spin configurations counted exactly
@@ -32,12 +31,11 @@ import numpy as np
 
 from .lattice import CylinderGeometry
 from .propagators import (
-    LazyCriticalTable, ModelParams, NumericalError,
-    _critical_momentum_blocks, critical_propagator_direct,
-    horizontal_momenta, massive_propagator, s_eval, s_weights,
-    scaling_propagator,
+    LazyCriticalTable, ModelParams, NumericalError, coeff_b, coeff_Delta,
+    critical_propagator_direct, horizontal_momenta, massive_propagator,
+    s_eval, s_weights, scaling_propagator,
 )
-from .skewlinalg import block_pfaffians, joint_cumulant, pfaffian
+from .skewlinalg import loop_cumulant, pfaffian
 
 ENUMERATION_CAP = 24
 _ENUM_CHUNK = 1 << 16
@@ -177,13 +175,23 @@ def log_partition_function_free(geom, beta, J1=1.0, J2=1.0):
     ``Pf(A_c)^2 = prod_{k1} det Ac(k1)`` over 2M x 2M momentum blocks and
     ``|Pf(A_m)| = prod_{k1} |1 + t1 e^{i k1}|^M``; Z > 0, so magnitudes
     suffice.  Ac(-k1) = conj Ac(k1), so each pair +-k1 is taken once.
+
+    Row m of Ac(k1) is [[i Delta, -b], [b, -i Delta]], tied to row m+1 by
+    t2 from (m, +) to (m+1, -): eliminating the rows in order gives
+    ``det Ac(k1) = prod_m f_m``, ``f_m = Delta^2 + b^2 + Delta y_m``, with
+    y_1 = 0, y_{m+1} = t2^2 (y_m + Delta)/f_m; Delta y_m >= 0, so f_m > 0.
     """
     params = ModelParams.from_beta(beta, J1, J2)
     L, M = geom.L, geom.M
     k1 = horizontal_momenta(L)[L // 2:]  # the momenta k1 > 0
-    _, logdet = np.linalg.slogdet(_critical_momentum_blocks(k1, M, params))
+    b, delta = coeff_b(k1, params), coeff_Delta(k1, params)
+    y, logdet = np.zeros_like(k1), np.zeros_like(k1)
+    for _ in range(M):
+        f = delta * delta + b * b + delta * y
+        logdet += np.log(f)
+        y = params.t2 ** 2 * (y + delta) / f
     if not np.all(np.isfinite(logdet)):
-        raise NumericalError("singular critical momentum block")
+        raise NumericalError("non-finite critical momentum block")
     return float(L * M * math.log(2.0 * math.cosh(beta * J1))
                  + L * (M - 1) * math.log(math.cosh(beta * J2))
                  + np.sum(logdet + 2 * M * np.log(np.abs(
@@ -232,8 +240,8 @@ class FreeCorrelator:
     the critical line the critical table is the Fourier representation,
     evaluated at the offsets read (:class:`LazyCriticalTable`) at every
     size, otherwise the dense inversion of A_c.  A request builds the
-    covariance of its 2m constituent fields once; every moment is the
-    Pfaffian of a principal submatrix.
+    covariance of its 2m constituent fields once; a moment is one Pfaffian
+    of it and a cumulant one loop sum over it.
     """
 
     def __init__(self, geom, params):
@@ -274,30 +282,27 @@ class FreeCorrelator:
                 for e in edges]
 
     def energy_moment(self, edges):
-        """<prod_x eps_x> with eps_x = t_j + (1 - t_j^2) E_x, expanded over
-        subsets Y of the edges:
-        sum_Y prod_{x not in Y} t_j prod_{x in Y} (1 - t_j^2) <prod_Y E>.
+        """<prod_x eps_x> = prod_x (1 - t_j^2) Pf(G + T): T adds
+        a_j = t_j/(1 - t_j^2) to each bilinear's own (2i, 2i+1) entry of
+        the covariance G, and expanding over the pairs taken from T gives
+        sum_Y prod_{x not in Y} a_j <prod_Y E> over subsets Y of the edges.
         """
-        t = self._couplings(edges)
-        total = math.prod(t, start=1.0)  # Y empty
-        for Y, pf in block_pfaffians(self._covariance(edges),
-                                     [2] * len(t)).items():
-            term = _real(pf)
-            for i, ti in enumerate(t):
-                term *= (1.0 - ti * ti) if i in Y else ti
-            total += term
-        return total
+        t = np.array(self._couplings(edges))
+        G, r = self._covariance(edges), 2 * np.arange(len(t))
+        G[r, r + 1] += t / (1.0 - t * t)
+        G[r + 1, r] -= t / (1.0 - t * t)
+        return float(np.prod(1.0 - t * t)) * _real(pfaffian(G))
 
     def energy_cumulant(self, edges):
         """Order-m joint cumulant of the energy observables; the mean for
         m = 1.  For m >= 2 cumulants ignore the constants t_j and are
         multilinear: prod_x (1 - t_j^2) times the joint cumulant of the
-        bilinears E_x."""
+        bilinears E_x, their connected loop sum (:func:`loop_cumulant`)."""
         if len(edges) == 1:
             return self.energy_moment(edges)
         t = self._couplings(edges)
-        return math.prod(1.0 - ti * ti for ti in t) * _real(joint_cumulant(
-            self._covariance(edges), [2] * len(t)))
+        return math.prod(1.0 - ti * ti for ti in t) * _real(loop_cumulant(
+            self._covariance(edges)))
 
 
 # ---------------------------------------------------------------------------

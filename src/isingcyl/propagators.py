@@ -660,21 +660,6 @@ def build_A_critical(geom, params):
     return A.real
 
 
-def _critical_momentum_blocks(k1, M, params):
-    """The 2M x 2M horizontal Fourier blocks ``C(k1) - C(-k1)^T`` of A_c,
-    basis 2(m-1) + omega, with the rows of :func:`build_A_critical` in
-    momentum space: C(m+, m+) = -C(m-, m-) = i Delta/2, C(m+, m-) = -b and
-    C(m+, (m+1)-) = t2.  b is even and Delta odd, so C(-k1) = conj C(k1).
-    """
-    half_delta = 0.5j * coeff_Delta(k1, params)[..., None]
-    r = 2 * np.arange(M)
-    C = np.zeros(np.shape(k1) + (2 * M, 2 * M), dtype=complex)
-    C[..., r, r], C[..., r + 1, r + 1] = half_delta, -half_delta
-    C[..., r, r + 1] = -coeff_b(k1, params)[..., None]
-    C[..., r[:-1], r[:-1] + 3] = params.t2
-    return C - np.conj(np.swapaxes(C, -1, -2))
-
-
 def build_A_massive(geom, params):
     """The antisymmetric matrix A_m with S_m = (1/2)(xi, A_m xi)."""
     L, M = geom.L, geom.M

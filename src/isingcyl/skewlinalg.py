@@ -1,9 +1,9 @@
 r"""Antisymmetric matrix algebra: Pfaffians and moment/cumulant conversion.
 
 Gaussian Grassmann moments are Pfaffians of antisymmetric matrices of pair
-contractions; truncated (connected) correlations follow from moments by
-set-partition Moebius inversion.  Both ingredients live here, together with
-a brute-force perfect-matching Pfaffian used as the oracle in tests.
+contractions; truncated correlations follow from moments by set-partition
+Moebius inversion, or for bilinears as a sum over connected loops.  A
+brute-force perfect-matching Pfaffian is the oracle in tests.
 """
 
 from __future__ import annotations
@@ -50,25 +50,38 @@ def pfaffian(A):
     return pf
 
 
-def block_pfaffians(G, sizes):
-    """Moments of every nonempty sub-collection of even Gaussian monomials
-    whose fields are the consecutive index blocks of sizes ``sizes`` of the
-    covariance ``G``: principal-submatrix Pfaffians, keyed by the frozenset
-    of block positions, by increasing size."""
+def joint_cumulant(G, sizes):
+    """Joint cumulant of even Gaussian monomials, the consecutive index
+    blocks of sizes ``sizes`` of the covariance ``G``: principal-submatrix
+    Pfaffians of every sub-collection, then moment-cumulant inversion."""
     ends = np.cumsum([0, *sizes])
-    out = {}
+    moments = {}
     for r in range(1, len(sizes) + 1):
         for sub in combinations(range(len(sizes)), r):
             idx = np.concatenate([np.arange(ends[i], ends[i + 1])
                                   for i in sub])
-            out[frozenset(sub)] = pfaffian(G[idx[:, None], idx])
-    return out
+            moments[frozenset(sub)] = pfaffian(G[idx[:, None], idx])
+    return moments_to_cumulants(moments)[frozenset(range(len(sizes)))]
 
 
-def joint_cumulant(G, sizes):
-    """Joint cumulant of all the monomials of :func:`block_pfaffians`."""
-    return moments_to_cumulants(block_pfaffians(G, sizes))[
-        frozenset(range(len(sizes)))]
+def loop_cumulant(G):
+    """Joint cumulant of the bilinears ``psi_{2i} psi_{2i+1}`` of the
+    covariance ``G``: ``-1/2 sum tr(J B_{0a} J B_{ab} ... J B_{z0})`` over
+    the (m-1)! cycles through bilinear 0, with ``B_ij`` the 2 x 2 blocks of
+    G and ``J = [[0, 1], [-1, 0]]`` (for m = 1 the mean G[0, 1]).  Held-Karp
+    over ``paths[mask, j]``, the sum along the paths from 0 through ``mask``
+    to j: O(2^m m^2) 2 x 2 products, no moment subtracted."""
+    m = len(G) // 2
+    B = np.asarray(G).reshape(m, 2, m, 2).swapaxes(1, 2)
+    JB = B[:, :, ::-1] * np.array([[1.0], [-1.0]])  # rows B_1., -B_0.
+    paths = np.zeros((1 << m, m, 2, 2), dtype=JB.dtype)
+    paths[1, 0] = np.eye(2)
+    for mask in range(1, 1 << m, 2):
+        step = np.einsum("aij,abjk->bik", paths[mask], JB)
+        for b in range(1, m):
+            if not mask >> b & 1:
+                paths[mask | 1 << b, b] += step[b]
+    return -0.5 * np.einsum("aij,aji->", paths[-1], JB[:, 0])
 
 
 def pfaffian_bruteforce(A):

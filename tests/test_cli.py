@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gibbs_oracle
 import isingcyl
@@ -86,8 +89,10 @@ class TestPartition:
         assert doc["delta_rel"] <= 1e-10
 
     def test_verify_failure_exit_code(self, capsys):
-        # an unattainable tolerance must trip the verification exit code
-        code, _ = run(capsys, "partition", "--L", "4", "--M", "2",
+        # an unattainable tolerance must trip the verification exit code;
+        # at 4 x 3 the two routes differ in the last bits (delta_rel
+        # 1.8e-15), where at 4 x 2 they agree exactly
+        code, _ = run(capsys, "partition", "--L", "4", "--M", "3",
                       "--beta", "0.44", "--verify", "--tol", "1e-20")
         assert code == EXIT_VERIFY
 
@@ -120,6 +125,28 @@ class TestPartition:
         assert out == ""
         doc = json.loads(path.read_text())
         assert doc["Z"] > 0
+
+    def test_output_in_missing_directory(self, capsys, monkeypatch,
+                                         tmp_path):
+        # refused before any computation, with a one-line message
+        monkeypatch.setattr("isingcyl.cli.propagator_report", None)
+        assert rejected(capsys, "propagator", "--L", "4", "--M", "3",
+                        "--t1", "0.5", "--output",
+                        str(tmp_path / "missing" / "x.json"))
+
+    def test_output_is_a_directory(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("isingcyl.cli.partition_report", None)
+        assert rejected(capsys, "partition", "--L", "4", "--M", "3",
+                        "--beta", "0.4", "--output", str(tmp_path))
+
+    def test_unwritable_output_is_config_error(self, capsys, monkeypatch,
+                                               tmp_path):
+        # an OSError the path check cannot foresee still ends in exit 1
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only file system")
+        monkeypatch.setattr("isingcyl.cli.open", refuse, raising=False)
+        assert rejected(capsys, "partition", "--L", "2", "--M", "1",
+                        "--beta", "0.3", "--output", str(tmp_path / "z"))
 
 
 class TestPropagator:
@@ -225,13 +252,15 @@ class TestCorrelate:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["oracle_delta"] < 1e-9
-        assert doc["variant"] == "pfaffian-cumulant"
+        assert doc["variant"] == "connected-loops"
 
     def test_verify_moment(self, capsys, tmp_path):
         code, out = run(capsys, "correlate", "--request",
                         write_request(tmp_path, mode="moment"), "--verify")
         assert code == EXIT_OK
-        assert json.loads(out)["oracle_delta"] < 1e-9
+        doc = json.loads(out)
+        assert doc["oracle_delta"] < 1e-9
+        assert doc["variant"] == "pfaffian"
 
     def test_verify_when_weights_overflow(self, capsys, tmp_path):
         # 24 spins with tanh(beta J) = 1 - 1e-15: exp(beta * energy)
@@ -492,3 +521,121 @@ class TestNanResiduals:
         code, _ = run(capsys, "correlate", "--request",
                       write_request(tmp_path), "--verify")
         assert code == EXIT_VERIFY
+
+
+# ---------------------------------------------------------------------------
+# Property test over the parser's options at small sizes.
+# ---------------------------------------------------------------------------
+
+def _mostly(valid, invalid):
+    """Valid three times in four, so that some drawn command lines get
+    past every check; the examples below succeed for certain."""
+    return st.one_of(valid, valid, valid, invalid)
+
+
+NUMBERS = _mostly(st.floats(0.05, 0.95), st.one_of(
+    st.floats(), st.sampled_from([0.0, 1.0, -0.5, 1e-300, 1e300, 1 - 1e-16])))
+SIZES = _mostly(st.sampled_from([2, 4, 8]), st.sampled_from([-2, 0, 3]))
+# no 8 x 3: enumerating 24 spins takes 0.5 s
+HEIGHTS = _mostly(st.sampled_from([1, 2, 5]), st.sampled_from([-1, 0]))
+
+
+def _option(key, value):
+    return value.map(lambda v: f"--{key}=" + (
+        repr(v) if isinstance(v, float) else str(v)))
+
+
+def _verb(name, required, optional, flags=("--verify",)):
+    """The verb's required options, each optional one present or not, and
+    a subset of its flags."""
+    return st.tuples(
+        st.tuples(*(_option(k, v) for k, v in required.items())),
+        st.tuples(*(st.one_of(st.just(()), _option(k, v).map(
+            lambda a: (a,))) for k, v in optional.items())),
+        st.lists(st.sampled_from(flags), max_size=2, unique=True)).map(
+        lambda parts: [name, *parts[0], *(a for opt in parts[1]
+                                          for a in opt), *parts[2]])
+
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 9), NUMBERS,
+                 st.text(max_size=4))
+EDGE_DOCS = st.fixed_dictionaries(
+    {}, optional={"x1": st.one_of(st.integers(-1, 9), JUNK),
+                  "x2": st.one_of(st.integers(-1, 6), JUNK),
+                  "dir": st.sampled_from(["h", "v", "d", 1])})
+EDGES = st.lists(st.fixed_dictionaries({
+    "x1": st.integers(1, 8), "x2": st.integers(1, 4),
+    "dir": st.sampled_from(["h", "v"])}), min_size=1, max_size=3)
+REQUEST_DOCS = _mostly(
+    st.fixed_dictionaries({
+        "params": st.fixed_dictionaries(
+            {"L": SIZES, "M": HEIGHTS, "t1": NUMBERS},
+            optional={"t2": NUMBERS, "critical": st.booleans()}),
+        "edges": EDGES},
+        optional={"mode": st.sampled_from(["moment", "truncated"])}),
+    st.one_of(JUNK, st.lists(JUNK, max_size=2), st.fixed_dictionaries(
+        {}, optional={
+            "params": st.fixed_dictionaries({}, optional={
+                "L": st.one_of(SIZES, JUNK), "M": st.one_of(HEIGHTS, JUNK),
+                "t1": NUMBERS, "t2": NUMBERS, "critical": JUNK}),
+            "mode": st.sampled_from(["moment", "truncated", "nonsense", 2]),
+            "edges": st.one_of(JUNK, st.lists(EDGE_DOCS, max_size=3))})))
+REQUEST_TEXT = _mostly(REQUEST_DOCS.map(json.dumps), st.text(max_size=20))
+
+POINTS = st.one_of(
+    st.text(alphabet="(),.0123456789eE+- ", max_size=24),
+    st.tuples(NUMBERS, NUMBERS, NUMBERS, NUMBERS).map(
+        lambda p: "({!r},{!r}),({!r},{!r})".format(*p)))
+
+ARGV = st.one_of(
+    _verb("propagator", {"L": SIZES, "M": HEIGHTS},
+          {"t1": NUMBERS, "t2": NUMBERS, "beta": NUMBERS, "J1": NUMBERS,
+           "J2": NUMBERS, "tol": NUMBERS,
+           "variant": st.sampled_from(["critical", "massive"])},
+          flags=("--verify", "--critical", "--no-critical")),
+    _verb("partition", {"L": SIZES, "M": HEIGHTS, "beta": NUMBERS},
+          {"J1": NUMBERS, "J2": NUMBERS, "tol": NUMBERS}),
+    _verb("correlate", {"request": st.just("REQUEST")}, {"tol": NUMBERS}),
+    _verb("scaling", {"t1": NUMBERS, "points": POINTS},
+          {"halvings": st.sampled_from([-1, 0, 1]),
+           "start": st.sampled_from([-2, 0, 2, 4])}),
+    st.lists(st.integers(-2, 15), min_size=1, max_size=3).filter(
+        lambda ids: any(not 1 <= i <= len(acceptance.CHECKS)
+                        for i in ids)).map(
+        lambda ids: ["selftest", "--only", *map(str, ids)]),
+)
+
+
+VALID_REQUEST = json.dumps({
+    "params": {"L": 4, "M": 3, "t1": 0.5},
+    "edges": [{"x1": 4, "x2": 1, "dir": "h"}, {"x1": 2, "x2": 2, "dir": "v"},
+              {"x1": 1, "x2": 3, "dir": "h"}]})
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=ARGV, request=REQUEST_TEXT)
+@example(argv=["propagator", "--L=4", "--M=3", "--t1=0.5", "--verify"],
+         request="")
+@example(argv=["partition", "--L=4", "--M=2", "--beta=0.44", "--verify"],
+         request="")
+@example(argv=["correlate", "--request=REQUEST", "--verify"],
+         request=VALID_REQUEST)
+@example(argv=["correlate", "--request=REQUEST"],
+         request=VALID_REQUEST.replace("{", '{"mode": "moment", ', 1))
+@example(argv=["scaling", "--t1=0.5", "--points=(0.25,0.5),(0.625,0.375)",
+               "--halvings=1", "--start=2"], request="")
+def test_any_options_exit_cleanly(tmp_path_factory, argv, request):
+    # every drawn command line ends in a documented exit code, never in a
+    # traceback, and a success prints strict JSON
+    path = tmp_path_factory.getbasetemp() / "request.json"
+    path.write_text(request)
+    argv = [f"--request={path}" if a == "--request=REQUEST" else a
+            for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_NUMERIC)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        strict_json(out.getvalue())
+        assert err.getvalue() == ""

@@ -1,4 +1,8 @@
 import math
+import time
+import tracemalloc
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -159,6 +163,23 @@ class TestPartitionFunction:
                       - F_ONSAGER) for n in (64, 128)]
         assert abs(terms[0] - terms[1]) <= 0.01
 
+    def test_512_in_linear_memory(self):
+        # the row recursion holds a few numbers per momentum: 512 x 512 in
+        # well under a second, where a (L/2, 2M, 2M) block stack would
+        # take ~13 GB
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            log_z = log_partition_function_free(CylinderGeometry(512, 512),
+                                                BETA_ONSAGER)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 512 * abs(log_z / 512 ** 2 - F_ONSAGER) <= 1.0
+        assert elapsed < 1.0
+        assert peak < 50 << 20
+
     def test_no_dense_route(self, monkeypatch):
         # log Z never builds a (2LM)^2 coefficient matrix or takes its
         # Pfaffian
@@ -170,6 +191,46 @@ class TestPartitionFunction:
         log_z = log_partition_function_free(CylinderGeometry(64, 16),
                                             BETA_ONSAGER)
         assert 16 * abs(log_z / 1024 - F_ONSAGER) <= 1.0
+
+
+# mixed horizontal and vertical edges on 32 x 32, the first across the seam
+MIXED_32 = [Edge((32, 9), "h"), Edge((9, 11), "v"), Edge((17, 6), "h"),
+            Edge((25, 20), "v"), Edge((6, 27), "h"), Edge((30, 15), "v")]
+
+
+@pytest.fixture(scope="module")
+def mixed_32():
+    return FreeCorrelator(CylinderGeometry(32, 32), ModelParams.critical(0.5))
+
+
+@pytest.fixture(scope="module")
+def critical_64():
+    return FreeCorrelator(CylinderGeometry(64, 64), ModelParams.critical(0.5))
+
+
+def exact_pfaffian(a):
+    """Pfaffian of a list-of-lists antisymmetric matrix of Fractions by
+    skew elimination, exactly."""
+    a = [row[:] for row in a]
+    n = len(a)
+    pf = Fraction(1)
+    for k in range(0, n - 1, 2):
+        p = next((i for i in range(k + 1, n) if a[k][i] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k + 1:
+            a[k + 1], a[p] = a[p], a[k + 1]
+            for row in a:
+                row[k + 1], row[p] = row[p], row[k + 1]
+            pf = -pf
+        pivot = a[k][k + 1]
+        pf *= pivot
+        tau = [a[k][i] / pivot for i in range(n)]
+        col = [a[i][k + 1] for i in range(n)]
+        for i in range(k + 2, n):
+            for j in range(k + 2, n):
+                a[i][j] += tau[i] * col[j] - col[i] * tau[j]
+    return pf
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +273,29 @@ class TestEnergyMoments:
             assert corr.energy_moment([e]) == pytest.approx(rec.means[e],
                                                             abs=1e-12)
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_one_pfaffian_is_the_subset_sum(self, mixed_32, monkeypatch, m):
+        # Pf(G + T) against the sum over subsets Y of the bilinears of
+        # prod_{x not in Y} t_j prod_{x in Y} (1 - t_j^2) <prod_Y E>
+        corr = mixed_32
+        edges = MIXED_32[:m]
+        G = corr._covariance(edges)
+        t = [corr.params.t1 if e.direction == "h" else corr.params.t2
+             for e in edges]
+        ref = 0.0
+        for r in range(m + 1):
+            for Y in combinations(range(m), r):
+                idx = [2 * i + s for i in Y for s in (0, 1)]
+                ref += math.prod((1.0 - t[i] ** 2) if i in Y else t[i]
+                                 for i in range(m)) * pfaffian(
+                    G[np.ix_(idx, idx)]).real
+        calls = []
+        monkeypatch.setattr(freecorr, "pfaffian",
+                            lambda a: calls.append(a) or pfaffian(a))
+        assert corr.energy_moment(edges) == pytest.approx(ref, rel=1e-14,
+                                                          abs=0.0)
+        assert len(calls) == 1
+
     def test_repeated_edges_rejected(self, small_critical):
         geom, beta, J1, J2, params, corr = small_critical
         e = Edge((1, 1), "v")
@@ -246,6 +330,40 @@ class TestEnergyCumulants:
         ce = skewlinalg.moments_to_cumulants(enumerate_gibbs(
             geom, beta, J1, J2, edges).moments)[frozenset(range(len(edges)))]
         assert cum == pytest.approx(ce, abs=1e-9)
+
+    @pytest.mark.parametrize("m", range(5, 9))
+    def test_vs_exact_inversion_diagonal_64(self, critical_64, m):
+        n = 64
+        edges = [Edge((n * k // (m + 1), n * k // (m + 1)), "v")
+                 for k in range(1, m + 1)]
+        self._against_exact_inversion(critical_64, edges)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_vs_exact_inversion_mixed_32(self, mixed_32, m):
+        self._against_exact_inversion(mixed_32, MIXED_32[:m])
+
+    @staticmethod
+    def _against_exact_inversion(corr, edges):
+        # the set-partition inversion of all principal Pfaffians, in exact
+        # rational arithmetic on the same double covariance: the
+        # cancellation of the O(1) moments costs no digits there
+        G = [[Fraction(float(x)) for x in row]
+             for row in corr._covariance(edges).real]
+        m = len(edges)
+        mom = {}
+        for r in range(1, m + 1):
+            for sub in combinations(range(m), r):
+                idx = [2 * i + s for i in sub for s in (0, 1)]
+                mom[frozenset(sub)] = exact_pfaffian(
+                    [[G[i][j] for j in idx] for i in idx])
+        kappa = sum((-1) ** (len(part) - 1) * math.factorial(len(part) - 1)
+                    * math.prod(mom[frozenset(b)] for b in part)
+                    for part in skewlinalg.set_partitions(range(m)))
+        ref = float(kappa) * math.prod(
+            1.0 - (corr.params.t1 if e.direction == "h"
+                   else corr.params.t2) ** 2 for e in edges)
+        assert corr.energy_cumulant(edges) == pytest.approx(ref, rel=1e-12,
+                                                            abs=0.0)
 
     def test_non_integer_edge_coordinates_rejected(self):
         # a float coordinate used to reach the s-kernel lookup and raise a
@@ -324,8 +442,8 @@ class TestConstituentCovariance:
                                          params)
         assert np.max(np.abs(got - ref)) < 1e-14
 
-    def test_one_covariance_and_2m_minus_1_pfaffians(self, small_critical,
-                                                     monkeypatch):
+    def test_one_covariance_and_one_pfaffian_per_moment(self, small_critical,
+                                                        monkeypatch):
         corr = small_critical[-1]
         counts = {"pfaffian": 0, "covariance": 0}
 
@@ -334,14 +452,17 @@ class TestConstituentCovariance:
                 counts[name] += 1
                 return fn(*args)
             return wrapper
-        monkeypatch.setattr(skewlinalg, "pfaffian",
-                            counted("pfaffian", skewlinalg.pfaffian))
+        counted_pfaffian = counted("pfaffian", skewlinalg.pfaffian)
+        for module in (skewlinalg, freecorr):
+            monkeypatch.setattr(module, "pfaffian", counted_pfaffian)
         monkeypatch.setattr(PropagatorTable, "covariance", counted(
             "covariance", PropagatorTable.covariance))
+        # one covariance per sector (phi and xi); a cumulant is a loop sum
+        # with no Pfaffian, a moment one Pfaffian
         corr.energy_cumulant(self.EDGES[:3])
-        # one covariance per sector (phi and xi), one Pfaffian per
-        # nonempty subset of the three bilinears
-        assert counts == {"pfaffian": 7, "covariance": 2}
+        assert counts == {"pfaffian": 0, "covariance": 2}
+        corr.energy_moment(self.EDGES[:3])
+        assert counts == {"pfaffian": 1, "covariance": 4}
 
 
 class TestScalingCorrelation:
@@ -399,9 +520,9 @@ class TestScalingCorrelation:
 
 
 class TestRealnessCheck:
-    """A Pfaffian-route value with a sizeable imaginary part, or a singular
-    momentum block of the partition function, is a numerical failure,
-    raised as a typed error rather than checked by ``assert``."""
+    """A Pfaffian-route value with a sizeable imaginary part, or a
+    non-finite momentum block of the partition function, is a numerical
+    failure, raised as a typed error rather than checked by ``assert``."""
 
     @pytest.fixture
     def complex_pfaffian(self, monkeypatch):
@@ -409,16 +530,17 @@ class TestRealnessCheck:
                             lambda a: 1.0 + 0.5j)
 
     def test_partition_function(self, monkeypatch):
-        blocks = freecorr._critical_momentum_blocks
+        for name in ("coeff_Delta", "coeff_b"):
+            coeff = getattr(freecorr, name)
 
-        def one_singular(k1, M, params):
-            out = blocks(k1, M, params)
-            out[0] = 0.0
-            return out
-        monkeypatch.setattr(freecorr, "_critical_momentum_blocks",
-                            one_singular)
-        with pytest.raises(NumericalError):
-            partition_function_free(CylinderGeometry(4, 3), 0.3)
+            def one_non_finite(k1, params, coeff=coeff):
+                out = coeff(k1, params)
+                out[0] = math.nan
+                return out
+            with monkeypatch.context() as patch:
+                patch.setattr(freecorr, name, one_non_finite)
+                with pytest.raises(NumericalError):
+                    partition_function_free(CylinderGeometry(4, 3), 0.3)
 
     def test_bilinear_moment(self, small_critical, complex_pfaffian):
         corr = small_critical[-1]

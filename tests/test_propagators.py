@@ -6,7 +6,7 @@ import pytest
 
 import gaussian_oracle as oracle
 import propagator_oracle
-from isingcyl import propagators
+from isingcyl import freecorr, propagators
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.multiscale import LEQ, CutoffWeight, ScaleCutoff
 from isingcyl.propagators import (
@@ -732,15 +732,27 @@ class TestMomentumBlocks:
     Fourier transform of the dense coefficient matrices."""
 
     @pytest.mark.parametrize("LM", [(4, 3), (6, 4), (8, 5)])
-    def test_critical_blocks(self, LM):
+    def test_critical_blocks(self, LM, monkeypatch):
+        # log Z takes log det of each critical block by its row recursion:
+        # with the momenta patched to (0, k1), log Z of a 2 x M cylinder is
+        # that of the block of k1 plus closed-form terms
         L, M = LM
         geom = CylinderGeometry(L, M)
-        for p in (critical_params(0.5), ModelParams(t1=0.4, t2=0.7)):
+        for t1, t2 in ((0.5, critical_t2(0.5)), (0.4, 0.7)):
+            beta = math.atanh(t1)
+            J2 = math.atanh(t2) / beta
+            p = ModelParams.from_beta(beta, 1.0, J2)
             F = _fourier_blocks(propagators.build_A_critical(geom, p), L, M)
-            blocks = propagators._critical_momentum_blocks(
-                horizontal_momenta(L), M, p)
-            for i in range(L):
-                assert np.max(np.abs(F[i, :, i] - blocks[i])) < 1e-13
+            for i, k1 in enumerate(horizontal_momenta(L)):
+                monkeypatch.setattr(freecorr, "horizontal_momenta",
+                                    lambda n, k1=k1: np.array([0.0, k1]))
+                got = (freecorr.log_partition_function_free(
+                    CylinderGeometry(2, M), beta, 1.0, J2)
+                    - 2 * M * math.log(2.0 * math.cosh(beta))
+                    - 2 * (M - 1) * math.log(math.cosh(beta * J2))
+                    - 2 * M * math.log(abs(1.0 + p.t1 * np.exp(1j * k1))))
+                ref = np.linalg.slogdet(F[i, :, i])[1]
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
                 F[i, :, i] = 0.0
             # and nothing couples different momenta
             assert np.max(np.abs(F)) < 1e-13

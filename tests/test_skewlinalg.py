@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from isingcyl.skewlinalg import (
-    pfaffian, pfaffian_bruteforce, moments_to_cumulants, set_partitions,
+    loop_cumulant, pfaffian, pfaffian_bruteforce, moments_to_cumulants,
+    set_partitions,
 )
 
 
@@ -219,6 +220,34 @@ class TestMomentsCumulants:
             back = cumulants_to_moments(moments_to_cumulants(mom))
             for k, v in mom.items():
                 assert back[k] == pytest.approx(v, rel=1e-9, abs=1e-9)
+
+
+class TestLoopCumulant:
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_matches_inverted_bruteforce_moments(self, m, complex_entries):
+        # the connected loops of the bilinears psi_{2i} psi_{2i+1} against
+        # the inversion of their brute-force principal-Pfaffian moments;
+        # for m = 1 the one loop is the mean G[0, 1]
+        rng = np.random.default_rng(m)
+        G = random_skew(rng, 2 * m, complex_entries)
+        mom = {}
+        for r in range(1, m + 1):
+            for sub in combinations(range(m), r):
+                idx = [2 * i + s for i in sub for s in (0, 1)]
+                mom[frozenset(sub)] = pfaffian_bruteforce(G[np.ix_(idx, idx)])
+        ref = moments_to_cumulants(mom)[frozenset(range(m))]
+        assert loop_cumulant(G) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    def test_diagonal_blocks_unread(self):
+        # for m >= 2 the means never enter: only cycles through all the
+        # bilinears, each visiting every bilinear once
+        rng = np.random.default_rng(7)
+        G = random_skew(rng, 8)
+        H = G.copy()
+        for i in range(4):
+            H[2 * i, 2 * i + 1], H[2 * i + 1, 2 * i] = 5.0, -5.0
+        assert loop_cumulant(H) == loop_cumulant(G)
 
 
 def test_partition_count_is_bell():
