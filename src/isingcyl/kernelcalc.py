@@ -45,7 +45,7 @@ from .lattice import (
     edge_tree_distance, gamma_steps, tree_distance, tree_distances,
     z_boundary,
 )
-from .skewlinalg import joint_cumulant, moments_to_cumulants, pfaffian
+from .skewlinalg import joint_cumulant, skew_moment
 
 _SITE = slice(3, 5)  # the (x1, x2) columns of a label row
 _DIRECTIONS = ("h", "v")
@@ -60,13 +60,19 @@ class FieldLabel(NamedTuple):
     z: tuple
 
     def validate(self, geom=None):
-        _check_labels(np.array(_label_row(self)), geom)
+        _check_labels(_label_rows([self]), geom)
 
 
-def _label_row(label):
-    (d1, d2), (x1, x2) = label.D, label.z
-    return _require_integers((label.omega, d1, d2, x1, x2),
-                             "field label entries")
+def _label_rows(labels):
+    """Integer rows (k, 5) (omega, d1, d2, x1, x2) of field labels; an entry
+    outside the int32 range raises ValueError."""
+    rows = np.array([_require_integers((w, d1, d2, x1, x2),
+                                       "field label entries")
+                     for w, (d1, d2), (x1, x2) in labels],
+                    dtype=np.int64).reshape(-1, 5)
+    if (rows != rows.astype(np.int32)).any():
+        raise ValueError("field label entries must fit in 32 bits")
+    return rows.astype(np.int32)
 
 
 def _edge(b1, b2, direction):
@@ -110,13 +116,13 @@ class Kernel:
     def __init__(self, geom, n, p, m, coeffs):
         if any(len(ls) != n or len(es) != m for ls, es in coeffs):
             raise ValueError(f"key arity mismatch in sector ({n},{p},{m})")
-        labels = [[_label_row(l) for l in ls] for ls, _ in coeffs]
+        labels = _label_rows(l for ls, _ in coeffs for l in ls)
         edges = [(*_require_integers(e.base, "edge coordinates"),
                   _DIRECTIONS.index(e.direction))
                  for _, es in coeffs for e in es]
         K = len(coeffs)
         self._set(geom, n, p, m,
-                  np.array(labels, dtype=np.int32).reshape(K, n, 5),
+                  labels.reshape(K, n, 5),
                   np.array(edges, dtype=np.int32).reshape(K, m, 3),
                   np.fromiter(coeffs.values(), dtype=complex, count=K))
 
@@ -183,12 +189,8 @@ def kernel_sum(kernels):
         for a in ("labels", "edges", "values")))
 
 
-def _edge_sort_key(e):
-    return (e.base[1], e.base[0], e.direction)
-
-
 def _sorted_edges(edges):
-    """Edge rows sorted within each key in ``_edge_sort_key`` order."""
+    """Edge rows sorted within each key by (b2, b1, direction)."""
     order = np.argsort(_pack(edges[..., [1, 0, 2]]), axis=1, kind="stable")
     return np.take_along_axis(edges, order[..., None], axis=1)
 
@@ -693,50 +695,45 @@ def weighted_norm(kernel, flavor, kappa):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=200000)
-def _covariance_row(label, geom):
-    """A derivative label as a row of plain-field terms ``(sign, 0 for
+def _products(labels, table):
+    """The products matrix (:meth:`PropagatorTable.products`) of label rows
+    (k, 5): each label is the row of its plain-field terms ``(sign, 0 for
     omega=+ / 1 for omega=-, site)``, in expansion order."""
-    col, row, sign, valid = _label_terms(np.array(_label_row(label)), geom)
-    species = 0 if label.omega > 0 else 1
-    return tuple((float(s), species, (c, r)) for c, r, s, ok in zip(
-        col.tolist(), row.tolist(), sign.tolist(), valid.tolist()) if ok)
-
-
-def _monomial_covariance(labels, table):
-    """Covariance matrix of derivative field labels against a propagator
-    table: each label is the row of its plain-field expansion."""
-    return table.covariance([_covariance_row(l, table.geom) for l in labels])
+    terms = [a.tolist() for a in _label_terms(labels, table.geom)]
+    return table.products([
+        [(s, int(w < 0), (c, r)) for c, r, s, ok in zip(*t) if ok]
+        for w, *t in zip(labels[:, 0].tolist(), *terms)])
 
 
 def monomial_moment(labels, table):
-    """Expectation of a product of fields: the Pfaffian of its covariance
+    """Expectation of a product of fields: the skew moment of its products
     matrix (1 for no field, 0 for an odd number of fields)."""
-    return pfaffian(_monomial_covariance(labels, table))
+    return skew_moment(_products(_label_rows(labels), table),
+                       range(len(labels)))
 
 
 def truncated_expectation(monomials, table):
     """Joint cumulant of ``s`` even field monomials at the given
     propagator.
 
-    Builds one covariance matrix of all fields; the moment of every
-    sub-collection is the Pfaffian of its principal submatrix, followed by
-    moment-cumulant inversion.  Conventions: a single empty monomial gives
-    1; any empty monomial among several gives 0.
+    Builds one products matrix of all fields; the moment of every
+    sub-collection is the Pfaffian of the skew part of its principal
+    submatrix, followed by moment-cumulant inversion.  Conventions: a
+    single empty monomial gives 1; any empty monomial among several gives
+    0.
     """
     monomials = [tuple(q) for q in monomials]
-    s = len(monomials)
-    if s < 1:
+    if not monomials:
         raise ValueError("need at least one monomial")
     if any(len(q) % 2 for q in monomials):
         raise ValueError("monomials must have even length")
-    if s == 1:
-        return monomial_moment(monomials[0], table)
-    if any(len(q) == 0 for q in monomials):
+    if len(monomials) > 1 and not all(monomials):
         return 0.0 + 0.0j
-    G = _monomial_covariance(
-        tuple(itertools.chain.from_iterable(monomials)), table)
-    return joint_cumulant(G, [len(q) for q in monomials])
+    K = _products(_label_rows(itertools.chain.from_iterable(monomials)),
+                  table)
+    ends = np.cumsum([0, *map(len, monomials)]).tolist()
+    parts = [list(range(a, b)) for a, b in zip(ends, ends[1:])]
+    return joint_cumulant(K, parts, [skew_moment(K, q) for q in parts])
 
 
 def _even_subsets(n):
@@ -756,80 +753,73 @@ def rg_step(family, table, s_max=2, *, term_budget=500000):
     constant contributions (no external field) are dropped.
 
     ``family`` is a dict of sector Kernels; returns a dict keyed by
-    (n, p, m).  One products matrix K of all distinct labels of the
-    entries is built per call.  The moment of any contracted fields is
-    the Pfaffian of the skew part of the principal submatrix of K at
-    their indices (a label picked twice reads its diagonal entry): the
-    covariance that :func:`truncated_expectation` would build for them.
-    The moment of each entry's contracted part is taken once per split,
-    and the truncated expectation of s parts follows from the moments of
-    their sub-collections.
+    (n, p, m).  One products matrix K of all distinct label rows of the
+    entries is built per call; the moment of any contracted fields is
+    their :func:`skewlinalg.skew_moment` in K (a label picked twice reads
+    its diagonal entry), as in :func:`truncated_expectation`.  The moment
+    of each entry's contracted part is taken once per split and passed to
+    :func:`skewlinalg.joint_cumulant`.  The terms of each output sector
+    are one reduction of their label, edge and value rows.
     """
-    entries, geom = [], None
-    for k in family.values():
-        geom = k.geom
-        entries += [(*key, c) for key, c in k.coeffs.items()]
-    index = {}
-    for labels, _, _ in entries:
-        for l in labels:
-            index.setdefault(l, len(index))
-    K = table.products([_covariance_row(l, geom) for l in index])
+    if not family:
+        return {}
+    kernels = list(family.values())
+    geom = kernels[-1].geom
+    rows = np.concatenate([k.labels.reshape(-1, 5) for k in kernels])
+    first, group = _groups(rows[:, None])
+    labels = rows[first]
+    K = _products(labels, table)
+    orders = (labels[:, 1] + labels[:, 2]).tolist()
+    # entries: (indices of the labels into K, edge rows, coefficient)
+    ids = np.split(group, np.cumsum([k.labels.size // 5 for k in kernels]))
+    entries = [e for k, i in zip(kernels, ids) for e in zip(
+        i.reshape(-1, k.n).tolist(), k.edges.tolist(), k.values.tolist())]
 
-    def moment(idx):
-        G = np.triu(K[np.ix_(idx, idx)], 1)
-        return pfaffian(G - G.T)
-
-    # each entry's splits: (external labels, contracted indices into K,
-    # sign of moving the externals first, moment of the contracted part);
+    # each entry's splits: (external indices, contracted indices, sign of
+    # moving the externals first, moment of the contracted part);
     # contracted parts are even, so the sign of a term is the product of
     # its entries' signs
     splits = []
-    for labels, _, _ in entries:
+    for idx, _, _ in entries:
         splits.append([])
-        for ext in _even_subsets(len(labels)):
-            rest = tuple(i for i in range(len(labels)) if i not in ext)
-            idx = [index[labels[i]] for i in rest]
-            splits[-1].append((tuple(labels[i] for i in ext), idx,
-                               _parity(ext + rest), moment(idx)))
+        for ext in _even_subsets(len(idx)):
+            rest = tuple(i for i in range(len(idx)) if i not in ext)
+            inner = [idx[i] for i in rest]
+            splits[-1].append(([idx[i] for i in ext], inner,
+                               _parity(ext + rest), skew_moment(K, inner)))
 
-    def cumulant(parts):
-        moments = {frozenset([i]): part[3] for i, part in enumerate(parts)}
-        for r in range(2, len(parts) + 1):
-            for sub in itertools.combinations(range(len(parts)), r):
-                moments[frozenset(sub)] = moment(
-                    [j for i in sub for j in parts[i][1]])
-        return moments_to_cumulants(moments)[frozenset(range(len(parts)))]
-
-    acc = defaultdict(complex)
+    terms = defaultdict(list)  # (n, p, m) -> [(labels, edges, value)]
     count = 0
     for s in range(1, s_max + 1):
         fact = math.factorial(s)
         for combo in itertools.product(range(len(entries)), repeat=s):
-            edges = tuple(sorted(itertools.chain.from_iterable(
-                entries[e][1] for e in combo), key=_edge_sort_key))
+            edges = [row for i in combo for row in entries[i][1]]
             for parts in itertools.product(*(splits[e] for e in combo)):
                 count += 1
                 if count > term_budget:
                     raise RuntimeError(
                         f"term budget {term_budget} exceeded in rg_step")
-                ext_labels = tuple(itertools.chain.from_iterable(
-                    part[0] for part in parts))
-                if (s > 1 and not all(part[1] for part in parts)) \
-                        or not ext_labels:
+                ext = [i for q in parts for i in q[0]]
+                if not ext or (s > 1 and not all(q[1] for q in parts)):
                     continue
-                val = parts[0][3] if s == 1 else cumulant(parts)
+                val = parts[0][3] if s == 1 else joint_cumulant(
+                    K, [q[1] for q in parts], [q[3] for q in parts])
                 if val == 0.0:
                     continue
-                coeff = math.prod(part[2] for part in parts) * val / fact
+                coeff = math.prod(q[2] for q in parts) * val / fact
                 for e in combo:
                     coeff *= entries[e][2]
-                acc[(ext_labels, edges)] += coeff
-    sectors = defaultdict(dict)
-    for (labels, edges), c in acc.items():
-        if c != 0:
-            sectors[(len(labels), sum(sum(l.D) for l in labels),
-                     len(edges))][(labels, edges)] = c
-    return {sec: Kernel(geom, *sec, coeffs) for sec, coeffs in sectors.items()}
+                terms[(len(ext), sum(orders[i] for i in ext),
+                       len(edges))].append((ext, edges, coeff))
+    out = {}
+    for (n, p, m), found in terms.items():
+        ext, edges, values = zip(*found)
+        k = _reduced(geom, n, p, m, labels[np.array(ext)],
+                     np.array(edges, dtype=np.int32).reshape(len(found), m, 3),
+                     np.array(values))
+        if len(k.values):
+            out[(n, p, m)] = k
+    return out
 
 
 # ---------------------------------------------------------------------------

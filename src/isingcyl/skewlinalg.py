@@ -17,8 +17,9 @@ import numpy as np
 def pfaffian(A):
     """Pfaffian by pivoted skew-symmetric (Parlett-Reid) elimination, O(n^3).
 
-    Dimension 0 returns 1; odd dimension returns 0.  Dimensions 2 and 4 are
-    read off the upper triangle in closed form, with no copy.
+    Only the strict upper triangle of ``A`` is read (the Pfaffian of the
+    skew matrix sharing it).  Dimension 0 returns 1, odd dimension 0;
+    dimensions 2 and 4 are closed forms, with no copy.
     """
     a = np.asarray(A)
     n = a.shape[0]
@@ -31,7 +32,8 @@ def pfaffian(A):
     if n == 4:
         return (a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3]
                 + a[0, 3] * a[1, 2] + 0.0j)
-    a = np.array(a, dtype=complex)
+    u = np.triu(a, 1).astype(complex, copy=False)
+    a = u - u.T
     pf = 1.0 + 0.0j
     for k in range(0, n - 1, 2):
         # bring the largest entry of column k below the diagonal to (k+1, k)
@@ -50,18 +52,23 @@ def pfaffian(A):
     return pf
 
 
-def joint_cumulant(G, sizes):
-    """Joint cumulant of even Gaussian monomials, the consecutive index
-    blocks of sizes ``sizes`` of the covariance ``G``: principal-submatrix
-    Pfaffians of every sub-collection, then moment-cumulant inversion."""
-    ends = np.cumsum([0, *sizes])
-    moments = {}
-    for r in range(1, len(sizes) + 1):
-        for sub in combinations(range(len(sizes)), r):
-            idx = np.concatenate([np.arange(ends[i], ends[i + 1])
-                                  for i in sub])
-            moments[frozenset(sub)] = pfaffian(G[idx[:, None], idx])
-    return moments_to_cumulants(moments)[frozenset(range(len(sizes)))]
+def skew_moment(K, idx):
+    """Moment of the fields at indices ``idx`` of a products matrix ``K``:
+    the Pfaffian of the skew part of its principal submatrix, so a
+    repeated index reads the diagonal (a field times itself)."""
+    return pfaffian(K.take(idx, 0).take(idx, 1))
+
+
+def joint_cumulant(K, parts, moments):
+    """Joint cumulant of the monomials at index ``parts`` of a products
+    matrix ``K`` from the parts' ``moments``: the :func:`skew_moment` of
+    every union of parts, then moment-cumulant inversion."""
+    moms = {frozenset([i]): m for i, m in enumerate(moments)}
+    for r in range(2, len(parts) + 1):
+        for sub in combinations(range(len(parts)), r):
+            moms[frozenset(sub)] = skew_moment(
+                K, [j for i in sub for j in parts[i]])
+    return moments_to_cumulants(moms)[frozenset(range(len(parts)))]
 
 
 def loop_cumulant(G):

@@ -25,13 +25,18 @@ from collections import defaultdict
 from functools import lru_cache
 
 from isingcyl import kernelcalc as kc
-from isingcyl.kernelcalc import FieldLabel, Kernel, _edge_sort_key
+from isingcyl.kernelcalc import FieldLabel, Kernel
 from isingcyl.lattice import Edge, alpha_sign, antiperiodic_wrap, per_L
 
 
 # ---------------------------------------------------------------------------
 # Label-level maps, one label, edge or path at a time.
 # ---------------------------------------------------------------------------
+
+
+def _edge_sort_key(e):
+    """The order of the edges within a key: by row, column, direction."""
+    return (e.base[1], e.base[0], e.direction)
 
 
 def reflect_label(label, axis, geom):

@@ -351,6 +351,17 @@ class TestScaling:
         assert rejected(capsys, "scaling", "--t1", "0.5", "--points",
                         f"(0.25,0.5),(0.625,{y})", "--verify")
 
+    @pytest.mark.parametrize("points", ["(1e999,0.5),(0.2,0.5)",
+                                        "(0.25,0.5),(-1e999,0.5)"])
+    def test_infinite_coordinates(self, capsys, recwarn, points):
+        # "1e999" matches the number pattern but overflows to infinity
+        code = main(["scaling", "--t1", "0.5", "--points", points,
+                     "--halvings", "1", "--start", "2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error") and err.count("\n") == 1
+        assert len(recwarn) == 0
+
     def test_halvings_at_least_one(self, capsys):
         assert rejected(capsys, "scaling", "--t1", "0.5", "--points",
                         "(0.25,0.5),(0.625,0.375)", "--halvings", "0")

@@ -14,7 +14,7 @@ from isingcyl import kernelcalc
 from isingcyl.acceptance import _rand_kernel, _rand_source
 from isingcyl.kernelcalc import (
     BOUNDARY, BULK, NORM_DISTANCES, NORM_FLAVORS, FieldLabel, Kernel,
-    VertexRenorm, _monomial_covariance, _pack, _sector_check,
+    VertexRenorm, _label_rows, _pack, _products, _sector_check,
     antisymmetrize, expand_family,
     extract_vertex_renorm, free_source_kernels,
     horizontal_translate, localize_bulk, localize_edge, localize_source,
@@ -30,6 +30,7 @@ from isingcyl.lattice import (
 from isingcyl.propagators import (
     LazyCriticalTable, ModelParams, PropagatorTable, critical_propagator_fourier,
 )
+from isingcyl.skewlinalg import pfaffian_bruteforce
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,12 @@ class TestKernelBasics:
         half = (FieldLabel(1, (0, 0), (1.5, 2)), FieldLabel(-1, (0, 0), (3, 2)))
         with pytest.raises(ValueError):
             Kernel(geom, 2, 0, 0, {(half, ()): 1.0})
+        # and fit the int32 key arrays, also in infinite volume
+        far = FieldLabel(1, (0, 0), (2 ** 40, 1))
+        with pytest.raises(ValueError):
+            far.validate(geom)
+        with pytest.raises(ValueError):
+            Kernel(None, 2, 0, 0, {((far, far), ()): 1.0})
 
     def test_kernel_validation(self, geom):
         l = FieldLabel(1, (0, 0), (1, 1))
@@ -917,17 +924,18 @@ def _rand_labels(rng, geom, k):
         for _ in range(k))
 
 
-def _multilinear_log_cumulant(monomials, table):
+def _multilinear_log_cumulant(monomials, table, moment=monomial_moment):
     """Independent oracle for the joint cumulant: the coefficient of
     t_1...t_s in log E[prod_i (1 + t_i Q_i)], computed with multilinear
-    polynomial arithmetic over subsets and the log power series."""
+    polynomial arithmetic over subsets and the log power series from the
+    moments ``moment(labels, table)`` of the joined monomials."""
     s = len(monomials)
     x = {}
     for r in range(1, s + 1):
         for sub in itertools.combinations(range(s), r):
             joined = tuple(itertools.chain.from_iterable(
                 monomials[i] for i in sub))
-            x[frozenset(sub)] = monomial_moment(joined, table)
+            x[frozenset(sub)] = moment(joined, table)
 
     def mul(a, b):
         out = {}
@@ -970,22 +978,46 @@ class TestTruncatedExpectation:
                   FieldLabel(-1, (1, 1), (5, M + 1)),
                   FieldLabel(1, (2, 0), (L - 1, 2)),
                   FieldLabel(1, (0, 0), (1, 1)))
-        got = _monomial_covariance(labels, table)
-        ref = oracle.monomial_covariance(labels, table)
+        got = _products(_label_rows(labels), table)
+        # every entry, the diagonal and the lower triangle included
+        ref = np.array([[oracle.label_covariance(a, b, table)
+                         for b in labels] for a in labels])
         assert np.max(np.abs(got - ref)) < 1e-14
+        upper = np.triu(got, 1)
+        ref = oracle.monomial_covariance(labels, table)
+        assert np.max(np.abs(upper - upper.T - ref)) < 1e-14
 
-    def test_one_covariance_per_call(self, geom, table, monkeypatch):
+    def test_one_products_matrix_per_call(self, geom, table, monkeypatch):
         calls = []
-        cov = PropagatorTable.covariance
+        products = PropagatorTable.products
 
         def counting(self, rows):
             calls.append(len(rows))
-            return cov(self, rows)
-        monkeypatch.setattr(PropagatorTable, "covariance", counting)
+            return products(self, rows)
+        monkeypatch.setattr(PropagatorTable, "products", counting)
+        monkeypatch.setattr(PropagatorTable, "covariance", None)
         rng = np.random.default_rng(37)
         monos = [_rand_labels(rng, geom, 2) for _ in range(3)]
         truncated_expectation(monos, table)
         assert calls == [6]
+
+    @pytest.mark.parametrize("seed", [38, 39])
+    def test_label_shared_by_two_monomials(self, geom, table, seed):
+        # the repeated label reads the diagonal of the products matrix, its
+        # product with itself (zero up to rounding, the blocks being skew),
+        # as rg_step does when it pairs an entry with itself
+        rng = np.random.default_rng(seed)
+        a, b, c, d, e = _rand_labels(rng, geom, 5)
+
+        def oracle_moment(labels, table):
+            return pfaffian_bruteforce(
+                oracle.monomial_covariance(labels, table))
+        for monos in ([(a, b), (c, a)], [(a, b), (c, d), (e, a)]):
+            got = truncated_expectation(monos, table)
+            assert abs(got) > 1e-6
+            for moment in (monomial_moment, oracle_moment):
+                ref = _multilinear_log_cumulant(monos, table, moment)
+                assert abs(got - ref) < 1e-12
 
     def test_empty_conventions(self, geom, table):
         rng = np.random.default_rng(29)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from isingcyl.skewlinalg import (
-    loop_cumulant, pfaffian, pfaffian_bruteforce, moments_to_cumulants,
-    set_partitions,
+    joint_cumulant, loop_cumulant, pfaffian, pfaffian_bruteforce,
+    moments_to_cumulants, set_partitions, skew_moment,
 )
 
 
@@ -116,6 +116,16 @@ class TestPfaffian:
         assert np.iscomplexobj(pfaffian(m))
         assert pfaffian(m) == pytest.approx(
             pfaffian_bruteforce(m - m.T), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_elimination_reads_upper_triangle(self, n):
+        # a general matrix stands for the skew matrix of its upper triangle
+        rng = np.random.default_rng(110 + n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        skew = np.triu(a, 1) - np.triu(a, 1).T
+        assert pfaffian(a) == pfaffian(skew)
+        assert pfaffian(a) == pytest.approx(pfaffian_bruteforce(skew),
+                                            rel=1e-12)
 
     def test_singular_matrix(self):
         # rank-deficient skew matrix has Pfaffian 0
@@ -248,6 +258,41 @@ class TestLoopCumulant:
         for i in range(4):
             H[2 * i, 2 * i + 1], H[2 * i + 1, 2 * i] = 5.0, -5.0
         assert loop_cumulant(H) == loop_cumulant(G)
+
+
+class TestJointCumulant:
+    def test_skew_moment_repeats_read_the_diagonal(self):
+        # a products matrix is not skew: an index taken twice pairs its
+        # field with itself through the diagonal entry
+        rng = np.random.default_rng(11)
+        K = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        idx = [0, 2, 2, 4, 1, 3]
+        sub = K[np.ix_(idx, idx)]
+        ref = pfaffian_bruteforce(np.triu(sub, 1) - np.triu(sub, 1).T)
+        assert skew_moment(K, idx) == pytest.approx(ref, rel=1e-12)
+        assert skew_moment(K, []) == 1.0
+
+    @pytest.mark.parametrize("sizes", [[2], [2, 4], [2, 2, 2], [2, 0, 4],
+                                       [2, 2, 2, 2]])
+    def test_matches_inverted_bruteforce_moments(self, sizes):
+        # parts may share indices, as when rg_step pairs an entry with itself
+        rng = np.random.default_rng(len(sizes) + sum(sizes))
+        n = sum(sizes)
+        K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ends = np.cumsum([0, *sizes])
+        parts = [list(range(a, b)) for a, b in zip(ends, ends[1:])]
+        parts[-1][:1] = parts[0][:1]
+        mom = {}
+        for r in range(1, len(parts) + 1):
+            for sub in combinations(range(len(parts)), r):
+                idx = [j for i in sub for j in parts[i]]
+                a = K[np.ix_(idx, idx)]
+                mom[frozenset(sub)] = pfaffian_bruteforce(
+                    np.triu(a, 1) - np.triu(a, 1).T)
+        ref = moments_to_cumulants(mom)[frozenset(range(len(parts)))]
+        got = joint_cumulant(K, parts, [mom[frozenset([i])]
+                                        for i in range(len(parts))])
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_partition_count_is_bell():

@@ -210,3 +210,33 @@ def test_cli_calls_no_oracle_directly():
         elif isinstance(n, ast.alias):
             named.add(n.asname or n.name)
     assert named & REPORT_ONLY == set()
+
+
+def _functions(tree):
+    # (name, node) for each top-level function and each method, the latter
+    # named "Class.method"
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item)
+                        for item in node.body
+                        if isinstance(item, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef)))
+
+
+def test_kernel_operators_stay_on_arrays():
+    # kernel operators read the key arrays and build their results by one
+    # reduction: only the free source kernels are written as a dict
+    # (``Kernel(...)``), and only the repr decodes ``coeffs``
+    builds, decodes = [], []
+    tree = ast.parse((SRC / "kernelcalc.py").read_text())
+    for name, fn in _functions(tree):
+        for n in ast.walk(fn):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "Kernel"):
+                builds.append(name)
+            elif isinstance(n, ast.Attribute) and n.attr == "coeffs":
+                decodes.append(name)
+    assert set(builds) <= {"free_source_kernels"}
+    assert set(decodes) <= {"Kernel.__repr__"}
