@@ -360,21 +360,22 @@ def check_kernel_cancellations(seed=0):
         cancel = max(cancel, _family_max(localize_bulk({(4, 0): v4})))
         v2 = _rand_kernel(rng, geom, 2, 0, nkeys=2, base=1 + i % geom.L)
         cancel = max(cancel, _family_max(localize_edge({(2, 0): v2})))
+    pairs = (
+        (_rand_kernel, [(2, 0), (2, 1), (2, 2), (4, 0), (4, 1)],
+         localize_bulk, renormalize_bulk),
+        (_rand_kernel, [(2, 0), (2, 1), (2, 2)],
+         localize_edge, renormalize_edge),
+        (_rand_source, [(2, 0), (2, 1), (2, 2)],
+         localize_source, renormalize_source),
+    )
     decomp = 0.0
     for _ in range(5):
         base = int(rng.integers(1, geom.L + 1))
-        fam = {sec: symmetrize(_rand_kernel(rng, geom, *sec, base=base))
-               for sec in [(2, 0), (2, 1), (2, 2), (4, 0), (4, 1)]}
-        both = _family_sum(localize_bulk(fam), renormalize_bulk(fam))
-        decomp = max(decomp, polynomial_distance(both, fam))
-        fam = {sec: symmetrize(_rand_kernel(rng, geom, *sec, base=base))
-               for sec in [(2, 0), (2, 1), (2, 2)]}
-        both = _family_sum(localize_edge(fam), renormalize_edge(fam))
-        decomp = max(decomp, polynomial_distance(both, fam))
-        fam = {sec: symmetrize(_rand_source(rng, geom, *sec, base=base))
-               for sec in [(2, 0), (2, 1), (2, 2)]}
-        both = _family_sum(localize_source(fam), renormalize_source(fam))
-        decomp = max(decomp, polynomial_distance(both, fam))
+        for draw, sectors, localize, renormalize in pairs:
+            fam = {sec: symmetrize(draw(rng, geom, *sec, base=base))
+                   for sec in sectors}
+            both = _family_sum(localize(fam), renormalize(fam))
+            decomp = max(decomp, polynomial_distance(both, fam))
     ok = cancel < 1e-14
     detail = f"structural-zero residual {cancel:.2e} (tol 1e-14)"
     return _record(8, "kernel cancellations and decompositions", decomp,
@@ -388,40 +389,27 @@ def check_norm_battery(seed=0, runs=50):
     kappa, eps = 0.1, 0.05
     geom = CylinderGeometry(12, 5)
     rng = np.random.default_rng(seed)
+    # each bound: its kernel generator, renormalization and norm, and the
+    # sectors from the bounded one down with the constant c_j of each; the
+    # bound is sum_j c_j ||W_j||_{kappa + j eps}/eps^j
+    bounds = (
+        (_rand_kernel, renormalize_bulk, "bulk",
+         [((2, 2), 1), ((2, 1), 1), ((2, 0), 1)]),
+        (_rand_kernel, renormalize_bulk, "bulk", [((4, 1), 1), ((4, 0), 3)]),
+        (_rand_kernel, renormalize_edge, "edge", [((2, 1), 1), ((2, 0), 2)]),
+        (_rand_source, renormalize_source, "source-bulk",
+         [((2, 1), 1), ((2, 0), 2)]),
+    )
     violation = 0.0
     for _ in range(runs):
         base = int(rng.integers(1, geom.L + 1))
-        fam = {sec: _rand_kernel(rng, geom, *sec, base=base)
-               for sec in [(2, 0), (2, 1), (2, 2)]}
-        lhs = weighted_norm(renormalize_bulk(fam)[(2, 2)], "bulk", kappa)
-        rhs = (weighted_norm(fam[(2, 2)], "bulk", kappa)
-               + weighted_norm(fam[(2, 1)], "bulk", kappa + eps) / eps
-               + weighted_norm(fam[(2, 0)], "bulk", kappa + 2 * eps)
-               / eps ** 2)
-        violation = max(violation, lhs - rhs)
-
-        fam = {sec: _rand_kernel(rng, geom, *sec, base=base)
-               for sec in [(4, 0), (4, 1)]}
-        lhs = weighted_norm(renormalize_bulk(fam)[(4, 1)], "bulk", kappa)
-        rhs = (weighted_norm(fam[(4, 1)], "bulk", kappa)
-               + 3 * weighted_norm(fam[(4, 0)], "bulk", kappa + eps) / eps)
-        violation = max(violation, lhs - rhs)
-
-        fam = {sec: _rand_kernel(rng, geom, *sec, base=base)
-               for sec in [(2, 0), (2, 1)]}
-        lhs = weighted_norm(renormalize_edge(fam)[(2, 1)], "edge", kappa)
-        rhs = (weighted_norm(fam[(2, 1)], "edge", kappa)
-               + 2 * weighted_norm(fam[(2, 0)], "edge", kappa + eps) / eps)
-        violation = max(violation, lhs - rhs)
-
-        fam = {sec: _rand_source(rng, geom, *sec, base=base)
-               for sec in [(2, 0), (2, 1)]}
-        lhs = weighted_norm(renormalize_source(fam)[(2, 1)], "source-bulk",
-                            kappa)
-        rhs = (weighted_norm(fam[(2, 1)], "source-bulk", kappa)
-               + 2 * weighted_norm(fam[(2, 0)], "source-bulk",
-                                   kappa + eps) / eps)
-        violation = max(violation, lhs - rhs)
+        for draw, renormalize, norm, terms in bounds:
+            fam = {sec: draw(rng, geom, *sec, base=base)
+                   for sec, _ in reversed(terms)}
+            lhs = weighted_norm(renormalize(fam)[terms[0][0]], norm, kappa)
+            rhs = sum(c * weighted_norm(fam[sec], norm, kappa + j * eps)
+                      / eps ** j for j, (sec, c) in enumerate(terms))
+            violation = max(violation, lhs - rhs)
     # 0.2 s per run: 10 s at selftest's 50 runs
     return _record(9, "remainder norm inequality battery",
                    max(violation, 0.0), 1e-9, t0, time_cap=runs / 5,

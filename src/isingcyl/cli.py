@@ -357,7 +357,8 @@ def build_parser():
     _add_common(p, geometry=False)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--points", required=True,
-                   help='two continuum points, e.g. "(0.25,0.5),(0.625,0.375)"')
+                   help="two points of the unit cylinder, 0 <= x <= 1 and "
+                   '0 < y < 1, e.g. "(0.25,0.5),(0.625,0.375)"')
     p.add_argument("--halvings", type=_positive_int, default=4)
     p.add_argument("--start", type=int, default=16,
                    help="initial inverse lattice spacing")

@@ -79,7 +79,6 @@ class CorrelationRequest:
 @dataclass(frozen=True)
 class GibbsRecord:
     log_Z: float
-    means: dict           # Edge -> <sigma sigma>
     moments: dict         # frozenset of observable positions -> moment
     configurations: int   # the configurations counted: 2^(LM)
     levels: int           # occupied (horizontal, vertical) energy levels
@@ -103,8 +102,9 @@ def enumerate_gibbs(geom, beta, J1=1.0, J2=1.0, observables=()):
 
     Horizontal bonds are periodic, the rows above M and below 1 carry no
     spins (free vertical boundaries).  ``observables`` is a tuple of edges;
-    the record carries log Z, the mean of each observable, and the moments
-    of every nonempty sub-tuple of observables (keyed by position sets).
+    the record carries log Z and the moments of every nonempty sub-tuple
+    of observables (keyed by position sets), the mean of observable i at
+    ``frozenset([i])``.
 
     Spin i is bit i of the configuration index, rows of L bits in
     row-major order.  Every configuration is counted into one histogram of
@@ -156,9 +156,8 @@ def enumerate_gibbs(geom, beta, J1=1.0, J2=1.0, observables=()):
     for s in subsets:
         sign = 1 - 2 * (_popcount(patterns & sum(1 << i for i in s)) & 1)
         moments[s] = float(sign @ sums / z_shifted)
-    means = {observables[i]: moments[frozenset([i])] for i in range(k)}
     return GibbsRecord(log_Z=float(shift + math.log(z_shifted)),
-                       means=means, moments=moments,
+                       moments=moments,
                        configurations=int(hist.sum()),
                        levels=int(occupied.sum()))
 
@@ -255,15 +254,16 @@ class FreeCorrelator:
         self.s_pm = s_weights(geom, params)
 
     def _covariance(self, edges):
-        """Covariance of the constituent fields of ``edges``, in product
-        order; phi and xi are independent, so their covariances add."""
+        """Products matrix of the constituent fields of ``edges``, in
+        product order, whose strict upper triangle is their covariance:
+        phi and xi are independent, so the two sectors' matrices add."""
         phi, xi = [], []
         for e in edges:
             e.validate(self.geom)
             for p, x in bilinear_rows(e, self.geom.L, self.s_pm):
                 phi.append(p)
                 xi.append(x)
-        return self.gc.covariance(phi) + self.gm.covariance(xi)
+        return self.gc.products(phi) + self.gm.products(xi)
 
     def bilinear_moment(self, edges):
         """<prod_x E_x>: Pfaffian of the constituent-field covariances.
@@ -290,7 +290,6 @@ class FreeCorrelator:
         t = np.array(self._couplings(edges))
         G, r = self._covariance(edges), 2 * np.arange(len(t))
         G[r, r + 1] += t / (1.0 - t * t)
-        G[r + 1, r] -= t / (1.0 - t * t)
         return float(np.prod(1.0 - t * t)) * _real(pfaffian(G))
 
     def energy_cumulant(self, edges):

@@ -49,6 +49,7 @@ from .skewlinalg import joint_cumulant, skew_moment
 
 _SITE = slice(3, 5)  # the (x1, x2) columns of a label row
 _DIRECTIONS = ("h", "v")
+_TERM_BUDGET = 500000  # the most terms one rg_step call may visit
 
 
 class FieldLabel(NamedTuple):
@@ -58,9 +59,6 @@ class FieldLabel(NamedTuple):
     omega: int
     D: tuple
     z: tuple
-
-    def validate(self, geom=None):
-        _check_labels(_label_rows([self]), geom)
 
 
 def _label_rows(labels):
@@ -741,7 +739,7 @@ def _even_subsets(n):
             for mask in range(1 << n) if bin(mask).count("1") % 2 == 0]
 
 
-def rg_step(family, table, s_max=2, *, term_budget=500000):
+def rg_step(family, table, s_max=2):
     """One truncated step of the renormalization-group map.
 
     For every way of picking ``s <= s_max`` kernel entries (with the 1/s!
@@ -796,9 +794,9 @@ def rg_step(family, table, s_max=2, *, term_budget=500000):
             edges = [row for i in combo for row in entries[i][1]]
             for parts in itertools.product(*(splits[e] for e in combo)):
                 count += 1
-                if count > term_budget:
+                if count > _TERM_BUDGET:
                     raise RuntimeError(
-                        f"term budget {term_budget} exceeded in rg_step")
+                        f"term budget {_TERM_BUDGET} exceeded in rg_step")
                 ext = [i for q in parts for i in q[0]]
                 if not ext or (s > 1 and not all(q[1] for q in parts)):
                     continue

@@ -80,14 +80,6 @@ class CylinderGeometry:
         return [(x1, x2) for x2 in range(1, self.M + 1)
                 for x1 in range(1, self.L + 1)]
 
-    def edges(self):
-        """Observable edges of Lambda: L*M horizontal + L*(M-1) vertical."""
-        out = [Edge((x1, x2), "h") for x2 in range(1, self.M + 1)
-               for x1 in range(1, self.L + 1)]
-        out += [Edge((x1, x2), "v") for x2 in range(1, self.M)
-                for x1 in range(1, self.L + 1)]
-        return out
-
     def site_index(self, z):
         """Row-major index of a lattice site, rows 1..M."""
         x1, x2 = z
@@ -153,7 +145,7 @@ def alpha_sign(zs, geom):
     zs = np.asarray(zs, dtype=np.int64)
     if zs.size == 0:
         return np.zeros(zs.shape[:-2], dtype=np.int64)[()]
-    L = geom.L if isinstance(geom, CylinderGeometry) else int(geom)
+    L = geom.L
     xs = zs[..., 0]
     wraps = xs.max(axis=-1) - xs.min(axis=-1) >= 2 * L / 3
     return np.where(wraps, np.sum(xs <= L / 3, axis=-1) % 2, 0)[()]

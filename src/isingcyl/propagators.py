@@ -229,31 +229,17 @@ def solve_k2_roots(k1, M, params):
     return np.concatenate([-roots[..., ::-1], zero, roots], axis=-1)
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
-    """The momenta of the critical Fourier sum: the L horizontal momenta
-    and, by row, the M+1 nonnegative k2 roots of each (0 first).  The
-    negative roots mirror the positive ones."""
-
-    geom: CylinderGeometry
-    k1_values: np.ndarray
-    k2_roots: np.ndarray  # shape (L, M+1)
-
-
 @lru_cache(maxsize=16)
-def _momentum_grid_cached(L, M, t1, t2):
-    geom = CylinderGeometry(L, M)
-    params = ModelParams(t1=t1, t2=t2)
-    k1v = horizontal_momenta(L)
-    # B depends on k1 only through cos k1, and k1v[i] = -k1v[L-1-i]: the
-    # roots are solved for the L/2 positive momenta and mirrored
-    half = solve_k2_roots(k1v[L // 2:], M, params)[:, M:]
-    return MomentumGrid(geom=geom, k1_values=k1v,
-                        k2_roots=np.concatenate([half[::-1], half]))
-
-
-def momentum_grid(geom, params):
-    return _momentum_grid_cached(geom.L, geom.M, params.t1, params.t2)
+def _root_grid(L, M, params):
+    """The momenta of the critical Fourier sum: by row, the M+1 nonnegative
+    k2 roots (0 first) of each of the L horizontal momenta, as a read-only
+    array (L, M+1).  The negative roots mirror the positive ones."""
+    # B depends on k1 only through cos k1, and the momenta come in pairs
+    # +-k1: the roots are solved for the L/2 positive momenta and mirrored
+    half = solve_k2_roots(horizontal_momenta(L)[L // 2:], M, params)[:, M:]
+    roots = np.concatenate([half[::-1], half])
+    roots.flags.writeable = False
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +288,10 @@ class PropagatorTable:
         '+' and 1 for '-'.  Entry (i, j) is ``sum c c' g_{omega omega'}(site,
         site')`` over the terms of rows i and j, for every i and j: the
         diagonal reads g at coincident sites, so a principal submatrix
-        that repeats an index is the covariance of a repeated row.  The
-        blocks of every ordered pair of the sites named, a site paired
-        with itself included, are read by one :meth:`blocks` call.
+        that repeats an index is the covariance of a repeated row; the
+        strict upper triangle is the skew covariance.  The blocks of every
+        ordered pair of the sites named, a site paired with itself
+        included, are read by one :meth:`blocks` call.
         """
         index = {z: a for a, z in enumerate(dict.fromkeys(
             z for row in rows for _, _, z in row))}
@@ -315,13 +302,6 @@ class PropagatorTable:
                 C[i, 2 * index[z] + w] += c
         P = self.blocks(list(index), list(index))
         return C @ P.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n) @ C.T
-
-    def covariance(self, rows):
-        """Skew covariance matrix of linear combinations of fields: the
-        upper triangle of :meth:`products`, the diagonal zero and the lower
-        triangle the negated upper one."""
-        G = np.triu(self.products(rows), 1)
-        return G - G.T
 
 
 class TranslationInvariantTable(PropagatorTable):
@@ -458,8 +438,7 @@ def _critical_modes(geom, params, weight):
     if not params.is_critical:
         raise ValueError("Fourier representation requires critical parameters")
     L, M = geom.L, geom.M
-    grid = momentum_grid(geom, params)
-    k1, k2 = grid.k1_values, grid.k2_roots
+    k1, k2 = horizontal_momenta(L), _root_grid(L, M, params)
     B = coeff_B(k1, params)
     q = ((1.0 - B) / (1.0 + B))[:, None]
     N = _phase_slope((q * np.cos(0.5 * k2)) ** 2 + np.sin(0.5 * k2) ** 2, q,
@@ -746,47 +725,39 @@ def infinite_propagator_grid(params, weight, N, z1, z2):
     return (E1 @ num.reshape(N, -1)).reshape(len(z1), len(z2), 2, 2)
 
 
-def infinite_propagator(zs, params, weight=None, *, tol=1e-10):
+def infinite_propagator(zs, params):
     """The infinite-volume propagator at the integer offsets ``zs``.
 
-    Evaluates the momentum integral of ghat (times the cutoff weight, if
-    any) by the torus sum of :func:`infinite_propagator_grid` at the
-    distinct first and second components of ``zs``, doubling the torus
-    and Richardson-extrapolating the O(N^-2) and O(N^-4) error terms (the
-    massless integrand makes the raw sums converge only algebraically).
-    Stops once the extrapolated entries change by less than ``tol``.
-    Returns a dict ``z -> 2x2 block``.
-
-    The extrapolation assumes a smooth integrand.  A
-    :class:`~isingcyl.multiscale.CutoffWeight` is only C^1 (its profile's
-    second derivative jumps), so a weighted sum converges too slowly for
-    the default ``tol`` and raises :class:`DoublingError` after N = 2048;
-    ask such sums for ``tol`` ~ 1e-6.
+    Evaluates the momentum integral of ghat by the torus sum of
+    :func:`infinite_propagator_grid` at the distinct first and second
+    components of ``zs``, doubling the torus and Richardson-extrapolating
+    the O(N^-2) and O(N^-4) error terms (the massless integrand makes the
+    raw sums converge only algebraically), all offsets as one (K, 2, 2)
+    array.  Stops once the extrapolated entries change by less than
+    1e-10, or raises :class:`DoublingError` after N = 2048.  Returns a dict
+    ``z -> 2x2 block``.
     """
     zs = [tuple(z) for z in zs]
     z1, i1 = np.unique([z[0] for z in zs], return_inverse=True)
     z2, i2 = np.unique([z[1] for z in zs], return_inverse=True)
-    raw, r1, r2 = [], [], []
-    prev_best, cur_best = None, None
+    raw, r1, r2, best = [], [], [], []
     N = 64
     for _ in range(6):  # N = 64 .. 2048
-        g = infinite_propagator_grid(params, weight, N, z1, z2)
-        raw.append({z: g[a, b] for z, a, b in zip(zs, i1, i2)})
+        raw.append(infinite_propagator_grid(params, None, N, z1, z2)[i1, i2])
         if len(raw) >= 2:
-            r1.append({z: (4.0 * raw[-1][z] - raw[-2][z]) / 3.0 for z in zs})
+            r1.append((4.0 * raw[-1] - raw[-2]) / 3.0)
         if len(r1) >= 2:
-            r2.append({z: (16.0 * r1[-1][z] - r1[-2][z]) / 15.0 for z in zs})
-        prev_best = cur_best
-        cur_best = (r2 or r1 or raw)[-1]
-        if prev_best is not None:
-            delta = max(np.max(np.abs(cur_best[z] - prev_best[z]))
-                        for z in zs)
-            if delta < tol:
-                return cur_best
+            r2.append((16.0 * r1[-1] - r1[-2]) / 15.0)
+        best.append((r2 or r1 or raw)[-1])
+        if len(best) >= 2:
+            delta = np.max(np.abs(best[-1] - best[-2]))
+            if delta < 1e-10:
+                return dict(zip(zs, best[-1]))
         N *= 2
     raise DoublingError(
-        f"torus sum did not converge to {tol} at N = {N // 2} "
-        f"(last change {delta:.3g})", cur_best, prev_best)
+        f"torus sum did not converge to 1e-10 at N = {N // 2} "
+        f"(last change {delta:.3g})", dict(zip(zs, best[-1])),
+        dict(zip(zs, best[-2])))
 
 
 # ---------------------------------------------------------------------------
@@ -862,10 +833,11 @@ def scaling_series(z, zp, params, sizes):
     nearest to ``n z`` and ``n z'``, times n, is compared with the
     :func:`scaling_propagator` of the unit cylinder.  Returns that
     continuum block and the list of largest entry errors.  Both points
-    must lie in the open cylinder, 0 < y < 1.
+    must lie in the open unit cylinder, 0 <= x <= 1 and 0 < y < 1, or
+    ``ValueError`` is raised before any sum.
     """
     for p in (z, zp):
-        if not 0.0 < p[1] < 1.0:
+        if not (0.0 <= p[0] <= 1.0 and 0.0 < p[1] < 1.0):
             raise ValueError(f"point {tuple(p)} outside the open unit "
                              "cylinder")
     target = scaling_propagator(z, zp, 1.0, 1.0, params)

@@ -4,6 +4,9 @@ Gaussian Grassmann moments are Pfaffians of antisymmetric matrices of pair
 contractions; truncated correlations follow from moments by set-partition
 Moebius inversion, or for bilinears as a sum over connected loops.  A
 brute-force perfect-matching Pfaffian is the oracle in tests.
+
+Every routine here that takes a skew matrix reads only its strict upper
+triangle, so a products matrix of fields is passed as it is.
 """
 
 from __future__ import annotations
@@ -75,11 +78,13 @@ def loop_cumulant(G):
     """Joint cumulant of the bilinears ``psi_{2i} psi_{2i+1}`` of the
     covariance ``G``: ``-1/2 sum tr(J B_{0a} J B_{ab} ... J B_{z0})`` over
     the (m-1)! cycles through bilinear 0, with ``B_ij`` the 2 x 2 blocks of
-    G and ``J = [[0, 1], [-1, 0]]`` (for m = 1 the mean G[0, 1]).  Held-Karp
-    over ``paths[mask, j]``, the sum along the paths from 0 through ``mask``
-    to j: O(2^m m^2) 2 x 2 products, no moment subtracted."""
+    G and ``J = [[0, 1], [-1, 0]]`` (for m = 1 the mean G[0, 1]).  Only
+    the strict upper triangle of ``G`` is read.  Held-Karp over
+    ``paths[mask, j]``, the sum along the paths from 0 through ``mask`` to
+    j: O(2^m m^2) 2 x 2 products, no moment subtracted."""
     m = len(G) // 2
-    B = np.asarray(G).reshape(m, 2, m, 2).swapaxes(1, 2)
+    U = np.triu(G, 1)
+    B = (U - U.T).reshape(m, 2, m, 2).swapaxes(1, 2)
     JB = B[:, :, ::-1] * np.array([[1.0], [-1.0]])  # rows B_1., -B_0.
     paths = np.zeros((1 << m, m, 2, 2), dtype=JB.dtype)
     paths[1, 0] = np.eye(2)

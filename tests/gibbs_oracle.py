@@ -3,7 +3,8 @@ weighs each configuration bond by bond, the plain form of the exhaustive
 sum that :func:`isingcyl.freecorr.enumerate_gibbs` reduces to a histogram
 of exact counts, kept as its oracle.
 
-Bonds and observables come from the geometry's edge list and the edges'
+Bonds are the horizontal edge of every site and the vertical edge of every
+site below row M; they and the observables are read through the edges'
 endpoints, with no bit arithmetic.  It costs 2^(LM) iterations of Python
 code, so it is only meant for small cases.
 """
@@ -11,13 +12,16 @@ code, so it is only meant for small cases.
 import itertools
 import math
 
+from isingcyl.lattice import Edge
+
 
 def gibbs_sums(geom, beta, J1=1.0, J2=1.0, observables=()):
     """log Z, the moment of every nonempty sub-tuple of ``observables``
     (keyed by position sets) and the set of occupied energy levels, as
     (disagreeing horizontal bonds, disagreeing vertical bonds)."""
     sites = geom.sites()
-    bonds = [(e.direction, *e.endpoints(geom)) for e in geom.edges()]
+    bonds = [(d, *Edge(z, d).endpoints(geom)) for z in sites for d in "hv"
+             if d == "h" or z[1] < geom.M]
     obs = [e.endpoints(geom) for e in observables]
     subsets = [frozenset(s) for r in range(1, len(obs) + 1)
                for s in itertools.combinations(range(len(obs)), r)]

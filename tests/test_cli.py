@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -352,9 +353,12 @@ class TestScaling:
                         f"(0.25,0.5),(0.625,{y})", "--verify")
 
     @pytest.mark.parametrize("points", ["(1e999,0.5),(0.2,0.5)",
-                                        "(0.25,0.5),(-1e999,0.5)"])
+                                        "(0.25,0.5),(-1e999,0.5)",
+                                        "(1e200,0.5),(0.2,0.5)"])
     def test_infinite_coordinates(self, capsys, recwarn, points):
-        # "1e999" matches the number pattern but overflows to infinity
+        # "1e999" matches the number pattern but overflows to infinity;
+        # 1e200 is finite but off the unit circumference, and overflows
+        # the continuum propagator if it reaches it
         code = main(["scaling", "--t1", "0.5", "--points", points,
                      "--halvings", "1", "--start", "2"])
         err = capsys.readouterr().err
@@ -635,16 +639,22 @@ VALID_REQUEST = json.dumps({
          request=VALID_REQUEST.replace("{", '{"mode": "moment", ', 1))
 @example(argv=["scaling", "--t1=0.5", "--points=(0.25,0.5),(0.625,0.375)",
                "--halvings=1", "--start=2"], request="")
+@example(argv=["scaling", "--t1=0.5", "--points=(1e200,0.5),(0.2,0.5)",
+               "--halvings=1", "--start=2"], request="")
 def test_any_options_exit_cleanly(tmp_path_factory, argv, request):
     # every drawn command line ends in a documented exit code, never in a
-    # traceback, and a success prints strict JSON
+    # traceback or a warning (which pytest would capture before stderr
+    # does), and a success prints strict JSON
     path = tmp_path_factory.getbasetemp() / "request.json"
     path.write_text(request)
     argv = [f"--request={path}" if a == "--request=REQUEST" else a
             for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
+    assert [str(w.message) for w in caught] == []
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_NUMERIC)
     assert "Traceback" not in err.getvalue()
     if code == EXIT_OK:

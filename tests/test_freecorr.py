@@ -44,8 +44,9 @@ class TestEnumeration:
         obs = (Edge((1, 1), "h"), Edge((2, 1), "v"))
         rec = enumerate_gibbs(geom, 0.0, observables=obs)
         assert rec.Z == pytest.approx(2.0 ** 8)
-        for e in obs:
-            assert rec.means[e] == pytest.approx(0.0, abs=1e-14)
+        for i in range(len(obs)):
+            assert rec.moments[frozenset([i])] == pytest.approx(0.0,
+                                                                abs=1e-14)
 
     def test_two_site_hand_sum(self):
         # L=2, M=1: a double bond between the two spins,
@@ -89,8 +90,6 @@ class TestEnumeration:
         assert rec.moments.keys() == moments.keys()
         for s, m in moments.items():
             assert abs(rec.moments[s] - m) <= 1e-12
-        for i, e in enumerate(obs):
-            assert rec.means[e] == rec.moments[frozenset([i])]
 
     def test_overflowing_weights(self):
         # exp(beta * energy) exceeds a float; log Z and the moments do not
@@ -269,9 +268,9 @@ class TestEnergyMoments:
         geom, beta, J1, J2, params, corr = small_critical
         obs = (Edge((1, 1), "h"), Edge((1, 1), "v"), Edge((2, 2), "v"))
         rec = enumerate_gibbs(geom, beta, J1, J2, obs)
-        for e in obs:
-            assert corr.energy_moment([e]) == pytest.approx(rec.means[e],
-                                                            abs=1e-12)
+        for i, e in enumerate(obs):
+            assert corr.energy_moment([e]) == pytest.approx(
+                rec.moments[frozenset([i])], abs=1e-12)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_one_pfaffian_is_the_subset_sum(self, mixed_32, monkeypatch, m):
@@ -347,8 +346,8 @@ class TestEnergyCumulants:
         # the set-partition inversion of all principal Pfaffians, in exact
         # rational arithmetic on the same double covariance: the
         # cancellation of the O(1) moments costs no digits there
-        G = [[Fraction(float(x)) for x in row]
-             for row in corr._covariance(edges).real]
+        U = np.triu(corr._covariance(edges).real, 1)
+        G = [[Fraction(float(x)) for x in row] for row in U - U.T]
         m = len(edges)
         mom = {}
         for r in range(1, m + 1):
@@ -440,12 +439,12 @@ class TestConstituentCovariance:
         got = corr._covariance(self.EDGES)
         ref = oracle.bilinear_covariance(corr.gc, corr.gm, self.EDGES, geom,
                                          params)
-        assert np.max(np.abs(got - ref)) < 1e-14
+        assert np.max(np.abs(np.triu(got - ref, 1))) < 1e-14
 
     def test_one_covariance_and_one_pfaffian_per_moment(self, small_critical,
                                                         monkeypatch):
         corr = small_critical[-1]
-        counts = {"pfaffian": 0, "covariance": 0}
+        counts = {"pfaffian": 0, "products": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -455,14 +454,14 @@ class TestConstituentCovariance:
         counted_pfaffian = counted("pfaffian", skewlinalg.pfaffian)
         for module in (skewlinalg, freecorr):
             monkeypatch.setattr(module, "pfaffian", counted_pfaffian)
-        monkeypatch.setattr(PropagatorTable, "covariance", counted(
-            "covariance", PropagatorTable.covariance))
-        # one covariance per sector (phi and xi); a cumulant is a loop sum
-        # with no Pfaffian, a moment one Pfaffian
+        monkeypatch.setattr(PropagatorTable, "products", counted(
+            "products", PropagatorTable.products))
+        # one products matrix per sector (phi and xi); a cumulant is a loop
+        # sum with no Pfaffian, a moment one Pfaffian
         corr.energy_cumulant(self.EDGES[:3])
-        assert counts == {"pfaffian": 0, "covariance": 2}
+        assert counts == {"pfaffian": 0, "products": 2}
         corr.energy_moment(self.EDGES[:3])
-        assert counts == {"pfaffian": 1, "covariance": 4}
+        assert counts == {"pfaffian": 1, "products": 4}
 
 
 class TestScalingCorrelation:

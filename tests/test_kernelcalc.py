@@ -81,28 +81,29 @@ def family_sum(a, b):
 
 class TestKernelBasics:
     def test_label_validation(self, geom):
+        def kernel(label, geom):
+            # the label beside a valid one, in the sector of its order
+            ok = FieldLabel(1, (0, 0), (1, 1))
+            return Kernel(geom, 2, sum(label.D), 0, {((label, ok), ()): 1.0})
         with pytest.raises(ValueError):
-            FieldLabel(0, (0, 0), (1, 1)).validate()
+            kernel(FieldLabel(0, (0, 0), (1, 1)), None)
         with pytest.raises(ValueError):
-            FieldLabel(1, (2, 1), (1, 1)).validate()
+            kernel(FieldLabel(1, (2, 1), (1, 1)), None)
         with pytest.raises(ValueError):
-            FieldLabel(1, (0, 0), (0, 1)).validate(geom)
+            kernel(FieldLabel(1, (0, 0), (0, 1)), geom)
         with pytest.raises(ValueError):
-            FieldLabel(1, (0, 0), (1, geom.M + 2)).validate(geom)
+            kernel(FieldLabel(1, (0, 0), (1, geom.M + 2)), geom)
         # vertical overhang of the difference window is allowed
-        FieldLabel(1, (0, 2), (1, geom.M)).validate(geom)
+        kernel(FieldLabel(1, (0, 2), (1, geom.M)), geom)
         # entries must be integers: no floats, no bools
         with pytest.raises(ValueError):
-            FieldLabel(1, (0, 0), (1.5, 2)).validate(geom)
+            kernel(FieldLabel(1, (0, 0), (1.5, 2)), geom)
         with pytest.raises(ValueError):
-            FieldLabel(True, (0, 0), (1, 1)).validate()
-        half = (FieldLabel(1, (0, 0), (1.5, 2)), FieldLabel(-1, (0, 0), (3, 2)))
-        with pytest.raises(ValueError):
-            Kernel(geom, 2, 0, 0, {(half, ()): 1.0})
+            kernel(FieldLabel(True, (0, 0), (1, 1)), None)
         # and fit the int32 key arrays, also in infinite volume
         far = FieldLabel(1, (0, 0), (2 ** 40, 1))
         with pytest.raises(ValueError):
-            far.validate(geom)
+            kernel(far, geom)
         with pytest.raises(ValueError):
             Kernel(None, 2, 0, 0, {((far, far), ()): 1.0})
 
@@ -995,7 +996,6 @@ class TestTruncatedExpectation:
             calls.append(len(rows))
             return products(self, rows)
         monkeypatch.setattr(PropagatorTable, "products", counting)
-        monkeypatch.setattr(PropagatorTable, "covariance", None)
         rng = np.random.default_rng(37)
         monos = [_rand_labels(rng, geom, 2) for _ in range(3)]
         truncated_expectation(monos, table)
@@ -1121,7 +1121,6 @@ class TestRGStep:
             calls.append(len(rows))
             return products(self, rows)
         monkeypatch.setattr(PropagatorTable, "products", counting)
-        monkeypatch.setattr(PropagatorTable, "covariance", None)
         rng = np.random.default_rng(47)
         v = rand_kernel(rng, geom, 4, 0, nkeys=2)
         rg_step({v.sector: v}, table, s_max=2)
@@ -1131,11 +1130,12 @@ class TestRGStep:
         # with no interaction there is nothing to contract
         assert rg_step({}, table, s_max=2) == {}
 
-    def test_term_budget(self, geom, table):
+    def test_term_budget(self, geom, table, monkeypatch):
+        monkeypatch.setattr(kernelcalc, "_TERM_BUDGET", 10)
         rng = np.random.default_rng(36)
         v = rand_kernel(rng, geom, 4, 0, nkeys=4)
-        with pytest.raises(RuntimeError):
-            rg_step({v.sector: v}, table, s_max=2, term_budget=10)
+        with pytest.raises(RuntimeError, match="term budget 10 exceeded"):
+            rg_step({v.sector: v}, table, s_max=2)
 
 
 class TestCouplings:

@@ -69,10 +69,16 @@ class TestAlphaSign:
 class TestGeometry:
     def test_counts(self):
         geom = CylinderGeometry(6, 4)
-        assert len(geom.sites()) == 24
-        edges = geom.edges()
-        assert sum(1 for e in edges if e.direction == "h") == 24
-        assert sum(1 for e in edges if e.direction == "v") == 18
+        sites = geom.sites()
+        assert len(set(sites)) == len(sites) == 24
+        # every site is the base of a horizontal edge, every site below
+        # row M of a vertical one; both endpoints are sites
+        edges = [Edge(z, d) for z in sites for d in "hv"
+                 if d == "h" or z[1] < geom.M]
+        assert len(edges) == 24 + 18
+        for e in edges:
+            e.validate(geom)
+            assert set(e.endpoints(geom)) <= set(sites)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from isingcyl.multiscale import (
 )
 from isingcyl.propagators import (
     ModelParams, coeff_D, critical_propagator_fourier, ghat_matrix,
-    infinite_propagator, infinite_propagator_grid,
+    infinite_propagator_grid,
 )
 
 
@@ -127,12 +127,12 @@ class TestCutoffWeight:
             assert np.allclose(g[0, 0], avg, atol=1e-14)
 
     def test_weighted_infinite_propagator(self, setup16):
-        # the cutoff profile is only C^1, so the torus sums converge too
-        # slowly for the default 1e-10
+        # a weighted torus sum keeps the symmetry g(z) = -g(-z)^T
         geom, params, cut = setup16
         w = cut.weight(0, params)
-        g = infinite_propagator([(2, 1), (-2, -1)], params, w, tol=1e-6)
-        assert np.allclose(g[(2, 1)], -g[(-2, -1)].T, atol=1e-12)
+        g = infinite_propagator_grid(params, w, 512, np.array([2, -2]),
+                                     np.array([1, -1]))
+        assert np.allclose(g[0, 0], -g[1, 1].T, atol=1e-12)
 
 
 class TestScalePropagators:

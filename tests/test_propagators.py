@@ -16,7 +16,7 @@ from isingcyl.propagators import (
     critical_t2, ghat_matrix,
     horizontal_momenta, infinite_propagator, infinite_propagator_grid,
     gscal_scalar, massive_propagator, massive_propagator_direct,
-    max_block_difference, momentum_grid, s_eval,
+    _root_grid, max_block_difference, s_eval,
     s_weights, scaling_propagator, scaling_series, solve_k2_roots,
 )
 
@@ -132,10 +132,11 @@ class TestMomenta:
             solve_k2_roots(0.0, 3, ModelParams(t1=0.5, t2=0.9))
 
     def test_momentum_grid_cached(self):
-        g = CylinderGeometry(4, 3)
         p = critical_params(0.5)
-        assert momentum_grid(g, p) is momentum_grid(g, p)
-        assert momentum_grid(g, p).k2_roots.shape == (4, 3 + 1)
+        roots = _root_grid(4, 3, p)
+        assert _root_grid(4, 3, p) is roots
+        assert roots.shape == (4, 3 + 1)
+        assert not roots.flags.writeable
 
     @pytest.mark.parametrize("LM", [(2, 1), (8, 5), (34, 3), (64, 64)])
     def test_momentum_grid_mirrors_the_roots(self, LM):
@@ -147,9 +148,7 @@ class TestMomenta:
         assert np.array_equal(coeff_B(k1, p), coeff_B(-k1, p))
         every = solve_k2_roots(k1, M, p)
         assert np.array_equal(every, every[::-1])
-        grid = momentum_grid(CylinderGeometry(L, M), p)
-        assert np.array_equal(grid.k1_values, k1)
-        assert np.array_equal(grid.k2_roots, every[:, M:])
+        assert np.array_equal(_root_grid(L, M, p), every[:, M:])
 
 
 ORACLE_T1S = [0.3, math.sqrt(2.0) - 1.0, 0.5, 0.6]
@@ -530,8 +529,9 @@ class TestBlocks:
 
 
 class TestCovariance:
-    """``PropagatorTable.covariance`` against the pairwise loops of
-    ``gaussian_oracle`` on every table type."""
+    """``PropagatorTable.products`` against the pairwise loops of
+    ``gaussian_oracle`` on every table type: its strict upper triangle is
+    the skew covariance of the rows."""
 
     @pytest.mark.parametrize("kind", ["full", "lazy", "dense", "massive"])
     def test_against_oracle(self, kind):
@@ -553,15 +553,14 @@ class TestCovariance:
             # a repeated field accumulates; an empty row is a zero field
             rows[0].append(rows[0][0])
             rows.append([])
-            got = table.covariance(rows)
+            got = np.triu(table.products(rows), 1)
             ref = oracle.row_covariance(rows, table)
-            assert np.max(np.abs(got - ref)) < 1e-13 * max(
+            assert np.max(np.abs(got - np.triu(ref, 1))) < 1e-13 * max(
                 1.0, np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("kind", ["full", "lazy", "dense", "massive"])
     def test_products_against_oracle(self, kind):
-        # every entry, the diagonal and repeated rows included; the
-        # covariance is the skew part of the upper triangle
+        # every entry, the diagonal and repeated rows included
         geom = CylinderGeometry(6, 4)
         table = _covariance_table(kind, geom)
         rng = np.random.default_rng(42)
@@ -575,14 +574,11 @@ class TestCovariance:
         ref = oracle.row_products(rows, table)
         scale = max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(got - ref)) < 1e-13 * scale
-        upper = np.triu(got, 1)
-        assert np.max(np.abs(table.covariance(rows) - (upper - upper.T))) \
-            < 1e-15 * scale
 
     def test_no_rows_or_no_fields(self):
         table = _covariance_table("massive", CylinderGeometry(4, 3))
-        assert table.covariance([]).shape == (0, 0)
-        assert np.array_equal(table.covariance([[], []]), np.zeros((2, 2)))
+        assert table.products([]).shape == (0, 0)
+        assert np.array_equal(table.products([[], []]), np.zeros((2, 2)))
 
 
 class TestTableErrors:
@@ -918,10 +914,14 @@ class TestScalingPropagator:
             blk = LazyCriticalTable(CylinderGeometry(n, n), p).block(a, b) * n
             assert err == float(np.max(np.abs(blk - target)))
 
-    @pytest.mark.parametrize("y", [-0.1, 0.0, 1.0, 1.5])
-    def test_scaling_series_rejects_points_off_the_cylinder(self, y):
+    @pytest.mark.parametrize("x, y", [
+        (0.25, -0.1), (0.25, 0.0), (0.25, 1.0), (0.25, 1.5),
+        # a column off the unit circumference, rejected before any sum
+        (-0.1, 0.5), (1.5, 0.5)],
+        ids=["-0.1", "0.0", "1.0", "1.5", "x=-0.1", "x=1.5"])
+    def test_scaling_series_rejects_points_off_the_cylinder(self, x, y):
         p = critical_params(0.5)
         with pytest.raises(ValueError, match="open unit cylinder"):
-            scaling_series((0.25, 0.5), (0.625, y), p, [16])
+            scaling_series((0.625, 0.375), (x, y), p, [16])
         with pytest.raises(ValueError, match="open unit cylinder"):
-            scaling_series((0.25, y), (0.625, 0.375), p, [16])
+            scaling_series((x, y), (0.625, 0.375), p, [16])

@@ -259,6 +259,17 @@ class TestLoopCumulant:
             H[2 * i, 2 * i + 1], H[2 * i + 1, 2 * i] = 5.0, -5.0
         assert loop_cumulant(H) == loop_cumulant(G)
 
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_reads_only_the_upper_triangle(self, m):
+        # a products matrix is passed as it is: noise on the diagonal and
+        # below it leaves every bit of the cumulant unchanged
+        rng = np.random.default_rng(13 + m)
+        G = random_skew(rng, 2 * m, complex_entries=True)
+        H = G.copy()
+        below = np.tril_indices(2 * m)
+        H[below] = rng.standard_normal(len(below[0])) * (1 + 2j)
+        assert loop_cumulant(H) == loop_cumulant(G)
+
 
 class TestJointCumulant:
     def test_skew_moment_repeats_read_the_diagonal(self):
