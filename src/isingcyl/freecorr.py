@@ -33,7 +33,7 @@ from .lattice import CylinderGeometry
 from .propagators import (
     LazyCriticalTable, ModelParams, NumericalError, coeff_b, coeff_Delta,
     critical_propagator_direct, horizontal_momenta, massive_propagator,
-    s_eval, s_weights, scaling_propagator,
+    _require_on_cylinder, s_eval, s_weights, scaling_propagator,
 )
 from .skewlinalg import loop_cumulant, pfaffian
 
@@ -312,7 +312,8 @@ class FreeCorrelator:
 def scaling_correlation(points, labels, ell1, ell2, params):
     """The scaling limit of the m-point energy correlation on the cylinder.
 
-    ``points`` are pairwise distinct continuum points with 0 < y < ell2;
+    ``points`` are pairwise distinct continuum points with 0 <= x <= ell1
+    and 0 < y < ell2, or ``ValueError`` is raised before any image sum;
     ``labels`` are edge directions (1 horizontal, 2 vertical).  Returns
     ``(2 t2)^{m1} (1 - t2^2)^{m2} Pf(M)`` where M is the 2m x 2m matrix
     with zero diagonal blocks and the continuum propagator off-diagonal.
@@ -323,9 +324,7 @@ def scaling_correlation(points, labels, ell1, ell2, params):
         raise ValueError("one direction label per point is required")
     if any(l not in (1, 2) for l in labels):
         raise ValueError("direction labels must be 1 or 2")
-    for p in points:
-        if not 0.0 < p[1] < ell2:
-            raise ValueError(f"point {tuple(p)} outside the open cylinder")
+    _require_on_cylinder(points, ell1, ell2)
     for i in range(m):
         for j in range(i + 1, m):
             if np.allclose(points[i], points[j]):

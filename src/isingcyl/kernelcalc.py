@@ -21,7 +21,8 @@ ordered tuple of field labels ``(omega, D, z)`` -- the Grassmann field
 
 A :class:`Kernel` is built from (and decodes to) a ``{(labels, edges):
 coefficient}`` dict but keeps only integer key arrays and complex values;
-every derived kernel is one reduction of its operator's image arrays.
+every derived kernel is one reduction of its operator's image arrays, the
+antisymmetric ones of slot-sorted representatives, then permuted.
 
 Sites follow the lattice conventions: ``x1`` in 1..L (antiperiodic wrap
 for fields), rows 0..M+1 on the closure.  Infinite-volume kernels use
@@ -182,9 +183,9 @@ def kernel_sum(kernels):
         raise ValueError("kernels of different sectors or geometries")
     if len(kernels) == 1:
         return k
-    return _reduced(k.geom, *k.sector, *(
+    return Kernel._of_arrays(k.geom, *k.sector, *_merged(*(
         np.concatenate([getattr(q, a) for q in kernels])
-        for a in ("labels", "edges", "values")))
+        for a in ("labels", "edges", "values"))))
 
 
 def _sorted_edges(edges):
@@ -216,15 +217,26 @@ def _modulus(z):  # as Python's abs(complex); np.abs may differ in the last bit
     return np.hypot(z.real, z.imag)
 
 
-def _reduced(geom, n, p, m, labels, edges, values):
-    """The kernel of key rows: edges sorted within each row, equal keys
-    merged in order of first appearance with their values summed in row
-    order, exact zeros dropped."""
+def _merged(labels, edges, values):
+    """Key rows with edges sorted within each row, equal keys merged in
+    order of first appearance with their values summed in row order, exact
+    zeros dropped."""
     edges = _sorted_edges(edges)
     first, sums = _merge(values, labels, edges)
     keep = np.abs(sums) > 0.0
-    return Kernel._of_arrays(geom, n, p, m, labels[first[keep]],
-                             edges[first[keep]], sums[keep])
+    return labels[first[keep]], edges[first[keep]], sums[keep]
+
+
+def _slot_sorted(rows):
+    """Rows (K, n, c) with each key's slots sorted by code (stable), whether
+    they are all distinct, and the sign of the sort."""
+    codes = _pack(rows)
+    perm = np.argsort(codes, axis=1, kind="stable")
+    keys = np.arange(len(perm))[:, None]
+    live = (np.diff(codes[keys, perm]) != 0).all(axis=1)
+    odd = sum(perm[:, i] > perm[:, j]
+              for i, j in itertools.combinations(range(rows.shape[1]), 2))
+    return rows[keys, perm], live, np.where(odd % 2, -1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +282,9 @@ def _expansion(kernel):
                               terms].all(axis=-1))
     idx = (src[:, None], slot, terms[src, c])
     fields = np.stack([labels[src, :, 0], col[idx], row[idx]], axis=-1)
-    codes = _pack(fields)
-    perm = np.argsort(codes, axis=1, kind="stable")
-    rows = np.arange(len(perm))[:, None]
-    live = (np.diff(codes[rows, perm]) != 0).all(axis=1)
-    odd = sum(perm[:, i] > perm[:, j]
-              for i in range(n) for j in range(i + 1, n)) % 2
-    sign = np.where(odd, -1, 1) * sign[idx].prod(axis=1, dtype=np.int8)
-    fields = fields[rows[live], perm[live]]
+    fields, live, order = _slot_sorted(fields)
+    sign = order * sign[idx].prod(axis=1, dtype=np.int8)
+    fields = fields[live]
     edges = _sorted_edges(kernel.edges)[src[live]]
     first, sums = _merge(kernel.values[src[live]] * sign[live], fields,
                          edges)
@@ -334,8 +341,9 @@ def _derive(kernel, images, p=None):
     of each, adding ``f * c`` for the source's coefficient ``c``.  Sector and
     geometry are kept, except the difference order when ``p`` is given."""
     src, labels, edges, f = images
-    return _reduced(kernel.geom, kernel.n, kernel.p if p is None else p,
-                    kernel.m, labels, edges, f * kernel.values[src])
+    return Kernel._of_arrays(
+        kernel.geom, kernel.n, kernel.p if p is None else p, kernel.m,
+        *_merged(labels, edges, f * kernel.values[src]))
 
 
 def _parity(order):
@@ -348,15 +356,28 @@ def _perm_signs(n):
     return np.array(perms), np.array([_parity(p) for p in perms], float)
 
 
+def _representatives(labels, edges, values):
+    """:func:`_merged` key rows with each key's slots sorted, the sign of
+    the sort folded into its value; keys with a repeated label vanish."""
+    labels, live, sign = _slot_sorted(labels)
+    return _merged(labels[live], edges[live], values[live] * sign[live])
+
+
+def _antisymmetrized(geom, n, p, m, labels, edges, values):
+    """The signed slot permutations of representatives, value/n! each: all
+    distinct keys, as the representatives and their labels are distinct."""
+    perms, signs = _perm_signs(n)
+    R, P = len(values), len(perms)
+    return Kernel._of_arrays(
+        geom, n, p, m, labels[:, perms].reshape(R * P, n, 5),
+        np.repeat(edges, P, axis=0),
+        np.outer(values, signs / math.factorial(n)).ravel())
+
+
 def antisymmetrize(kernel):
     """Average over signed permutations of the field slots."""
-    perms, signs = _perm_signs(kernel.n)
-    K, P = len(kernel.values), len(perms)
-    return _derive(kernel, (
-        np.repeat(np.arange(K), P),
-        kernel.labels[:, perms].reshape(K * P, kernel.n, 5),
-        np.repeat(kernel.edges, P, axis=0),
-        np.tile(signs / math.factorial(kernel.n), K)))
+    return _antisymmetrized(kernel.geom, *kernel.sector, *_representatives(
+        kernel.labels, kernel.edges, kernel.values))
 
 
 def _reflect(labels, edges, axis, geom):
@@ -364,6 +385,8 @@ def _reflect(labels, edges, axis, geom):
     (axis=1) or vertically (axis=2), with the product of the label phases
     of each key: ``i omega (-1)^d1 s`` (s the sign of the antiperiodic
     wrap), resp. ``i (-1)^d2``, per label, and ``i^n = (-1)^(n/2)``."""
+    if geom is None:
+        raise ValueError("reflections require a finite geometry")
     omega, d1, d2, x1, x2 = np.moveaxis(labels, -1, 0)
     b1, b2, vertical = np.moveaxis(edges, -1, 0)
     labels, edges = labels.copy(), edges.copy()
@@ -381,35 +404,27 @@ def _reflect(labels, edges, axis, geom):
     return labels, edges, (-1) ** (labels.shape[1] // 2) * phase
 
 
-def _reflected(kernel, compositions, weight=1.0):
-    """Sum over ``compositions`` (tuples of axes, applied in turn) of
-    ``weight`` times the reflected kernel, field phases included."""
-    geom = kernel.geom
-    if geom is None:
-        raise ValueError("reflections require a finite geometry")
-    K, C = len(kernel.values), len(compositions)
-    labels = np.repeat(kernel.labels[:, None], C, axis=1)
-    edges = np.repeat(kernel.edges[:, None], C, axis=1)
-    f = np.full((K, C), weight)
-    for i, axes in enumerate(compositions):
-        for axis in axes:
-            labels[:, i], edges[:, i], phase = _reflect(
-                labels[:, i], edges[:, i], axis, geom)
-            f[:, i] *= phase
-    return _derive(kernel, (np.repeat(np.arange(K), C),
-                            labels.reshape(K * C, kernel.n, 5),
-                            edges.reshape(K * C, kernel.m, 3), f.ravel()))
-
-
 def reflect_kernel(kernel, axis):
-    return _reflected(kernel, [(axis,)])
+    labels, edges, phase = _reflect(kernel.labels, kernel.edges, axis,
+                                    kernel.geom)
+    return _derive(kernel, (np.arange(len(labels)), labels, edges, phase))
 
 
 def symmetrize(kernel):
     """Antisymmetrize the field slots and average over the two reflections
-    (with their field phases)."""
-    return _reflected(antisymmetrize(kernel), [(), (1,), (2,), (1, 2)],
-                      0.25)
+    (with their field phases): the representatives and their three images,
+    weight 1/4 each, merged as representatives, then permuted."""
+    labels, edges, values = _representatives(kernel.labels, kernel.edges,
+                                             kernel.values)
+    h = _reflect(labels, edges, 1, kernel.geom)
+    v = _reflect(labels, edges, 2, kernel.geom)
+    hv = _reflect(*h[:2], 2, kernel.geom)
+    images = [(labels, edges, 1), h, v, (*hv[:2], h[2] * hv[2])]
+    # image-major: the representatives keep their order, new keys follow
+    labels, edges, phase = (np.concatenate(np.broadcast_arrays(*a))
+                            for a in zip(*images))
+    return _antisymmetrized(kernel.geom, *kernel.sector, *_representatives(
+        labels, edges, 0.25 * phase * np.tile(values, 4)))
 
 
 def horizontal_translate(kernel, a):
@@ -812,9 +827,10 @@ def rg_step(family, table, s_max=2):
     out = {}
     for (n, p, m), found in terms.items():
         ext, edges, values = zip(*found)
-        k = _reduced(geom, n, p, m, labels[np.array(ext)],
-                     np.array(edges, dtype=np.int32).reshape(len(found), m, 3),
-                     np.array(values))
+        k = Kernel._of_arrays(geom, n, p, m, *_merged(
+            labels[np.array(ext)],
+            np.array(edges, dtype=np.int32).reshape(len(found), m, 3),
+            np.array(values)))
         if len(k.values):
             out[(n, p, m)] = k
     return out

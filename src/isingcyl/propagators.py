@@ -738,6 +738,8 @@ def infinite_propagator(zs, params):
     ``z -> 2x2 block``.
     """
     zs = [tuple(z) for z in zs]
+    if not zs:
+        raise ValueError("empty offset list: need at least one offset")
     z1, i1 = np.unique([z[0] for z in zs], return_inverse=True)
     z2, i2 = np.unique([z[1] for z in zs], return_inverse=True)
     raw, r1, r2, best = [], [], [], []
@@ -783,6 +785,14 @@ def _g2(x, y, params):
 _IMAGES = 64
 
 
+def _require_on_cylinder(points, ell1, ell2, name="cylinder"):
+    """Raise ValueError naming the first point that is not finite with
+    0 <= x <= ell1 and 0 < y < ell2 (NaN fails every comparison)."""
+    for x, y in ((float(a), float(b)) for a, b in points):
+        if not (0.0 <= x <= ell1 and 0.0 < y < ell2):
+            raise ValueError(f"point {(x, y)} outside the open {name}")
+
+
 def _alternating_fold(T):
     """Euler-accelerated ``sum_n (-1)^n T[..., n]`` over the last axis,
     which runs over the images n = -64..64.
@@ -804,12 +814,14 @@ def scaling_propagator(z, zp, ell1, ell2, params):
     """The continuum cylinder propagator as an alternating image sum.
 
     ``z``, ``zp`` are distinct points of the open cylinder of circumference
-    ``ell1`` and height ``ell2``.  Images carry the alternating sign
-    ``(-1)^(n1 + n2)``; all images with |n1|, |n2| <= 64 are evaluated as
-    one array, and both lattice directions are summed with Euler
+    ``ell1`` and height ``ell2``, 0 <= x <= ell1 and 0 < y < ell2, or
+    ``ValueError`` is raised before any sum.  Images carry the alternating
+    sign ``(-1)^(n1 + n2)``; all images with |n1|, |n2| <= 64 are evaluated
+    as one array, and both lattice directions are summed with Euler
     acceleration, n1 first, so the conditionally convergent 1/r tails are
     resummed to machine precision.
     """
+    _require_on_cylinder((z, zp), ell1, ell2)
     z = np.asarray(z, dtype=float)
     zp = np.asarray(zp, dtype=float)
     if np.allclose(z, zp):
@@ -836,10 +848,7 @@ def scaling_series(z, zp, params, sizes):
     must lie in the open unit cylinder, 0 <= x <= 1 and 0 < y < 1, or
     ``ValueError`` is raised before any sum.
     """
-    for p in (z, zp):
-        if not (0.0 <= p[0] <= 1.0 and 0.0 < p[1] < 1.0):
-            raise ValueError(f"point {tuple(p)} outside the open unit "
-                             "cylinder")
+    _require_on_cylinder((z, zp), 1.0, 1.0, "unit cylinder")
     target = scaling_propagator(z, zp, 1.0, 1.0, params)
     errors = []
     for n in sizes:

@@ -1,6 +1,8 @@
 import math
+import re
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -501,6 +503,18 @@ class TestScalingCorrelation:
             scaling_correlation([(0.3, 1.4)], (2,), 1, 1, p)
         with pytest.raises(ValueError):
             scaling_correlation([(0.3, 0.4)], (3,), 1, 1, p)
+
+    @pytest.mark.parametrize("x", [1e200, math.nan, -0.1])
+    def test_points_off_the_circumference_raise(self, x):
+        # rejected, naming the point, before any image sum overflows
+        p = ModelParams.critical(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pts in ([(x, 0.5), (0.2, 0.5)], [(0.2, 0.5), (x, 0.5)],
+                        [(x, 0.5)]):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"point ({x}, 0.5)")):
+                    scaling_correlation(pts, (2,) * len(pts), 1.0, 1.0, p)
 
     def test_lattice_convergence_small(self):
         # the rescaled lattice cumulant approaches the continuum value

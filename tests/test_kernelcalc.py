@@ -15,7 +15,7 @@ from isingcyl.acceptance import _rand_kernel, _rand_source
 from isingcyl.kernelcalc import (
     BOUNDARY, BULK, NORM_DISTANCES, NORM_FLAVORS, FieldLabel, Kernel,
     VertexRenorm, _label_rows, _pack, _products, _sector_check,
-    antisymmetrize, expand_family,
+    antisymmetrize, expand_family, kernel_sum,
     extract_vertex_renorm, free_source_kernels,
     horizontal_translate, localize_bulk, localize_edge, localize_source,
     monomial_moment, polynomial_distance, reflect_kernel, renormalize_bulk,
@@ -170,8 +170,16 @@ class TestKernelBasics:
 
     def test_symmetrize_idempotent(self, geom):
         rng = np.random.default_rng(3)
-        k = symmetrize(rand_kernel(rng, geom, 2, 1))
-        assert polynomial_distance(symmetrize(k), k) < 1e-14
+        for sec in [(2, 1), (4, 0), (4, 1)]:
+            k = symmetrize(rand_kernel(rng, geom, *sec))
+            assert polynomial_distance(symmetrize(k), k) < 1e-14
+
+    @pytest.mark.parametrize("op", [antisymmetrize, symmetrize])
+    def test_repeated_label_vanishes(self, geom, op):
+        l = FieldLabel(1, (0, 1), (3, 3))
+        others = (FieldLabel(-1, (0, 0), (4, 2)), FieldLabel(1, (0, 0), (5, 2)))
+        for n, labels in [(2, (l, l)), (4, (l, others[0], l, others[1]))]:
+            assert op(Kernel(geom, n, 2, 0, {(labels, ()): 1.0})).coeffs == {}
 
 
 class TestExpansion:
@@ -435,9 +443,22 @@ class TestAgainstOracle:
                 tilde_R(tilde_R(k)),
                 kernel_oracle.tilde_R(kernel_oracle.tilde_R(k)))
 
-    def test_symmetrize_builds_two_kernels(self, geom, monkeypatch):
-        # one validation per derived array: the antisymmetrized kernel and
-        # the sum of its four reflection images
+    def test_benchmark_scale(self, geom):
+        # a collected (4,1) remainder from kernels of the benchmark's size
+        # (three keys on four columns): the reference's key set and values
+        rng = np.random.default_rng(0)
+        k = kernel_sum([symmetrize(_rand_kernel(rng, geom, 4, 1)),
+                        tilde_R(symmetrize(_rand_kernel(rng, geom, 4, 0)))])
+        assert len(k.values) >= 1000
+        for name in ("antisymmetrize", "symmetrize"):
+            got, ref = globals()[name](k), getattr(kernel_oracle, name)(k)
+            assert got.coeffs.keys() == ref.coeffs.keys()
+            assert_matches_oracle(got, ref)
+
+    @pytest.mark.parametrize("op", [antisymmetrize, symmetrize])
+    def test_builds_one_kernel(self, geom, monkeypatch, op):
+        # one validation: the signed permutations of the merged
+        # representatives (of the reflection images, for symmetrize)
         builds = []
         validate = Kernel._validate
 
@@ -447,8 +468,8 @@ class TestAgainstOracle:
         rng = np.random.default_rng(41)
         k = rand_kernel(rng, geom, 4, 1, base=10)
         monkeypatch.setattr(Kernel, "_validate", counting)
-        symmetrize(k)
-        assert builds == [(4, 1, 0), (4, 1, 0)]
+        op(k)
+        assert builds == [(4, 1, 0)]
 
 
 # every sector up to the first pass-through ones: localized, collected and

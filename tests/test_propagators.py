@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -773,6 +775,12 @@ class TestInfinitePropagator:
         assert np.allclose(g[(2, 1)], -g[(-2, -1)].T, atol=1e-12)
         assert np.allclose(g[(0, 3)], -g[(0, -3)].T, atol=1e-12)
 
+    def test_empty_offset_list_raises(self, monkeypatch):
+        # rejected before any torus sum
+        monkeypatch.setattr(propagators, "infinite_propagator_grid", None)
+        with pytest.raises(ValueError, match="empty offset list"):
+            infinite_propagator([], critical_params(0.5))
+
     def test_center_of_large_cylinder(self):
         # deep inside a cylinder the finite-volume propagator approaches
         # the infinite-volume one; the massless images make the gap close
@@ -854,6 +862,17 @@ class TestScalingPropagator:
         p = critical_params(0.5)
         with pytest.raises(ValueError):
             scaling_propagator((0.5, 0.5), (0.5, 0.5), 1.0, 1.0, p)
+
+    @pytest.mark.parametrize("x", [1e200, math.nan, -0.1])
+    def test_points_off_the_circumference_raise(self, x):
+        # rejected, naming the point, before any image sum overflows
+        p = critical_params(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z, zp in [((x, 0.5), (0.2, 0.5)), ((0.2, 0.5), (x, 0.5))]:
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"point ({x}, 0.5)")):
+                    scaling_propagator(z, zp, 1.0, 1.0, p)
 
     def test_rescaling_covariance(self):
         p = critical_params(0.5)
