@@ -226,19 +226,18 @@ def check_boundary_and_symmetries(seed=0):
     for t1 in T1S:
         p = ModelParams.critical(t1)
         for (L, M) in GEOMS:
-            for k1 in horizontal_momenta(L):
-                for k2 in solve_k2_roots(k1, M, p):
-                    g = ghat_matrix(k1, k2, p)
-                    gm2 = ghat_matrix(k1, -k2, p)
-                    gm1 = ghat_matrix(-k1, k2, p)
-                    phase = np.exp(-2j * k2 * (M + 1))
-                    worst = max(worst,
-                                abs(g[0, 0] - gm2[0, 0]),
-                                abs(g[0, 0] + gm1[0, 0]),
-                                abs(g[0, 0] - gm1[1, 1]),
-                                abs(g[0, 1] - gm1[0, 1]),
-                                abs(g[0, 1] + gm2[1, 0]),
-                                abs(g[0, 1] + phase * g[1, 0]))
+            k1 = horizontal_momenta(L)
+            k2 = solve_k2_roots(k1, M, p)
+            k1 = k1[:, None]
+            g = ghat_matrix(k1, k2, p)
+            gm2 = ghat_matrix(k1, -k2, p)
+            gm1 = ghat_matrix(-k1, k2, p)
+            phase = np.exp(-2j * k2 * (M + 1))
+            worst = max(worst, *(np.abs(d).max() for d in (
+                g[..., 0, 0] - gm2[..., 0, 0], g[..., 0, 0] + gm1[..., 0, 0],
+                g[..., 0, 0] - gm1[..., 1, 1], g[..., 0, 1] - gm1[..., 0, 1],
+                g[..., 0, 1] + gm2[..., 1, 0],
+                g[..., 0, 1] + phase * g[..., 1, 0])))
     return _record(4, "boundary cancellations and momentum symmetries",
                    worst, 1e-12, t0)
 

@@ -777,6 +777,11 @@ def rg_step(family, table, s_max=2):
     if not family:
         return {}
     kernels = list(family.values())
+    # an entry of n fields has 2^(n-1) even splits, and the loop below
+    # visits width^s terms for each s
+    width = sum(len(k.values) << (k.n - 1) for k in kernels)
+    if sum(width ** s for s in range(1, s_max + 1)) > _TERM_BUDGET:
+        raise RuntimeError(f"term budget {_TERM_BUDGET} exceeded in rg_step")
     geom = kernels[-1].geom
     rows = np.concatenate([k.labels.reshape(-1, 5) for k in kernels])
     first, group = _groups(rows[:, None])
@@ -802,21 +807,16 @@ def rg_step(family, table, s_max=2):
                                _parity(ext + rest), skew_moment(K, inner)))
 
     terms = defaultdict(list)  # (n, p, m) -> [(labels, edges, value)]
-    count = 0
     for s in range(1, s_max + 1):
         fact = math.factorial(s)
         for combo in itertools.product(range(len(entries)), repeat=s):
             edges = [row for i in combo for row in entries[i][1]]
             for parts in itertools.product(*(splits[e] for e in combo)):
-                count += 1
-                if count > _TERM_BUDGET:
-                    raise RuntimeError(
-                        f"term budget {_TERM_BUDGET} exceeded in rg_step")
                 ext = [i for q in parts for i in q[0]]
                 if not ext or (s > 1 and not all(q[1] for q in parts)):
                     continue
-                val = parts[0][3] if s == 1 else joint_cumulant(
-                    K, [q[1] for q in parts], [q[3] for q in parts])
+                val = joint_cumulant(K, [q[1] for q in parts],
+                                     [q[3] for q in parts])
                 if val == 0.0:
                     continue
                 coeff = math.prod(q[2] for q in parts) * val / fact

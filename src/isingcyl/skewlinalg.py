@@ -1,18 +1,16 @@
 r"""Antisymmetric matrix algebra: Pfaffians and moment/cumulant conversion.
 
 Gaussian Grassmann moments are Pfaffians of antisymmetric matrices of pair
-contractions; truncated correlations follow from moments by set-partition
-Moebius inversion, or for bilinears as a sum over connected loops.  A
-brute-force perfect-matching Pfaffian is the oracle in tests.
+contractions; truncated correlations follow from the moments of every
+sub-collection by one subset recursion over bitmasks, or for bilinears as a
+sum over connected loops.  A brute-force perfect-matching Pfaffian is the
+oracle in tests.
 
 Every routine here that takes a skew matrix reads only its strict upper
 triangle, so a products matrix of fields is passed as it is.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
-from math import factorial
 
 import numpy as np
 
@@ -65,13 +63,14 @@ def skew_moment(K, idx):
 def joint_cumulant(K, parts, moments):
     """Joint cumulant of the monomials at index ``parts`` of a products
     matrix ``K`` from the parts' ``moments``: the :func:`skew_moment` of
-    every union of parts, then moment-cumulant inversion."""
-    moms = {frozenset([i]): m for i, m in enumerate(moments)}
-    for r in range(2, len(parts) + 1):
-        for sub in combinations(range(len(parts)), r):
-            moms[frozenset(sub)] = skew_moment(
-                K, [j for i in sub for j in parts[i]])
-    return moments_to_cumulants(moms)[frozenset(range(len(parts)))]
+    every union of two or more parts, then :func:`_cumulants`.  One part
+    gives its moment back unchanged."""
+    m = [None] * (1 << len(parts))
+    for mask in range(1, len(m)):
+        sub = [i for i in range(len(parts)) if mask >> i & 1]
+        m[mask] = moments[sub[0]] if len(sub) == 1 else skew_moment(
+            K, [j for i in sub for j in parts[i]])
+    return _cumulants(m)[-1]
 
 
 def loop_cumulant(G):
@@ -120,63 +119,35 @@ def pfaffian_bruteforce(A):
     return rec(tuple(range(n)))
 
 
-def set_partitions(items):
-    """All partitions of a sequence, as tuples of tuples."""
-    items = tuple(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        # first joins an existing block
-        for i, block in enumerate(part):
-            yield part[:i] + ((first,) + block,) + part[i + 1:]
-        # or opens a new one
-        yield ((first,),) + part
-
-
-def _small_cumulant(moments, a, b=None, c=None):
-    """The joint cumulant of one, two or three indices from their moments:
-    ``m_a``, ``m_ab - m_a m_b`` and ``m_abc - m_ab m_c - m_ac m_b -
-    m_bc m_a + 2 m_a m_b m_c``."""
-    def m(*idx):
-        return moments[frozenset(idx)]
-    if b is None:
-        return m(a)
-    if c is None:
-        return m(a, b) - m(a) * m(b)
-    return (m(a, b, c) - m(a, b) * m(c) - m(a, c) * m(b) - m(b, c) * m(a)
-            + 2.0 * m(a) * m(b) * m(c))
+def _cumulants(m):
+    """Joint cumulants from moments indexed by bitmask: ``m[mask]`` is the
+    moment of the indices whose bits ``mask`` sets (``m[0]`` is unread);
+    returns ``kappa`` by the same masks.  The recursion
+    ``kappa(S) = m(S) - sum_B kappa(B) m(S \\ B)`` over the proper subsets
+    B of S holding S's lowest index (Leonov-Shiryaev 1959), O(3^k)."""
+    kappa = [None] * len(m)
+    for mask in range(1, len(m)):
+        low = mask & -mask
+        rest = mask ^ low
+        k = m[mask]
+        sub = (rest - 1) & rest
+        while sub != rest:
+            k -= kappa[low | sub] * m[rest ^ sub]
+            sub = (sub - 1) & rest
+        kappa[mask] = k
+    return kappa
 
 
 def moments_to_cumulants(moments):
-    """Moebius inversion of the moment-cumulant relation.
+    """Inversion of the moment-cumulant relation.
 
     ``moments`` maps every nonempty subset (frozenset) of some index set to
-    a number; returns the map ``S -> joint cumulant of S``:
-    ``kappa(S) = sum over partitions pi of S of
-    (-1)^(|pi|-1) (|pi|-1)! prod_B moment(B)``, written out for |S| <= 3.
-    A missing subset raises ``KeyError``.
+    a number; returns the map ``S -> joint cumulant of S`` for every
+    nonempty key, by :func:`_cumulants`.  A missing subset raises
+    ``KeyError`` naming it.
     """
-    index_sets = sorted(moments, key=lambda s: (len(s), sorted(s)))
-    if not index_sets:
-        return {}
-    universe = frozenset().union(*index_sets)
-    for r in range(1, len(universe) + 1):
-        for sub in combinations(sorted(universe), r):
-            if frozenset(sub) not in moments:
-                raise KeyError(f"moment of subset {sub} missing")
-    out = {}
-    for s in index_sets:
-        if len(s) <= 3:
-            out[s] = _small_cumulant(moments, *sorted(s))
-            continue
-        total = 0.0
-        for part in set_partitions(sorted(s)):
-            prod = 1.0
-            for block in part:
-                prod *= moments[frozenset(block)]
-            total += (-1) ** (len(part) - 1) * factorial(len(part) - 1) * prod
-        out[s] = total
-    return out
-
+    universe = sorted(frozenset().union(*moments))
+    sets = [frozenset(x for i, x in enumerate(universe) if mask >> i & 1)
+            for mask in range(1 << len(universe))]
+    kappa = _cumulants([None] + [moments[s] for s in sets[1:]])
+    return dict(zip(sets[1:], kappa[1:]))

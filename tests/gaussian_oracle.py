@@ -1,7 +1,8 @@
 """Reference covariances of linear field combinations: the pairwise double
 loops that :meth:`isingcyl.propagators.PropagatorTable.covariance` and
 :meth:`~isingcyl.propagators.PropagatorTable.products` replace, kept as
-their oracle.
+their oracle; and the set partitions that the moment-cumulant relation
+sums over, the oracle of :func:`isingcyl.skewlinalg.moments_to_cumulants`.
 
 Every entry of a covariance matrix is summed term by term, one table block
 per pair of plain fields, and the skew matrix is filled entry by entry, so
@@ -120,3 +121,18 @@ def monomial_covariance(labels, table):
     """Covariance matrix of a tuple of derivative field labels."""
     return skew_matrix(len(labels), lambda i, j: label_covariance(
         labels[i], labels[j], table))
+
+
+def set_partitions(items):
+    """All partitions of a sequence, as tuples of tuples."""
+    items = tuple(items)
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        # first joins an existing block
+        for i, block in enumerate(part):
+            yield part[:i] + ((first,) + block,) + part[i + 1:]
+        # or opens a new one
+        yield ((first,),) + part

@@ -359,7 +359,7 @@ class TestEnergyCumulants:
                     [[G[i][j] for j in idx] for i in idx])
         kappa = sum((-1) ** (len(part) - 1) * math.factorial(len(part) - 1)
                     * math.prod(mom[frozenset(b)] for b in part)
-                    for part in skewlinalg.set_partitions(range(m)))
+                    for part in oracle.set_partitions(range(m)))
         ref = float(kappa) * math.prod(
             1.0 - (corr.params.t1 if e.direction == "h"
                    else corr.params.t2) ** 2 for e in edges)

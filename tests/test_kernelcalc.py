@@ -1158,6 +1158,32 @@ class TestRGStep:
         with pytest.raises(RuntimeError, match="term budget 10 exceeded"):
             rg_step({v.sector: v}, table, s_max=2)
 
+    def test_term_budget_checked_before_any_work(self, geom, table,
+                                                 monkeypatch):
+        def products(*args):
+            raise AssertionError("products matrix built past the budget")
+        monkeypatch.setattr(kernelcalc, "_products", products)
+        monkeypatch.setattr(kernelcalc, "_TERM_BUDGET", 10)
+        rng = np.random.default_rng(36)
+        v = rand_kernel(rng, geom, 4, 0, nkeys=4)
+        with pytest.raises(RuntimeError, match="term budget 10 exceeded"):
+            rg_step({v.sector: v}, table, s_max=2)
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_term_budget_is_the_term_count(self, geom, table, monkeypatch,
+                                           spare):
+        # an entry of 2 fields and one of 4 have 2 + 8 even splits, so
+        # s_max = 2 visits 10 + 10^2 terms
+        rng = np.random.default_rng(37)
+        fam = {(2, 0): rand_kernel(rng, geom, 2, 0, nkeys=1),
+               (4, 0): rand_kernel(rng, geom, 4, 0, nkeys=1)}
+        monkeypatch.setattr(kernelcalc, "_TERM_BUDGET", 110 + spare)
+        if spare < 0:
+            with pytest.raises(RuntimeError, match="term budget 109 "):
+                rg_step(fam, table, s_max=2)
+        else:
+            assert rg_step(fam, table, s_max=2)
+
 
 class TestCouplings:
     def test_invalid_values(self):

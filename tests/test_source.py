@@ -117,6 +117,56 @@ def test_benchmark_trace_targets_resolve():
 PERFBENCH = TRACING.parent
 
 
+def _benchmark_names():
+    # (module, path) for every library name a benchmark file imports with
+    # ``from isingcyl.m import n`` or reads through a module alias
+    # (``import isingcyl.m as a``, then ``a.n``), with one attribute more
+    # where the name is used as ``a.n.attr`` or ``n.attr``
+    found = set()
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> (module, path it stands for)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname, (a.name, ())) for a in node.names
+                             if a.asname and a.name.startswith("isingcyl."))
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.startswith("isingcyl.")):
+                for a in node.names:
+                    bound[a.asname or a.name] = (node.module, (a.name,))
+                    found.add((node.module, (a.name,)))
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in bound:
+                module, head = bound[node.id]
+                found.add((module, (head + tuple(chain))[:2]))
+    return found
+
+
+def test_benchmark_names_resolve():
+    # every library name the benchmark reads by name: deleting one ends
+    # every benchmark run as run_failed.  A class's attribute is checked
+    # one level down (``pr.LazyCriticalTable.block``); attributes read off
+    # instances (``Kernel.scaled`` on a kernel, ``row_offset``) are not
+    # seen here and stay covered by the benchmark's own tests only
+    names = _benchmark_names()
+    assert len(names) > 40  # 49 names when this test was written
+    missing = []
+    for module, path in sorted(names):
+        obj = importlib.import_module(module)
+        for i, attr in enumerate(path):
+            if i and not isinstance(obj, type):
+                break
+            if not hasattr(obj, attr):
+                missing.append(".".join((module, *path[:i + 1])))
+                break
+            obj = getattr(obj, attr)
+    assert missing == []
+
+
 def _mentions(node):
     # every identifier a piece of code names: variables, attributes, the
     # parts of imported module paths and of dotted string constants (the
