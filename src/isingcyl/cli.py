@@ -125,17 +125,17 @@ def _emit_and_gate(args, report, gated=(), csv=None):
 def _build_params(args):
     # args.critical is None unless --critical or --no-critical is given
     if args.beta is not None:
-        if args.critical:
-            raise ConfigError("--critical conflicts with --beta; "
-                              "give --t1 instead")
+        if args.critical or args.t1 is not None or args.t2 is not None:
+            raise ConfigError("--beta fixes t1 and t2; it conflicts with "
+                              "--critical, --t1 and --t2")
         return ModelParams.from_beta(args.beta, args.J1, args.J2)
     if args.t1 is None:
         raise ConfigError("either --t1 or --beta is required")
-    if args.critical is not False:
-        return ModelParams.critical(args.t1)
-    if args.t2 is None:
-        raise ConfigError("non-critical parameters need both --t1 and --t2")
-    return ModelParams(t1=args.t1, t2=args.t2)
+    if (args.critical is not False) == (args.t2 is not None):
+        raise ConfigError("--t2 is required with --no-critical and conflicts "
+                          "with the critical line, where --t1 fixes t2")
+    return (ModelParams.critical(args.t1) if args.t2 is None
+            else ModelParams(t1=args.t1, t2=args.t2))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +191,11 @@ def _load_request(path):
     try:
         p = doc["params"]
         geom = CylinderGeometry(p["L"], p["M"])
-        if p.get("critical", True):
-            params = ModelParams.critical(p["t1"])
-        else:
-            params = ModelParams(t1=p["t1"], t2=p["t2"])
+        if bool(p.get("critical", True)) == ("t2" in p):
+            raise ConfigError('"t2" is required with "critical": false and '
+                              'conflicts with the critical line')
+        params = (ModelParams.critical(p["t1"]) if "t2" not in p
+                  else ModelParams(t1=p["t1"], t2=p["t2"]))
         edges = tuple(Edge((e["x1"], e["x2"]), e["dir"])
                       for e in doc["edges"])
         return CorrelationRequest(geom=geom, edges=edges,

@@ -161,17 +161,17 @@ def bulk_edge_split(h, geom, params, cutoff=None):
     horizontal difference d1 carries the sign s_L(d1) (+1, 0, -1 for
     |d1| <, =, > L/2), which reproduces exactly the antiperiodic wrap
     convention of the finite-cylinder tables.  The infinite-volume values
-    are raw torus sums at the offsets ``(per_L(d1), z2 - z'2)``, N the
-    least power of two >= 4 max(L, M) and >= 256: O(N^2 (L + M)) time and
-    O(N^2) memory.
+    are the raw N-torus sums of :func:`infinite_propagator_grid` (the
+    momentum sum of ``full`` over the torus modes) at the offsets
+    ``(per_L(d1), z2 - z'2)``, N the least power of two >= 4 max(L, M) and
+    >= 256: O(N^2 M + N L M) time and O(N^2) memory.
     """
     cutoff = cutoff or ScaleCutoff.for_geometry(geom)
     L, M = geom.L, geom.M
     N = max(256, 1 << (4 * max(L, M) - 1).bit_length())
     m = np.arange(L)
-    ginf = infinite_propagator_grid(
-        params, cutoff.weight(h, params), N, [per_L(d, L) for d in m],
-        np.arange(-(M + 1), M + 2))
+    ginf = infinite_propagator_grid(params, cutoff.weight(h, params), N,
+                                    per_L(m, L), np.arange(-(M + 1), M + 2))
     full = scale_propagator(h, geom, params, cutoff)
     rows = np.arange(M + 2)
     s = np.sign(L / 2 - m)[:, None, None, None, None]

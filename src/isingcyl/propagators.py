@@ -12,9 +12,9 @@ antisymmetric coefficient matrices ``A_c`` (critical sector, field phi) and
   antiperiodic momenta and the vertical roots of the quantization condition
   ``sin k2(M+1) = B(k1) sin(k2 M)``;
 * the massive propagator from the explicit ``s_+/-`` convolution kernels;
-* the infinite-volume propagator (momentum integral, evaluated on a large
-  torus with adaptive doubling), with optional multiplicative momentum
-  cutoff -- the building block of the multiscale bulk part;
+* the infinite-volume propagator: the same momentum sum (one routine,
+  :func:`_offset_profiles`) over the modes of a large torus, with adaptive
+  doubling and an optional momentum cutoff -- the multiscale bulk part;
 * the continuum scaling-limit propagator as an image sum.
 
 All tables are stored in complex arithmetic; physical realness is checked
@@ -413,28 +413,42 @@ def massive_propagator(geom, params):
 
 
 class _Modes(NamedTuple):
-    """The per-k1 data of the critical Fourier sum (see
-    :func:`_critical_modes`)."""
+    """The per-k1 data of one momentum sum, the cylinder's or the torus'
+    (see :func:`_modes`)."""
 
-    phase: np.ndarray  # (L, L): e^{-i k1 d1}, k1 by row, d1 = 0..L-1
-    k2: np.ndarray     # (L, M+1): the nonnegative roots of each k1
-    w: np.ndarray      # (L, M+1): real weights, +-k2 multiplicity folded in
-    s1: np.ndarray     # (L,): 2 i t1 sin k1
-    B: np.ndarray      # (L,): B(k1)
+    phase: np.ndarray  # (K1, offsets): e^{-i k1 d1}, k1 by row
+    k2: np.ndarray     # (K1, K2) or (1, K2): the nonnegative k2 of each k1
+    w: np.ndarray      # (K1, K2): real weights, +-k2 multiplicity folded in
+    s1: np.ndarray     # (K1,): 2 i t1 sin k1
+    B: np.ndarray      # (K1,): B(k1)
     c: float           # 1 - t1^2
 
 
-def _critical_modes(geom, params, weight):
-    """The critical Fourier sum reduced to real per-k1 data.
+def _modes(params, weight, phase, k1, k2, norm):
+    """The :class:`_Modes` of the momenta ``k1`` and their k2 >= 0.  A mode
+    adds ``w D ghat(k1, k2)`` times its phases, ``w = weight/(norm D)``
+    real and even in k2, and ``D ghat`` is affine in ``e^{+-i k2}`` with
+    the k1 coefficients s1, c = 1 - t1^2 and B: so the sum is folded onto
+    k2 >= 0, w doubled at every k2 > 0.  ``weight`` (or None) takes the
+    broadcast (k1, k2) arrays and must be even in k2 to the bit
+    (``ValueError`` otherwise)."""
+    w = 1.0 / (norm * coeff_D(k1[:, None], k2, params)) * (1.0 + (k2 > 0))
+    if weight is not None:
+        k1s, k2s = np.broadcast_arrays(k1[:, None], k2)
+        wk = weight(k1s, k2s)
+        if not np.array_equal(wk, weight(k1s, -k2s)):
+            raise ValueError("the momentum weight must be even in k2: "
+                             "weight(k1, -k2) == weight(k1, k2)")
+        w = w * wk
+    return _Modes(phase, k2, w, 2j * params.t1 * np.sin(k1),
+                  coeff_B(k1, params), 1.0 - params.t1 ** 2)
 
-    A mode contributes ``w(k1, k2) D ghat(k1, k2)`` times its k2 phases,
-    with ``w = weight/(2 L N_M D)`` real and even in k2 (N_M is the slope
-    of the phase function of :func:`solve_k2_roots` at the root), and the
-    numerators ``D ghat`` are affine in ``e^{+-i k2}`` with the k1
-    coefficients ``s1``, ``1 - t1^2`` and ``B``.  So only the nonnegative
-    roots are kept, with ``w`` doubled at every positive one.  ``weight``
-    (or None) is evaluated at the roots and at their mirrors; a weight
-    that is not even in k2 raises ``ValueError``."""
+
+def _critical_modes(geom, params, weight):
+    """The critical cylinder's modes: the M + 1 nonnegative k2 roots of
+    each k1, ``norm = 2 L N_M`` (N_M the slope of the phase function of
+    :func:`solve_k2_roots` at the root) and the phases of the L residues
+    d1 = 0..L-1."""
     if not params.is_critical:
         raise ValueError("Fourier representation requires critical parameters")
     L, M = geom.L, geom.M
@@ -443,27 +457,18 @@ def _critical_modes(geom, params, weight):
     q = ((1.0 - B) / (1.0 + B))[:, None]
     N = _phase_slope((q * np.cos(0.5 * k2)) ** 2 + np.sin(0.5 * k2) ** 2, q,
                      M)
-    w = 1.0 / (2.0 * L * N * coeff_D(k1[:, None], k2, params))
-    if weight is not None:
-        k1s = np.broadcast_to(k1[:, None], k2.shape)
-        wk = weight(k1s, k2)
-        if not np.array_equal(wk, weight(k1s, -k2)):
-            raise ValueError("the momentum weight must be even in k2: "
-                             "weight(k1, -k2) == weight(k1, k2)")
-        w = w * wk
-    w[:, 1:] *= 2.0
-    return _Modes(np.exp(-1j * np.outer(k1, np.arange(L))), k2, w,
-                  2j * params.t1 * np.sin(k1), B, 1.0 - params.t1 ** 2)
+    return _modes(params, weight, np.exp(-1j * np.outer(k1, np.arange(L))),
+                  k1, k2, 2.0 * L * N)
 
 
-# bound on the (offsets, L, M+1) cos temporary of one k2 reduction
+# bound on the (offsets,) + k2.shape cos temporary of one k2 reduction
 _COS_BYTES = 1 << 18
 
 
 def _k2_columns(modes, n):
-    """``C(k1; n) = sum_{k2} w cos(k2 n)`` over the roots of each k1, at
-    the integer offsets ``n``: one real reduction, shape (len(n), L).  C is
-    even in n."""
+    """``C(k1; n) = sum_{k2} w cos(k2 n)`` over the k2 of each k1 (a
+    (1, K2) row of k2 is shared by every k1), at the integer offsets
+    ``n``: one real reduction, shape (len(n), K1).  C is even in n."""
     return np.einsum("lk,nlk->nl", modes.w,
                      np.cos(np.asarray(n)[:, None, None] * modes.k2))
 
@@ -475,19 +480,18 @@ def _two_by_two(a, b, c, d):
 
 
 def _offset_profiles(modes, d, s):
-    """The profiles ``g(d)`` and ``r(s)`` over the L residues of d1 at the
-    vertical differences ``d`` and sums ``s``, (len d, L, 2, 2) and
-    (len s, L, 2, 2): ``g(d) = [[-S(|d|), X(d)], [-X(-d), S(|d|)]]`` and
-    ``r(s) = [[-S(s), -V(s)], [V(s), S(2M+2-s)]]``, with ``S(n) = s1 C(n)``,
+    """The profiles ``g(d)`` and ``r(s)`` over the phase columns (offsets)
+    at the vertical differences ``d`` and sums ``s``, (len d, offsets, 2, 2)
+    and (len s, offsets, 2, 2): ``g(d) = [[-S(|d|), X(d)], [-X(-d), S(|d|)]]``
+    and ``r(s) = [[-S(s), -V(s)], [V(s), S(2M+2-s)]]``, ``S(n) = s1 C(n)``,
     ``X(d) = c (B C(|d+1|) - C(|d|))`` and ``V(s) = c (C(s) - B C(|s-1|))``
     summed over k1 by one matmul (X and V cancel within each k1).  C is
     formed once per offset read (found by ``np.bincount``: a first
     ``np.unique`` imports ``numpy.ma``), ``_COS_BYTES`` at a time."""
     top, a = 2 * modes.k2.shape[1], np.abs  # top = 2M + 2
-    n = np.flatnonzero(np.bincount(a(np.concatenate([d, d + 1, d - 1, s,
-                                                     s - 1, top - s]))))
-    C = np.empty((top + 1, len(modes.B)))
-    step = max(1, _COS_BYTES // modes.w.nbytes)
+    n = np.bincount(a(np.concatenate([d, d + 1, d - 1, s, s - 1, top - s])))
+    n, C = np.flatnonzero(n), np.empty((len(n), len(modes.B)))
+    step = max(1, _COS_BYTES // modes.k2.nbytes)
     for i in range(0, len(n), step):
         C[n[i:i + step]] = _k2_columns(modes, n[i:i + step])
     c, B, s1 = modes.c, modes.B, modes.s1
@@ -701,28 +705,20 @@ def infinite_propagator_grid(params, weight, N, z1, z2):
     """The raw N-torus sum ``(1/N^2) sum_k ghat(k) w(k) e^{-i k.z}`` at
     every offset of ``z1 x z2``, shape (len z1, len z2, 2, 2).
 
-    The momenta ``-pi + 2 pi (m + 1/2)/N`` make the sum antiperiodic in N
-    along each raw integer offset.  ``weight`` (or None) takes
-    broadcastable (k1, k2) arrays.  D is real and ghat's numerators depend
-    on k2 only through ``e^{+-i k2}``: ``w/D`` is summed over k2 by one
-    matmul at the columns z2, z2 +- 1, and over k1, after the per-k1
-    numerators, by another.  O(N^2 (|z1| + |z2|)) time, O(N^2) memory.
+    The momenta ``horizontal_momenta(N)`` (N even) on both axes make the
+    sum antiperiodic in N along each raw integer offset.  ``weight`` (or
+    None) takes broadcastable (k1, k2) arrays and must be even in k2.  The
+    sum is g(z2) of :func:`_offset_profiles` with the torus modes: phases
+    at z1, the N/2 positive k2 shared by every k1 and ``norm = N^2``.
+    O(N^2 |z2| + N |z1| |z2|) time, O(N^2) memory.
     """
-    z1, z2, t1 = np.asarray(z1), np.asarray(z2), params.t1
-    k = -np.pi + 2.0 * np.pi * (np.arange(N) + 0.5) / N
-    W = 1.0 / coeff_D(k[:, None], k[None, :], params)
-    if weight is not None:
-        W = W * weight(k[:, None], k[None, :])
-    # columns z2, z2 + 1 (the e^{-i k2} numerator) and z2 - 1 (e^{+i k2})
-    cols = np.concatenate([z2, z2 + 1, z2 - 1])
-    P0, Pp, Pm = np.split(W @ np.exp(-1j * np.outer(k, cols)), 3, axis=1)
-    sin1 = (2j * t1 * np.sin(k))[:, None]
-    B = coeff_B(k, params)[:, None]
-    c = 1.0 - t1 ** 2
-    num = np.stack([-sin1 * P0, -c * (P0 - B * Pp),
-                    c * (P0 - B * Pm), sin1 * P0], axis=-1)
-    E1 = np.exp(-1j * np.outer(z1, k)) / N ** 2
-    return (E1 @ num.reshape(N, -1)).reshape(len(z1), len(z2), 2, 2)
+    if N % 2:
+        raise ValueError(f"the torus size N must be even, got {N}")
+    k = horizontal_momenta(N)
+    modes = _modes(params, weight, np.exp(-1j * np.outer(k, z1)), k,
+                   k[None, N // 2:], N * N)
+    g, _ = _offset_profiles(modes, np.asarray(z2), np.zeros(0, dtype=int))
+    return g.swapaxes(0, 1)
 
 
 def infinite_propagator(zs, params):
@@ -814,8 +810,9 @@ def scaling_propagator(z, zp, ell1, ell2, params):
     """The continuum cylinder propagator as an alternating image sum.
 
     ``z``, ``zp`` are distinct points of the open cylinder of circumference
-    ``ell1`` and height ``ell2``, 0 <= x <= ell1 and 0 < y < ell2, or
-    ``ValueError`` is raised before any sum.  Images carry the alternating
+    ``ell1`` and height ``ell2``, 0 <= x <= ell1 and 0 < y < ell2 (x = 0
+    and x = ell1 are one point), or ``ValueError`` is raised before any
+    sum.  Images carry the alternating
     sign ``(-1)^(n1 + n2)``; all images with |n1|, |n2| <= 64 are evaluated
     as one array, and both lattice directions are summed with Euler
     acceleration, n1 first, so the conditionally convergent 1/r tails are
@@ -824,7 +821,7 @@ def scaling_propagator(z, zp, ell1, ell2, params):
     _require_on_cylinder((z, zp), ell1, ell2)
     z = np.asarray(z, dtype=float)
     zp = np.asarray(zp, dtype=float)
-    if np.allclose(z, zp):
+    if np.allclose(z, zp) or np.allclose(np.abs(z - zp), (ell1, 0.0)):
         raise ValueError("scaling propagator requires distinct points")
     dx, dy = z - zp
     sy = (z + zp)[1]

@@ -240,6 +240,34 @@ class TestPropagator:
                       "--critical", "--beta", "0.4", "--variant", "massive")
         assert code == EXIT_CONFIG
 
+    def test_t1_conflicts_with_beta(self, capsys):
+        # --beta sets t1 = tanh(beta J1); a --t1 beside it was dropped
+        assert rejected(capsys, "propagator", "--L", "4", "--M", "2",
+                        "--beta", "0.4", "--t1", "0.3", "--variant",
+                        "massive")
+
+    @pytest.mark.parametrize("argv", [
+        ["--t1", "0.3", "--t2", "0.5"],
+        ["--critical", "--t1", "0.3", "--t2", "0.5"],
+        ["--beta", "0.4", "--t2", "0.5", "--variant", "massive"],
+        ["--beta", "0.4", "--no-critical", "--t2", "0.5", "--variant",
+         "massive"],
+        ["--no-critical", "--t1", "0.3", "--variant", "massive"]])
+    def test_t2_only_with_no_critical_and_t1(self, capsys, argv):
+        # t2 used to be dropped silently (the critical t2 of --t1, or the
+        # tanh of --beta, was reported instead)
+        code = main(["propagator", "--L", "4", "--M", "2", *argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error") and "--t2" in err
+
+    def test_non_critical_t2_is_used(self, capsys):
+        code, out = run(capsys, "propagator", "--L", "4", "--M", "2",
+                        "--no-critical", "--t1", "0.3", "--t2", "0.5",
+                        "--variant", "massive")
+        assert code == EXIT_OK
+        assert json.loads(out)["metadata"]["config"]["t2"] == 0.5
+
     def test_seed_is_not_a_propagator_flag(self, capsys):
         code, _ = run(capsys, "propagator", "--L", "4", "--M", "3",
                       "--t1", "0.5", "--seed", "1")
@@ -296,6 +324,20 @@ class TestCorrelate:
     def test_no_or_repeated_edges(self, capsys, tmp_path, mode, edges):
         assert rejected(capsys, "correlate", "--request",
                         write_request(tmp_path, mode=mode, edges=edges))
+
+    @pytest.mark.parametrize("extra", [
+        {"t2": 0.5}, {"t2": 0.5, "critical": True}, {"critical": False}])
+    def test_t2_only_with_critical_false(self, capsys, tmp_path, extra):
+        # a "t2" without "critical": false used to be dropped silently
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps({
+            "params": {"L": 4, "M": 3, "t1": 0.3, **extra},
+            "edges": [{"x1": 1, "x2": 1, "dir": "h"},
+                      {"x1": 3, "x2": 2, "dir": "v"}]}))
+        code = main(["correlate", "--request", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error") and '"t2"' in err
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "correlate", "--request", "missing.json")
@@ -641,6 +683,8 @@ VALID_REQUEST = json.dumps({
                "--halvings=1", "--start=2"], request="")
 @example(argv=["scaling", "--t1=0.5", "--points=(1e200,0.5),(0.2,0.5)",
                "--halvings=1", "--start=2"], request="")
+@example(argv=["scaling", "--t1=0.5", "--points=(0.0,0.5),(1.0,0.5)"],
+         request="null")
 def test_any_options_exit_cleanly(tmp_path_factory, argv, request):
     # every drawn command line ends in a documented exit code, never in a
     # traceback or a warning (which pytest would capture before stderr

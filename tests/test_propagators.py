@@ -9,8 +9,10 @@ import pytest
 import gaussian_oracle as oracle
 import propagator_oracle
 from isingcyl import freecorr, propagators
-from isingcyl.lattice import CylinderGeometry
-from isingcyl.multiscale import LEQ, CutoffWeight, ScaleCutoff
+from isingcyl.lattice import CylinderGeometry, per_L
+from isingcyl.multiscale import (
+    LEQ, CutoffWeight, ScaleCutoff, bulk_edge_split, scale_propagator,
+)
 from isingcyl.propagators import (
     DoublingError, LazyCriticalTable, ModelParams, NumericalError,
     TranslationInvariantTable, _direct_table, boundary_residual, coeff_B,
@@ -441,15 +443,54 @@ class TestCriticalTable:
                 table.block(z, zp)
 
     def test_weight_must_be_even_in_k2(self):
-        # the sum is folded onto the nonnegative roots
+        # the cylinder and the torus sums are folded onto k2 >= 0
         geom = CylinderGeometry(8, 5)
         p = critical_params(0.5)
+        odd = lambda k1, k2: 1.0 + 0.1 * np.sin(k2)  # noqa: E731
+        unit = lambda k1, k2: np.ones_like(k2)  # noqa: E731
         with pytest.raises(ValueError, match="even in k2"):
-            critical_propagator_fourier(
-                geom, p, weight=lambda k1, k2: 1.0 + 0.1 * np.sin(k2))
-        unit = critical_propagator_fourier(
-            geom, p, weight=lambda k1, k2: np.ones_like(k2)).data
-        assert np.array_equal(unit, critical_propagator_fourier(geom, p).data)
+            critical_propagator_fourier(geom, p, weight=odd)
+        with pytest.raises(ValueError, match="even in k2"):
+            infinite_propagator_grid(p, odd, 16, [0, 1], [0, 1])
+        assert np.array_equal(
+            critical_propagator_fourier(geom, p, weight=unit).data,
+            critical_propagator_fourier(geom, p).data)
+        z = [0, 1, -3, 17]
+        assert np.array_equal(infinite_propagator_grid(p, unit, 16, z, z),
+                              infinite_propagator_grid(p, None, 16, z, z))
+
+
+class TestOneMomentumSum:
+    """The cylinder tables, the lazy blocks and the torus sums are one
+    momentum sum: each reaches ``propagators._offset_profiles``."""
+
+    ROUTES = {
+        "critical_propagator_fourier":
+            lambda geom, p: critical_propagator_fourier(geom, p),
+        "LazyCriticalTable.blocks":
+            lambda geom, p: LazyCriticalTable(geom, p).blocks(
+                [(1, 2)], [(3, 4)]),
+        "infinite_propagator_grid":
+            lambda geom, p: infinite_propagator_grid(p, None, 32, [0, 1],
+                                                     [0, 2]),
+        # its scale table is cached before the spy is set, so only the
+        # bulk's torus sum can reach the spy
+        "bulk_edge_split": lambda geom, p: bulk_edge_split(-1, geom, p),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_reaches_offset_profiles(self, monkeypatch, route):
+        geom, p = CylinderGeometry(8, 8), critical_params(0.5)
+        scale_propagator(-1, geom, p)
+        calls = []
+        profiles = propagators._offset_profiles
+
+        def recording(modes, d, s):
+            calls.append(len(d) + len(s))
+            return profiles(modes, d, s)
+        monkeypatch.setattr(propagators, "_offset_profiles", recording)
+        self.ROUTES[route](geom, p)
+        assert calls
 
 
 class TestBoundaryResidual:
@@ -802,15 +843,24 @@ class TestInfiniteTorusSum:
 
     WEIGHTS = {"none": None,
                "scale-1": CutoffWeight(-1, -2, critical_params(0.5)),
-               "leq": CutoffWeight(-3, None, critical_params(0.5))}
+               "leq": CutoffWeight(-3, None, critical_params(0.5)),
+               "scale-2": CutoffWeight(-2, -3, critical_params(0.5))}
 
-    @pytest.mark.parametrize("N", [32, 64, 128, 256])
-    @pytest.mark.parametrize("weight", sorted(WEIGHTS))
-    def test_matches_fft_grid(self, N, weight):
+    # offsets on both sides of 0, at +-N and beyond (antiperiodicity);
+    # and the call of bulk_edge_split at 32x32, scale -2: the per_L
+    # residues of L = 32 and the row differences -33..33
+    CASES = [pytest.param(N, weight, [0, 1, -3, 7, N - 1, N, -N - 2,
+                                      2 * N + 3],
+                          [0, -1, 2, -N + 1, N + 5, -2 * N],
+                          id=f"{weight}-{N}")
+             for weight in ("leq", "none", "scale-1")
+             for N in (32, 64, 128, 256)] + [
+        pytest.param(256, "scale-2", per_L(np.arange(32), 32),
+                     np.arange(-33, 34), id="bulk_edge_split")]
+
+    @pytest.mark.parametrize("N, weight, z1, z2", CASES)
+    def test_matches_fft_grid(self, N, weight, z1, z2):
         p, w = critical_params(0.5), self.WEIGHTS[weight]
-        # offsets on both sides of 0, at +-N and beyond (antiperiodicity)
-        z1 = np.array([0, 1, -3, 7, N - 1, N, -N - 2, 2 * N + 3])
-        z2 = np.array([0, -1, 2, -N + 1, N + 5, -2 * N])
         g = infinite_propagator_grid(p, w, N, z1, z2)
         assert g.shape == (len(z1), len(z2), 2, 2)
         ref = propagator_oracle.fft_torus_grid(p, w, N)
@@ -818,6 +868,12 @@ class TestInfiniteTorusSum:
             g[i, j] - propagator_oracle.torus_lookup(ref, (a, b))))
             for i, a in enumerate(z1) for j, b in enumerate(z2))
         assert worst < 1e-13
+
+    @pytest.mark.parametrize("N", [15, 33])
+    def test_odd_size_raises(self, N):
+        # the k2 >= 0 half of an odd momentum set is not a mirror image
+        with pytest.raises(ValueError, match="must be even"):
+            infinite_propagator_grid(critical_params(0.5), None, N, [0], [0])
 
     @pytest.mark.parametrize("weight", ["none", "scale-1"])
     def test_matches_fsum(self, weight):
@@ -862,6 +918,17 @@ class TestScalingPropagator:
         p = critical_params(0.5)
         with pytest.raises(ValueError):
             scaling_propagator((0.5, 0.5), (0.5, 0.5), 1.0, 1.0, p)
+
+    @pytest.mark.parametrize("z, zp", [((0.0, 0.5), (1.0, 0.5)),
+                                       ((2.0, 0.25), (0.0, 0.25))])
+    def test_points_across_the_seam_coincide(self, z, zp):
+        # x = 0 and x = ell1 are one point of the cylinder: rejected
+        # before an image lands on the other point and divides 0 by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="distinct points"):
+                scaling_propagator(z, zp, z[0] + zp[0], 1.0,
+                                   critical_params(0.5))
 
     @pytest.mark.parametrize("x", [1e200, math.nan, -0.1])
     def test_points_off_the_circumference_raise(self, x):
