@@ -269,8 +269,18 @@ def _expansion(kernel):
     """The plain-field polynomial of a kernel: rows of sorted plain fields
     (omega, x1, x2) (E, n, 3), sorted edges (E, m, 3) and values (E,), one
     per monomial in order of first appearance; products with a repeated
-    field vanish, the others carry the sign of the sort of their fields."""
-    labels, n, p = kernel.labels, kernel.n, kernel.p
+    field vanish, the others carry the sign of the sort of their fields.
+
+    Keys are first folded onto their slot-sorted representatives (the sign
+    of the sort in the value, equal keys merged) and only those expanded:
+    a product of labels changes only by that sign when its slots are
+    permuted.  Keys with a repeated label are kept, so their monomials
+    stay in the key set as the exact zeros they sum to."""
+    n, p = kernel.n, kernel.p
+    edges = _sorted_edges(kernel.edges)
+    labels, _, order = _slot_sorted(kernel.labels)
+    first, values = _merge(kernel.values * order, labels, edges)
+    labels, edges = labels[first], edges[first]
     col, row, sign, valid = _label_terms(labels, kernel.geom)
     orders = labels[..., 1] + labels[..., 2]
     # product term c takes term (c >> low) & (2^order - 1) of each slot
@@ -284,10 +294,8 @@ def _expansion(kernel):
     fields = np.stack([labels[src, :, 0], col[idx], row[idx]], axis=-1)
     fields, live, order = _slot_sorted(fields)
     sign = order * sign[idx].prod(axis=1, dtype=np.int8)
-    fields = fields[live]
-    edges = _sorted_edges(kernel.edges)[src[live]]
-    first, sums = _merge(kernel.values[src[live]] * sign[live], fields,
-                         edges)
+    fields, edges = fields[live], edges[src[live]]
+    first, sums = _merge(values[src[live]] * sign[live], fields, edges)
     return fields[first], edges[first], sums
 
 
@@ -302,10 +310,11 @@ def _summed(parts):
 
 def _polynomial(obj, sign=1.0):
     """``{(n, m): (fields, edges, values)}``: the expansions of a Kernel, a
-    dict of sector Kernels or None, times ``sign``, added in order."""
+    dict of sector Kernels (keyed (n, p) or, as from :func:`rg_step`, (n,
+    p, m)) or None, times ``sign``, added in order."""
     parts = defaultdict(list)
     for k in ([] if obj is None else [obj] if isinstance(obj, Kernel)
-              else obj.values()):
+              else _family(obj, (2, 3)).values()):
         fields, edges, values = _expansion(k)
         parts[(k.n, k.m)].append((fields, edges, sign * values))
     return {shape: _summed(p) for shape, p in parts.items()}
@@ -314,7 +323,8 @@ def _polynomial(obj, sign=1.0):
 def expand_family(obj):
     """Canonical polynomial form of a Kernel, a dict of sector Kernels or
     None: {(sorted plain fields, sorted edges): coefficient}, with
-    boundary-null monomials dropped."""
+    boundary-null monomials dropped.  Each kernel's keys are folded onto
+    their slot-sorted representatives before they are expanded."""
     out = {}
     for fields, edges, values in _polynomial(obj).values():
         out.update(zip(zip(_decoded(fields, lambda w, *z: (w, z)),
@@ -323,7 +333,9 @@ def expand_family(obj):
 
 
 def polynomial_distance(a, b):
-    """Largest coefficient difference of the expanded polynomials."""
+    """Largest coefficient difference of the expanded polynomials of two
+    Kernels, dicts of sector Kernels or None; each kernel's keys are folded
+    onto their slot-sorted representatives before they are expanded."""
     ea, eb = _polynomial(a), _polynomial(b, -1.0)
     return max((float(_modulus(_summed([e[s] for e in (ea, eb) if s in e])[2])
                       .max(initial=0.0)) for s in ea.keys() | eb.keys()),
@@ -380,13 +392,21 @@ def antisymmetrize(kernel):
         kernel.labels, kernel.edges, kernel.values))
 
 
+def _finite(geom, what):
+    """``geom``, once checked to be a cylinder, not infinite volume."""
+    if geom is None:
+        raise ValueError(f"{what} require a finite geometry")
+    return geom
+
+
 def _reflect(labels, edges, axis, geom):
     """Label rows (K, n, 5) and edge rows (K, m, 3) reflected horizontally
     (axis=1) or vertically (axis=2), with the product of the label phases
     of each key: ``i omega (-1)^d1 s`` (s the sign of the antiperiodic
     wrap), resp. ``i (-1)^d2``, per label, and ``i^n = (-1)^(n/2)``."""
-    if geom is None:
-        raise ValueError("reflections require a finite geometry")
+    _finite(geom, "reflections")
+    if axis not in (1, 2):
+        raise ValueError(f"reflection axis must be 1 or 2, got {axis!r}")
     omega, d1, d2, x1, x2 = np.moveaxis(labels, -1, 0)
     b1, b2, vertical = np.moveaxis(edges, -1, 0)
     labels, edges = labels.copy(), edges.copy()
@@ -430,7 +450,8 @@ def symmetrize(kernel):
 def horizontal_translate(kernel, a):
     """Translate by ``a`` columns: antiperiodic on fields, periodic on
     edges."""
-    L = kernel.geom.L
+    _require_integers((a,), "translation shifts")
+    L = _finite(kernel.geom, "translations").L
     labels, edges = kernel.labels.copy(), kernel.edges.copy()
     col, s = antiperiodic_wrap(labels[..., 3].astype(np.int64) - 1 + a, L)
     labels[..., 3] = col + 1
@@ -459,6 +480,7 @@ def _top_order(n, D):
 
 
 def _sector_check(kernel, D, m):
+    _finite(kernel.geom, "localizations and remainders")
     if kernel.p > _top_order(kernel.n, D) or kernel.m != m:
         raise ValueError(
             f"sector {kernel.sector} not supported here (needs "
@@ -573,12 +595,12 @@ def tilde_R(kernel):
 
 def localize_bulk(family):
     """Bulk local part: the sectors (2,0), (2,1) and (4,0)."""
-    return _localization(family, BULK, tilde_L, tilde_R)
+    return _localization(_family(family), BULK, tilde_L, tilde_R)
 
 
 def renormalize_bulk(family):
     """Bulk remainder, collected in the (2,2) and (4,1) sectors."""
-    return _renormalization(family, BULK, tilde_R)
+    return _renormalization(_family(family), BULK, tilde_R)
 
 
 def tilde_L_edge(kernel):
@@ -602,18 +624,24 @@ def tilde_R_edge(kernel):
 
 def localize_edge(family):
     """Edge local part: the (2,0) sector."""
-    return _localization(family, BOUNDARY, tilde_L_edge, tilde_R_edge)
+    return _localization(_family(family), BOUNDARY, tilde_L_edge,
+                         tilde_R_edge)
 
 
 def renormalize_edge(family):
     """Edge remainder, collected in the (2,1) sector."""
-    return _renormalization(family, BOUNDARY, tilde_R_edge)
+    return _renormalization(_family(family), BOUNDARY, tilde_R_edge)
 
 
-def _sourced(family):
-    """``family``, once every sector is checked to carry probe edges."""
-    for k in family.values():
-        if k.m < 1:
+def _family(family, arities=(2,), sourced=False):
+    """``family``, once every kernel is checked to sit under its own sector,
+    (n, p) or (n, p, m) as ``arities`` allow, and, if ``sourced``, to carry
+    probe edges."""
+    for key, k in family.items():
+        if key not in [k.sector[:a] for a in arities]:
+            raise ValueError(f"family key {key!r} is not the sector of its "
+                             f"kernel {k.sector}")
+        if sourced and k.m < 1:
             raise ValueError("source operators need kernels with probe "
                              "edges; found a sourceless sector")
     return family
@@ -637,13 +665,14 @@ def tilde_R_source(kernel):
 
 def localize_source(family):
     """Source local part: the (2,0,1) sector."""
-    return _localization(_sourced(family), BOUNDARY, tilde_L_source,
-                         tilde_R_source)
+    return _localization(_family(family, sourced=True), BOUNDARY,
+                         tilde_L_source, tilde_R_source)
 
 
 def renormalize_source(family):
     """Source remainder, collected in the (2,1,1) sector."""
-    return _renormalization(_sourced(family), BOUNDARY, tilde_R_source)
+    return _renormalization(_family(family, sourced=True), BOUNDARY,
+                            tilde_R_source)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +710,8 @@ def weighted_norm(kernel, flavor, kappa):
         raise ValueError(f"unknown norm flavor {flavor!r}")
     if not (math.isfinite(kappa) and kappa >= 0):
         raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
-    geom, labels = kernel.geom, kernel.labels
+    geom = _finite(kernel.geom, "weighted norms")
+    labels = kernel.labels
     rows = np.flatnonzero(
         _label_terms(labels, geom)[3].any(axis=-1).all(axis=-1)
         & (labels[..., 4].min(axis=-1, initial=0) >= 0)

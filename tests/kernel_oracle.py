@@ -6,10 +6,11 @@ localizations and remainders keep the probe edges of each key unchanged.
 
 The label-level maps (field-label and edge reflections, boundary
 projections, interpolation paths, the difference expansion of a label and
-the plain-field polynomial of a kernel) are written out here one label or
-key at a time; only the seam-crossing sign and the antiperiodic wrap come
-from :mod:`isingcyl.lattice`.  Kernels enter and leave through the dict
-form (``Kernel(geom, n, p, m, coeffs)`` and ``kernel.coeffs``).
+the plain-field polynomial of a kernel, summed exactly) are written out
+here one label or key at a time; only the seam-crossing sign and the
+antiperiodic wrap come from :mod:`isingcyl.lattice`.  Kernels enter and
+leave through the dict form (``Kernel(geom, n, p, m, coeffs)`` and
+``kernel.coeffs``).
 
 The family operators (localization and renormalization of a dict of
 sector kernels, in the bulk, edge and source flavors) list their sectors
@@ -22,6 +23,7 @@ term from one products matrix.
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 from functools import lru_cache
 
 from isingcyl import kernelcalc as kc
@@ -161,10 +163,14 @@ def _canonical_monomial(fields):
     return tuple(fields), sign
 
 
-def expand_to_plain_fields(kernel):
-    """Canonical polynomial form: {(sorted plain fields, sorted edges):
-    coefficient}, with boundary-null monomials dropped."""
-    out = defaultdict(complex)
+def expand_exact(kernel):
+    """Canonical polynomial form, summed exactly: {(sorted plain fields,
+    sorted edges): (total, N, mass)}, with boundary-null monomials dropped.
+    Each term w = c * sign * prod(s) is +-c, an exact float, so ``total``
+    -- a pair of Fractions, real and imaginary part -- is the exact sum of
+    the monomial's N terms, and ``mass`` the pair of exact sums of |Re w|
+    and |Im w|."""
+    out = {}
     for (labels, edges), c in kernel.coeffs.items():
         expansions = [expand_label(l, kernel.geom) for l in labels]
         ekey = tuple(sorted(edges, key=_edge_sort_key))
@@ -172,11 +178,13 @@ def expand_to_plain_fields(kernel):
             mono, sign = _canonical_monomial(f for _, f in combo)
             if mono is None:
                 continue
-            w = c * sign
-            for s, _ in combo:
-                w *= s
-            out[(mono, ekey)] += w
-    return dict(out)
+            w = c * sign * math.prod(s for s, _ in combo)
+            w = (Fraction(w.real), Fraction(w.imag))
+            total, N, mass = out.get((mono, ekey), ((0, 0), 0, (0, 0)))
+            out[(mono, ekey)] = (tuple(t + x for t, x in zip(total, w)),
+                                 N + 1,
+                                 tuple(m + abs(x) for m, x in zip(mass, w)))
+    return out
 
 
 # ---------------------------------------------------------------------------

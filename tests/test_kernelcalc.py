@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,6 +183,55 @@ class TestKernelBasics:
             assert op(Kernel(geom, n, 2, 0, {(labels, ()): 1.0})).coeffs == {}
 
 
+class TestArguments:
+    """Arguments that used to be guessed at, or to end in an
+    AttributeError, raise ValueError."""
+
+    def test_mis_keyed_family_raises(self, geom):
+        # {(2, 0): k} and {(4, 0): k} used to read 0.0 apart
+        k = rand_kernel(np.random.default_rng(4), geom, 2, 0)
+        for fam in ({(4, 0): k}, {(2, 0, 1): k}, {"loc": k}):
+            with pytest.raises(ValueError, match="not the sector"):
+                polynomial_distance({(2, 0): k}, fam)
+            with pytest.raises(ValueError, match="not the sector"):
+                expand_family(fam)
+        # rg_step keys its sectors (n, p, m)
+        assert polynomial_distance({(2, 0): k}, {(2, 0, 0): k}) == 0.0
+
+    @pytest.mark.parametrize("a", [1.5, np.float64(2.0), True, "1"])
+    def test_translate_rejects_non_integer_shift(self, geom, a):
+        # 1.5 used to act as a shift of 1, and True as one of 1
+        k = rand_kernel(np.random.default_rng(6), geom, 2, 1)
+        with pytest.raises(ValueError, match="integers"):
+            horizontal_translate(k, a)
+
+    @pytest.mark.parametrize("axis", [0, 3, -1, "h"])
+    def test_reflect_rejects_other_axes(self, geom, axis):
+        # any axis but 1 used to reflect vertically
+        k = rand_kernel(np.random.default_rng(6), geom, 2, 1)
+        with pytest.raises(ValueError, match="axis"):
+            reflect_kernel(k, axis)
+
+    def test_infinite_volume_needs_a_finite_geometry(self):
+        # translations, norms and the localizations used to end in an
+        # AttributeError on geom=None, where reflections raised already
+        src = free_source_kernels(ModelParams.critical(0.5))
+        pair = Kernel(None, 2, 0, 0, {(
+            (FieldLabel(1, (0, 0), (0, 0)), FieldLabel(-1, (0, 0), (1, 0))),
+            ()): 1.0})
+        calls = [lambda: horizontal_translate(src, 1),
+                 lambda: reflect_kernel(src, 1),
+                 lambda: localize_source({(2, 0): src}),
+                 lambda: renormalize_source({(2, 0): src})]
+        calls += [lambda op=op: op({(2, 0): pair}) for op in (
+            localize_bulk, renormalize_bulk, localize_edge, renormalize_edge)]
+        calls += [lambda f=f: weighted_norm(src, f, 0.1)
+                  for f in NORM_FLAVORS]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite geometry"):
+                call()
+
+
 class TestExpansion:
     def test_horizontal_seam_wrap(self, geom):
         # forward difference at x1 = L wraps antiperiodically:
@@ -218,8 +268,8 @@ class TestExpansion:
         assert expand_family(k) == {}
 
     def test_matches_oracle(self, geom):
-        # the array expansion against the one-key-at-a-time reference on
-        # every oracle input set, symmetrized kernels and an
+        # the array expansion against the one-key-at-a-time exact
+        # reference on every oracle input set, symmetrized kernels and an
         # infinite-volume kernel, coefficient for coefficient
         kernels = [k for m in (0, 1, 2)
                    for k in _oracle_inputs(geom, ALL_SECTORS, m)]
@@ -227,8 +277,45 @@ class TestExpansion:
         kernels += _wide_inputs(2)
         kernels.append(free_source_kernels(ModelParams.critical(0.5)))
         for k in kernels:
-            assert expand_family(k) == \
-                kernel_oracle.expand_to_plain_fields(k)
+            assert_expands_exactly(k)
+
+    def test_fold_keeps_the_key_set(self, geom):
+        # antisymmetrize writes each key as its n! signed slot
+        # permutations, which the expansion folds back onto one
+        # representative: the same monomials as the kernel's, each within
+        # the summation bound of its exact sum
+        rng = np.random.default_rng(43)
+        for sec in ALL_SECTORS:
+            k = rand_kernel(rng, geom, *sec)
+            a = antisymmetrize(k)
+            assert expand_family(a).keys() == expand_family(k).keys()
+            assert_expands_exactly(a)
+
+    def test_repeated_label_expands_to_exact_zeros(self, geom):
+        # (phi_a - 2 phi_b + phi_c)^2: a key with a repeated label is
+        # expanded, not dropped, so its three monomials stay in the key
+        # set as the exact zeros they sum to
+        l = FieldLabel(1, (0, 2), (3, 2))
+        k = Kernel(geom, 2, 4, 0, {((l, l), ()): 1.0})
+        assert list(expand_family(k).values()) == [0.0] * 3
+        assert_expands_exactly(k)
+
+    def test_expands_representatives_only(self, geom, monkeypatch):
+        # the n! signed copies of a representative reach the term
+        # expansion as one row
+        rows = []
+        label_terms = kernelcalc._label_terms
+
+        def counting(labels, geom):
+            rows.append(len(labels))
+            return label_terms(labels, geom)
+        k = symmetrize(rand_kernel(np.random.default_rng(41), geom, 4, 1,
+                                   base=10))
+        keys = {(tuple(sorted(ls)), es) for ls, es in k.coeffs}
+        assert len(k.values) == math.factorial(4) * len(keys)
+        monkeypatch.setattr(kernelcalc, "_label_terms", counting)
+        polynomial_distance(k, {})
+        assert rows == [len(keys)]
 
     def test_ordering_sign(self, geom):
         l1 = FieldLabel(1, (0, 0), (3, 3))
@@ -333,7 +420,9 @@ class TestTildeOperators:
         rng = np.random.default_rng(100 * base + sector[0] + sector[1])
         for _ in range(5):
             v = rand_kernel(rng, geom, *sector, base=base, width=4)
-            d = polynomial_distance({"loc": tilde_L(v), "rem": tilde_R(v)}, v)
+            d = polynomial_distance({sector: tilde_L(v),
+                                     (sector[0], sector[1] + 1): tilde_R(v)},
+                                    v)
             assert d < 1e-12
 
 
@@ -368,6 +457,25 @@ def _wide_inputs(m):
         out.append(Kernel(wide, *sec, m, {(labels, edges): c for
                                           (labels, _), c in k.coeffs.items()}))
     return out
+
+
+# the unit roundoff of a double: a float sum of N exact terms, in any
+# order, is within gamma_{N-1} = (N-1) u / (1 - (N-1) u) times the sum of
+# their moduli of the exact sum
+UNIT_ROUNDOFF = Fraction(1, 2 ** 53)
+
+
+def assert_expands_exactly(kernel):
+    """``expand_family`` has the exact expansion's key set, and each value,
+    per real and imaginary part, lies within gamma_{N-1} times that part's
+    sum of |w| of the exact sum (which implies the bound in modulus)."""
+    got, ref = expand_family(kernel), kernel_oracle.expand_exact(kernel)
+    assert got.keys() == ref.keys()
+    for key, (total, N, mass) in ref.items():
+        k = N - 1
+        gamma = k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+        for v, t, m in zip((got[key].real, got[key].imag), total, mass):
+            assert abs(Fraction(v) - t) <= gamma * m
 
 
 def assert_matches_oracle(got, ref, tol=1e-15):
@@ -445,7 +553,8 @@ class TestAgainstOracle:
 
     def test_benchmark_scale(self, geom):
         # a collected (4,1) remainder from kernels of the benchmark's size
-        # (three keys on four columns): the reference's key set and values
+        # (three keys on four columns): the reference's key set and values,
+        # and the expansion of each output against the exact one
         rng = np.random.default_rng(0)
         k = kernel_sum([symmetrize(_rand_kernel(rng, geom, 4, 1)),
                         tilde_R(symmetrize(_rand_kernel(rng, geom, 4, 0)))])
@@ -454,6 +563,7 @@ class TestAgainstOracle:
             got, ref = globals()[name](k), getattr(kernel_oracle, name)(k)
             assert got.coeffs.keys() == ref.coeffs.keys()
             assert_matches_oracle(got, ref)
+            assert_expands_exactly(got)
 
     @pytest.mark.parametrize("op", [antisymmetrize, symmetrize])
     def test_builds_one_kernel(self, geom, monkeypatch, op):
@@ -556,6 +666,17 @@ class TestPowerCounting:
                 getattr(kernel_oracle, op.__name__)(fam)
             with pytest.raises(ValueError):
                 op(fam)
+
+    @pytest.mark.parametrize("flavor", sorted(FLAVORS))
+    def test_mis_keyed_family_raises(self, geom, flavor):
+        # a (2,0) kernel under the key (4,0) used to be localized or
+        # remainder-collected as a (2,*) kernel under a (4,*) key
+        loc, ren, gen = FLAVORS[flavor][:3]
+        k = gen(np.random.default_rng(4), geom, 2, 0)
+        for fam in ({(4, 0): k}, {(2, 1): k}, {k.sector: k}, {"loc": k}):
+            for op in (loc, ren):
+                with pytest.raises(ValueError, match="not the sector"):
+                    op(fam)
 
 
 class TestBulkOperators:
@@ -704,7 +825,7 @@ class TestSourceOperators:
             base = int(rng.integers(1, geom.L + 1))
             b = rand_source(rng, geom, 2, 0, nkeys=1, base=base, width=4)
             d = polynomial_distance(
-                {"loc": tilde_L_source(b), "rem": tilde_R_source(b)}, b)
+                {(2, 0): tilde_L_source(b), (2, 1): tilde_R_source(b)}, b)
             assert d < 1e-12
 
     def test_decomposition(self, geom):
