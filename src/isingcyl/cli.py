@@ -224,8 +224,6 @@ def _parse_points(text):
     pts = [(float(a), float(b)) for a, b in _POINT_RE.findall(text)]
     if len(pts) != 2:
         raise ConfigError(f"expected exactly two points, got {text!r}")
-    if not np.isfinite(pts).all():
-        raise ConfigError(f"point coordinates must be finite, got {text!r}")
     return pts
 
 

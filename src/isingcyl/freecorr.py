@@ -313,8 +313,9 @@ def scaling_correlation(points, labels, ell1, ell2, params):
     """The scaling limit of the m-point energy correlation on the cylinder.
 
     ``points`` are pairwise distinct continuum points with 0 <= x <= ell1
-    and 0 < y < ell2, or ``ValueError`` is raised before any image sum;
-    ``labels`` are edge directions (1 horizontal, 2 vertical).  Returns
+    and 0 < y < ell2 (x = 0 and x = ell1 are one point), or ``ValueError``
+    is raised before any image sum; ``labels`` are edge directions (1
+    horizontal, 2 vertical).  Returns
     ``(2 t2)^{m1} (1 - t2^2)^{m2} Pf(M)`` where M is the 2m x 2m matrix
     with zero diagonal blocks and the continuum propagator off-diagonal.
     """
@@ -325,20 +326,12 @@ def scaling_correlation(points, labels, ell1, ell2, params):
     if any(l not in (1, 2) for l in labels):
         raise ValueError("direction labels must be 1 or 2")
     _require_on_cylinder(points, ell1, ell2)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.allclose(points[i], points[j]):
-                raise ValueError("points must be pairwise distinct")
-
     m1 = sum(1 for l in labels if l == 1)
-    m2 = m - m1
     t2 = params.t2
-    pref = (2.0 * t2) ** m1 * (1.0 - t2 ** 2) ** m2
-
+    pref = (2.0 * t2) ** m1 * (1.0 - t2 ** 2) ** (m - m1)
+    # the Pfaffian reads the strict upper triangle: the blocks i < j
     M = np.zeros((2 * m, 2 * m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            blk = scaling_propagator(points[i], points[j], ell1, ell2, params)
-            M[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk
-            M[2 * j:2 * j + 2, 2 * i:2 * i + 2] = -blk.T
+    for i, j in combinations(range(m), 2):
+        M[2 * i:2 * i + 2, 2 * j:2 * j + 2] = scaling_propagator(
+            points[i], points[j], ell1, ell2, params)
     return pref * _real(pfaffian(M))

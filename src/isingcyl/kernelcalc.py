@@ -42,15 +42,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
-    Edge, _pack, _require_integers, alpha_sign, antiperiodic_wrap,
-    edge_tree_distance, gamma_steps, tree_distance, tree_distances,
-    z_boundary,
+    Edge, _integer_array, _pack, _require_integers, alpha_sign,
+    antiperiodic_wrap, edge_tree_distance, gamma_steps, tree_distance,
+    tree_distances, z_boundary,
 )
 from .skewlinalg import joint_cumulant, skew_moment
 
 _SITE = slice(3, 5)  # the (x1, x2) columns of a label row
 _DIRECTIONS = ("h", "v")
 _TERM_BUDGET = 500000  # the most terms one rg_step call may visit
+_LOG_MAX = math.log(np.finfo(float).max)  # the largest finite exp argument
 
 
 class FieldLabel(NamedTuple):
@@ -63,15 +64,9 @@ class FieldLabel(NamedTuple):
 
 
 def _label_rows(labels):
-    """Integer rows (k, 5) (omega, d1, d2, x1, x2) of field labels; an entry
-    outside the int32 range raises ValueError."""
-    rows = np.array([_require_integers((w, d1, d2, x1, x2),
-                                       "field label entries")
-                     for w, (d1, d2), (x1, x2) in labels],
-                    dtype=np.int64).reshape(-1, 5)
-    if (rows != rows.astype(np.int32)).any():
-        raise ValueError("field label entries must fit in 32 bits")
-    return rows.astype(np.int32)
+    """Integer rows (k, 5) (omega, d1, d2, x1, x2) of field labels."""
+    return _integer_array([(w, *D, *z) for w, D, z in labels], 2, 5,
+                          "field label entries", bits=32)
 
 
 def _edge(b1, b2, direction):
@@ -116,13 +111,12 @@ class Kernel:
         if any(len(ls) != n or len(es) != m for ls, es in coeffs):
             raise ValueError(f"key arity mismatch in sector ({n},{p},{m})")
         labels = _label_rows(l for ls, _ in coeffs for l in ls)
-        edges = [(*_require_integers(e.base, "edge coordinates"),
-                  _DIRECTIONS.index(e.direction))
-                 for _, es in coeffs for e in es]
+        edges = _integer_array([(*e.base, _DIRECTIONS.index(e.direction))
+                                for _, es in coeffs for e in es], 2, 3,
+                               "edge coordinates", bits=32)
         K = len(coeffs)
-        self._set(geom, n, p, m,
-                  labels.reshape(K, n, 5),
-                  np.array(edges, dtype=np.int32).reshape(K, m, 3),
+        self._set(geom, n, p, m, labels.reshape(K, n, 5),
+                  edges.reshape(K, m, 3),
                   np.fromiter(coeffs.values(), dtype=complex, count=K))
 
     @classmethod
@@ -452,10 +446,11 @@ def horizontal_translate(kernel, a):
     edges."""
     _require_integers((a,), "translation shifts")
     L = _finite(kernel.geom, "translations").L
+    a %= 2 * L  # a shift by 2L is the identity
     labels, edges = kernel.labels.copy(), kernel.edges.copy()
-    col, s = antiperiodic_wrap(labels[..., 3].astype(np.int64) - 1 + a, L)
+    col, s = antiperiodic_wrap(labels[..., 3] - 1 + a, L)
     labels[..., 3] = col + 1
-    edges[..., 0] = (edges[..., 0].astype(np.int64) - 1 + a) % L + 1
+    edges[..., 0] = (edges[..., 0] - 1 + a) % L + 1
     return _derive(kernel, (np.arange(len(labels)), labels, edges,
                             s.prod(axis=1)))
 
@@ -700,11 +695,9 @@ def weighted_norm(kernel, flavor, kappa):
     either end) do not contribute.
 
     The distances of all keys come from one :func:`lattice.tree_distances`
-    call: keys equal up to a horizontal translation share one canonical
-    row, and the rows of one terminal count share one batched
-    Dreyfus-Wagner, in chunks of at most 8 MB per temporary; nothing is
-    kept after the call.  Each distinct distance ``d`` gives one weight
-    factor ``exp(kappa * d)``.
+    call.  Each distinct distance ``d`` gives one weight factor
+    ``exp(kappa * d)``; a kappa for which that of the largest distance
+    overflows raises ValueError.
     """
     if flavor not in NORM_FLAVORS:
         raise ValueError(f"unknown norm flavor {flavor!r}")
@@ -725,6 +718,9 @@ def weighted_norm(kernel, flavor, kappa):
     dist, key = np.unique(tree_distances(
         labels[..., _SITE], edges if source else edges[:, :0], geom,
         boundary=flavor.endswith("edge")), return_inverse=True)
+    if dist.size and not kappa * int(dist[-1]) <= _LOG_MAX:
+        raise ValueError(f"kappa = {kappa} overflows the weight exp(kappa * "
+                         f"d) at the largest distance d = {dist[-1]}")
     factor = np.array([math.exp(kappa * d) for d in dist.tolist()])
     # pinned with the species: the probe edges or the first site (column)
     anchor = (edges if source else labels[:, :1, 3:4] if flavor == "edge"

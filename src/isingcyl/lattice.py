@@ -22,6 +22,7 @@ Sites are plain ``(x1, x2)`` tuples with ``x1`` in ``1..L`` and ``x2`` in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import floor
@@ -36,6 +37,34 @@ def _require_integers(values, what):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{what} must be integers, got {v!r}")
     return values
+
+
+def _integer_array(a, ndim, width, what, bits=64):
+    """Caller coordinates ``a``, an array or nested sequences, as a signed
+    ``bits``-bit integer array of ``ndim`` axes, the last of length
+    ``width``.  Another shape, an entry that is not an integer (by dtype for
+    an array; for sequences value by value, in one scan: no bool, no float)
+    or one that does not fit ``bits`` signed bits raises ValueError."""
+    array = isinstance(a, np.ndarray)
+    shape, values = (a.shape, a) if array else ([], [a])
+    try:  # the extent of each axis of nested sequences, none if ragged
+        for axis in range(0 if array else ndim):
+            (n,) = set(map(len, values)) or {width * (axis == ndim - 1)}
+            shape.append(n)
+            values = list(itertools.chain.from_iterable(values))
+    except (TypeError, ValueError):
+        shape = ()
+    if len(shape) != ndim or shape[-1] != width:
+        raise ValueError(f"{what}: need {ndim} axes, the last of {width}")
+    if not array:
+        _require_integers(values, what)
+    elif a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {a.dtype}")
+    lo, hi = ((a.min(initial=0), a.max(initial=0)) if array
+              else (min(values, default=0), max(values, default=0)))
+    if not -1 << bits - 1 <= lo <= hi < 1 << bits - 1:
+        raise ValueError(f"{what} must fit in {bits} bits")
+    return np.asarray(values, dtype=f"int{bits}").reshape(shape)
 
 
 def _pack(rows):
@@ -142,7 +171,7 @@ def alpha_sign(zs, geom):
     is the parity of the number of sites with ``x1 <= L/3``; otherwise 0.
     An integer array of shape (K, n, 2) holds K tuples and gives K parities.
     """
-    zs = np.asarray(zs, dtype=np.int64)
+    zs = np.asarray(zs)
     if zs.size == 0:
         return np.zeros(zs.shape[:-2], dtype=np.int64)[()]
     L = geom.L
@@ -219,19 +248,6 @@ def _closure_metric(L, M):
     D = np.minimum(dc, L - dc) + np.abs(row[:, None] - row[None, :])
     D.flags.writeable = False
     return D
-
-
-def _integer_array(a, width, what):
-    """``a`` as int64 rows (K, k, width); raise unless its entries are
-    integers (by dtype, or one by one for an object array)."""
-    a = np.asarray(a)
-    if a.ndim != 3 or a.shape[2] != width:
-        raise ValueError(f"{what} must be an array (K, k, {width})")
-    if a.dtype == object:
-        _require_integers(a.ravel().tolist(), what)
-    elif a.size and a.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integers, got {a.dtype}")
-    return a.astype(np.int64)
 
 
 def _canonical_rows(sites, edges, geom):
@@ -369,23 +385,22 @@ def tree_distances(sites, edges, geom, boundary=False):
     ``boundary`` (see :func:`tree_distance`, :func:`edge_tree_distance`).
 
     ``sites`` (K, n, 2) holds each key's sites (x1, x2) and ``edges`` (K,
-    m, 3) its required edges (b1, b2, 0 for "h" / 1 for "v"); columns wrap
-    mod L, and every site and edge endpoint must lie on the closure rows
-    0..M+1.  Each distinct canonical row (keys equal up to a horizontal
-    translation share one) is solved once, and the rows of one terminal
-    count share one batched Dreyfus-Wagner whose chunks of rows hold at
-    most ``_CHUNK_BYTES`` (8 MB) per temporary, or one (nv, nv) metric
-    where that is larger.  Nothing is kept between calls.  Returns int64
-    distances (K,).
+    m, 3) its required edges (b1, b2, 0 for "h" / 1 for "v"), both read by
+    :func:`_integer_array`; columns wrap mod L, and every site and edge
+    endpoint must lie on the closure rows 0..M+1.  Each distinct canonical
+    row (keys equal up to a horizontal translation share one) is solved
+    once, and the rows of one terminal count share one batched
+    Dreyfus-Wagner whose chunks of rows hold at most ``_CHUNK_BYTES`` (8
+    MB) per temporary, or one (nv, nv) metric where that is larger.
+    Nothing is kept between calls.  Returns int64 distances (K,).
     """
     L, M = geom.L, geom.M
-    sites = _integer_array(sites, 2, "site coordinates")
-    edges = _integer_array(edges, 3, "edge coordinates")
+    sites = _integer_array(sites, 3, 2, "site coordinates")
+    edges = _integer_array(edges, 3, 3, "edge coordinates")
     if len(sites) != len(edges):
         raise ValueError("sites and edges of different key counts")
-    x2 = sites[..., 1]
     b2, vertical = edges[..., 1], edges[..., 2]
-    if ((x2 < 0) | (x2 > M + 1)).any():
+    if ((sites[..., 1] < 0) | (sites[..., 1] > M + 1)).any():
         raise ValueError(f"site row outside the closure rows 0..{M + 1}")
     if ((vertical != 0) & (vertical != 1)).any() or (
             (b2 < 0) | (b2 + vertical > M + 1)).any():
@@ -419,12 +434,8 @@ def tree_distances(sites, edges, geom, boundary=False):
 
 
 def _one_key(zs, xs):
-    """Site and edge arrays of one key, as object arrays, so that
-    :func:`tree_distances` checks the Python values (numpy would read a
-    bool as an integer and cast a float)."""
-    return (np.array(zs, dtype=object).reshape(1, -1, 2),
-            np.array([(*x.base, int(x.direction == "v")) for x in xs],
-                     dtype=object).reshape(1, -1, 3))
+    """Site and edge rows of one key, as nested sequences."""
+    return [zs], [[(*x.base, int(x.direction == "v")) for x in xs]]
 
 
 def tree_distance(zs, xs, geom):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import CylinderGeometry, antiperiodic_wrap
+from .lattice import CylinderGeometry, _integer_array, antiperiodic_wrap
 
 
 class NumericalError(ArithmeticError):
@@ -248,21 +248,19 @@ def _root_grid(L, M, params):
 
 
 def _pairs(z, zp, L, rows, columns=None):
-    """Integer site arrays (n, 2) and (n', 2), and the residue of z1 - z'1
-    mod L and its antiperiodic sign (n, n', 1, 1) of each pair.  A bool or
-    float coordinate, or a row or column outside the closed ranges, raises
-    ValueError (numpy reads bools among integers as integers)."""
-    arrays = [np.asarray(s) if len(s) else np.zeros((0, 2), dtype=int)
-              for s in (z, zp)]
+    """Integer site arrays (n, 2) and (n', 2) (:func:`lattice._integer_array`
+    in the closed row and column ranges, or ValueError), and the residue of
+    z1 - z'1 mod L and its antiperiodic sign (n, n', 1, 1) of each pair."""
     lo, hi = zip(columns or (-np.inf, np.inf), rows)
-    if not all(a.dtype.kind in "iu" and a.shape[1:] == (2,)
-               and ((lo <= a) & (a <= hi)).all() for a in arrays) or any(
-            isinstance(v, (bool, np.bool_)) for s in (z, zp)
-            if not isinstance(s, np.ndarray) for site in s for v in site):
+    try:
+        z, zp = (_integer_array(s, 2, 2, "site coordinates") for s in (z, zp))
+        inside = all(((lo <= a) & (a <= hi)).all() for a in (z, zp))
+    except ValueError:
+        inside = False
+    if not inside:
         where = f"columns {columns[0]}..{columns[1]} and " if columns else ""
         raise ValueError(f"site coordinates must be integers, in {where}"
                          f"rows {rows[0]}..{rows[1]}")
-    z, zp = (a.astype(np.int64, copy=False) for a in arrays)  # no uint wrap
     m, sign = antiperiodic_wrap(z[:, None, 0] - zp[:, 0], L)
     return z, zp, m, sign[..., None, None]
 
@@ -783,10 +781,17 @@ _IMAGES = 64
 
 def _require_on_cylinder(points, ell1, ell2, name="cylinder"):
     """Raise ValueError naming the first point that is not finite with
-    0 <= x <= ell1 and 0 < y < ell2 (NaN fails every comparison)."""
-    for x, y in ((float(a), float(b)) for a, b in points):
-        if not (0.0 <= x <= ell1 and 0.0 < y < ell2):
-            raise ValueError(f"point {(x, y)} outside the open {name}")
+    0 <= x <= ell1 and 0 < y < ell2 (NaN fails every comparison), or that
+    coincides with an earlier one (``np.allclose``; x = 0 and x = ell1 are
+    one point)."""
+    points = [(float(a), float(b)) for a, b in points]
+    for i, z in enumerate(points):
+        if not (0.0 <= z[0] <= ell1 and 0.0 < z[1] < ell2):
+            raise ValueError(f"point {z} outside the open {name}")
+        for w in points[:i]:
+            if np.allclose(w, z) or np.allclose(np.abs(np.subtract(w, z)),
+                                                (ell1, 0.0)):
+                raise ValueError(f"{w} and {z}: not distinct points")
 
 
 def _alternating_fold(T):
@@ -819,10 +824,7 @@ def scaling_propagator(z, zp, ell1, ell2, params):
     resummed to machine precision.
     """
     _require_on_cylinder((z, zp), ell1, ell2)
-    z = np.asarray(z, dtype=float)
-    zp = np.asarray(zp, dtype=float)
-    if np.allclose(z, zp) or np.allclose(np.abs(z - zp), (ell1, 0.0)):
-        raise ValueError("scaling propagator requires distinct points")
+    z, zp = np.asarray((z, zp), dtype=float)
     dx, dy = z - zp
     sy = (z + zp)[1]
     n = np.arange(-_IMAGES, _IMAGES + 1)

@@ -145,9 +145,10 @@ class FlatLazyTable:
 def fft_torus_grid(params, weight, N):
     """The whole antiperiodic N x N torus grid of the infinite-volume
     propagator by one FFT of the (N, N, 2, 2) ghat grid: entry [m1, m2]
-    is the torus sum at the offset (m1, m2)."""
+    is the torus sum at the offset (m1, m2).  The momenta pi(2m - N + 1)/N
+    are odd multiples of pi/N, rounded as ``horizontal_momenta(N)``."""
     m = np.arange(N)
-    k = -np.pi + 2.0 * np.pi * (m + 0.5) / N
+    k = np.pi * (2 * m - N + 1) / N
     K1, K2 = np.meshgrid(k, k, indexing="ij")
     vals = ghat_matrix(K1, K2, params)
     if weight is not None:
@@ -170,7 +171,7 @@ def torus_lookup(g, z):
 def fsum_torus_entry(params, weight, N, z):
     """One torus-sum entry, each component an exactly rounded ``fsum``
     over the N^2 momenta."""
-    k = -np.pi + 2.0 * np.pi * (np.arange(N) + 0.5) / N
+    k = np.pi * (2 * np.arange(N) - N + 1) / N
     K1, K2 = np.meshgrid(k, k, indexing="ij")
     vals = ghat_matrix(K1, K2, params) * np.exp(
         -1j * (K1 * z[0] + K2 * z[1]))[..., None, None]

@@ -68,3 +68,16 @@ def test_norm_battery_time_cap_is_per_run(monkeypatch, runs, seconds,
     assert rec["time_cap"] == pytest.approx(0.2 * runs)
     assert rec["residual"] == 0.0
     assert rec["passed"] is passed
+
+
+def test_pfaffian_takes_each_brute_force_once(monkeypatch):
+    # criterion 1 used to evaluate every brute-force Pfaffian twice
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return brute(A)
+    brute = acceptance.pfaffian_bruteforce
+    monkeypatch.setattr(acceptance, "pfaffian_bruteforce", counting)
+    assert acceptance.check_pfaffian(seed=0)["passed"]
+    assert sorted(calls) == [(d, d) for d in range(2, 13, 2) for _ in range(3)]

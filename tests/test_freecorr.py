@@ -504,6 +504,23 @@ class TestScalingCorrelation:
         with pytest.raises(ValueError):
             scaling_correlation([(0.3, 0.4)], (3,), 1, 1, p)
 
+    def test_coincident_points_raise_before_any_image_sum(self,
+                                                          monkeypatch):
+        # x = 0 and x = ell1 are one point, so the last two points
+        # coincide: this used to raise only at the 6th pair, after 5 image
+        # sums
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return scaling_propagator(*args)
+        monkeypatch.setattr(freecorr, "scaling_propagator", counting)
+        pts = [(0.1, 0.5), (0.3, 0.5), (0.0, 0.2), (1.0, 0.2)]
+        with pytest.raises(ValueError, match="distinct points"):
+            scaling_correlation(pts, (2,) * 4, 1.0, 1.0,
+                                ModelParams.critical(0.5))
+        assert calls == []
+
     @pytest.mark.parametrize("x", [1e200, math.nan, -0.1])
     def test_points_off_the_circumference_raise(self, x):
         # rejected, naming the point, before any image sum overflows

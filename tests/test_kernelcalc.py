@@ -205,6 +205,16 @@ class TestArguments:
         with pytest.raises(ValueError, match="integers"):
             horizontal_translate(k, a)
 
+    def test_translate_accepts_every_integer_shift(self, geom):
+        # 2**70 used to raise OverflowError from the int64 column; a shift
+        # by 2L is the identity on fields (antiperiodic) and edges
+        k = rand_kernel(np.random.default_rng(6), geom, 2, 1)
+        a = 2 ** 70
+        assert_same_kernel(horizontal_translate(k, a),
+                           horizontal_translate(k, a % (2 * geom.L)))
+        for a in (2 * geom.L, -2 * geom.L):
+            assert polynomial_distance(horizontal_translate(k, a), k) == 0.0
+
     @pytest.mark.parametrize("axis", [0, 3, -1, "h"])
     def test_reflect_rejects_other_axes(self, geom, axis):
         # any axis but 1 used to reflect vertically
@@ -952,6 +962,18 @@ class TestWeightedNorm:
         for flavor in NORM_FLAVORS:
             with pytest.raises(ValueError, match="kappa"):
                 weighted_norm(k, flavor, kappa)
+
+    @pytest.mark.parametrize("flavor", NORM_FLAVORS)
+    def test_rejects_kappa_whose_weight_overflows(self, geom, flavor):
+        # kappa = 1e300 used to end in "OverflowError: math range error"
+        # from exp(kappa * d); kappa 0 and 0.1 read as before
+        rng = np.random.default_rng(29)
+        k = rand_source(rng, geom, 2, 1)
+        with pytest.raises(ValueError, match=r"kappa = 1e\+300 .* d = \d"):
+            weighted_norm(k, flavor, 1e300)
+        for kappa in (0.0, 0.1):
+            assert (weighted_norm(k, flavor, kappa)
+                    == _per_key_norm(k, flavor, kappa))
 
     @pytest.mark.parametrize("flavor", NORM_FLAVORS)
     def test_matches_per_key_reference(self, geom, flavor):
