@@ -116,6 +116,8 @@ def enumerate_gibbs(geom, beta, J1=1.0, J2=1.0, observables=()):
     the occupied (a, b) levels and shifted by their maximum, so the sums
     neither depend on the order of the configurations nor overflow.
     """
+    if not all(map(math.isfinite, (beta, J1, J2))):
+        raise ValueError("beta, J1 and J2 must be finite")
     L, M = geom.L, geom.M
     n = L * M
     if n > ENUMERATION_CAP:
@@ -207,29 +209,34 @@ def partition_function_free(geom, beta, J1=1.0, J2=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _h_composite(w, z, L, s_pm):
-    """The phi row and the xi row of the mixed field H_{w,z}."""
-    c = s_eval(s_pm[w], z[0] - np.arange(1, L + 1), L)
-    c_minus = -c if w == 0 else c
-    phi = ([(c[y - 1], 0, (y, z[1])) for y in range(1, L + 1)]
-           + [(c_minus[y - 1], 1, (y, z[1])) for y in range(1, L + 1)])
-    return phi, [(1.0, w, z)]
-
-
-def bilinear_rows(edge, L, s_pm):
-    """The two constituent (composite) fields of E_x, in product order,
-    each as its (phi row, xi row) pair.
+def bilinear_terms(edges, L, s_pm):
+    """The phi and xi term arrays ``(rows, coeffs, fields)`` (see
+    :meth:`PropagatorTable.products`) of the constituent fields of the
+    bilinears E_x of ``edges``: field w of edge i is combination 2i + w.
 
     Vertical edge at z: (phi_{+,z}, phi_{-,z+e2}).  Horizontal edge at z:
-    (H_{+,z}, H_{-,z+e1}), with ``s_pm = (s_+, s_-)``; the second site
-    keeps its raw first coordinate (antiperiodicity is handled by the
-    tables and s-kernels).
+    (H_{+,z}, H_{-,z+e1}), with ``s_pm = (s_+, s_-)``: H_{w,z'} is its xi
+    term, then ``s_w(z'1 - y)`` phi_+ and ``-+ s_w(z'1 - y)`` phi_- at
+    (y, z'2), y = 1..L.  The second site keeps its raw first coordinate
+    (the tables and s-kernels wrap it antiperiodically).
     """
-    z = edge.base
-    if edge.direction == "v":
-        return (([(1.0, 0, z)], []), ([(1.0, 1, (z[0], z[1] + 1))], []))
-    return (_h_composite(0, z, L, s_pm),
-            _h_composite(1, (z[0] + 1, z[1]), L, s_pm))
+    m = len(edges)
+    h = np.array([e.direction == "h" for e in edges], bool)[:, None, None]
+    z = np.array([e.base for e in edges], dtype=np.int64).reshape(m, 1, 2)
+    rows = np.arange(2 * m).reshape(m, 2, 1)  # 2i + w
+    w = rows % 2
+    site = z + w * np.where(h, (1, 0), (0, 1))
+    x1, x2 = site[..., :1], site[..., 1:]
+    # phi terms in 2L slots (omega, y): all H's, or phi_{w,z'}'s at (w, x1)
+    slot, y = np.arange(2 * L), np.arange(1, L + 1)
+    c = np.stack([s_eval(s, x1[:, k] - y, L) for k, s in enumerate(s_pm)], 1)
+    coeffs = np.where(h, np.concatenate([c, np.where(w, c, -c)], -1), 1.0)
+    phi = h | (slot == w * L + x1 - 1)
+    fields = np.stack(np.broadcast_arrays(slot // L, slot % L + 1, x2), -1)
+    xi = np.broadcast_to(h[..., 0], (m, 2))
+    return ((np.broadcast_to(rows, phi.shape)[phi], coeffs[phi], fields[phi]),
+            (rows[xi, 0], np.ones(xi.sum()),
+             np.concatenate([w, site], axis=-1)[xi]))
 
 
 class FreeCorrelator:
@@ -257,21 +264,17 @@ class FreeCorrelator:
         """Products matrix of the constituent fields of ``edges``, in
         product order, whose strict upper triangle is their covariance:
         phi and xi are independent, so the two sectors' matrices add."""
-        phi, xi = [], []
         for e in edges:
             e.validate(self.geom)
-            for p, x in bilinear_rows(e, self.geom.L, self.s_pm):
-                phi.append(p)
-                xi.append(x)
-        return self.gc.products(phi) + self.gm.products(xi)
+        phi, xi = bilinear_terms(edges, self.geom.L, self.s_pm)
+        return (self.gc.products(2 * len(edges), *phi)
+                + self.gm.products(2 * len(edges), *xi))
 
     def bilinear_moment(self, edges):
         """<prod_x E_x>: Pfaffian of the constituent-field covariances.
 
-        Includes the intra-bilinear entries; the empty product is 1.
+        Includes the intra-bilinear entries; the empty product is 1 (Pf 0x0).
         """
-        if not edges:
-            return 1.0
         return _real(pfaffian(self._covariance(edges)))
 
     def _couplings(self, edges):
@@ -296,7 +299,10 @@ class FreeCorrelator:
         """Order-m joint cumulant of the energy observables; the mean for
         m = 1.  For m >= 2 cumulants ignore the constants t_j and are
         multilinear: prod_x (1 - t_j^2) times the joint cumulant of the
-        bilinears E_x, their connected loop sum (:func:`loop_cumulant`)."""
+        bilinears E_x, their connected loop sum (:func:`loop_cumulant`); no
+        edge raises ValueError."""
+        if not edges:
+            raise ValueError("a cumulant needs at least one edge")
         if len(edges) == 1:
             return self.energy_moment(edges)
         t = self._couplings(edges)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
-    Edge, _integer_array, _pack, _require_integers, alpha_sign,
+    Edge, _groups, _integer_array, _pack, _require_integers, alpha_sign,
     antiperiodic_wrap, edge_tree_distance, gamma_steps, tree_distance,
     tree_distances, z_boundary,
 )
@@ -51,7 +52,7 @@ from .skewlinalg import joint_cumulant, skew_moment
 _SITE = slice(3, 5)  # the (x1, x2) columns of a label row
 _DIRECTIONS = ("h", "v")
 _TERM_BUDGET = 500000  # the most terms one rg_step call may visit
-_LOG_MAX = math.log(np.finfo(float).max)  # the largest finite exp argument
+_LOG_MAX = math.log(sys.float_info.max)  # the largest finite exp argument
 
 
 class FieldLabel(NamedTuple):
@@ -186,15 +187,6 @@ def _sorted_edges(edges):
     """Edge rows sorted within each key by (b2, b1, direction)."""
     order = np.argsort(_pack(edges[..., [1, 0, 2]]), axis=1, kind="stable")
     return np.take_along_axis(edges, order[..., None], axis=1)
-
-
-def _groups(*blocks):
-    """Rows equal in every integer block (N, k, c): the first row of each
-    group, in order of first appearance, and the group of every row."""
-    key = _pack(np.concatenate([_pack(b) for b in blocks], axis=1))
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[group]
 
 
 def _merge(values, *blocks):
@@ -697,12 +689,13 @@ def weighted_norm(kernel, flavor, kappa):
     The distances of all keys come from one :func:`lattice.tree_distances`
     call.  Each distinct distance ``d`` gives one weight factor
     ``exp(kappa * d)``; a kappa for which that of the largest distance
-    overflows raises ValueError.
+    overflows raises ValueError, as does a kappa outside [0, float max].
     """
     if flavor not in NORM_FLAVORS:
         raise ValueError(f"unknown norm flavor {flavor!r}")
-    if not (math.isfinite(kappa) and kappa >= 0):
-        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
+    # exact comparisons: NaN and integers beyond the float range fail
+    if not 0 <= kappa <= sys.float_info.max:
+        raise ValueError("kappa must be a finite nonnegative float")
     geom = _finite(kernel.geom, "weighted norms")
     labels = kernel.labels
     rows = np.flatnonzero(
@@ -736,12 +729,13 @@ def weighted_norm(kernel, flavor, kappa):
 
 def _products(labels, table):
     """The products matrix (:meth:`PropagatorTable.products`) of label rows
-    (k, 5): each label is the row of its plain-field terms ``(sign, 0 for
-    omega=+ / 1 for omega=-, site)``, in expansion order."""
-    terms = [a.tolist() for a in _label_terms(labels, table.geom)]
-    return table.products([
-        [(s, int(w < 0), (c, r)) for c, r, s, ok in zip(*t) if ok]
-        for w, *t in zip(labels[:, 0].tolist(), *terms)])
+    (k, 5): label i is combination i of its valid plain-field terms, in
+    expansion order, each its sign times the field (0 for omega=+ / 1 for
+    omega=-, column, row)."""
+    col, row, sign, valid = _label_terms(labels, table.geom)
+    k, t = np.nonzero(valid)
+    return table.products(len(labels), k, sign[k, t], np.stack(
+        [labels[k, 0] < 0, col[k, t], row[k, t]], axis=-1))
 
 
 def monomial_moment(labels, table):

@@ -87,6 +87,16 @@ def _pack(rows):
     return code
 
 
+def _groups(*blocks):
+    """Rows equal in every integer block (N, k, c): the first row of each
+    group, in order of first appearance, and the group of every row."""
+    key = _pack(np.concatenate([_pack(b) for b in blocks], axis=1))
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    # np.unique's sort kind: a first quicksort maps 0.3 MB more SIMD code
+    order = np.argsort(first, kind="stable")
+    return first[order], np.argsort(order, kind="stable")[group]
+
+
 @dataclass(frozen=True)
 class CylinderGeometry:
     """The cylinder ``Z_L x [1, M]`` (L even, M >= 1)."""

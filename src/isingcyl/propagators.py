@@ -31,7 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import CylinderGeometry, _integer_array, antiperiodic_wrap
+from .lattice import (
+    CylinderGeometry, _groups, _integer_array, antiperiodic_wrap,
+)
 
 
 class NumericalError(ArithmeticError):
@@ -279,27 +281,23 @@ class PropagatorTable:
         """The 2x2 block g(z, z'): the 1x1 case of :meth:`blocks`."""
         return self.blocks([z], [zp])[0, 0]
 
-    def products(self, rows):
-        """Matrix of the field products of linear combinations of fields.
-
-        A row is a sequence of ``(coeff, omega, site)`` terms, omega 0 for
-        '+' and 1 for '-'.  Entry (i, j) is ``sum c c' g_{omega omega'}(site,
-        site')`` over the terms of rows i and j, for every i and j: the
-        diagonal reads g at coincident sites, so a principal submatrix
-        that repeats an index is the covariance of a repeated row; the
-        strict upper triangle is the skew covariance.  The blocks of every
-        ordered pair of the sites named, a site paired with itself
-        included, are read by one :meth:`blocks` call.
-        """
-        index = {z: a for a, z in enumerate(dict.fromkeys(
-            z for row in rows for _, _, z in row))}
-        n = len(index)
-        C = np.zeros((len(rows), 2 * n), dtype=complex)
-        for i, row in enumerate(rows):
-            for c, w, z in row:
-                C[i, 2 * index[z] + w] += c
-        P = self.blocks(list(index), list(index))
-        return C @ P.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n) @ C.T
+    def products(self, n, rows, coeffs, fields):
+        """Matrix of the field products of ``n`` linear combinations of
+        fields: term t adds ``coeffs[t]`` times the field ``fields[t] =
+        (omega, x1, x2)`` (omega 0 for '+', 1 for '-') to combination
+        ``rows[t]``.  Entry (i, j) is ``sum c c' g_{omega omega'}(site,
+        site')`` over the terms of i and j, for every i and j: the diagonal
+        reads g at coincident sites, so a principal submatrix that repeats
+        an index is the covariance of a repeated combination; the strict
+        upper triangle is the skew covariance.  One :meth:`blocks` call
+        reads every ordered pair of the distinct sites, in order of first
+        appearance (:func:`lattice._groups`)."""
+        first, index = _groups(fields[:, None, 1:])
+        C = np.zeros((n, 2 * len(first)), dtype=complex)
+        np.add.at(C, (rows, 2 * index + fields[:, 0]), coeffs)
+        sites = fields[first, 1:]
+        P = self.blocks(sites, sites).transpose(0, 2, 1, 3)
+        return C @ P.reshape(C.shape[1], C.shape[1]) @ C.T
 
 
 class TranslationInvariantTable(PropagatorTable):
@@ -599,14 +597,16 @@ def boundary_residual(table, sites, columns):
 
 
 def _conv_kernels(geom, params):
-    """Real-space convolution kernels of b and Delta over raw offsets."""
-    L = geom.L
-    k1 = horizontal_momenta(L)
-    d = np.arange(-(L - 1), L)
-    ph = np.exp(1j * np.outer(d, k1))
-    cb = ph @ coeff_b(k1, params) / L
-    cD = ph @ coeff_Delta(k1, params) / L
-    return d, cb, cD
+    """Real-space convolution kernels of b and Delta at the raw offsets
+    1 - L .. L - 1."""
+    L, k1 = geom.L, horizontal_momenta(geom.L)
+    ph = np.exp(1j * np.outer(np.arange(1 - L, L), k1))
+    return ph @ coeff_b(k1, params) / L, ph @ coeff_Delta(k1, params) / L
+
+
+def _basis(L, x1, m, w):
+    """Basis index ``2*site + omega`` of the field at column x1, row m."""
+    return 2 * ((m - 1) * L + (x1 - 1)) + w
 
 
 def build_A_critical(geom, params):
@@ -617,24 +617,15 @@ def build_A_critical(geom, params):
     zero, so the t2 coupling stops at row M-1.
     """
     L, M = geom.L, geom.M
-    t2 = params.t2
-    n = 2 * L * M
-    d, cb, cD = _conv_kernels(geom, params)
-    off = L - 1  # index of offset 0 in the kernel arrays
-    C = np.zeros((n, n), dtype=complex)
-
-    def idx(x1, m, w):
-        return 2 * ((m - 1) * L + (x1 - 1)) + w
-
-    for m in range(1, M + 1):
-        for x in range(1, L + 1):
-            for xp in range(1, L + 1):
-                dd = xp - x
-                C[idx(x, m, 0), idx(xp, m, 1)] += -cb[off + dd]
-                C[idx(x, m, 0), idx(xp, m, 0)] += -0.5j * cD[off + dd]
-                C[idx(x, m, 1), idx(xp, m, 1)] += +0.5j * cD[off + dd]
-            if m < M:
-                C[idx(x, m, 0), idx(x, m + 1, 1)] += t2
+    cb, cD = _conv_kernels(geom, params)
+    C = np.zeros((2 * L * M, 2 * L * M), dtype=complex)
+    # each coupling is one array assignment, each entry of C set once
+    m, x, xp = np.ogrid[1:M + 1, 1:L + 1, 1:L + 1]
+    dd = xp - x + L - 1  # index of the offset xp - x in the kernel arrays
+    C[_basis(L, x, m, 0), _basis(L, xp, m, 1)] += -cb[dd]
+    C[_basis(L, x, m, 0), _basis(L, xp, m, 0)] += -0.5j * cD[dd]
+    C[_basis(L, x, m, 1), _basis(L, xp, m, 1)] += +0.5j * cD[dd]
+    C[_basis(L, x, m[:-1], 0), _basis(L, x, m[:-1] + 1, 1)] += params.t2
     A = C - C.T
     if not np.max(np.abs(A.imag)) < 1e-12:
         raise NumericalError("critical quadratic form is not real")
@@ -644,18 +635,11 @@ def build_A_critical(geom, params):
 def build_A_massive(geom, params):
     """The antisymmetric matrix A_m with S_m = (1/2)(xi, A_m xi)."""
     L, M = geom.L, geom.M
-    t1 = params.t1
-    n = 2 * L * M
-    C = np.zeros((n, n))
-
-    def idx(x1, m, w):
-        return 2 * ((m - 1) * L + (x1 - 1)) + w
-
-    for m in range(1, M + 1):
-        for x in range(1, L + 1):
-            C[idx(x, m, 0), idx(x, m, 1)] += 1.0
-            r, sign = antiperiodic_wrap(x, L)  # the neighbor x + 1 = r + 1
-            C[idx(x, m, 0), idx(r + 1, m, 1)] += sign * t1
+    C = np.zeros((2 * L * M, 2 * L * M))
+    m, x = np.ogrid[1:M + 1, 1:L + 1]
+    r, sign = antiperiodic_wrap(x, L)  # the neighbor x + 1 = r + 1
+    C[_basis(L, x, m, 0), _basis(L, x, m, 1)] += 1.0
+    C[_basis(L, x, m, 0), _basis(L, r + 1, m, 1)] += sign * params.t1
     return C - C.T
 
 
@@ -708,14 +692,17 @@ def infinite_propagator_grid(params, weight, N, z1, z2):
     None) takes broadcastable (k1, k2) arrays and must be even in k2.  The
     sum is g(z2) of :func:`_offset_profiles` with the torus modes: phases
     at z1, the N/2 positive k2 shared by every k1 and ``norm = N^2``.
-    O(N^2 |z2| + N |z1| |z2|) time, O(N^2) memory.
+    O(N^2 |z2| + N |z1| |z2|) time, O(N^2) memory.  Offsets that are not
+    integers (:func:`lattice._integer_array`) raise ValueError.
     """
     if N % 2:
         raise ValueError(f"the torus size N must be even, got {N}")
+    z1, z2 = (_integer_array(z, 1, np.size(z), "torus offsets")
+              for z in (z1, z2))
     k = horizontal_momenta(N)
     modes = _modes(params, weight, np.exp(-1j * np.outer(k, z1)), k,
                    k[None, N // 2:], N * N)
-    g, _ = _offset_profiles(modes, np.asarray(z2), np.zeros(0, dtype=int))
+    g, _ = _offset_profiles(modes, z2, np.zeros(0, dtype=int))
     return g.swapaxes(0, 1)
 
 
@@ -729,13 +716,14 @@ def infinite_propagator(zs, params):
     raw sums converge only algebraically), all offsets as one (K, 2, 2)
     array.  Stops once the extrapolated entries change by less than
     1e-10, or raises :class:`DoublingError` after N = 2048.  Returns a dict
-    ``z -> 2x2 block``.
+    ``z -> 2x2 block``; offsets that are not integer pairs raise ValueError.
     """
     zs = [tuple(z) for z in zs]
     if not zs:
         raise ValueError("empty offset list: need at least one offset")
-    z1, i1 = np.unique([z[0] for z in zs], return_inverse=True)
-    z2, i2 = np.unique([z[1] for z in zs], return_inverse=True)
+    z = _integer_array(zs, 2, 2, "torus offsets")
+    z1, i1 = np.unique(z[:, 0], return_inverse=True)
+    z2, i2 = np.unique(z[:, 1], return_inverse=True)
     raw, r1, r2, best = [], [], [], []
     N = 64
     for _ in range(6):  # N = 64 .. 2048

@@ -63,6 +63,16 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_gibbs(CylinderGeometry(6, 5), 0.1)
 
+    @pytest.mark.parametrize("beta, J1, J2", [
+        (math.inf, 1.0, 1.0), (-math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0),
+        (0.3, math.inf, 1.0), (0.3, 1.0, math.nan)])
+    def test_non_finite_couplings_rejected(self, beta, J1, J2):
+        # beta = inf used to give log Z = nan with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                enumerate_gibbs(CylinderGeometry(4, 3), beta, J1, J2)
+
     def test_moment_subsets_present(self):
         geom = CylinderGeometry(4, 2)
         obs = (Edge((1, 1), "h"), Edge((1, 1), "v"), Edge((3, 2), "h"))
@@ -373,6 +383,19 @@ class TestEnergyCumulants:
         with pytest.raises(ValueError, match="integers"):
             corr.energy_cumulant((Edge((1.0, 1), "h"), Edge((3, 2), "v")))
 
+    def test_no_edge_rejected_before_any_covariance(self, small_critical,
+                                                    monkeypatch):
+        # energy_cumulant([]) used to end in an IndexError from the loop
+        # sum; the empty moment stays 1
+        corr = small_critical[-1]
+        assert corr.energy_moment([]) == 1.0
+
+        def covariance(edges):
+            raise AssertionError("covariance built for no edge")
+        monkeypatch.setattr(corr, "_covariance", covariance)
+        with pytest.raises(ValueError, match="at least one edge"):
+            corr.energy_cumulant([])
+
     def test_second_cumulant_identity(self, small_critical):
         geom, beta, J1, J2, params, corr = small_critical
         e1, e2 = Edge((1, 1), "v"), Edge((3, 2), "v")
@@ -447,17 +470,19 @@ class TestConstituentCovariance:
                                                         monkeypatch):
         corr = small_critical[-1]
         counts = {"pfaffian": 0, "products": 0}
+        pfaffian, products = skewlinalg.pfaffian, PropagatorTable.products
 
-        def counted(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
-        counted_pfaffian = counted("pfaffian", skewlinalg.pfaffian)
+        def counted_pfaffian(*args):
+            counts["pfaffian"] += 1
+            return pfaffian(*args)
+
+        def counted_products(self, n, rows, coeffs, fields):
+            counts["products"] += 1
+            assert n == 6  # two constituent fields per edge
+            return products(self, n, rows, coeffs, fields)
         for module in (skewlinalg, freecorr):
             monkeypatch.setattr(module, "pfaffian", counted_pfaffian)
-        monkeypatch.setattr(PropagatorTable, "products", counted(
-            "products", PropagatorTable.products))
+        monkeypatch.setattr(PropagatorTable, "products", counted_products)
         # one products matrix per sector (phi and xi); a cumulant is a loop
         # sum with no Pfaffian, a moment one Pfaffian
         corr.energy_cumulant(self.EDGES[:3])

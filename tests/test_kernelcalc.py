@@ -964,6 +964,20 @@ class TestWeightedNorm:
                 weighted_norm(k, flavor, kappa)
 
     @pytest.mark.parametrize("flavor", NORM_FLAVORS)
+    def test_rejects_integer_kappa_beyond_the_float_range(self, geom,
+                                                          flavor):
+        # kappa = 10**400 used to end in "OverflowError: int too large to
+        # convert to float" from the finiteness check; integer kappas a
+        # float holds read as the equal floats
+        rng = np.random.default_rng(29)
+        k = rand_source(rng, geom, 2, 1)
+        with pytest.raises(ValueError, match="kappa"):
+            weighted_norm(k, flavor, 10 ** 400)
+        for kappa in (0, 1):
+            assert (weighted_norm(k, flavor, kappa)
+                    == weighted_norm(k, flavor, float(kappa)))
+
+    @pytest.mark.parametrize("flavor", NORM_FLAVORS)
     def test_rejects_kappa_whose_weight_overflows(self, geom, flavor):
         # kappa = 1e300 used to end in "OverflowError: math range error"
         # from exp(kappa * d); kappa 0 and 0.1 read as before
@@ -1156,9 +1170,9 @@ class TestTruncatedExpectation:
         calls = []
         products = PropagatorTable.products
 
-        def counting(self, rows):
-            calls.append(len(rows))
-            return products(self, rows)
+        def counting(self, n, *terms):
+            calls.append(n)
+            return products(self, n, *terms)
         monkeypatch.setattr(PropagatorTable, "products", counting)
         rng = np.random.default_rng(37)
         monos = [_rand_labels(rng, geom, 2) for _ in range(3)]
@@ -1281,9 +1295,9 @@ class TestRGStep:
         calls = []
         products = PropagatorTable.products
 
-        def counting(self, rows):
-            calls.append(len(rows))
-            return products(self, rows)
+        def counting(self, n, *terms):
+            calls.append(n)
+            return products(self, n, *terms)
         monkeypatch.setattr(PropagatorTable, "products", counting)
         rng = np.random.default_rng(47)
         v = rand_kernel(rng, geom, 4, 0, nkeys=2)

@@ -8,16 +8,17 @@ import pytest
 
 import gaussian_oracle as oracle
 import propagator_oracle
-from isingcyl import freecorr, propagators
-from isingcyl.lattice import CylinderGeometry, per_L
+from isingcyl import freecorr, kernelcalc, propagators
+from isingcyl.kernelcalc import FieldLabel, Kernel
+from isingcyl.lattice import CylinderGeometry, Edge, per_L
 from isingcyl.multiscale import (
     LEQ, CutoffWeight, ScaleCutoff, bulk_edge_split, scale_propagator,
 )
 from isingcyl.propagators import (
     DoublingError, LazyCriticalTable, ModelParams, NumericalError,
-    TranslationInvariantTable, _direct_table, boundary_residual, coeff_B,
-    coeff_D, critical_propagator_direct, critical_propagator_fourier,
-    critical_t2, ghat_matrix,
+    PropagatorTable, TranslationInvariantTable, _direct_table,
+    boundary_residual, coeff_B, coeff_D, critical_propagator_direct,
+    critical_propagator_fourier, critical_t2, ghat_matrix,
     horizontal_momenta, infinite_propagator, infinite_propagator_grid,
     gscal_scalar, massive_propagator, massive_propagator_direct,
     _root_grid, max_block_difference, s_eval,
@@ -571,10 +572,20 @@ class TestBlocks:
         assert table.blocks([], sites).shape == (0, len(sites), 2, 2)
 
 
+def _terms(rows):
+    """The arguments of ``products`` for rows of ``(coeff, omega, site)``
+    tuples: the row count and the term arrays."""
+    terms = [(i, c, (w, *z)) for i, row in enumerate(rows) for c, w, z in row]
+    index, coeffs, fields = zip(*terms) if terms else ((), (), ())
+    return (len(rows), np.array(index, dtype=np.int64),
+            np.array(coeffs, dtype=complex),
+            np.array(fields, dtype=np.int64).reshape(-1, 3))
+
+
 class TestCovariance:
     """``PropagatorTable.products`` against the pairwise loops of
     ``gaussian_oracle`` on every table type: its strict upper triangle is
-    the skew covariance of the rows."""
+    the skew covariance of the rows, fed as term arrays."""
 
     @pytest.mark.parametrize("kind", ["full", "lazy", "dense", "massive"])
     def test_against_oracle(self, kind):
@@ -596,7 +607,7 @@ class TestCovariance:
             # a repeated field accumulates; an empty row is a zero field
             rows[0].append(rows[0][0])
             rows.append([])
-            got = np.triu(table.products(rows), 1)
+            got = np.triu(table.products(*_terms(rows)), 1)
             ref = oracle.row_covariance(rows, table)
             assert np.max(np.abs(got - np.triu(ref, 1))) < 1e-13 * max(
                 1.0, np.max(np.abs(ref)))
@@ -613,15 +624,44 @@ class TestCovariance:
                  for _ in range(int(rng.integers(1, 5)))]
                 for _ in range(6)]
         rows += [rows[2], []]
-        got = table.products(rows)
+        got = table.products(*_terms(rows))
         ref = oracle.row_products(rows, table)
         scale = max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(got - ref)) < 1e-13 * scale
 
+    def test_callers_pass_term_arrays(self, monkeypatch):
+        # freecorr and kernelcalc hand products their term arrays as they
+        # are, never tuple rows
+        seen = []
+        products = PropagatorTable.products
+
+        def recording(self, n, *terms):
+            seen.append((n, *terms))
+            return products(self, n, *terms)
+        monkeypatch.setattr(PropagatorTable, "products", recording)
+        geom = CylinderGeometry(6, 4)
+        corr = freecorr.FreeCorrelator(geom, critical_params(0.5))
+        corr._covariance([Edge((6, 1), "h"), Edge((2, 2), "v"),
+                          Edge((3, 4), "h")])
+        a, b, c, d = (FieldLabel(1, (1, 0), (6, 1)),
+                      FieldLabel(-1, (0, 1), (3, 0)),
+                      FieldLabel(1, (0, 0), (2, 2)),
+                      FieldLabel(-1, (1, 1), (4, 3)))
+        kernelcalc.truncated_expectation([(a, b), (c, d)], corr.gc)
+        v = Kernel(geom, 4, 4, 0, {((a, b, c, d), ()): 1.0})
+        kernelcalc.rg_step({v.sector: v}, corr.gc, s_max=1)
+        assert [n for n, *_ in seen] == [6, 6, 4, 4]
+        for n, rows, coeffs, fields in seen:
+            assert isinstance(n, int)
+            assert all(isinstance(x, np.ndarray)
+                       for x in (rows, coeffs, fields))
+            assert len(rows) == len(coeffs) == len(fields)
+
     def test_no_rows_or_no_fields(self):
         table = _covariance_table("massive", CylinderGeometry(4, 3))
-        assert table.products([]).shape == (0, 0)
-        assert np.array_equal(table.products([[], []]), np.zeros((2, 2)))
+        assert table.products(*_terms([])).shape == (0, 0)
+        assert np.array_equal(table.products(*_terms([[], []])),
+                              np.zeros((2, 2)))
 
 
 class TestTableErrors:
@@ -822,6 +862,16 @@ class TestInfinitePropagator:
         with pytest.raises(ValueError, match="empty offset list"):
             infinite_propagator([], critical_params(0.5))
 
+    @pytest.mark.parametrize("zs", [[(0.5, 1)], [(2, 1.0)], [(True, 1)],
+                                    [(1, 2), (np.True_, 2)], [(1, 2, 3)],
+                                    [(2 ** 63, 0)]])
+    def test_non_integer_offsets_rejected(self, zs, monkeypatch):
+        # (0.5, 1) used to sum at a non-lattice offset; rejected before any
+        # torus sum
+        monkeypatch.setattr(propagators, "infinite_propagator_grid", None)
+        with pytest.raises(ValueError, match="torus offsets"):
+            infinite_propagator(zs, critical_params(0.5))
+
     def test_center_of_large_cylinder(self):
         # deep inside a cylinder the finite-volume propagator approaches
         # the infinite-volume one; the massless images make the gap close
@@ -874,6 +924,25 @@ class TestInfiniteTorusSum:
         # the k2 >= 0 half of an odd momentum set is not a mirror image
         with pytest.raises(ValueError, match="must be even"):
             infinite_propagator_grid(critical_params(0.5), None, N, [0], [0])
+
+    @pytest.mark.parametrize("z1, z2", [
+        ([0.5], [True]), ([1], [0.5]), ([True], [1]), ([1], [np.True_]),
+        (np.array([1.0]), [1]), ([1], np.array([True])), ([[1]], [1]),
+        ([1], [2 ** 63])])
+    def test_non_integer_offsets_rejected(self, z1, z2):
+        # ([0.5], [True]) used to end in an IndexError (the bool offset
+        # taken as a mask), ([1], [0.5]) in a TypeError, and ([True], [1])
+        # was summed at the offset 1
+        with pytest.raises(ValueError, match="torus offsets"):
+            infinite_propagator_grid(critical_params(0.5), None, 64, z1, z2)
+
+    def test_offset_lists_and_arrays_agree(self):
+        p, z1, z2 = critical_params(0.5), [-3, 0, 5], [2, -1]
+        got = infinite_propagator_grid(p, None, 32, z1, z2)
+        for a, b in ((np.array(z1), np.array(z2)),
+                     (np.array(z1, dtype=np.int32), z2)):
+            assert np.array_equal(
+                infinite_propagator_grid(p, None, 32, a, b), got)
 
     @pytest.mark.parametrize("weight", ["none", "scale-1"])
     def test_matches_fsum(self, weight):
