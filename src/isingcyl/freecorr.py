@@ -33,7 +33,8 @@ from .lattice import CylinderGeometry
 from .propagators import (
     LazyCriticalTable, ModelParams, NumericalError, coeff_b, coeff_Delta,
     critical_propagator_direct, horizontal_momenta, massive_propagator,
-    _require_on_cylinder, s_eval, s_weights, scaling_propagator,
+    _require_finite, _require_on_cylinder, s_eval, s_weights,
+    scaling_propagator,
 )
 from .skewlinalg import loop_cumulant, pfaffian
 
@@ -97,6 +98,25 @@ def _popcount(x):
     return _POPCOUNT[x & 0xFFF] + _POPCOUNT[x >> 12]
 
 
+def _block_keys(idx, L, rows, pairs, nh, levels):
+    """Histogram keys of the configurations ``idx`` of ``rows`` rows of L
+    spins, counting only the bonds and the observable ``pairs`` (position,
+    site a, site b) inside them: disagreeing horizontal bonds (bits of idx
+    XOR its rows rotated by one), plus nh + 1 times disagreeing vertical
+    bonds (bits of idx XOR itself shifted by one row), plus ``levels << i``
+    for each observable i whose two spins disagree."""
+    first = sum(1 << (r * L) for r in range(rows))  # bit 0 of every row
+    last = first << (L - 1)                         # bit L-1 of every row
+    rotated = ((idx >> 1) & ~last) | ((idx & first) << (L - 1))
+    key = _popcount(idx ^ rotated)
+    if rows > 1:
+        inner = (1 << (L * (rows - 1))) - 1  # the rows with a row below
+        key += (nh + 1) * _popcount((idx ^ (idx >> L)) & inner)
+    for i, a, b in pairs:
+        key += (((idx >> a) ^ (idx >> b)) & 1) * (levels << i)
+    return key
+
+
 def enumerate_gibbs(geom, beta, J1=1.0, J2=1.0, observables=()):
     """Exact sums over all 2^(LM) spin configurations.
 
@@ -108,16 +128,24 @@ def enumerate_gibbs(geom, beta, J1=1.0, J2=1.0, observables=()):
 
     Spin i is bit i of the configuration index, rows of L bits in
     row-major order.  Every configuration is counted into one histogram of
-    exact integers keyed by its disagreeing horizontal bonds a (bits of
-    the index XOR its rows rotated by one), its disagreeing vertical bonds
-    b (bits of the index XOR itself shifted by one row) and one bit per
-    observable whose two spins disagree.  The Boltzmann weights
+    exact integers keyed by its disagreeing horizontal bonds a, its
+    disagreeing vertical bonds b and one bit per observable whose two
+    spins disagree.  The Boltzmann weights
     exp(beta (J1 (LM - 2a) + J2 (L(M-1) - 2b))) enter only afterwards, at
     the occupied (a, b) levels and shifted by their maximum, so the sums
     neither depend on the order of the configurations nor overflow.
+
+    The keys are counted split at row c = ceil(M/2) (0-based): a
+    configuration is a top part (rows < c) and a bottom part, and its key
+    is a top key plus a bottom key (:func:`_block_keys`) plus a seam term
+    that reads only rows c-1 and c (the vertical bonds across the cut and
+    the vertical observables crossing it).  The top configurations sharing
+    row c-1 = u are contiguous, so a tile of them costs one broadcast add
+    ``top[:, None] + (bottom + seam_u)`` and one ``np.bincount``; a tile
+    holds at most ``_ENUM_CHUNK`` keys (the bottom part has at most
+    LM/2 <= 12 spins).  M = 1 has an empty bottom part and no seam.
     """
-    if not all(map(math.isfinite, (beta, J1, J2))):
-        raise ValueError("beta, J1 and J2 must be finite")
+    _require_finite(beta, J1, J2)
     L, M = geom.L, geom.M
     n = L * M
     if n > ENUMERATION_CAP:
@@ -125,22 +153,42 @@ def enumerate_gibbs(geom, beta, J1=1.0, J2=1.0, observables=()):
     obs_pairs = []
     for e in observables:
         e.validate(geom)
-        obs_pairs.append([geom.site_index(z) for z in e.endpoints(geom)])
+        obs_pairs.append(sorted(geom.site_index(z)
+                                for z in e.endpoints(geom)))
 
     nh, nv, k = n, n - L, len(obs_pairs)
-    first = sum(1 << (r * L) for r in range(M))  # bit 0 of every row
-    last = first << (L - 1)                      # bit L-1 of every row
-    inner = (1 << nv) - 1                        # the rows 1..M-1
     levels = (nv + 1) * (nh + 1)
     hist = np.zeros(levels << k, dtype=np.int64)
-    for start in range(0, 1 << n, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, 1 << n))
-        rotated = ((idx >> 1) & ~last) | ((idx & first) << (L - 1))
-        key = _popcount(idx ^ rotated) + (nh + 1) * _popcount(
-            (idx ^ (idx >> L)) & inner)
-        for i, (ia, ib) in enumerate(obs_pairs):
-            key += (((idx >> ia) ^ (idx >> ib)) & 1) * (levels << i)
-        hist += np.bincount(key, minlength=len(hist))
+    c = (M + 1) // 2
+    cut = c * L  # the first spin of the bottom part
+    # observables by part, as bit positions within it; a seam observable
+    # joins bit a of row c-1 (u) to bit b of row c
+    top = [(i, a, b) for i, (a, b) in enumerate(obs_pairs) if b < cut]
+    bottom = [(i, a - cut, b - cut) for i, (a, b) in enumerate(obs_pairs)
+              if a >= cut]
+    seam = [(i, a - cut + L, b - cut) for i, (a, b) in enumerate(obs_pairs)
+            if a < cut <= b]
+    idx = np.arange(1 << (n - cut))
+    bottom_keys = _block_keys(idx, L, M - c, bottom, nh, levels)
+    row_c = idx & ((1 << L) - 1)  # bottom row c, empty for M = 1
+    # nh + 1 per disagreeing vertical bond across the cut (L <= 12 if M > 1)
+    vertical = (nh + 1) * _POPCOUNT[:1 << L]
+
+    # tiles of (u values, top configurations per u, every bottom one)
+    per_u, spread = 1 << (cut - L), len(idx)
+    tile_t = min(per_u, _ENUM_CHUNK // spread)
+    tile_u = min(1 << L, _ENUM_CHUNK // (tile_t * spread))
+    for start in range(0, 1 << cut, tile_u * tile_t):
+        top_keys = _block_keys(np.arange(start, start + tile_u * tile_t), L,
+                               c, top, nh, levels)
+        across = np.broadcast_to(bottom_keys, (tile_u, spread))
+        if c < M:  # the seam: rows u of the tile against every row c
+            u = np.arange(start // per_u, start // per_u + tile_u)[:, None]
+            across = across + vertical[u ^ row_c]
+            for i, a, b in seam:
+                across += (((u >> a) ^ (row_c >> b)) & 1) * (levels << i)
+        key = top_keys.reshape(tile_u, tile_t, 1) + across[:, None, :]
+        hist += np.bincount(key.ravel(), minlength=len(hist))
 
     counts = hist.reshape(1 << k, nv + 1, nh + 1)
     occupied = counts.any(axis=0)

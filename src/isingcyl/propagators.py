@@ -25,6 +25,7 @@ here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -38,6 +39,14 @@ from .lattice import (
 
 class NumericalError(ArithmeticError):
     """A numerical result failed its own consistency check."""
+
+
+def _require_finite(beta, J1, J2):
+    """Reject a NaN, an infinity or an int beyond the float range among
+    ``beta, J1, J2`` by exact comparison (no float conversion)."""
+    if not all(-sys.float_info.max <= v <= sys.float_info.max
+               for v in (beta, J1, J2)):
+        raise ValueError("beta, J1 and J2 must be finite")
 
 
 def critical_t2(t1):
@@ -67,6 +76,7 @@ class ModelParams:
 
     @classmethod
     def from_beta(cls, beta, J1=1.0, J2=1.0):
+        _require_finite(beta, J1, J2)
         return cls(t1=math.tanh(beta * J1), t2=math.tanh(beta * J2))
 
     @property

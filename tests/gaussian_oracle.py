@@ -1,8 +1,9 @@
 """Reference covariances of linear field combinations: the pairwise double
-loops that :meth:`isingcyl.propagators.PropagatorTable.covariance` and
-:meth:`~isingcyl.propagators.PropagatorTable.products` replace, kept as
-their oracle; and the set partitions that the moment-cumulant relation
-sums over, the oracle of :func:`isingcyl.skewlinalg.moments_to_cumulants`.
+loops that :meth:`isingcyl.propagators.PropagatorTable.products` replaces
+(its full products matrix, whose strict upper triangle is the
+covariance), kept as its oracle; and the set partitions that the
+moment-cumulant relation sums over, the oracle of
+:func:`isingcyl.skewlinalg.moments_to_cumulants`.
 
 Every entry of a covariance matrix is summed term by term, one table block
 per pair of plain fields, and the skew matrix is filled entry by entry, so

@@ -73,6 +73,19 @@ class TestEnumeration:
             with pytest.raises(ValueError, match="must be finite"):
                 enumerate_gibbs(CylinderGeometry(4, 3), beta, J1, J2)
 
+    @pytest.mark.parametrize("beta, J1, J2", [
+        (10 ** 400, 1.0, 1.0), (-10 ** 400, 1.0, 1.0), (0.3, 10 ** 400, 1.0),
+        (0.3, 1.0, -10 ** 400)], ids=["beta", "-beta", "J1", "-J2"])
+    def test_integers_beyond_the_float_range_rejected(self, beta, J1, J2):
+        # these used to end in OverflowError (int too large to convert)
+        geom = CylinderGeometry(4, 3)
+        for f in (enumerate_gibbs, log_partition_function_free,
+                  partition_function_free):
+            with pytest.raises(ValueError, match="must be finite"):
+                f(geom, beta, J1, J2)
+        with pytest.raises(ValueError, match="must be finite"):
+            ModelParams.from_beta(beta, J1, J2)
+
     def test_moment_subsets_present(self):
         geom = CylinderGeometry(4, 2)
         obs = (Edge((1, 1), "h"), Edge((1, 1), "v"), Edge((3, 2), "h"))
@@ -89,9 +102,21 @@ class TestEnumeration:
         ((4, 1), 0.5, -0.8, 1.0, (Edge((4, 1), "h"), Edge((1, 1), "h"))),
         ((4, 3), 0.44, 1.3, 0.7,
          (Edge((4, 2), "h"), Edge((1, 2), "v"), Edge((4, 1), "v"))),
+        # the enumeration splits at row c = ceil(M/2) + 1 (1-based): rows
+        # below c are the top part, c and above the bottom part
+        ((4, 3), 0.6, -0.9, 1.2, (Edge((1, 3), "h"), Edge((4, 3), "h"))),
+        ((2, 2), 0.8, 1.0, -0.9,
+         (Edge((2, 1), "v"), Edge((1, 2), "h"), Edge((1, 1), "h"))),
+        ((2, 5), 0.5, 0.8, -1.2,
+         (Edge((1, 4), "v"), Edge((2, 5), "h"), Edge((2, 4), "h"))),
+        ((2, 5), 0.35, -0.7, 1.1,
+         (Edge((2, 3), "v"), Edge((1, 3), "v"), Edge((1, 1), "v"))),
+        ((6, 2), 0.3, 1.1, 0.6, (Edge((6, 1), "v"), Edge((3, 1), "v"))),
     ])
     def test_matches_per_configuration_sum(self, LM, beta, J1, J2, obs):
-        # wrapping horizontal edges (x1 = L) and edges sharing a site
+        # wrapping horizontal edges (x1 = L), edges sharing a site, only
+        # bottom-part edges (4x3, the first 2x5), vertical edges crossing
+        # the cut (2x2, the second 2x5, 6x2) and M = 2 and 5 at L = 2
         geom = CylinderGeometry(*LM)
         rec = enumerate_gibbs(geom, beta, J1, J2, obs)
         log_z, moments, levels = gibbs_oracle.gibbs_sums(geom, beta, J1, J2,
@@ -102,6 +127,19 @@ class TestEnumeration:
         assert rec.moments.keys() == moments.keys()
         for s, m in moments.items():
             assert abs(rec.moments[s] - m) <= 1e-12
+
+    @pytest.mark.parametrize("LM", [(4, 6), (6, 4)], ids=["4x6", "6x4"])
+    def test_memory_peak(self, LM):
+        # the counting keeps each key array within _ENUM_CHUNK entries
+        geom = CylinderGeometry(*LM)
+        enumerate_gibbs(geom, 0.4)
+        tracemalloc.start()
+        try:
+            enumerate_gibbs(geom, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5e6
 
     def test_overflowing_weights(self):
         # exp(beta * energy) exceeds a float; log Z and the moments do not

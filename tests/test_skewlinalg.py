@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -160,6 +160,45 @@ class TestBruteforce:
 
     def test_two_by_two(self):
         assert pfaffian_bruteforce(np.array([[0, 3.0], [-3.0, 0]])) == 3.0
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_integer_matrices_exactly(self, n):
+        # every term and partial sum is an integer below 2^53, so the
+        # expansion must equal the exact Python-int sum over all (n-1)!!
+        # matchings, each signed by the parity of (i1 j1 i2 j2 ...)
+        terms = []
+        for pairs in perfect_matchings(list(range(n))):
+            order = [i for pair in pairs for i in pair]
+            inversions = sum(a > b for a, b in combinations(order, 2))
+            terms.append((pairs, (-1) ** inversions))
+        assert len(terms) == factorial(n) // (
+            2 ** (n // 2) * factorial(n // 2))
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            upper = np.triu(rng.integers(-4, 5, size=(n, n)), 1)
+            a = (upper - upper.T).tolist()
+            exact = sum(sign * prod(a[i][j] for i, j in pairs)
+                        for pairs, sign in terms)
+            bf = pfaffian_bruteforce(np.array(a, dtype=float))
+            assert bf.real == exact and bf.imag == 0
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (4,), ()])
+    def test_non_square_matrices_rejected(self, shape):
+        # a (2, 3) input used to return 1 and a (2, 2, 2) one an array
+        for f in (pfaffian, pfaffian_bruteforce):
+            with pytest.raises(ValueError, match="square matrix"):
+                f(np.ones(shape))
+
+
+def perfect_matchings(items):
+    """Every perfect matching of ``items`` as a list of pairs (i < j)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for k, partner in enumerate(rest):
+        for tail in perfect_matchings(rest[:k] + rest[k + 1:]):
+            yield [(first, partner)] + tail
 
 
 class TestMomentsCumulants:
