@@ -201,17 +201,20 @@ def check_partition(seed=0):
 
 
 def check_propagator_oracle(seed=0):
-    """Critical Fourier propagator vs dense inversion of A_c."""
+    """Critical Fourier and massive propagators vs dense inversion."""
     t0 = time.perf_counter()
-    worst = 0.0
+    critical = massive = 0.0
     for (L, M) in GEOMS:
         geom = CylinderGeometry(L, M)
         for t1 in T1S:
             p = ModelParams.critical(t1)
-            worst = max(worst, _oracle_residual(
+            critical = max(critical, _oracle_residual(
                 critical_propagator_fourier(geom, p), geom, p, "critical"))
-    return _record(3, "Fourier propagator vs dense inversion", worst, 1e-10,
-                   t0, time_cap=30.0)
+            massive = max(massive, _oracle_residual(
+                massive_propagator(geom, p), geom, p, "massive"))
+    return _record(3, "Fourier and massive propagators vs dense inversion",
+                   max(critical, massive), 1e-10, t0, time_cap=30.0,
+                   detail=f"critical {critical:.2e}, massive {massive:.2e}")
 
 
 def check_boundary_and_symmetries(seed=0):
@@ -398,7 +401,7 @@ def check_norm_battery(seed=0, runs=50):
         (_rand_source, renormalize_source, "source-bulk",
          [((2, 1), 1), ((2, 0), 2)]),
     )
-    violation = 0.0
+    violation, ratio = 0.0, {}
     for _ in range(runs):
         base = int(rng.integers(1, geom.L + 1))
         for draw, renormalize, norm, terms in bounds:
@@ -408,11 +411,16 @@ def check_norm_battery(seed=0, runs=50):
             rhs = sum(c * weighted_norm(fam[sec], norm, kappa + j * eps)
                       / eps ** j for j, (sec, c) in enumerate(terms))
             violation = max(violation, lhs - rhs)
+            key = f"{norm} {terms[0][0]}"
+            ratio[key] = max(ratio.get(key, 0.0), lhs / rhs)
     # 0.2 s per run: 10 s at selftest's 50 runs
-    return _record(9, "remainder norm inequality battery",
-                   max(violation, 0.0), 1e-9, t0, time_cap=runs / 5,
-                   detail=f"{runs} runs per inequality at "
-                          f"kappa={kappa}, eps={eps}")
+    rec = _record(9, "remainder norm inequality battery",
+                  max(violation, 0.0), 1e-9, t0, time_cap=runs / 5,
+                  detail=f"{runs} runs per inequality at kappa={kappa}, "
+                         f"eps={eps}; largest lhs/rhs " + ", ".join(
+                             f"{k} {r:.2g}" for k, r in ratio.items()))
+    rec["ratio_margin"] = _margin(1.0, max(ratio.values()))
+    return rec
 
 
 def check_vertex_constants(seed=0):

@@ -145,7 +145,7 @@ def enumerate_gibbs(geom, beta, J1=1.0, J2=1.0, observables=()):
     holds at most ``_ENUM_CHUNK`` keys (the bottom part has at most
     LM/2 <= 12 spins).  M = 1 has an empty bottom part and no seam.
     """
-    _require_finite(beta, J1, J2)
+    _require_finite("beta, J1 and J2", beta, J1, J2)
     L, M = geom.L, geom.M
     n = L * M
     if n > ENUMERATION_CAP:
@@ -368,7 +368,7 @@ def scaling_correlation(points, labels, ell1, ell2, params):
 
     ``points`` are pairwise distinct continuum points with 0 <= x <= ell1
     and 0 < y < ell2 (x = 0 and x = ell1 are one point), or ``ValueError``
-    is raised before any image sum; ``labels`` are edge directions (1
+    is raised before any propagator sum; ``labels`` are edge directions (1
     horizontal, 2 vertical).  Returns
     ``(2 t2)^{m1} (1 - t2^2)^{m2} Pf(M)`` where M is the 2m x 2m matrix
     with zero diagonal blocks and the continuum propagator off-diagonal.

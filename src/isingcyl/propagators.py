@@ -15,7 +15,7 @@ antisymmetric coefficient matrices ``A_c`` (critical sector, field phi) and
 * the infinite-volume propagator: the same momentum sum (one routine,
   :func:`_offset_profiles`) over the modes of a large torus, with adaptive
   doubling and an optional momentum cutoff -- the multiscale bulk part;
-* the continuum scaling-limit propagator as an image sum.
+* the continuum scaling-limit propagator as a closed-form image series.
 
 All tables are stored in complex arithmetic; physical realness is checked
 by callers (a failed check raises :class:`NumericalError`), never assumed
@@ -41,12 +41,13 @@ class NumericalError(ArithmeticError):
     """A numerical result failed its own consistency check."""
 
 
-def _require_finite(beta, J1, J2):
+def _require_finite(names, *values):
     """Reject a NaN, an infinity or an int beyond the float range among
-    ``beta, J1, J2`` by exact comparison (no float conversion)."""
+    ``values`` by exact comparison (no float conversion); the message
+    calls them ``names``."""
     if not all(-sys.float_info.max <= v <= sys.float_info.max
-               for v in (beta, J1, J2)):
-        raise ValueError("beta, J1 and J2 must be finite")
+               for v in values):
+        raise ValueError(f"{names} must be finite")
 
 
 def critical_t2(t1):
@@ -72,11 +73,12 @@ class ModelParams:
 
     @classmethod
     def critical(cls, t1):
+        _require_finite("t1", t1)
         return cls(t1=t1, t2=critical_t2(t1))
 
     @classmethod
     def from_beta(cls, beta, J1=1.0, J2=1.0):
-        _require_finite(beta, J1, J2)
+        _require_finite("beta, J1 and J2", beta, J1, J2)
         return cls(t1=math.tanh(beta * J1), t2=math.tanh(beta * J2))
 
     @property
@@ -759,24 +761,6 @@ def infinite_propagator(zs, params):
 # ---------------------------------------------------------------------------
 
 
-def gscal_scalar(x, y, t2s):
-    """g^scal(x, y) = -(1/(2 pi t2 (1 - t2))) * x/(x^2 + y^2)."""
-    return -x / (2.0 * np.pi * t2s * (1.0 - t2s) * (x * x + y * y))
-
-
-def _g1(x, y, params):
-    return gscal_scalar(x / (1.0 - params.t2), y / (1.0 - params.t1),
-                        params.t2)
-
-
-def _g2(x, y, params):
-    return gscal_scalar(y / (1.0 - params.t1), x / (1.0 - params.t2),
-                        params.t2)
-
-
-_IMAGES = 64
-
-
 def _require_on_cylinder(points, ell1, ell2, name="cylinder"):
     """Raise ValueError naming the first point that is not finite with
     0 <= x <= ell1 and 0 < y < ell2 (NaN fails every comparison), or that
@@ -792,47 +776,52 @@ def _require_on_cylinder(points, ell1, ell2, name="cylinder"):
                 raise ValueError(f"{w} and {z}: not distinct points")
 
 
-def _alternating_fold(T):
-    """Euler-accelerated ``sum_n (-1)^n T[..., n]`` over the last axis,
-    which runs over the images n = -64..64.
+def _antiperiodic_sum(w, A, B):
+    """``sum_{n1, n2} (-1)^(n1 + n2)/(w + n1 A + i n2 B)`` at each complex
+    ``w`` of a 1-d array, for periods A, B > 0.
 
-    ``T`` must have a smooth O(1/|n|) tail; 12 averaging sweeps of the 64
-    folded partial sums then converge far below 1e-12.
+    Along the shorter period A the sum is ``(pi/A)/sin(pi u/A)``; the n2
+    terms left fall like e^(-pi |n2| B/A), and ceil((40/pi) A/B) + 2 on
+    each side leave a tail below e^-40.  For A > B the roles swap through
+    ``w + n1 A + i n2 B = i(-iw + n2 B + i n1 (-A))``.  ``1/sin z`` is
+    ``s 2i q/expm1(2isz)``, q = e^(isz), with s = +-1 so that |q| <= 1:
+    nothing overflows, and tiny values (elongated cylinders) and small z
+    (nearby points) keep their relative accuracy.
     """
-    sign = (-1.0) ** np.arange(1, _IMAGES + 1)
-    x = np.cumsum(np.concatenate(
-        [T[..., _IMAGES:_IMAGES + 1],
-         sign * (T[..., _IMAGES + 1:] + T[..., _IMAGES - 1::-1])], axis=-1),
-        axis=-1)
-    for _ in range(12):
-        x = 0.5 * (x[..., :-1] + x[..., 1:])
-    return x[..., -1]
+    if A > B:
+        return -1j * _antiperiodic_sum(-1j * w, B, A)
+    m = math.ceil(40.0 / np.pi * A / B) + 2
+    n = np.arange(-m, m + 1)
+    z = (np.pi / A) * (w[:, None] + 1j * B * n)
+    s = np.where(z.imag < 0.0, -1.0, 1.0)
+    q = np.exp(1j * s * z)
+    return (np.pi / A) * np.sum(
+        (-1.0) ** n * s * 2j * q / np.expm1(2j * s * z), axis=-1)
 
 
 def scaling_propagator(z, zp, ell1, ell2, params):
-    """The continuum cylinder propagator as an alternating image sum.
+    """The continuum cylinder propagator in closed form.
 
     ``z``, ``zp`` are distinct points of the open cylinder of circumference
     ``ell1`` and height ``ell2``, 0 <= x <= ell1 and 0 < y < ell2 (x = 0
     and x = ell1 are one point), or ``ValueError`` is raised before any
-    sum.  Images carry the alternating
-    sign ``(-1)^(n1 + n2)``; all images with |n1|, |n2| <= 64 are evaluated
-    as one array, and both lattice directions are summed with Euler
-    acceleration, n1 first, so the conditionally convergent 1/r tails are
-    resummed to machine precision.
+    sum.  It is the sum, with sign ``(-1)^(n1 + n2)``, of the plane entries
+    ``-c Re 1/w`` and ``c Im 1/w``, c = 1/(2 pi t2 (1 - t2)), over the
+    images (n1 ell1, 2 n2 ell2) of z' and of its reflection across y = 0:
+    :func:`_antiperiodic_sum` at w = (x - x')/(1 - t2) + i {y - y', y + y',
+    y + y' - 2 ell2}/(1 - t1), A = ell1/(1 - t2) and B = 2 ell2/(1 - t1).
     """
     _require_on_cylinder((z, zp), ell1, ell2)
     z, zp = np.asarray((z, zp), dtype=float)
     dx, dy = z - zp
     sy = (z + zp)[1]
-    n = np.arange(-_IMAGES, _IMAGES + 1)
-    x, n2 = dx + n * ell1, n[:, None]    # axis 0: n2, axis 1: n1
-    y, ry = dy + 2 * n2 * ell2, sy + 2 * n2 * ell2
-    g1, g2 = _g1(x, y, params), _g2(x, y, params)
-    r1, r2 = _g1(x, ry, params), _g2(x, ry, params)
-    T = np.array([g1 - r1, g2 + r2, g2 - r2,
-                  _g1(x, sy + 2 * (n2 - 1) * ell2, params) - g1])
-    return _alternating_fold(_alternating_fold(T)).reshape(2, 2)
+    a, b = 1.0 - params.t2, 1.0 - params.t1
+    d, s, s2 = _antiperiodic_sum(
+        dx / a + 1j * np.array([dy, sy, sy - 2.0 * ell2]) / b,
+        ell1 / a, 2.0 * ell2 / b)
+    c = 1.0 / (2.0 * np.pi * params.t2 * a)
+    return c * np.array([[(s - d).real, (d + s).imag],
+                         [(d - s).imag, (d - s2).real]])
 
 
 def scaling_series(z, zp, params, sizes):

@@ -1,6 +1,7 @@
 """Acceptance battery: one test (and one printed pass/fail line) per
 criterion.  The heavy computations run once in a module-scoped fixture."""
 
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -54,6 +55,33 @@ def test_margins(records):
     assert records[9]["residual"] == 0.0   # exact tree-distance bound
     assert records[9]["time_cap"] == 10.0  # 0.2 s for each of 50 runs
     assert records[7]["r2_margin"] > 1.0
+
+
+def test_norm_battery_reports_its_ratios(records):
+    # the largest lhs/rhs of each of the four inequalities, and the
+    # margin of the largest: residual 0 says nothing about the slack
+    rec = records[9]
+    ratios = [float(r)
+              for r in re.findall(r"\) ([0-9.e-]+)", rec["detail"])]
+    assert len(ratios) == 4 and 0.0 < max(ratios) < 1.0
+    assert rec["ratio_margin"] == pytest.approx(1.0 / max(ratios), rel=0.05)
+
+
+def test_propagator_oracle_covers_both_sectors(records, monkeypatch):
+    rec = records[3]
+    assert "critical" in rec["detail"] and "massive" in rec["detail"]
+    # a massive table off by 1e-9 fails the criterion
+    massive = acceptance.massive_propagator
+
+    class Shifted:
+        def __init__(self, table):
+            self.table = table
+
+        def blocks(self, z, zp):
+            return self.table.blocks(z, zp) + 1e-9
+    monkeypatch.setattr(acceptance, "massive_propagator",
+                        lambda geom, p: Shifted(massive(geom, p)))
+    assert not acceptance.check_propagator_oracle()["passed"]
 
 
 @pytest.mark.parametrize("runs, seconds, passed", [

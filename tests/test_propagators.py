@@ -20,7 +20,7 @@ from isingcyl.propagators import (
     boundary_residual, coeff_B, coeff_D, critical_propagator_direct,
     critical_propagator_fourier, critical_t2, ghat_matrix,
     horizontal_momenta, infinite_propagator, infinite_propagator_grid,
-    gscal_scalar, massive_propagator, massive_propagator_direct,
+    massive_propagator, massive_propagator_direct,
     _root_grid, max_block_difference, s_eval,
     s_weights, scaling_propagator, scaling_series, solve_k2_roots,
 )
@@ -46,6 +46,13 @@ class TestParams:
             ModelParams(t1=0.0, t2=0.5)
         with pytest.raises(ValueError):
             ModelParams(t1=0.5, t2=1.0)
+
+    @pytest.mark.parametrize("t1", [10 ** 400, -10 ** 400, math.nan],
+                             ids=["1e400", "-1e400", "nan"])
+    def test_critical_rejects_non_finite_t1(self, t1):
+        # 10**400 used to end in OverflowError (int too large to convert)
+        with pytest.raises(ValueError, match="t1 must be finite"):
+            ModelParams.critical(t1)
 
     def test_from_beta(self):
         p = ModelParams.from_beta(0.3, 1.0, 2.0)
@@ -977,10 +984,20 @@ class TestInfiniteTorusSum:
         assert max(sizes) >= 1024
 
 
+def _scaled_pairs(ell1, ell2):
+    """Three pairs of points at fixed fractions of an ell1 x ell2
+    cylinder: a generic pair, two near opposite walls, a dyadic pair."""
+    return [((a * ell1, b * ell2), (c * ell1, d * ell2))
+            for (a, b), (c, d) in [((0.2, 0.6), (0.7, 0.3)),
+                                   ((0.05, 0.95), (0.9, 0.02)),
+                                   ((0.25, 0.5), (0.625, 0.375))]]
+
+
 class TestScalingPropagator:
     def test_scalar_value(self):
         # g(1, 0) at t2 = 1/3: -1/(2 pi (1/3)(2/3)) = -9/(4 pi)
-        assert gscal_scalar(1.0, 0.0, 1.0 / 3.0) == pytest.approx(
+        assert propagator_oracle.gscal_scalar(
+            1.0, 0.0, 1.0 / 3.0) == pytest.approx(
             -9.0 / (4.0 * np.pi), rel=1e-14)
 
     def test_coincident_points_rejected(self):
@@ -1042,6 +1059,85 @@ class TestScalingPropagator:
         ref = propagator_oracle.image_sum_propagator(z, zp, ell1, ell2, p)
         g = scaling_propagator(z, zp, ell1, ell2, p)
         assert np.allclose(g, ref, atol=1e-15, rtol=0)
+
+    @pytest.mark.skipif(propagator_oracle.LONGDOUBLE_IS_DOUBLE,
+                        reason="np.longdouble is plain double here: no "
+                               "extra precision to check against")
+    @pytest.mark.parametrize("t1", [0.5, math.sqrt(2.0) - 1.0],
+                             ids=["t1=0.5", "t1=iso"])
+    @pytest.mark.parametrize("ell1, ell2, rtol", [
+        # about 3-5 times the largest measured distances, 3.9e-16,
+        # 2.8e-16, 1.1e-15, 1.6e-13 and 1.6e-13.  On the tall shapes the
+        # oracle is the one that is off, by 1.6e-13 from 40 digits: its
+        # terms along the shorter period cancel to the small value of far
+        # points (the library is within 1.3e-15 there, see the mpmath test)
+        (1.0, 1.0, 2e-15), (2.0, 1.0, 2e-15), (4.0, 1.0, 4e-15),
+        (1.0, 4.0, 5e-13), (0.25, 1.0, 5e-13)],
+        ids=["1x1", "2x1", "4x1", "1x4", "0.25x1"])
+    def test_matches_longdouble_series(self, ell1, ell2, rtol, t1):
+        # the oracle takes the closed form along the longer period, the
+        # library along the shorter one
+        p = critical_params(t1)
+        for z, zp in _scaled_pairs(ell1, ell2):
+            ref = propagator_oracle.longdouble_series_propagator(
+                z, zp, ell1, ell2, p)
+            g = scaling_propagator(z, zp, ell1, ell2, p)
+            assert np.max(np.abs(g - ref)) <= rtol * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("t1", [0.5, math.sqrt(2.0) - 1.0],
+                             ids=["t1=0.5", "t1=iso"])
+    @pytest.mark.parametrize("ell1, ell2", [
+        (1.0, 1.0), (2.0, 1.0), (4.0, 1.0), (16.0, 1.0), (1.0, 4.0),
+        (0.25, 1.0), (1.0, 2.0)],
+        ids=["1x1", "2x1", "4x1", "16x1", "1x4", "0.25x1", "1x2"])
+    def test_matches_mpmath_series(self, ell1, ell2, t1):
+        pytest.importorskip("mpmath")
+        # largest measured distance 3.1e-15 of the largest entry (16x1 at
+        # t1 = sqrt 2 - 1; 1.3e-15 on the other shapes): a bound of 3 times
+        # that.  On 16x1 a closed form along the longer period loses
+        # 2.1e-13 to 2.4e-12 to the cancellation of its terms
+        p = critical_params(t1)
+        for z, zp in _scaled_pairs(ell1, ell2):
+            ref = propagator_oracle.mpmath_series_propagator(
+                z, zp, ell1, ell2, p)
+            g = scaling_propagator(z, zp, ell1, ell2, p)
+            assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("zp", [(0.3001, 0.4002), (0.29998, 0.4)])
+    def test_nearby_points_keep_their_digits(self, zp):
+        pytest.importorskip("mpmath")
+        # 1/sin near z = 0 as (q^2 - 1) would lose ~1e-16/|z| relative;
+        # expm1 keeps it: measured 2.2e-16, bound 1e-15
+        p = critical_params(math.sqrt(2.0) - 1.0)
+        z = (0.3, 0.4)
+        ref = propagator_oracle.mpmath_series_propagator(z, zp, 1.0, 1.0, p)
+        g = scaling_propagator(z, zp, 1.0, 1.0, p)
+        assert np.max(np.abs(g - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_exponentially_small_value_keeps_its_digits(self):
+        pytest.importorskip("mpmath")
+        # points 40 apart along a 1 x 200 cylinder: the value is ~2e-73,
+        # where the image sum returned 5e-18 of roundoff.  Measured 2.1e-14
+        # relative: the exponent, ~170, magnifies the rounding of the input
+        p = critical_params(0.5)
+        z, zp = (0.2, 100.3), (0.7, 60.1)
+        ref = propagator_oracle.mpmath_series_propagator(z, zp, 1.0, 200.0,
+                                                         p)
+        g = scaling_propagator(z, zp, 1.0, 200.0, p)
+        assert 1e-74 < np.max(np.abs(ref)) < 1e-72
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ell1, ell2", [
+        (1.0, 200.0), (300.0, 1.0), (1e-3, 1e3)],
+        ids=["1x200", "300x1", "1e-3x1e3"])
+    def test_elongated_cylinders_raise_no_warning(self, ell1, ell2):
+        # 1/sin with np.sin overflows on these shapes
+        p = critical_params(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z, zp in _scaled_pairs(ell1, ell2):
+                g = scaling_propagator(z, zp, ell1, ell2, p)
+                assert np.all(np.isfinite(g))
 
     def test_lattice_limit(self):
         # the rescaled lattice propagator converges to the continuum one
