@@ -246,12 +246,13 @@ def solve_k2_roots(k1, M, params):
 @lru_cache(maxsize=16)
 def _root_grid(L, M, params):
     """The momenta of the critical Fourier sum: by row, the M+1 nonnegative
-    k2 roots (0 first) of each of the L horizontal momenta, as a read-only
-    array (L, M+1).  The negative roots mirror the positive ones."""
-    # B depends on k1 only through cos k1, and the momenta come in pairs
-    # +-k1: the roots are solved for the L/2 positive momenta and mirrored
-    half = solve_k2_roots(horizontal_momenta(L)[L // 2:], M, params)[:, M:]
-    roots = np.concatenate([half[::-1], half])
+    k2 roots (0 first) of each of the L/2 positive horizontal momenta, as a
+    read-only array (L/2, M+1).  B depends on k1 only through cos k1, so
+    the roots of -k1 are the same to the bit, and the negative roots mirror
+    the positive ones."""
+    # a copy: the view would keep the negative roots alive in the cache
+    k1 = horizontal_momenta(L)[L // 2:]
+    roots = solve_k2_roots(k1, M, params)[:, M:].copy()
     roots.flags.writeable = False
     return roots
 
@@ -422,31 +423,44 @@ def massive_propagator(geom, params):
 
 class _Modes(NamedTuple):
     """The per-k1 data of one momentum sum, the cylinder's or the torus'
-    (see :func:`_modes`)."""
+    (see :func:`_modes`); ``k2`` and ``w`` hold the k1 > 0 rows only."""
 
     phase: np.ndarray  # (K1, offsets): e^{-i k1 d1}, k1 by row
-    k2: np.ndarray     # (K1, K2) or (1, K2): the nonnegative k2 of each k1
-    w: np.ndarray      # (K1, K2): real weights, +-k2 multiplicity folded in
+    k2: np.ndarray     # (K1/2, K2) or (1, K2): the nonnegative k2 of k1 > 0
+    w: np.ndarray      # (K1/2, K2): real weights, +-k2 multiplicity folded in
     s1: np.ndarray     # (K1,): 2 i t1 sin k1
     B: np.ndarray      # (K1,): B(k1)
     c: float           # 1 - t1^2
 
 
+def _phases(k1, d1):
+    """e^{-i k1 d1}, (len k1, len d1), at the momenta ``k1`` of
+    :func:`horizontal_momenta`: the k1 < 0 rows conjugate the k1 > 0 ones."""
+    half = len(k1) // 2
+    out = np.empty((len(k1), len(d1)), dtype=complex)
+    np.exp(-1j * np.outer(k1[half:], d1), out=out[half:])
+    np.conjugate(out[:half - 1:-1], out=out[:half])
+    return out
+
+
 def _modes(params, weight, phase, k1, k2, norm):
-    """The :class:`_Modes` of the momenta ``k1`` and their k2 >= 0.  A mode
-    adds ``w D ghat(k1, k2)`` times its phases, ``w = weight/(norm D)``
-    real and even in k2, and ``D ghat`` is affine in ``e^{+-i k2}`` with
-    the k1 coefficients s1, c = 1 - t1^2 and B: so the sum is folded onto
-    k2 >= 0, w doubled at every k2 > 0.  ``weight`` (or None) takes the
-    broadcast (k1, k2) arrays and must be even in k2 to the bit
+    """The :class:`_Modes` of the momenta ``k1`` and their k2 >= 0 (``k2``
+    and ``norm`` on the k1 > 0 rows).  A mode adds ``w D ghat(k1, k2)``
+    times its phases, ``w = weight/(norm D)`` real and even in k1 and k2,
+    and ``D ghat`` is affine in ``e^{+-i k2}`` with the k1 coefficients s1,
+    c = 1 - t1^2 and B: so w is formed on the k1 > 0 rows only and folded
+    onto k2 >= 0, doubled at every k2 > 0.  ``weight`` (or None) takes the
+    broadcast (k1, k2) arrays and must be even in k1 and in k2 to the bit
     (``ValueError`` otherwise)."""
-    w = 1.0 / (norm * coeff_D(k1[:, None], k2, params)) * (1.0 + (k2 > 0))
+    kp = k1[len(k1) // 2:, None]
+    w = 1.0 / (norm * coeff_D(kp, k2, params)) * (1.0 + (k2 > 0))
     if weight is not None:
-        k1s, k2s = np.broadcast_arrays(k1[:, None], k2)
+        k1s, k2s = np.broadcast_arrays(kp, k2)
         wk = weight(k1s, k2s)
-        if not np.array_equal(wk, weight(k1s, -k2s)):
-            raise ValueError("the momentum weight must be even in k2: "
-                             "weight(k1, -k2) == weight(k1, k2)")
+        if not np.array_equal(weight(np.r_[-k1s, k1s], np.r_[k2s, -k2s]),
+                              np.r_[wk, wk]):
+            raise ValueError("the momentum weight must be even in k2 and "
+                             "even in k1: w(+-k1, +-k2) == w(k1, k2)")
         w = w * wk
     return _Modes(phase, k2, w, 2j * params.t1 * np.sin(k1),
                   coeff_B(k1, params), 1.0 - params.t1 ** 2)
@@ -454,19 +468,19 @@ def _modes(params, weight, phase, k1, k2, norm):
 
 def _critical_modes(geom, params, weight):
     """The critical cylinder's modes: the M + 1 nonnegative k2 roots of
-    each k1, ``norm = 2 L N_M`` (N_M the slope of the phase function of
+    each k1 > 0, ``norm = 2 L N_M`` (N_M the slope of the phase function of
     :func:`solve_k2_roots` at the root) and the phases of the L residues
     d1 = 0..L-1."""
     if not params.is_critical:
         raise ValueError("Fourier representation requires critical parameters")
     L, M = geom.L, geom.M
     k1, k2 = horizontal_momenta(L), _root_grid(L, M, params)
-    B = coeff_B(k1, params)
+    B = coeff_B(k1[L // 2:], params)
     q = ((1.0 - B) / (1.0 + B))[:, None]
     N = _phase_slope((q * np.cos(0.5 * k2)) ** 2 + np.sin(0.5 * k2) ** 2, q,
                      M)
-    return _modes(params, weight, np.exp(-1j * np.outer(k1, np.arange(L))),
-                  k1, k2, 2.0 * L * N)
+    return _modes(params, weight, _phases(k1, np.arange(L)), k1, k2,
+                  2.0 * L * N)
 
 
 # bound on the (offsets,) + k2.shape cos temporary of one k2 reduction
@@ -474,11 +488,14 @@ _COS_BYTES = 1 << 18
 
 
 def _k2_columns(modes, n):
-    """``C(k1; n) = sum_{k2} w cos(k2 n)`` over the k2 of each k1 (a
+    """``C(k1; n) = sum_{k2} w cos(k2 n)`` over the k2 of each k1 > 0 (a
     (1, K2) row of k2 is shared by every k1), at the integer offsets
-    ``n``: one real reduction, shape (len(n), K1).  C is even in n."""
+    ``n``: one real reduction, shape (len(n), K1/2), a BLAS matmul where
+    the row is shared.  C is even in n and in k1."""
+    if len(modes.k2) < len(modes.w):
+        return (modes.w @ np.cos(np.outer(modes.k2[0], n))).T
     return np.einsum("lk,nlk->nl", modes.w,
-                     np.cos(np.asarray(n)[:, None, None] * modes.k2))
+                     np.cos(n[:, None, None] * modes.k2))
 
 
 def _two_by_two(a, b, c, d):
@@ -495,13 +512,16 @@ def _offset_profiles(modes, d, s):
     ``X(d) = c (B C(|d+1|) - C(|d|))`` and ``V(s) = c (C(s) - B C(|s-1|))``
     summed over k1 by one matmul (X and V cancel within each k1).  C is
     formed once per offset read (found by ``np.bincount``: a first
-    ``np.unique`` imports ``numpy.ma``), ``_COS_BYTES`` at a time."""
+    ``np.unique`` imports ``numpy.ma``), ``_COS_BYTES`` at a time, on the
+    k1 > 0 columns, and copied into the mirrored k1 < 0 ones."""
     top, a = 2 * modes.k2.shape[1], np.abs  # top = 2M + 2
     n = np.bincount(a(np.concatenate([d, d + 1, d - 1, s, s - 1, top - s])))
-    n, C = np.flatnonzero(n), np.empty((len(n), len(modes.B)))
+    half = len(modes.w)
+    n, C = np.flatnonzero(n), np.empty((len(n), 2 * half))
     step = max(1, _COS_BYTES // modes.k2.nbytes)
     for i in range(0, len(n), step):
-        C[n[i:i + step]] = _k2_columns(modes, n[i:i + step])
+        C[n[i:i + step], half:] = _k2_columns(modes, n[i:i + step])
+    C[:, :half] = C[:, :half - 1:-1]
     c, B, s1 = modes.c, modes.B, modes.s1
     Sd, Ss, Sr, Xd, Xm, V = np.split(np.concatenate([
         s1 * C[a(d)], s1 * C[s], s1 * C[top - s],
@@ -516,10 +536,10 @@ def critical_propagator_fourier(geom, params, weight=None, variant="critical"):
 
     ``weight``, if given, is a vectorized function of (k1, k2) arrays of a
     common shape multiplying each momentum summand -- the hook used by the
-    multiscale decomposition.  The sum is folded onto the nonnegative k2
-    roots, so the weight must be even in k2 to the bit (``ValueError``
+    multiscale decomposition.  The sum is folded onto k1 > 0 and k2 >= 0,
+    so the weight must be even in k1 and k2 to the bit (``ValueError``
     otherwise); every :class:`~isingcyl.multiscale.CutoffWeight` is, as it
-    depends on k2 only through D.  Rows cover the closure 0..M+1, where the
+    depends on them only through D.  Rows cover the closure 0..M+1, where the
     formula extends and exhibits its boundary cancellations.
 
     The block of a row pair is ``g(d) - r(s)`` with ``d = z2 - z'2`` and
@@ -701,9 +721,9 @@ def infinite_propagator_grid(params, weight, N, z1, z2):
 
     The momenta ``horizontal_momenta(N)`` (N even) on both axes make the
     sum antiperiodic in N along each raw integer offset.  ``weight`` (or
-    None) takes broadcastable (k1, k2) arrays and must be even in k2.  The
-    sum is g(z2) of :func:`_offset_profiles` with the torus modes: phases
-    at z1, the N/2 positive k2 shared by every k1 and ``norm = N^2``.
+    None) takes broadcastable (k1, k2) arrays and must be even in k1 and
+    k2.  The sum is g(z2) of :func:`_offset_profiles` with the torus modes:
+    phases at z1, the N/2 positive k2 shared by every k1 and ``norm = N^2``.
     O(N^2 |z2| + N |z1| |z2|) time, O(N^2) memory.  Offsets that are not
     integers (:func:`lattice._integer_array`) raise ValueError.
     """
@@ -712,8 +732,8 @@ def infinite_propagator_grid(params, weight, N, z1, z2):
     z1, z2 = (_integer_array(z, 1, np.size(z), "torus offsets")
               for z in (z1, z2))
     k = horizontal_momenta(N)
-    modes = _modes(params, weight, np.exp(-1j * np.outer(k, z1)), k,
-                   k[None, N // 2:], N * N)
+    modes = _modes(params, weight, _phases(k, z1), k, k[None, N // 2:],
+                   N * N)
     g, _ = _offset_profiles(modes, z2, np.zeros(0, dtype=int))
     return g.swapaxes(0, 1)
 
@@ -764,15 +784,19 @@ def infinite_propagator(zs, params):
 def _require_on_cylinder(points, ell1, ell2, name="cylinder"):
     """Raise ValueError naming the first point that is not finite with
     0 <= x <= ell1 and 0 < y < ell2 (NaN fails every comparison), or that
-    coincides with an earlier one (``np.allclose``; x = 0 and x = ell1 are
-    one point)."""
+    coincides with an earlier one: within 2^-26 (~1.5e-8) of ell1 around
+    the circumference (x = 0 and x = ell1 are one point) and of ell2 along
+    y, a rule that does not move with the pair.  Closer than that, the
+    rounding of coordinates of the cylinder's size (2^-52 of it) leaves the
+    propagator, ~1/separation, fewer than half of its digits."""
     points = [(float(a), float(b)) for a, b in points]
     for i, z in enumerate(points):
         if not (0.0 <= z[0] <= ell1 and 0.0 < z[1] < ell2):
             raise ValueError(f"point {z} outside the open {name}")
         for w in points[:i]:
-            if np.allclose(w, z) or np.allclose(np.abs(np.subtract(w, z)),
-                                                (ell1, 0.0)):
+            dx = abs(w[0] - z[0])
+            if (min(dx, ell1 - dx) <= 2.0 ** -26 * ell1
+                    and abs(w[1] - z[1]) <= 2.0 ** -26 * ell2):
                 raise ValueError(f"{w} and {z}: not distinct points")
 
 

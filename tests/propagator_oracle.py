@@ -5,6 +5,9 @@
   their normalization N_M as the derivative-over-difference ratio of the
   condition: the library's Newton solve on the phase equation and its
   slope replace both.
+* The per-mode arrays of the critical Fourier sum over both k1 halves,
+  each row computed on its own, with the library's arithmetic: the
+  library builds them on the k1 > 0 rows and mirrors them.
 * The critical Fourier series as flat sums over all momentum pairs, with
   the roots and N_M above.  Every entry is one reduction over all L(2M+1)
   modes at once, so a full table costs O(L M^2 #modes) and a block
@@ -25,7 +28,8 @@ import numpy as np
 
 from isingcyl.lattice import antiperiodic_wrap
 from isingcyl.propagators import (
-    NumericalError, coeff_B, ghat_matrix, horizontal_momenta,
+    NumericalError, _Modes, _phase_slope, _two_by_two, coeff_B, coeff_D,
+    ghat_matrix, horizontal_momenta, solve_k2_roots,
 )
 
 
@@ -84,6 +88,56 @@ def bisect_k2_roots(k1, M, params):
         raise NumericalError("root residual above 1e-12 after refinement")
     zero = np.zeros(roots.shape[:-1] + (1,))
     return np.concatenate([-roots[..., ::-1], zero, roots], axis=-1)
+
+
+def full_plane_modes(geom, params, weight=None):
+    """The critical cylinder's modes over all L momenta k1, in the
+    library's arithmetic but with every row computed on its own: the roots
+    of each k1 solved, N_M, w and the phases e^{-i k1 d1} evaluated, none
+    mirrored from the k1 > 0 rows."""
+    L, M = geom.L, geom.M
+    k1 = horizontal_momenta(L)
+    k2 = solve_k2_roots(k1, M, params)[:, M:]
+    B = coeff_B(k1, params)
+    q = ((1.0 - B) / (1.0 + B))[:, None]
+    norm = 2.0 * L * _phase_slope(
+        (q * np.cos(0.5 * k2)) ** 2 + np.sin(0.5 * k2) ** 2, q, M)
+    w = 1.0 / (norm * coeff_D(k1[:, None], k2, params)) * (1.0 + (k2 > 0))
+    if weight is not None:
+        w = w * weight(*np.broadcast_arrays(k1[:, None], k2))
+    return _Modes(np.exp(-1j * np.outer(k1, np.arange(L))), k2, w,
+                  2j * params.t1 * np.sin(k1), B, 1.0 - params.t1 ** 2)
+
+
+def full_plane_profiles(modes, d, s):
+    """The profiles g(d) and r(s) of
+    :func:`isingcyl.propagators._offset_profiles` from
+    :func:`full_plane_modes`: the k2 columns C(k1; n) of every k1 and every
+    n = 0..2M+2 in one reduction, then the same combination and matmul."""
+    top, a = 2 * modes.k2.shape[1], np.abs
+    n = np.arange(top + 1)
+    C = np.einsum("lk,nlk->nl", modes.w,
+                  np.cos(n[:, None, None] * modes.k2))
+    c, B, s1 = modes.c, modes.B, modes.s1
+    Sd, Ss, Sr, Xd, Xm, V = np.split(np.concatenate([
+        s1 * C[a(d)], s1 * C[s], s1 * C[top - s],
+        c * (B * C[a(d + 1)] - C[a(d)]), c * (B * C[a(d - 1)] - C[a(d)]),
+        c * (C[s] - B * C[a(s - 1)])]) @ modes.phase,
+        np.cumsum([len(d), len(s), len(s), len(d), len(d)]))
+    return _two_by_two(-Sd, Xd, -Xm, Sd), _two_by_two(-Ss, -V, V, Sr)
+
+
+def full_plane_table_data(geom, params, weight=None):
+    """The ``(L, M+2, M+2, 2, 2)`` table data ``g(z2 - z'2) - r(z2 + z'2)``
+    from :func:`full_plane_profiles`, indexed row pair by row pair."""
+    M = geom.M
+    g, r = full_plane_profiles(full_plane_modes(geom, params, weight),
+                               np.arange(-(M + 1), M + 2),
+                               np.arange(2 * M + 3))
+    rows = np.arange(M + 2)
+    data = (g[M + 1 + rows[:, None] - rows[None, :]]
+            - r[rows[:, None] + rows[None, :]])
+    return data.transpose(2, 0, 1, 3, 4)
 
 
 def flat_modes(geom, params, weight=None):

@@ -147,12 +147,12 @@ class TestMomenta:
         p = critical_params(0.5)
         roots = _root_grid(4, 3, p)
         assert _root_grid(4, 3, p) is roots
-        assert roots.shape == (4, 3 + 1)
+        assert roots.shape == (2, 3 + 1)
         assert not roots.flags.writeable
 
     @pytest.mark.parametrize("LM", [(2, 1), (8, 5), (34, 3), (64, 64)])
     def test_momentum_grid_mirrors_the_roots(self, LM):
-        # the grid solves the L/2 positive k1 only; B is a function of
+        # the grid holds the L/2 positive k1 only; B is a function of
         # cos k1, so solving every k1 gives the mirrored rows to the bit
         L, M = LM
         p = critical_params(0.3)
@@ -160,7 +160,7 @@ class TestMomenta:
         assert np.array_equal(coeff_B(k1, p), coeff_B(-k1, p))
         every = solve_k2_roots(k1, M, p)
         assert np.array_equal(every, every[::-1])
-        assert np.array_equal(_root_grid(L, M, p), every[:, M:])
+        assert np.array_equal(_root_grid(L, M, p), every[L // 2:, M:])
 
 
 ORACLE_T1S = [0.3, math.sqrt(2.0) - 1.0, 0.5, 0.6]
@@ -186,13 +186,13 @@ class TestRootOracle:
     @pytest.mark.parametrize("LM", ORACLE_GEOMS)
     def test_normalization_matches_oracle(self, t1, LM):
         # N_M as the table weights carry it, w = 1/(2 L N_M D) with the
-        # positive roots doubled, against the oracle's ratio at the
-        # oracle's roots
+        # positive roots doubled on the rows of the k1 > 0, against the
+        # oracle's ratio at the oracle's roots
         L, M = LM
         geom = CylinderGeometry(L, M)
         p = critical_params(t1)
         modes = propagators._critical_modes(geom, p, None)
-        k1 = horizontal_momenta(L)
+        k1 = horizontal_momenta(L)[L // 2:]
         w = modes.w.copy()
         w[:, 1:] /= 2.0
         N = 1.0 / (2.0 * L * w * coeff_D(k1[:, None], modes.k2, p))
@@ -466,6 +466,42 @@ class TestCriticalTable:
         z = [0, 1, -3, 17]
         assert np.array_equal(infinite_propagator_grid(p, unit, 16, z, z),
                               infinite_propagator_grid(p, None, 16, z, z))
+
+
+class TestHalfPlane:
+    """The per-mode arrays are built on the k1 > 0 rows and mirrored into
+    the k1 < 0 ones: every number equals a full-plane evaluation of each
+    row on its own to the bit."""
+
+    def test_weight_must_be_even_in_k1(self):
+        # even in k2, odd part in k1: the mirrored rows would be wrong
+        geom = CylinderGeometry(8, 5)
+        p = critical_params(0.5)
+        odd = lambda k1, k2: 1.0 + 0.1 * np.sin(k1) * np.cos(k2)  # noqa: E731
+        with pytest.raises(ValueError, match="even in k1"):
+            critical_propagator_fourier(geom, p, weight=odd)
+        with pytest.raises(ValueError, match="even in k1"):
+            infinite_propagator_grid(p, odd, 16, [0, 1], [0, 1])
+
+    @pytest.mark.parametrize("LM", [(2, 1), (8, 5), (34, 3), (32, 32)])
+    def test_equals_the_full_plane(self, LM):
+        geom = CylinderGeometry(*LM)
+        L, M = LM
+        p = critical_params(0.3)
+        d, s = np.arange(-(M + 1), M + 2), np.arange(2 * M + 3)
+        for weight in (None, CutoffWeight(0, -1, p),
+                       CutoffWeight(-2, None, p)):
+            ref = propagator_oracle.full_plane_modes(geom, p, weight)
+            modes = propagators._critical_modes(geom, p, weight)
+            assert np.array_equal(modes.w, ref.w[L // 2:])
+            assert np.array_equal(modes.phase, ref.phase)
+            for got, want in zip(
+                    propagators._offset_profiles(modes, d, s),
+                    propagator_oracle.full_plane_profiles(ref, d, s)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(
+                critical_propagator_fourier(geom, p, weight).data,
+                propagator_oracle.full_plane_table_data(geom, p, weight))
 
 
 class TestOneMomentumSum:
@@ -961,6 +997,21 @@ class TestInfiniteTorusSum:
             ref = propagator_oracle.fsum_torus_entry(p, w, N, z)
             assert np.max(np.abs(g[i, i] - ref)) < 1e-15
 
+    def test_memory_of_one_grid(self):
+        # w and D are formed on the N/2 positive k1 only: at N = 1024 and
+        # the benchmark's offsets |z_i| <= 4 the peak measured 4.22 MiB
+        # (8.22 MiB over both k1 halves); the bound adds 0.78 MiB, less
+        # than one more (N/2)^2 real grid (2 MiB)
+        p, z = critical_params(0.5), np.arange(-4, 5)
+        infinite_propagator_grid(p, None, 64, z, z)
+        tracemalloc.start()
+        try:
+            infinite_propagator_grid(p, None, 1024, z, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+
     def test_memory_at_benchmark_offsets(self, monkeypatch):
         # offsets in the box |z_i| <= 4 converge at N = 1024; the torus
         # sums hold O(N^2) reals, not an (N, N, 2, 2) complex grid
@@ -1004,6 +1055,35 @@ class TestScalingPropagator:
         p = critical_params(0.5)
         with pytest.raises(ValueError):
             scaling_propagator((0.5, 0.5), (0.5, 0.5), 1.0, 1.0, p)
+
+    @pytest.mark.parametrize("y", [0.9, 500.0, 900.0])
+    def test_nearby_points_of_a_tall_cylinder_are_distinct(self, y):
+        pytest.importorskip("mpmath")
+        # 0.005 apart on a 1 x 1000 cylinder: np.allclose's rtol, which
+        # grows with y, took the pair at y = 900 for one point.  The bound
+        # is test_nearby_points_keep_their_digits'
+        p = critical_params(0.5)
+        z, zp = (0.5, y), (0.5, y + 0.005)
+        ref = propagator_oracle.mpmath_series_propagator(z, zp, 1.0, 1000.0,
+                                                         p)
+        g = scaling_propagator(z, zp, 1.0, 1000.0, p)
+        assert np.max(np.abs(g - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dy, distinct", [
+        (0.0, False), (1e-5, False), (2e-5, True)])
+    def test_coincidence_does_not_move_with_the_pair(self, dy, distinct):
+        # points coincide within 2^-26 of the cylinder's size on each axis,
+        # 1.49e-5 along y on 1 x 1000, at any height and around the seam
+        # x = 0 = ell1
+        p = critical_params(0.5)
+        for y in (0.9, 500.0, 900.0):
+            for x, xp in ((0.5, 0.5), (0.0, 1.0), (1e-9, 1.0 - 1e-9)):
+                args = (x, y), (xp, y + dy), 1.0, 1000.0, p
+                if distinct:
+                    assert np.all(np.isfinite(scaling_propagator(*args)))
+                else:
+                    with pytest.raises(ValueError, match="distinct points"):
+                        scaling_propagator(*args)
 
     @pytest.mark.parametrize("z, zp", [((0.0, 0.5), (1.0, 0.5)),
                                        ((2.0, 0.25), (0.0, 0.25))])

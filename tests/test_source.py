@@ -290,3 +290,21 @@ def test_kernel_operators_stay_on_arrays():
                 decodes.append(name)
     assert set(builds) <= {"free_source_kernels"}
     assert set(decodes) <= {"Kernel.__repr__"}
+
+
+def test_momentum_sums_go_through_the_half_plane():
+    # the per-mode arrays are built on the k1 > 0 rows and mirrored: only
+    # ``_phases`` takes the exp of a phase matrix and only ``_modes``
+    # evaluates a momentum weight (and checks its parity), so a new
+    # per-mode path cannot rebuild the k1 < 0 half
+    source = (SRC / "propagators.py").read_text()
+    pattern = "np.exp(-1j * np.outer("
+    exps, weights = [], []
+    for name, fn in _functions(ast.parse(source)):
+        exps += [name] * ast.get_source_segment(source, fn).count(pattern)
+        weights += [name for n in ast.walk(fn)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "weight"]
+    assert source.count(pattern) == len(exps)
+    assert exps == ["_phases"]
+    assert set(weights) == {"_modes"}
